@@ -9,6 +9,7 @@ package gmeansmr
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -583,6 +584,40 @@ func BenchmarkColdScan(b *testing.B) {
 			b.ReportMetric(float64(len(tc.data)), "file_bytes")
 		})
 	}
+}
+
+// BenchmarkStage measures a Run's ingest: the facade staging an n=200k,
+// d=16 point stream into the DFS as text, then the driver's first scan
+// (SampleUpTo), which is the first pass to need the staged points. The
+// stream is generated once and replayed from memory, so the timing holds
+// only formatting, writing and the first scan.
+func BenchmarkStage(b *testing.B) {
+	spec := dataset.Spec{K: 16, Dim: 16, N: 200_000, CenterRange: 100,
+		StdDev: 1, MinSeparation: 8, Seed: 89}
+	ds, err := dataset.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := FromPoints(ds.Points)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := c.stage(ctx, src, nil, BackendLocal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sample, err := kmeansmr.SampleUpTo(st.env, 2, 1)
+		if err != nil || len(sample) != 2 {
+			b.Fatalf("first scan: %d points, %v", len(sample), err)
+		}
+		st.cleanup()
+	}
+	b.ReportMetric(float64(spec.N), "points")
 }
 
 // BenchmarkReduceMerge measures the reduce-side merge of per-task sorted

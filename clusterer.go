@@ -533,8 +533,9 @@ type staged struct {
 const stagedPath = "/data/points.txt"
 
 // stage streams src into a fresh simulated DFS — validating dimensionality
-// and finiteness point by point, never materializing the dataset — and
-// right-sizes the splits so every map slot gets a few tasks. backend
+// and finiteness point by point — through a dfs.PointWriter, which formats
+// the text in parallel with reading and keeps the points for the file's
+// scans, and right-sizes the splits so every map slot gets a few tasks. backend
 // selects the execution backend for this staging (normally the
 // configured one; the fallback path restages on BackendLocal).
 func (c *Clusterer) stage(ctx context.Context, src DataSource, tr *obs.Trace, backend Backend) (*staged, error) {
@@ -551,7 +552,8 @@ func (c *Clusterer) stage(ctx context.Context, src DataSource, tr *obs.Trace, ba
 	}
 	defer rd.Close()
 
-	w := fs.Writer(stagedPath)
+	// The writer needs the dimensionality, which the first point fixes.
+	var w *dfs.PointWriter
 	n, dim := 0, 0
 	for {
 		if n%8192 == 0 {
@@ -569,8 +571,10 @@ func (c *Clusterer) stage(ctx context.Context, src DataSource, tr *obs.Trace, ba
 		if err := checkPoint(p, n, &dim); err != nil {
 			return nil, err
 		}
-		w.WriteString(dataset.FormatPoint(p))
-		w.WriteString("\n")
+		if w == nil {
+			w = fs.PointWriter(stagedPath, dim)
+		}
+		w.Append(p)
 		n++
 	}
 	if n == 0 {
@@ -617,6 +621,11 @@ func (c *Clusterer) runGMeansMR(ctx context.Context, src DataSource, tr *obs.Tra
 		return nil, err
 	}
 	defer st.cleanup()
+	return c.gmeansMR(ctx, st, src, tr)
+}
+
+// gmeansMR runs MR G-means over an already staged dataset.
+func (c *Clusterer) gmeansMR(ctx context.Context, st *staged, src DataSource, tr *obs.Trace) (*Result, error) {
 	cfg := core.Config{
 		Env:           st.env,
 		Alpha:         c.cfg.alpha,
@@ -694,6 +703,11 @@ func (c *Clusterer) runMultiK(ctx context.Context, src DataSource, tr *obs.Trace
 		return nil, err
 	}
 	defer st.cleanup()
+	return c.multiK(st, src)
+}
+
+// multiK runs the multi-k-means baseline over an already staged dataset.
+func (c *Clusterer) multiK(st *staged, src DataSource) (*Result, error) {
 	// A k-means candidate needs k distinct seeds, so cap the sweep at the
 	// staged point count: WithKRange(1, 8) over a 3-point dataset sweeps
 	// k=1..3 instead of failing the k=4 seeding.

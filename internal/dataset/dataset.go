@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"gmeansmr/internal/dfs"
@@ -284,15 +283,7 @@ func (s *Stream) Next() (p vec.Vector, label int, ok bool) {
 // FormatPoint encodes a point as the engine's text record: space-separated
 // coordinates in Go's shortest round-trip float format.
 func FormatPoint(p vec.Vector) string {
-	var b strings.Builder
-	b.Grow(len(p) * 18)
-	for i, x := range p {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
-	}
-	return b.String()
+	return string(pointtext.AppendRecord(make([]byte, 0, len(p)*18), p))
 }
 
 // ParsePoint decodes a text record produced by FormatPoint, inferring the
@@ -319,12 +310,13 @@ func ParsePointDim(line string, dim int) (vec.Vector, error) {
 }
 
 // WriteToDFS stores the dataset's points (no labels: the algorithms are
-// unsupervised) as a text file in the simulated DFS.
+// unsupervised) as a text file in the simulated DFS, through the same
+// point writer the facade stages with: the file is FormatPoint per line,
+// and its first scan serves the written points instead of parsing them.
 func (d *Dataset) WriteToDFS(fs *dfs.FS, path string) {
-	w := fs.Writer(path)
+	w := fs.PointWriter(path, d.Spec.Dim)
 	for _, p := range d.Points {
-		w.WriteString(FormatPoint(p))
-		w.WriteString("\n")
+		w.Append(p)
 	}
 	w.Close()
 }

@@ -32,10 +32,20 @@
 // immutable views: a reader holding one across a concurrent overwrite,
 // delete or re-split keeps a consistent snapshot of the bytes it opened.
 //
+// Written-from-points files. A text file committed by PointWriter keeps
+// the float64 points it was formatted from and each record's start
+// offset; its splits are sliced from those points under the same
+// ownership rule instead of parsed (pointwriter.go). The bytes are the
+// ones FormatPoint would have written and the points are bit-identical
+// to their parse, so no reader can tell the two kinds of file apart.
+// Files written as raw bytes (Create, Writer) are parsed on first scan.
+//
 // Cache invalidation. The decoded point cache (and the columnar views
 // hanging off its PointSplits) invalidates per path on Create and Delete,
 // and wholesale on SetSplitSize; stale split descriptors decode correctly
-// but bypass the cache.
+// but bypass the cache. Written points belong to the file: Create and
+// Delete of the path drop them with the bytes, SetSplitSize keeps them,
+// since they do not depend on the split layout.
 //
 // Accounting conservation. Every scan of a split — text or binary, cold
 // or cached, row-major or columnar — accounts the split's full logical
@@ -93,6 +103,9 @@ type FS struct {
 
 type file struct {
 	data []byte
+	// points are the points a PointWriter formatted data from, or nil for
+	// a file written as raw bytes (pointwriter.go).
+	points *writtenPoints
 }
 
 // New creates an empty file system with the given split size. A
@@ -141,13 +154,20 @@ func (fs *FS) ResetCounters() {
 	fs.datasetReads.Store(0)
 }
 
-// Create replaces the file at path with the given contents.
+// Create replaces the file at path with a copy of the given contents.
 func (fs *FS) Create(path string, data []byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	fs.files[path] = &file{data: cp}
+	fs.commit(path, cp, nil)
+}
+
+// commit replaces the file at path with data, which the FS takes over
+// without a copy, and with the points data was written from (nil for raw
+// bytes).
+func (fs *FS) commit(path string, data []byte, points *writtenPoints) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.files[path] = &file{data: data, points: points}
 	fs.invalidatePoints(path)
 	fs.bumpVersion(path)
 	fs.bytesWritten.Add(int64(len(data)))
@@ -188,8 +208,9 @@ func (fs *FS) Contents(path string) ([]byte, error) {
 	return cp, nil
 }
 
-// Writer returns a buffered writer that materializes into path on Close.
-// Writing to an existing path overwrites it atomically at Close time.
+// Writer returns a buffered writer of raw bytes that materializes into
+// path on Close. Writing to an existing path overwrites it atomically at
+// Close time. Point datasets are staged with PointWriter instead.
 func (fs *FS) Writer(path string) *FileWriter {
 	return &FileWriter{fs: fs, path: path}
 }
@@ -207,9 +228,11 @@ func (w *FileWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
 // WriteString appends s to the pending file contents.
 func (w *FileWriter) WriteString(s string) (int, error) { return w.buf.WriteString(s) }
 
-// Close commits the buffered contents to the file system.
+// Close commits the buffered contents to the file system. The buffer is
+// private to the writer, so the FS takes it over without a copy: a later
+// Write only appends past the committed length.
 func (w *FileWriter) Close() error {
-	w.fs.Create(w.path, w.buf.Bytes())
+	w.fs.commit(w.path, w.buf.Bytes(), nil)
 	return nil
 }
 

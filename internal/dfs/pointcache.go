@@ -7,7 +7,9 @@ package dfs
 // charges an iteration one *dataset read* — it says nothing about paying the
 // strconv.ParseFloat tax n·dim times per pass. This file caches the decoded
 // form of each split so the parse happens once per (file, split) and later
-// scans serve ready-made points.
+// scans serve ready-made points. A file written by PointWriter skips even
+// the one parse: its "decode" slices the points the file was written
+// from (pointwriter.go), bit-identical to what the parse would return.
 //
 // Accounting stays faithful to the paper's I/O model: every OpenSplitPoints
 // call accounts the split's logical text bytes as read, exactly as a
@@ -18,11 +20,16 @@ package dfs
 // Memory trade-off: one cached file costs ≈ 8·n·dim bytes of float64s on top
 // of the text bytes already held by the in-memory FS (text is ~15 bytes per
 // coordinate, so the decoded form roughly halves again of the text size).
+// A written file holds those bytes from the start and its splits are views
+// into them, so its cache entries cost nothing more.
 //
-// Invalidation: Create and Delete drop the affected path's decoded entry;
-// SetSplitSize drops every entry (the split layout changed). Readers that
-// obtained a PointSplit before an invalidation keep a consistent snapshot,
-// mirroring how RecordReader keeps reading the byte slice it captured.
+// Invalidation: Create and Delete drop the affected path's decoded entry
+// (and its written points, which belong to the replaced file);
+// SetSplitSize drops every entry (the split layout changed) but no written
+// points, so the re-split file is sliced again rather than parsed. Readers
+// that obtained a PointSplit before an invalidation keep a consistent
+// snapshot, mirroring how RecordReader keeps reading the byte slice it
+// captured.
 
 import (
 	"fmt"
@@ -77,6 +84,7 @@ func (p *PointSplit) Bytes() int64 { return p.bytes }
 // the old entry keep the old data, exactly like RecordReader).
 type filePoints struct {
 	data      []byte
+	written   *writtenPoints // the points data was written from, or nil
 	dim       int
 	splitSize int
 	slots     []pointSlot
@@ -130,7 +138,7 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 		fp = fs.points[sp.Path]
 		if fp == nil || !fp.valid(dim, ss, f.data) {
 			numSplits := (len(f.data) + ss - 1) / ss
-			fp = &filePoints{data: f.data, dim: dim, splitSize: ss, slots: make([]pointSlot, numSplits)}
+			fp = &filePoints{data: f.data, written: f.points, dim: dim, splitSize: ss, slots: make([]pointSlot, numSplits)}
 			if fs.points == nil {
 				fs.points = make(map[string]*filePoints)
 			}
@@ -151,7 +159,7 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 	if !canonical {
 		// A split descriptor from a stale layout (e.g. obtained before
 		// SetSplitSize); decode it uncached rather than poisoning the cache.
-		ps, err := decodeSplit(fp.data, sp, dim)
+		ps, err := fp.decode(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +168,7 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 	}
 	slot := &fp.slots[sp.Index]
 	slot.once.Do(func() {
-		slot.ps, slot.err = decodeSplit(fp.data, sp, dim)
+		slot.ps, slot.err = fp.decode(sp)
 	})
 	if slot.err != nil {
 		return nil, slot.err
@@ -177,6 +185,16 @@ func (fs *FS) invalidatePoints(path string) {
 // invalidateAllPoints drops every decoded entry. Callers hold fs.mu.
 func (fs *FS) invalidateAllPoints() {
 	fs.points = nil
+}
+
+// decode serves one split of the entry's file: sliced from the points the
+// file was written from when it has them at the asked dim, parsed from its
+// bytes otherwise.
+func (fp *filePoints) decode(sp Split) (*PointSplit, error) {
+	if wp := fp.written; wp != nil && wp.dim == fp.dim {
+		return wp.split(sp, int64(len(fp.data))), nil
+	}
+	return decodeSplit(fp.data, sp, fp.dim)
 }
 
 // decodeSplit parses the records of one split into a flat point array,

@@ -1,0 +1,213 @@
+package dfs
+
+// Written-from-points text files.
+//
+// Staging a dataset means formatting every coordinate as text, and the
+// first scan of the staged file then parses every coordinate back. Both
+// passes are CPU the paper's cost model never charges for: it counts
+// dataset reads and text bytes. PointWriter removes the second pass and
+// parallelizes the first. It formats points into the engine's text
+// records one chunk at a time, on up to GOMAXPROCS goroutines while the
+// caller keeps appending, and concatenates the chunks in order. The
+// committed file then keeps the float64 points it was written from, plus
+// the byte offset at which each record starts. OpenSplitPoints serves a
+// split of such a file by slicing those points under recordIter's
+// ownership rule instead of parsing the split's text.
+//
+// The points are exactly the ones a parse of the text would produce:
+// strconv's shortest 'g' formatting round-trips every float64 through
+// strconv.ParseFloat, and the writer stores NaN in the single form
+// ParseFloat("NaN") returns. The text itself is byte-identical to
+// FormatPoint(p)+"\n" per point, so every counter of the I/O model is
+// unchanged.
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"sort"
+
+	"gmeansmr/internal/pointtext"
+)
+
+// chunkCoords sizes a formatting chunk: about 32k coordinates, or ~0.5 MB
+// of text, which amortizes a goroutine start and keeps the bytes still
+// being formatted when the input ends to a few chunks.
+const chunkCoords = 1 << 15
+
+// writtenPoints are the points a text file was written from: point i
+// (flat[i*dim:(i+1)*dim]) is the record starting at byte starts[i].
+type writtenPoints struct {
+	flat   []float64
+	dim    int
+	starts []int64
+}
+
+// split returns the points of the records sp owns under recordIter's
+// rule: records whose first byte lies in [0, End] for a split starting at
+// byte 0, and in (Start, End] for any other. size is the file's length;
+// Bytes is the span from the first owned record to the end of the last,
+// the bytes a RecordReader pass over sp accounts.
+func (wp *writtenPoints) split(sp Split, size int64) *PointSplit {
+	if sp.Start < 0 || sp.Start >= size {
+		return &PointSplit{flat: []float64{}, dim: wp.dim}
+	}
+	n := len(wp.starts)
+	lo := 0
+	if sp.Start > 0 {
+		lo = sort.Search(n, func(i int) bool { return wp.starts[i] > sp.Start })
+	}
+	hi := sort.Search(n, func(i int) bool { return wp.starts[i] > sp.End })
+	if hi <= lo {
+		return &PointSplit{flat: []float64{}, dim: wp.dim}
+	}
+	end := size
+	if hi < n {
+		end = wp.starts[hi]
+	}
+	flat := wp.flat[lo*wp.dim : hi*wp.dim : hi*wp.dim]
+	return &PointSplit{flat: flat, dim: wp.dim, bytes: end - wp.starts[lo]}
+}
+
+// PointWriter formats points into a text file of the engine's record
+// format and commits the file, together with the points, on Close. Only
+// the goroutine that created it may call Append and Close. See the file
+// comment for what the kept points buy.
+type PointWriter struct {
+	fs    *FS
+	path  string
+	dim   int
+	chunk int // points per formatting chunk
+
+	flat   []float64 // every appended point
+	queued int       // points handed to a chunk so far
+
+	text   []byte  // formatted chunks, concatenated in order
+	starts []int64 // start offset of each record in text
+
+	inFlight []*textChunk // chunks being formatted, oldest first
+	spare    []*textChunk // retired chunks whose buffers can be reused
+	workers  int
+}
+
+// textChunk is one run of consecutive points formatted on its own
+// goroutine into its own buffer.
+type textChunk struct {
+	pts    []float64
+	dim    int
+	text   []byte
+	starts []int // record start offsets within text
+	done   chan struct{}
+}
+
+func (c *textChunk) format() {
+	c.text, c.starts = c.text[:0], c.starts[:0]
+	for i := 0; i < len(c.pts); i += c.dim {
+		c.starts = append(c.starts, len(c.text))
+		c.text = append(pointtext.AppendRecord(c.text, c.pts[i:i+c.dim]), '\n')
+	}
+	close(c.done)
+}
+
+// PointWriter returns a writer that materializes dim-dimensional points
+// as a text file at path on Close, replacing any file there. Until Close
+// the file system is untouched.
+func (fs *FS) PointWriter(path string, dim int) *PointWriter {
+	if dim <= 0 {
+		panic(fmt.Sprintf("dfs: PointWriter needs a positive dim, got %d", dim))
+	}
+	chunk := chunkCoords / dim
+	if chunk < 1 {
+		chunk = 1
+	}
+	return &PointWriter{fs: fs, path: path, dim: dim, chunk: chunk, workers: runtime.GOMAXPROCS(0)}
+}
+
+// Append adds one point. The writer copies p, so the caller may reuse it.
+// Every point must have exactly the writer's dim coordinates.
+func (w *PointWriter) Append(p []float64) {
+	if len(p) != w.dim {
+		panic(fmt.Sprintf("dfs: PointWriter for %s: point has %d coordinates, want %d", w.path, len(p), w.dim))
+	}
+	start := len(w.flat)
+	w.flat = append(grow(w.flat, w.dim), p...)
+	for i, x := range w.flat[start:] {
+		if x != x {
+			w.flat[start+i] = math.NaN() // the one NaN strconv.ParseFloat returns
+		}
+	}
+	if len(w.flat)/w.dim-w.queued == w.chunk {
+		w.submit()
+	}
+}
+
+// submit hands the points appended since the last submit to a new
+// formatting goroutine. With workers chunks already in flight it first
+// retires the oldest, so formatting keeps pace with appending and the
+// text held outside the file stays at a few chunks.
+func (w *PointWriter) submit() {
+	n := len(w.flat) / w.dim
+	if w.queued == n {
+		return
+	}
+	for len(w.inFlight) >= w.workers {
+		w.retire()
+	}
+	var c *textChunk
+	if k := len(w.spare); k > 0 {
+		c, w.spare = w.spare[k-1], w.spare[:k-1]
+	} else {
+		c = &textChunk{dim: w.dim}
+	}
+	// The slice views points that are never written again: a later
+	// append either writes past them or moves w.flat to a new array.
+	c.pts = w.flat[w.queued*w.dim : n*w.dim]
+	c.done = make(chan struct{})
+	w.queued = n
+	w.inFlight = append(w.inFlight, c)
+	go c.format()
+}
+
+// retire waits for the oldest in-flight chunk and appends its text and
+// record offsets to the file.
+func (w *PointWriter) retire() {
+	c := w.inFlight[0]
+	w.inFlight = w.inFlight[1:]
+	<-c.done
+	base := int64(len(w.text))
+	w.starts = grow(w.starts, len(c.starts))
+	for _, s := range c.starts {
+		w.starts = append(w.starts, base+int64(s))
+	}
+	w.text = append(grow(w.text, len(c.text)), c.text...)
+	c.pts = nil // a spare chunk must not pin an outgrown points array
+	w.spare = append(w.spare, c)
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it has to move: append's 1.25× steps for large slices
+// would copy the staged text and points about four times over.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
+}
+
+// Close formats the last partial chunk, waits for every chunk and commits
+// the text and its points to the file system. The text buffer becomes the
+// file's contents without a copy. The writer must not be used afterwards.
+func (w *PointWriter) Close() error {
+	w.submit()
+	for len(w.inFlight) > 0 {
+		w.retire()
+	}
+	var wp *writtenPoints
+	if len(w.starts) > 0 {
+		wp = &writtenPoints{flat: w.flat, dim: w.dim, starts: w.starts}
+	}
+	w.fs.commit(w.path, w.text, wp)
+	*w = PointWriter{}
+	return nil
+}

@@ -1,15 +1,30 @@
-// Package pointtext is the single tokenizer for the repository's point
-// record format: one point per line, space- or tab-separated float64
-// coordinates, repeated separators tolerated. Both the dataset package
-// (text parsing) and the dfs decoded-split cache consume it — dataset
-// imports dfs, so this leaf package is what lets the two scan paths share
-// one implementation instead of keeping hand-synchronized copies.
+// Package pointtext is the single tokenizer and formatter for the
+// repository's point record format: one point per line, space- or
+// tab-separated float64 coordinates, repeated separators tolerated. Both
+// the dataset package (text parsing, FormatPoint) and the dfs package
+// (the decoded-split cache, PointWriter) consume it — dataset imports
+// dfs, so this leaf package is what lets the two share one implementation
+// instead of keeping hand-synchronized copies.
 package pointtext
 
 import (
 	"fmt"
 	"strconv"
 )
+
+// AppendRecord appends the text record of p, without a line terminator:
+// the coordinates in Go's shortest round-trip float format ('g', -1),
+// separated by single spaces. strconv.ParseFloat returns every coordinate
+// bit-identical, except that every NaN parses as math.NaN().
+func AppendRecord(dst []byte, p []float64) []byte {
+	for i, x := range p {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
+	}
+	return dst
+}
 
 // AppendPoint parses one record onto dst, enforcing exactly dim
 // coordinates, and returns the extended slice. The generic parameter lets
