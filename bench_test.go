@@ -436,51 +436,22 @@ func BenchmarkAssignBatch(b *testing.B) {
 
 // --- Microbenchmarks of the hot kernels --------------------------------------
 
-// BenchmarkIterationHotPath is the acceptance benchmark of the decoded-
-// split cache + in-mapper combining work: one repeated MR k-means
-// iteration (d=10, n=100k) on the legacy text-parse path (the pre-cache
-// formulation: re-parse every record, emit per point, combine at spill)
-// versus the cached point path. Before timing, it asserts that the two
-// paths produce bit-identical centers, sizes and app.* counters — the
-// speedup must not buy any change in results. (Both paths share this
-// build's Dist2 kernel; its 4-lane unroll reassociates low-order bits
-// relative to releases before the cache landed.)
+// BenchmarkIterationHotPath times one repeated MR k-means iteration
+// (d=10, n=100k) on the decoded-split cache with in-mapper combining —
+// the steady state of a chained-job workload — with and without a live
+// trace attached.
 func BenchmarkIterationHotPath(b *testing.B) {
 	spec := dataset.Spec{K: 16, Dim: 10, N: 100_000, CenterRange: 100,
 		StdDev: 1, MinSeparation: 8, Seed: 73}
 	env, ds := benchEnv(b, spec, benchCluster())
 	centers := ds.Centers
 
-	// Equality gate (also warms the decode cache, so the cached runs below
-	// measure the steady state the repeated-iteration workload lives in).
-	cached, err := kmeansmr.Iterate(env, centers)
-	if err != nil {
+	// Warm the decode cache, so the runs below measure the steady state
+	// the repeated-iteration workload lives in.
+	if _, err := kmeansmr.Iterate(env, centers); err != nil {
 		b.Fatal(err)
-	}
-	legacy, err := kmeansmr.IterateLegacy(env, centers, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for c := range centers {
-		if !vec.Equal(cached.Centers[c], legacy.Centers[c]) || cached.Sizes[c] != legacy.Sizes[c] {
-			b.Fatalf("cached and legacy paths disagree on center %d", c)
-		}
-	}
-	for _, counter := range []string{kmeansmr.CounterDistances, kmeansmr.CounterPoints} {
-		if cached.Job.Counters.Get(counter) != legacy.Job.Counters.Get(counter) {
-			b.Fatalf("cached and legacy paths disagree on %s", counter)
-		}
 	}
 
-	b.Run("legacy-text-parse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := kmeansmr.IterateLegacy(env, centers, ""); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(spec.N), "points")
-	})
 	b.Run("cached-inmapper", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -674,64 +645,36 @@ func BenchmarkReduceMerge(b *testing.B) {
 	})
 }
 
-// BenchmarkColumnarAssign is the acceptance benchmark of the columnar
-// (dim-major) split layout + batched distance kernels: one repeated MR
-// k-means assignment pass (d=16, n=100k, k=32) on the row-major per-point
-// path (n·k scalar Dist2 calls through vec.NearestIndex) versus the
-// columnar path (one fused vec.NearestBatch kernel call per split).
-// Before timing, it asserts the two paths produce bit-identical centers,
-// sizes and app.* counters — the layout must never change what the job
-// computes. d=16 sits at the scalar kernel's early-exit threshold, so the
-// comparison is against the scalar path at its best.
+// BenchmarkColumnarAssign times one repeated MR k-means assignment pass
+// (d=16, n=100k, k=32) on the columnar split layout: one fused
+// vec.NearestBatch kernel call per split.
 func BenchmarkColumnarAssign(b *testing.B) {
 	spec := dataset.Spec{K: 32, Dim: 16, N: 100_000, CenterRange: 100,
 		StdDev: 1, MinSeparation: 8, Seed: 89}
-	colEnv, ds := benchEnv(b, spec, benchCluster())
-	rowEnv := colEnv
-	rowEnv.DisableColumnar = true
+	env, ds := benchEnv(b, spec, benchCluster())
 	centers := ds.Centers
 
-	// Equality gate (also warms the decode cache and the columnar views, so
-	// the timed runs below measure the steady state of a chained workload).
-	col, err := kmeansmr.Iterate(colEnv, centers)
-	if err != nil {
+	// Warm the decode cache and the columnar views, so the timed runs
+	// measure the steady state of a chained workload.
+	if _, err := kmeansmr.Iterate(env, centers); err != nil {
 		b.Fatal(err)
-	}
-	row, err := kmeansmr.Iterate(rowEnv, centers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for c := range centers {
-		if !vec.Equal(col.Centers[c], row.Centers[c]) || col.Sizes[c] != row.Sizes[c] {
-			b.Fatalf("columnar and row-major paths disagree on center %d", c)
-		}
-	}
-	for _, counter := range []string{kmeansmr.CounterDistances, kmeansmr.CounterPoints} {
-		if col.Job.Counters.Get(counter) != row.Job.Counters.Get(counter) {
-			b.Fatalf("columnar and row-major paths disagree on %s", counter)
-		}
 	}
 
 	// Each op is the mean of assignReps iterations, so the CI single-op run
 	// (-benchtime 1x) is robust against one-off scheduling or GC outliers.
 	const assignReps = 3
-	for _, tc := range []struct {
-		name string
-		env  kmeansmr.Env
-	}{{"scalar-per-point", rowEnv}, {"columnar-batch", colEnv}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < assignReps; r++ {
-					if _, err := kmeansmr.Iterate(tc.env, centers); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("columnar-batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < assignReps; r++ {
+				if _, err := kmeansmr.Iterate(env, centers); err != nil {
+					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(spec.N), "points")
-			b.ReportMetric(assignReps, "iterations/op")
-		})
-	}
+		}
+		b.ReportMetric(float64(spec.N), "points")
+		b.ReportMetric(assignReps, "iterations/op")
+	})
 }
 
 func BenchmarkKMeansIterationMR(b *testing.B) {
@@ -782,31 +725,6 @@ func BenchmarkNearestIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vec.NearestIndex(p, ds.Centers)
-	}
-}
-
-// BenchmarkAblationKDTree measures the mrkd-tree nearest-center
-// acceleration from the paper's related work (Pelleg & Moore): identical
-// output, fewer distance computations per point.
-func BenchmarkAblationKDTree(b *testing.B) {
-	spec := dataset.Spec{K: 64, Dim: 4, N: 30_000, CenterRange: 100,
-		StdDev: 1, MinSeparation: 10, Seed: 47}
-	for _, useTree := range []bool{false, true} {
-		name := "linear-scan"
-		if useTree {
-			name = "kdtree"
-		}
-		b.Run(name, func(b *testing.B) {
-			env, ds := benchEnv(b, spec, benchCluster())
-			env.UseKDTree = useTree
-			for i := 0; i < b.N; i++ {
-				it, err := kmeansmr.Iterate(env, ds.Centers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(it.Job.Counters.Get(kmeansmr.CounterDistances)), "distances")
-			}
-		})
 	}
 }
 

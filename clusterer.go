@@ -144,7 +144,6 @@ type config struct {
 	maxIter     int
 	mergeRadius float64
 	seed        int64
-	useKDTree   bool
 	splitSize   int
 	strategy    core.TestStrategy
 	kMin        int
@@ -265,11 +264,6 @@ func WithMergeRadius(r float64) Option {
 
 // WithSeed makes the run deterministic.
 func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
-
-// WithKDTree accelerates the MR mappers' nearest-center queries with a
-// k-d tree over the center set. Results are identical; only the distance
-// count drops.
-func WithKDTree() Option { return func(c *config) { c.useKDTree = true } }
 
 // WithSplitSize pins the simulated DFS split size in bytes. Zero (the
 // default) right-sizes splits from the staged dataset so every map slot
@@ -596,8 +590,7 @@ func (c *Clusterer) stage(ctx context.Context, src DataSource, tr *obs.Trace, ba
 	stageSpan.SetArg("points", n).SetArg("dim", dim)
 	env := kmeansmr.Env{
 		FS: fs, Cluster: cluster, Input: stagedPath,
-		Dim: dim, UseKDTree: c.cfg.useKDTree, Ctx: ctx,
-		Trace: tr,
+		Dim: dim, Ctx: ctx, Trace: tr,
 	}
 	st := &staged{env: env, n: n, cleanup: func() {}}
 	if backend == BackendProc {

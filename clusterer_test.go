@@ -348,18 +348,6 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestClusterWrapperMergeRadiusValidation covers the deprecated facade's
-// new input checking.
-func TestClusterWrapperMergeRadiusValidation(t *testing.T) {
-	pts := []Point{{1, 2}, {3, 4}, {5, 6}}
-	if _, err := Cluster(pts, Options{MergeRadius: -2}); err == nil {
-		t.Error("MergeRadius=-2 accepted")
-	}
-	if _, err := Cluster(pts, Options{MergeRadius: math.NaN()}); err == nil {
-		t.Error("MergeRadius=NaN accepted")
-	}
-}
-
 // TestMultiKCriteria checks every selection criterion picks the right k on
 // an easy, well-separated workload.
 func TestMultiKCriteria(t *testing.T) {

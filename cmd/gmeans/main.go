@@ -63,7 +63,6 @@ func main() {
 		centers  = flag.String("centers", "", "optional file receiving the final centers")
 		verbose  = flag.Bool("v", false, "stream per-round progress")
 		strategy = flag.String("strategy", "", "pin the test strategy: TestClusters or TestFewClusters")
-		useTree  = flag.Bool("kdtree", false, "accelerate nearest-center queries with a k-d tree")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 		tracing  = flag.String("trace", "", "write a Chrome-trace file of the run's spans here")
 		debug    = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060)")
@@ -103,9 +102,6 @@ func main() {
 	}
 	if *strategy != "" {
 		opts = append(opts, gmeansmr.WithTestStrategy(*strategy))
-	}
-	if *useTree {
-		opts = append(opts, gmeansmr.WithKDTree())
 	}
 	if *verbose {
 		opts = append(opts, gmeansmr.WithProgress(func(p gmeansmr.Progress) {

@@ -190,7 +190,7 @@ func facadeRunner(algo gmeansmr.Algorithm) func(zoo.Cell, int64) ([]invariants.V
 }
 
 // stageZoo writes a cell into a fresh DFS.
-func stageZoo(c zoo.Cell, seed int64, disableColumnar bool) (kmeansmr.Env, *dfs.FS) {
+func stageZoo(c zoo.Cell, seed int64) (kmeansmr.Env, *dfs.FS) {
 	fs := dfs.New(16 << 10)
 	w := fs.Writer("/zoo/points.txt")
 	for _, p := range c.Points(seed) {
@@ -200,65 +200,72 @@ func stageZoo(c zoo.Cell, seed int64, disableColumnar bool) (kmeansmr.Env, *dfs.
 	w.Close()
 	cluster := mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
 		TaskHeapBytes: 64 << 20, MaxHeapUsage: 0.66}
-	return kmeansmr.Env{FS: fs, Cluster: cluster, Input: "/zoo/points.txt",
-		Dim: c.Dim, DisableColumnar: disableColumnar}, fs
+	return kmeansmr.Env{FS: fs, Cluster: cluster, Input: "/zoo/points.txt", Dim: c.Dim}, fs
+}
+
+// checkKernel asserts the training kernel's contract on the cell's own
+// points: for every point, the batched dim-major vec.NearestBatch (what
+// every point mapper runs) returns the same center index and the same
+// distance bits as the scalar vec.NearestIndex.
+func checkKernel(points [][]float64, centers []vec.Vector) []invariants.Violation {
+	n := len(points)
+	if n == 0 {
+		return nil
+	}
+	dim := len(points[0])
+	flat := make([]float64, n*dim)
+	for j, p := range points {
+		for d, x := range p {
+			flat[d*n+j] = x
+		}
+	}
+	idx := make([]int32, n)
+	dist := make([]float64, n)
+	vec.NearestBatch(centers, flat, n, idx, dist, nil)
+	for j, p := range points {
+		wi, wd := vec.NearestIndex(p, centers)
+		if int(idx[j]) != wi || math.Float64bits(dist[j]) != math.Float64bits(wd) {
+			return []invariants.Violation{{Invariant: "kernel-batch-vs-scalar",
+				Detail: fmt.Sprintf("point %d: NearestBatch (%d, %x), NearestIndex (%d, %x)",
+					j, idx[j], math.Float64bits(dist[j]), wi, math.Float64bits(wd))}}
+		}
+	}
+	return nil
 }
 
 // runCorePCA drives the core engine with PCA candidate generation — the
 // path most sensitive to degenerate geometry (collinear, d=1, point-mass
-// clusters) — once per mapper layout, and asserts columnar-vs-row-major
-// digest identity plus the DFS read-conservation law on top of the result
-// invariants.
+// clusters) — and asserts the DFS read-conservation law and the batch
+// kernel's agreement with the scalar one on top of the result invariants.
 func runCorePCA(c zoo.Cell, seed int64) ([]invariants.Violation, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), zooCellTimeout)
 	defer cancel()
-	type outcome struct {
-		res *core.Result
-		vs  []invariants.Violation
-	}
-	run := func(disableColumnar bool) (outcome, error) {
-		env, fs := stageZoo(c, seed, disableColumnar)
-		res, err := core.RunContext(ctx, core.Config{
-			Env: env, Seed: seed, MaxK: zooMaxK, Candidates: core.CandidatesPCA,
-		})
-		if err != nil {
-			return outcome{}, err
-		}
-		size, err := fs.Size(env.Input)
-		if err != nil {
-			return outcome{}, err
-		}
-		vs := invariants.CheckReadConservation(fs.DatasetReads(), fs.BytesRead(), size)
-		return outcome{res: res, vs: vs}, nil
-	}
-	col, err := run(false)
+	env, fs := stageZoo(c, seed)
+	res, err := core.RunContext(ctx, core.Config{
+		Env: env, Seed: seed, MaxK: zooMaxK, Candidates: core.CandidatesPCA,
+	})
 	if err != nil {
 		return nil, err
 	}
-	row, err := run(true)
+	size, err := fs.Size(env.Input)
 	if err != nil {
 		return nil, err
 	}
 
 	points := c.Points(seed)
-	vs := col.vs
-	vs = append(vs, row.vs...)
-	vs = append(vs, invariants.CheckKRange(col.res.K, zooMaxK, len(col.res.Centers))...)
-	vs = append(vs, invariants.CheckCentersFinite(toPoints(col.res.Centers))...)
-	vs = append(vs, invariants.CheckCentersInBounds(points, toPoints(col.res.Centers))...)
-	a := invariants.Digest(toPoints(col.res.Centers), nil, nil)
-	b := invariants.Digest(toPoints(row.res.Centers), nil, nil)
-	if col.res.K != row.res.K || a != b {
-		vs = append(vs, invariants.Violation{Invariant: "digest-columnar-vs-row",
-			Detail: fmt.Sprintf("columnar k=%d digest=%s, row-major k=%d digest=%s", col.res.K, a, row.res.K, b)})
-	}
+	vs := invariants.CheckReadConservation(fs.DatasetReads(), fs.BytesRead(), size)
+	vs = append(vs, invariants.CheckKRange(res.K, zooMaxK, len(res.Centers))...)
+	vs = append(vs, invariants.CheckCentersFinite(toPoints(res.Centers))...)
+	vs = append(vs, invariants.CheckCentersInBounds(points, toPoints(res.Centers))...)
+	vs = append(vs, checkKernel(points, res.Centers)...)
 	return vs, nil
 }
 
 // runKMeansRounds chains plain MR k-means iterations over the cell and
 // asserts Lloyd's guarantee — WCSS never increases across rounds — plus
-// per-round columnar-vs-row-major digest identity and exactly-once
-// assignment at the MR level (cluster sizes summing to n).
+// exactly-once assignment at the MR level (cluster sizes summing to n) and
+// the batch kernel's agreement with the scalar one against the final
+// centers.
 func runKMeansRounds(c zoo.Cell, seed int64) ([]invariants.Violation, error) {
 	const rounds = 6
 	k := 3
@@ -267,51 +274,36 @@ func runKMeansRounds(c zoo.Cell, seed int64) ([]invariants.Violation, error) {
 	}
 	points := c.Points(seed)
 
-	iterateAll := func(disableColumnar bool) ([][][]float64, [][]int64, error) {
-		env, _ := stageZoo(c, seed, disableColumnar)
-		centers, err := kmeansmr.SampleUpTo(env, k, seed)
+	env, _ := stageZoo(c, seed)
+	centers, err := kmeansmr.SampleUpTo(env, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	var trajectory [][][]float64
+	var sizes [][]int64
+	for r := 0; r < rounds; r++ {
+		it, err := kmeansmr.Iterate(env, centers)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		var trajectory [][][]float64
-		var sizes [][]int64
-		for r := 0; r < rounds; r++ {
-			it, err := kmeansmr.Iterate(env, centers)
-			if err != nil {
-				return nil, nil, err
-			}
-			centers = it.Centers
-			trajectory = append(trajectory, toPoints(it.Centers))
-			sizes = append(sizes, it.Sizes)
-		}
-		return trajectory, sizes, nil
+		centers = it.Centers
+		trajectory = append(trajectory, toPoints(it.Centers))
+		sizes = append(sizes, it.Sizes)
 	}
 
-	col, colSizes, err := iterateAll(false)
-	if err != nil {
-		return nil, err
-	}
-	row, _, err := iterateAll(true)
-	if err != nil {
-		return nil, err
-	}
-
-	vs := invariants.CheckWCSSDescent(points, col, 1e-9)
-	for r := range col {
-		if a, b := invariants.Digest(col[r], nil, nil), invariants.Digest(row[r], nil, nil); a != b {
-			vs = append(vs, invariants.Violation{Invariant: "digest-columnar-vs-row",
-				Detail: fmt.Sprintf("round %d: columnar digest %s != row-major %s", r, a, b)})
-		}
+	vs := invariants.CheckWCSSDescent(points, trajectory, 1e-9)
+	for r := range trajectory {
 		total := int64(0)
-		for _, s := range colSizes[r] {
+		for _, s := range sizes[r] {
 			total += s
 		}
 		if total != int64(c.N) {
 			vs = append(vs, invariants.Violation{Invariant: "assignment",
 				Detail: fmt.Sprintf("round %d: cluster sizes sum to %d, dataset has %d points", r, total, c.N)})
 		}
-		vs = append(vs, invariants.CheckCentersFinite(col[r])...)
+		vs = append(vs, invariants.CheckCentersFinite(trajectory[r])...)
 	}
+	vs = append(vs, checkKernel(points, centers)...)
 	return vs, nil
 }
 
@@ -608,7 +600,7 @@ func soakFSRace(seed int64, verbose bool) error {
 	if !ok {
 		return fmt.Errorf("zoo cell skew-sizes missing")
 	}
-	env, fs := stageZoo(c, seed, false)
+	env, fs := stageZoo(c, seed)
 	centers, err := kmeansmr.SampleUpTo(env, 3, seed)
 	if err != nil {
 		return err

@@ -53,23 +53,6 @@ func ExampleNew_algorithms() {
 	// Output: seq-gmeans discovered k = 3
 }
 
-// ExampleCluster runs MapReduce G-means through the deprecated one-shot
-// facade; new code should use New(...).Run(ctx, src) instead.
-func ExampleCluster() {
-	ds, err := gmeansmr.GenerateDataset(gmeansmr.DatasetSpec{
-		K: 3, Dim: 2, N: 3000, MinSeparation: 30, Seed: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := gmeansmr.Cluster(ds.Points, gmeansmr.Options{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("discovered k = %d\n", res.K)
-	// Output: discovered k = 3
-}
-
 // ExampleFromFile clusters a point file from the local file system. The
 // format — text records or the GMPB binary frame format (docs/formats.md)
 // — is sniffed from the file's first bytes, so the same call serves both;

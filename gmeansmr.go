@@ -60,13 +60,11 @@
 package gmeansmr
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/model"
-	"gmeansmr/internal/mr"
 	"gmeansmr/internal/obs"
 	"gmeansmr/internal/serve"
 )
@@ -92,27 +90,6 @@ type Dataset = dataset.Dataset
 // GenerateDataset materializes a synthetic Gaussian mixture. To stream a
 // mixture into a run without materializing it, use FromMixture instead.
 func GenerateDataset(spec DatasetSpec) (*Dataset, error) { return dataset.Generate(spec) }
-
-// Options tune a Cluster run. The zero value reproduces the paper's
-// configuration: start from one cluster, α=0.0001 Anderson–Darling, two
-// k-means passes per round, a 4-node simulated cluster.
-//
-// Deprecated: Options parameterizes the legacy Cluster entry point; new
-// code should pass functional options to New instead.
-type Options struct {
-	// Nodes is the simulated cluster size (0 = 4, the paper's testbed).
-	Nodes int
-	// Alpha is the Anderson–Darling significance level (0 = 0.0001).
-	Alpha float64
-	// MaxK stops splitting once this many centers exist (0 = unlimited).
-	MaxK int
-	// MergeRadius, when positive, merges final centers closer than this —
-	// the paper's proposed post-processing against over-estimation. Set it
-	// to MergeAuto to derive a radius from the centers themselves.
-	MergeRadius float64
-	// Seed makes the run deterministic.
-	Seed int64
-}
 
 // MergeAuto asks a run to derive the merge radius from the discovered
 // centers (half the median nearest-neighbor distance).
@@ -145,56 +122,6 @@ type Result struct {
 	// WCSSByK maps every candidate k to its WCSS — AlgorithmMultiK only,
 	// nil otherwise.
 	WCSSByK map[int]float64
-}
-
-// Cluster runs MR G-means over in-memory points with the paper's default
-// configuration and returns the discovered centers.
-//
-// Deprecated: Cluster is a thin wrapper over the Clusterer API and offers
-// no cancellation, no algorithm choice and no observability. Use
-//
-//	c, err := gmeansmr.New(...options...)
-//	res, err := c.Run(ctx, gmeansmr.FromPoints(points))
-//
-// instead.
-func Cluster(points []Point, opts Options) (*Result, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("gmeansmr: no points")
-	}
-	if err := validateMergeRadius(opts.MergeRadius); err != nil {
-		return nil, err
-	}
-	options := []Option{WithSeed(opts.Seed)}
-	if opts.Nodes > 0 {
-		options = append(options, WithNodes(opts.Nodes))
-	}
-	if opts.Alpha != 0 {
-		options = append(options, WithAlpha(opts.Alpha))
-	}
-	if opts.MaxK > 0 {
-		options = append(options, WithMaxK(opts.MaxK))
-	}
-	if opts.MergeRadius != 0 {
-		options = append(options, WithMergeRadius(opts.MergeRadius))
-	}
-	// Preserve the original facade's split sizing (estimated from n·dim
-	// rather than measured bytes) so historical runs stay bit-identical.
-	cluster := mr.DefaultCluster()
-	if opts.Nodes > 0 {
-		cluster = cluster.WithNodes(opts.Nodes)
-	}
-	approxBytes := len(points) * len(points[0]) * 18
-	splitSize := approxBytes / (cluster.MapCapacity() * 4)
-	if splitSize < 4<<10 {
-		splitSize = 4 << 10
-	}
-	options = append(options, WithSplitSize(splitSize))
-
-	c, err := New(options...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(context.Background(), FromPoints(points))
 }
 
 // Model is a trained clustering model: centers, per-cluster statistics and

@@ -2,18 +2,28 @@ package gmeansmr
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
 	"gmeansmr/internal/vec"
 )
 
+// runPoints trains on in-memory points through New(...).Run.
+func runPoints(points []Point, opts ...Option) (*Result, error) {
+	c, err := New(opts...)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(context.Background(), FromPoints(points))
+}
+
 func TestClusterFacadeEndToEnd(t *testing.T) {
 	ds, err := GenerateDataset(DatasetSpec{K: 6, Dim: 2, N: 6000, MinSeparation: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(ds.Points, Options{Seed: 2})
+	res, err := runPoints(ds.Points, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +65,7 @@ func TestModelServeFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(ds.Points, Options{Seed: 22})
+	res, err := runPoints(ds.Points, WithSeed(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +111,10 @@ func TestModelServeFacadeEndToEnd(t *testing.T) {
 }
 
 func TestClusterFacadeValidation(t *testing.T) {
-	if _, err := Cluster(nil, Options{}); err == nil {
+	if _, err := runPoints(nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Cluster([]Point{{1, 2}, {1}}, Options{}); err == nil {
+	if _, err := runPoints([]Point{{1, 2}, {1}}); err == nil {
 		t.Error("ragged input accepted")
 	}
 }
@@ -114,7 +124,7 @@ func TestClusterFacadeMaxK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(ds.Points, Options{Seed: 4, MaxK: 5})
+	res, err := runPoints(ds.Points, WithSeed(4), WithMaxK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +138,11 @@ func TestClusterFacadeMergeAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Cluster(ds.Points, Options{Seed: 6})
+	plain, err := runPoints(ds.Points, WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := Cluster(ds.Points, Options{Seed: 6, MergeRadius: MergeAuto})
+	merged, err := runPoints(ds.Points, WithSeed(6), WithMergeRadius(MergeAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +159,7 @@ func TestClusterFacadeNodesOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(ds.Points, Options{Seed: 8, Nodes: 2})
+	res, err := runPoints(ds.Points, WithSeed(8), WithNodes(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -458,36 +458,6 @@ func TestOffsetValue(t *testing.T) {
 	}
 }
 
-// TestRunKDTreeEquivalence: the mrkd-tree acceleration must not change any
-// decision — identical centers, fewer or equal distance computations.
-func TestRunKDTreeEquivalence(t *testing.T) {
-	spec := dataset.Spec{K: 8, Dim: 3, N: 8000, MinSeparation: 20, Seed: 51}
-	env, _ := newEnv(t, spec, 128<<10, smallCluster())
-	plain, err := Run(Config{Env: env, Seed: 52})
-	if err != nil {
-		t.Fatal(err)
-	}
-	envTree := env
-	envTree.UseKDTree = true
-	accel, err := Run(Config{Env: envTree, Seed: 52})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.K != accel.K {
-		t.Fatalf("kd-tree changed k: %d vs %d", plain.K, accel.K)
-	}
-	for i := range plain.Centers {
-		if !vec.ApproxEqual(plain.Centers[i], accel.Centers[i], 1e-12) {
-			t.Fatalf("kd-tree changed center %d", i)
-		}
-	}
-	pd := plain.Counters.Get(kmeansmr.CounterDistances)
-	ad := accel.Counters.Get(kmeansmr.CounterDistances)
-	if ad > pd {
-		t.Errorf("kd-tree increased distance computations: %d > %d", ad, pd)
-	}
-}
-
 // TestConfirmRoundsAblation: single-accept freezing (the paper's literal
 // Algorithm 1) must never *beat* the confirmed variant on cluster coverage.
 func TestConfirmRoundsAblation(t *testing.T) {

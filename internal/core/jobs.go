@@ -43,9 +43,7 @@ var (
 // to the emit-twice formulation. Candidate records still go out one per
 // point: the combiner/reducer's seeded random pick needs to see them.
 type kfncMapper struct {
-	env     kmeansmr.Env
 	centers []vec.Vector
-	nearest func(vec.Vector) (int, float64, int64)
 
 	accs   []vec.WeightedPoint
 	batch  kmeansmr.BatchAssigner
@@ -54,32 +52,10 @@ type kfncMapper struct {
 }
 
 func (m *kfncMapper) Setup(*mr.TaskContext) error {
-	if m.nearest == nil {
-		m.nearest = m.env.NearestFunc(m.centers)
-	}
 	m.accs = make([]vec.WeightedPoint, len(m.centers))
 	return nil
 }
 
-func (m *kfncMapper) MapPoint(_ *mr.TaskContext, p vec.Vector, emit mr.Emitter) error {
-	best, _, comps := m.nearest(p)
-	m.dists += comps
-	m.points++
-	if best < 0 {
-		return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
-	}
-	m.accs[best].Merge(vec.WeightedPoint{Sum: p, Count: 1})
-	// The candidate value wraps the cache's point view without copying:
-	// combiners and reducers re-emit candidate values verbatim and never
-	// mutate them, and the driver copies on Centroid().
-	emit.Emit(int64(best)+Offset, mr.OwnWeightedPointValue(p))
-	return nil
-}
-
-// MapColumns batches the assignment half of the job: one fused kernel
-// call per split, then the same per-point fold and candidate emission in
-// input order — so partial sums, candidate streams and counters match the
-// MapPoint loop bit for bit.
 func (m *kfncMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
 	n := cols.Len()
 	idx := m.batch.Assign(m.centers, cols)
@@ -91,6 +67,10 @@ func (m *kfncMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, emit
 		}
 		p := cols.At(j)
 		m.accs[best].Merge(vec.WeightedPoint{Sum: p, Count: 1})
+		// The candidate value wraps the cache's point view without
+		// copying: combiners and reducers re-emit candidate values
+		// verbatim and never mutate them, and the driver copies on
+		// Centroid().
 		emit.Emit(int64(best)+Offset, mr.OwnWeightedPointValue(p))
 	}
 	return nil
@@ -111,28 +91,28 @@ func (m *kfncMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 // the DisableCombiners ablation so the "doubled shuffle" the paper
 // describes stays measurable.
 type legacyKFNCMapper struct {
-	env     kmeansmr.Env
 	centers []vec.Vector
-	nearest func(vec.Vector) (int, float64, int64)
+	batch   kmeansmr.BatchAssigner
 }
 
-func (m *legacyKFNCMapper) Setup(*mr.TaskContext) error {
-	if m.nearest == nil {
-		m.nearest = m.env.NearestFunc(m.centers)
+func (m *legacyKFNCMapper) Setup(*mr.TaskContext) error { return nil }
+
+func (m *legacyKFNCMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
+	n := cols.Len()
+	idx := m.batch.Assign(m.centers, cols)
+	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.centers))*int64(n))
+	ctx.Count(kmeansmr.CounterIDPoints, int64(n))
+	for j, best := range idx {
+		if best < 0 {
+			return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
+		}
+		// Both values share the cached vector: the k-means reduction only
+		// accumulates into its own sums and the candidate path re-emits
+		// values verbatim, so no copy is needed.
+		wp := mr.OwnWeightedPointValue(cols.At(j))
+		emit.Emit(int64(best), wp)
+		emit.Emit(int64(best)+Offset, wp)
 	}
-	return nil
-}
-
-func (m *legacyKFNCMapper) MapPoint(ctx *mr.TaskContext, p vec.Vector, emit mr.Emitter) error {
-	best, _, comps := m.nearest(p)
-	ctx.Count(kmeansmr.CounterIDDistances, comps)
-	ctx.Count(kmeansmr.CounterIDPoints, 1)
-	// Both values share the cached vector: the k-means reduction only
-	// accumulates into its own sums and the candidate path re-emits
-	// values verbatim, so no copy is needed.
-	wp := mr.OwnWeightedPointValue(p)
-	emit.Emit(int64(best), wp)
-	emit.Emit(int64(best)+Offset, wp)
 	return nil
 }
 
@@ -191,31 +171,12 @@ type kfncOutput struct {
 
 // runKFNC runs the KMeansAndFindNewCenters job over the given centers.
 func runKFNC(cfg Config, centers []vec.Vector, round int) (*kfncOutput, *mr.Result, error) {
-	nearest := cfg.Env.NearestFunc(centers)
-	job := &mr.Job{
-		Name:            fmt.Sprintf("gmeans-kfnc-round-%d", round),
-		FS:              cfg.FS,
-		Cluster:         cfg.Cluster,
-		Input:           []string{cfg.Input},
-		Ctx:             cfg.Env.Ctx,
-		Trace:           cfg.Env.Trace,
-		PointDim:        cfg.Dim,
-		DisableColumnar: cfg.Env.RowMajorOnly(),
-		Runner:          cfg.Env.Runner,
-		Spec:            kfncSpec(cfg, centers, round),
-		NewReducer:      func() mr.Reducer { return &kfncReducer{seed: cfg.Seed + int64(round)} },
+	spec := kfncSpec(cfg, centers, round)
+	parts, err := buildKFNC(spec.Payload)
+	if err != nil {
+		return nil, nil, err
 	}
-	if cfg.DisableCombiners {
-		job.NewPointMapper = func() mr.PointMapper {
-			return &legacyKFNCMapper{env: cfg.Env, centers: centers, nearest: nearest}
-		}
-	} else {
-		job.NewPointMapper = func() mr.PointMapper {
-			return &kfncMapper{env: cfg.Env, centers: centers, nearest: nearest}
-		}
-		job.NewCombiner = func() mr.Reducer { return &kfncReducer{seed: cfg.Seed + int64(round)} }
-	}
-	res, err := job.Run()
+	res, err := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-kfnc-round-%d", round), spec)).Run()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -255,43 +216,21 @@ func runKFNC(cfg Config, centers []vec.Vector, round int) (*kfncOutput, *mr.Resu
 // ---------------------------------------------------------------------------
 
 // testMapper assigns each point to its cluster (a center of the *previous*
-// iteration) and projects it on the vector joining the cluster's two
-// current candidate centers. Clusters already marked found emit nothing.
+// iteration) in one batched kernel call, then projects it on the vector
+// joining the cluster's two current candidate centers, in input order.
+// Clusters already marked found emit nothing.
 //
 // parents[0:foundCount] are final centers; parents[foundCount+i] is the
 // parent of active cluster i, whose split vector is vectors[i].
 type testMapper struct {
-	env        kmeansmr.Env
 	parents    []vec.Vector
 	foundCount int
 	vectors    []vec.Vector
-	nearest    func(vec.Vector) (int, float64, int64)
 	batch      kmeansmr.BatchAssigner
 }
 
-func (m *testMapper) Setup(*mr.TaskContext) error {
-	if m.nearest == nil {
-		m.nearest = m.env.NearestFunc(m.parents)
-	}
-	return nil
-}
+func (m *testMapper) Setup(*mr.TaskContext) error { return nil }
 
-func (m *testMapper) MapPoint(ctx *mr.TaskContext, p vec.Vector, emit mr.Emitter) error {
-	best, _, comps := m.nearest(p)
-	ctx.Count(kmeansmr.CounterIDDistances, comps)
-	if best < m.foundCount {
-		return nil // point belongs to a cluster already accepted as Gaussian
-	}
-	i := best - m.foundCount
-	proj := vec.Project(p, m.vectors[i])
-	ctx.Count(counterIDProjections, 1)
-	emit.Emit(int64(i), mr.Float64Value(proj))
-	return nil
-}
-
-// MapColumns batches the cluster lookup; projections then run per point
-// in input order on the row views, so the emitted streams are identical
-// to the MapPoint loop's.
 func (m *testMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
 	n := cols.Len()
 	idx := m.batch.Assign(m.parents, cols)
@@ -360,47 +299,23 @@ func (r *testReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 // subsets of data", which keeps reduce-phase parallelism from bounding the
 // job while k is small.
 type fewMapper struct {
-	env        kmeansmr.Env
 	parents    []vec.Vector
 	foundCount int
 	vectors    []vec.Vector
 	alpha      float64
 	minN       int
 
-	lists   map[int][]float64
-	nearest func(vec.Vector) (int, float64, int64)
-	batch   kmeansmr.BatchAssigner
+	lists map[int][]float64
+	batch kmeansmr.BatchAssigner
 }
 
 func (m *fewMapper) Setup(*mr.TaskContext) error {
 	m.lists = make(map[int][]float64)
-	if m.nearest == nil {
-		m.nearest = m.env.NearestFunc(m.parents)
-	}
 	return nil
 }
 
-func (m *fewMapper) MapPoint(ctx *mr.TaskContext, p vec.Vector, emit mr.Emitter) error {
-	best, _, comps := m.nearest(p)
-	ctx.Count(kmeansmr.CounterIDDistances, comps)
-	if best < m.foundCount {
-		return nil
-	}
-	i := best - m.foundCount
-	// One double per buffered projection: the mapper-side memory footprint
-	// is O(split size / dimension), the bound the paper relies on.
-	if err := ctx.ReserveHeap(8); err != nil {
-		return err
-	}
-	m.lists[i] = append(m.lists[i], vec.Project(p, m.vectors[i]))
-	ctx.Count(counterIDProjections, 1)
-	return nil
-}
-
-// MapColumns batches the cluster lookup of the mapper-side strategy; the
-// projection buffering (and its per-double heap reservation) runs per
-// point in input order, so buffered lists, heap frontier and counters
-// match the MapPoint loop exactly.
+// MapColumns batches the cluster lookup; the projection buffering runs
+// per point in input order.
 func (m *fewMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n := cols.Len()
 	idx := m.batch.Assign(m.parents, cols)
@@ -411,6 +326,9 @@ func (m *fewMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 			continue // cluster already accepted as Gaussian (or best < 0)
 		}
 		i := int(best) - m.foundCount
+		// One double per buffered projection: the mapper-side memory
+		// footprint is O(split size / dimension), the bound the paper
+		// relies on.
 		if err := ctx.ReserveHeap(8); err != nil {
 			return err
 		}
@@ -489,38 +407,15 @@ func (r *fewReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 // come back Decided=false.
 func runTest(cfg Config, strategy TestStrategy, parents []vec.Vector, foundCount int, vectors []vec.Vector, round int) ([]TestOutcome, *mr.Result, error) {
 	numActive := len(vectors)
-	nearest := cfg.Env.NearestFunc(parents)
-	job := &mr.Job{
-		Name:            fmt.Sprintf("gmeans-%s-round-%d", strategy, round),
-		FS:              cfg.FS,
-		Cluster:         cfg.Cluster,
-		Input:           []string{cfg.Input},
-		Ctx:             cfg.Env.Ctx,
-		Trace:           cfg.Env.Trace,
-		PointDim:        cfg.Dim,
-		DisableColumnar: cfg.Env.RowMajorOnly(),
-		Runner:          cfg.Env.Runner,
-		Spec:            testSpec(cfg, strategy, parents, foundCount, vectors),
-		// "The number of reduce tasks is still equal to k": one partition
-		// per cluster under test.
-		NumReducers: numActive,
+	spec := testSpec(cfg, strategy, parents, foundCount, vectors)
+	parts, err := buildTest(spec.Payload)
+	if err != nil {
+		return nil, nil, err
 	}
-	switch strategy {
-	case StrategyReducer:
-		job.NewPointMapper = func() mr.PointMapper {
-			return &testMapper{env: cfg.Env, parents: parents, foundCount: foundCount,
-				vectors: vectors, nearest: nearest}
-		}
-		job.NewReducer = func() mr.Reducer { return &testReducer{alpha: cfg.Alpha, minN: cfg.MinTestSamples} }
-	case StrategyFewClusters:
-		job.NewPointMapper = func() mr.PointMapper {
-			return &fewMapper{env: cfg.Env, parents: parents, foundCount: foundCount,
-				vectors: vectors, alpha: cfg.Alpha, minN: cfg.MinTestSamples, nearest: nearest}
-		}
-		job.NewReducer = func() mr.Reducer { return &fewReducer{vote: cfg.Vote} }
-	default:
-		return nil, nil, fmt.Errorf("core: unknown test strategy %q", strategy)
-	}
+	job := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-%s-round-%d", strategy, round), spec))
+	// "The number of reduce tasks is still equal to k": one partition per
+	// cluster under test.
+	job.NumReducers = numActive
 	res, err := job.Run()
 	if err != nil {
 		return nil, nil, err

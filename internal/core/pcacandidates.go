@@ -84,36 +84,18 @@ func (v *covValue) merge(o covValue) {
 // cluster in Close (in-mapper combining — a d×d accumulator per cluster is
 // tiny next to the split's points).
 type pcaMapper struct {
-	env     kmeansmr.Env
 	centers []vec.Vector
-	nearest func(vec.Vector) (int, float64, int64)
 	acc     map[int]*covValue
 	batch   kmeansmr.BatchAssigner
 }
 
 func (m *pcaMapper) Setup(*mr.TaskContext) error {
-	if m.nearest == nil {
-		m.nearest = m.env.NearestFunc(m.centers)
-	}
 	m.acc = make(map[int]*covValue)
 	return nil
 }
 
-func (m *pcaMapper) MapPoint(ctx *mr.TaskContext, p vec.Vector, emit mr.Emitter) error {
-	best, _, comps := m.nearest(p)
-	ctx.Count(kmeansmr.CounterIDDistances, comps)
-	a := m.acc[best]
-	if a == nil {
-		a = newCovValue(m.env.Dim)
-		m.acc[best] = a
-	}
-	a.add(p)
-	return nil
-}
-
 // MapColumns batches the assignment; covariance statistics then
-// accumulate per point in input order, exactly as the MapPoint loop folds
-// them.
+// accumulate per point in input order.
 func (m *pcaMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n := cols.Len()
 	idx := m.batch.Assign(m.centers, cols)
@@ -121,7 +103,7 @@ func (m *pcaMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 	for j, best := range idx {
 		a := m.acc[int(best)]
 		if a == nil {
-			a = newCovValue(m.env.Dim)
+			a = newCovValue(cols.Dim())
 			m.acc[int(best)] = a
 		}
 		a.add(cols.At(j))
@@ -227,24 +209,12 @@ func powerIteration(cov []float64, d, iters int, rng *rand.Rand) (vec.Vector, fl
 // the given centers and returns two principal-component children per
 // center (entries may be nil for empty clusters).
 func runPCACandidates(cfg Config, centers []vec.Vector, round int) ([][]vec.Vector, *mr.Result, error) {
-	nearest := cfg.Env.NearestFunc(centers)
-	job := &mr.Job{
-		Name:            fmt.Sprintf("gmeans-pca-candidates-round-%d", round),
-		FS:              cfg.FS,
-		Cluster:         cfg.Cluster,
-		Input:           []string{cfg.Input},
-		Ctx:             cfg.Env.Ctx,
-		Trace:           cfg.Env.Trace,
-		PointDim:        cfg.Dim,
-		DisableColumnar: cfg.Env.RowMajorOnly(),
-		Runner:          cfg.Env.Runner,
-		Spec:            pcaSpec(cfg, centers, round),
-		NewPointMapper: func() mr.PointMapper {
-			return &pcaMapper{env: cfg.Env, centers: centers, nearest: nearest}
-		},
-		NewReducer: func() mr.Reducer { return &pcaReducer{seed: cfg.Seed + int64(round)} },
+	spec := pcaSpec(cfg, centers, round)
+	parts, err := buildPCA(spec.Payload)
+	if err != nil {
+		return nil, nil, err
 	}
-	res, err := job.Run()
+	res, err := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-pca-candidates-round-%d", round), spec)).Run()
 	if err != nil {
 		return nil, nil, err
 	}

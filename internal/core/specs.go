@@ -10,11 +10,11 @@ import (
 )
 
 // This file registers the G-means jobs with the distributed backend: each
-// job constructor attaches an mr.JobSpec, and the builders below rebuild
-// the identical factories from its payload inside a worker process. Both
-// the driver and the worker binary (cmd/mrworker) link this package, so
-// the kind names resolve on both sides. Payloads use the GMWR encoding of
-// docs/wire.md.
+// job constructor encodes an mr.JobSpec and builds its factories from the
+// spec's payload through the builders below — the same builders a worker
+// process runs. Both the driver and the worker binary (cmd/mrworker) link
+// this package, so the kind names resolve on both sides. Payloads use the
+// GMWR encoding of docs/wire.md.
 
 // Job kind names registered by this package.
 const (
@@ -50,7 +50,6 @@ func init() {
 // seed, whether the combiner ablation is active, and the current centers.
 func kfncSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	kmeansmr.EncodeEnvSpec(e, cfg.Env)
 	e.I64(cfg.Seed + int64(round)).Bool(cfg.DisableCombiners)
 	kmeansmr.EncodeCenters(e, centers)
 	return &mr.JobSpec{Kind: KindKFNC, Payload: e.Bytes()}
@@ -58,25 +57,19 @@ func kfncSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
 
 func buildKFNC(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	env := kmeansmr.DecodeEnvSpec(d)
 	seed := d.I64()
 	noCombiners := d.Bool()
 	centers := kmeansmr.DecodeCenters(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindKFNC, err)
 	}
-	nearest := env.NearestFunc(centers)
 	parts := mrdist.JobParts{
 		NewReducer: func() mr.Reducer { return &kfncReducer{seed: seed} },
 	}
 	if noCombiners {
-		parts.NewPointMapper = func() mr.PointMapper {
-			return &legacyKFNCMapper{env: env, centers: centers, nearest: nearest}
-		}
+		parts.NewPointMapper = func() mr.PointMapper { return &legacyKFNCMapper{centers: centers} }
 	} else {
-		parts.NewPointMapper = func() mr.PointMapper {
-			return &kfncMapper{env: env, centers: centers, nearest: nearest}
-		}
+		parts.NewPointMapper = func() mr.PointMapper { return &kfncMapper{centers: centers} }
 		parts.NewCombiner = func() mr.Reducer { return &kfncReducer{seed: seed} }
 	}
 	return parts, nil
@@ -87,7 +80,6 @@ func buildKFNC(payload []byte) (mrdist.JobParts, error) {
 // of each active cluster).
 func testSpec(cfg Config, strategy TestStrategy, parents []vec.Vector, foundCount int, vectors []vec.Vector) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	kmeansmr.EncodeEnvSpec(e, cfg.Env)
 	e.Str(string(strategy))
 	e.F64(cfg.Alpha).U32(uint32(cfg.MinTestSamples)).U8(byte(cfg.Vote))
 	e.U32(uint32(foundCount))
@@ -98,7 +90,6 @@ func testSpec(cfg Config, strategy TestStrategy, parents []vec.Vector, foundCoun
 
 func buildTest(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	env := kmeansmr.DecodeEnvSpec(d)
 	strategy := TestStrategy(d.Str())
 	alpha := d.F64()
 	minN := int(d.U32())
@@ -109,21 +100,19 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindTest, err)
 	}
-	nearest := env.NearestFunc(parents)
 	switch strategy {
 	case StrategyReducer:
 		return mrdist.JobParts{
 			NewPointMapper: func() mr.PointMapper {
-				return &testMapper{env: env, parents: parents, foundCount: foundCount,
-					vectors: vectors, nearest: nearest}
+				return &testMapper{parents: parents, foundCount: foundCount, vectors: vectors}
 			},
 			NewReducer: func() mr.Reducer { return &testReducer{alpha: alpha, minN: minN} },
 		}, nil
 	case StrategyFewClusters:
 		return mrdist.JobParts{
 			NewPointMapper: func() mr.PointMapper {
-				return &fewMapper{env: env, parents: parents, foundCount: foundCount,
-					vectors: vectors, alpha: alpha, minN: minN, nearest: nearest}
+				return &fewMapper{parents: parents, foundCount: foundCount,
+					vectors: vectors, alpha: alpha, minN: minN}
 			},
 			NewReducer: func() mr.Reducer { return &fewReducer{vote: vote} },
 		}, nil
@@ -135,7 +124,6 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 // pcaSpec encodes the PCA candidate-selection job.
 func pcaSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	kmeansmr.EncodeEnvSpec(e, cfg.Env)
 	e.I64(cfg.Seed + int64(round))
 	kmeansmr.EncodeCenters(e, centers)
 	return &mr.JobSpec{Kind: KindPCA, Payload: e.Bytes()}
@@ -143,16 +131,14 @@ func pcaSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
 
 func buildPCA(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	env := kmeansmr.DecodeEnvSpec(d)
 	seed := d.I64()
 	centers := kmeansmr.DecodeCenters(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindPCA, err)
 	}
-	nearest := env.NearestFunc(centers)
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {
-			return &pcaMapper{env: env, centers: centers, nearest: nearest}
+			return &pcaMapper{centers: centers}
 		},
 		NewReducer: func() mr.Reducer { return &pcaReducer{seed: seed} },
 	}, nil

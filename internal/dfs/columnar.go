@@ -21,8 +21,8 @@ package dfs
 //
 // Memory trade-off: a materialized columnar view doubles the decoded
 // footprint of its split (another 8·n·dim bytes). It is only built when a
-// columnar consumer (mr.ColumnarMapper) actually runs, so row-major-only
-// workloads pay nothing.
+// columnar consumer (an mr.PointMapper) actually runs, so scans that only
+// walk rows — the driver's sampling pass — pay nothing.
 //
 // Byte accounting is untouched: Columns is a layout change on an
 // already-opened split, and the paper's I/O model charged the split's

@@ -220,7 +220,8 @@ func CheckCountersNonNegative(counters map[string]int64) []Violation {
 // Digest produces a canonical bit-exact digest of a clustering outcome —
 // centers (by Float64bits, so -0 vs 0 and every ULP count), optional sizes
 // and counters. Two engine paths that claim equivalence (local vs proc,
-// columnar vs row-major, JSON vs binary serve) must produce equal digests.
+// text vs binary input, JSON vs binary serve) must produce equal digests,
+// and golden digests pin results across changes.
 func Digest(centers [][]float64, sizes []int64, counters map[string]int64) string {
 	h := sha256.New()
 	var buf [8]byte

@@ -6,9 +6,13 @@
 // over the (small) center set replaces the O(k) linear scan with a pruned
 // descent.
 //
-// The tree indexes *centers*, not points, so it is rebuilt per k-means
-// iteration at negligible cost (k ≪ n) and shared read-only by all map
-// tasks. Results are exact: a branch is pruned only when the splitting
+// The tree indexes *centers*, not points, so it is cheap to build (k ≪ n)
+// and safe to share read-only. Training runs every map task on the
+// batched columnar kernel instead — measured faster than the tree's
+// pruned descent even though the tree computes far fewer distances
+// (BenchmarkNearestTreeVsLinear keeps that ablation) — so the tree's one
+// user is the assignment server, which answers singleton queries with it
+// where measurement selects it. Results are exact: a branch is pruned only when the splitting
 // hyperplane is provably farther than the best candidate found so far,
 // and ties resolve to the lowest center index, matching
 // vec.NearestIndex's determinism so the two implementations are
@@ -101,9 +105,9 @@ func (t *Tree) Nearest(p vec.Vector) (int, float64) {
 }
 
 // NearestCounted is Nearest plus the number of full distance computations
-// the descent performed — the quantity the repository's cost model counts,
-// so kd-tree-accelerated jobs report their *actual* (pruned) distance
-// work rather than the linear-scan k.
+// the descent performed — the quantity the paper's cost model counts, so
+// the pruned work can be compared with the linear scan's k
+// (BenchmarkNearestTreeVsLinear).
 func (t *Tree) NearestCounted(p vec.Vector) (int, float64, int64) {
 	best, bestD := -1, math.Inf(1)
 	var comps int64

@@ -147,19 +147,26 @@ func TestPropMatchesLinearScanClusteredCenters(t *testing.T) {
 	}
 }
 
+// BenchmarkNearestTreeVsLinear is the mrkd-tree ablation: wall time and
+// full distance computations per query of the pruned descent against the
+// linear scan's k.
 func BenchmarkNearestTreeVsLinear(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	centers := randCenters(r, 512, 10)
 	queries := randCenters(r, 256, 10)
 	tree := Build(centers)
 	b.Run("kdtree", func(b *testing.B) {
+		var comps int64
 		for i := 0; i < b.N; i++ {
-			tree.Nearest(queries[i%len(queries)])
+			_, _, c := tree.NearestCounted(queries[i%len(queries)])
+			comps += c
 		}
+		b.ReportMetric(float64(comps)/float64(b.N), "distances/op")
 	})
 	b.Run("linear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vec.NearestIndex(queries[i%len(queries)], centers)
 		}
+		b.ReportMetric(float64(len(centers)), "distances/op")
 	})
 }

@@ -10,50 +10,64 @@ import (
 	"gmeansmr/internal/vec"
 )
 
-// TestIterateCachedMatchesLegacyExactly is the contract of the decoded-
-// split cache and in-mapper combining: the fast path must produce
-// bit-identical centers, sizes and app.* counters to the pre-cache
-// text-parse path — same fold order per (task, center), same reduce-side
-// merge order.
-func TestIterateCachedMatchesLegacyExactly(t *testing.T) {
-	for _, useTree := range []bool{false, true} {
-		env, ds := testEnv(t, dataset.Spec{K: 6, Dim: 5, N: 3000, MinSeparation: 15, Seed: 21}, 8<<10)
-		env.UseKDTree = useTree
-		initial := vec.CloneAll(ds.Centers)
-		for _, c := range initial {
-			c[0] += 1.5 // force real movement
-		}
+// iterateSpillCombined runs the emit-per-point formulation of one k-means
+// iteration — emitAssignMapper, one pair per point, all combining left to
+// the MergeReducer spill combiner — as the reference for in-mapper
+// combining.
+func iterateSpillCombined(t *testing.T, env Env, centers []vec.Vector) *mr.Result {
+	t.Helper()
+	job := env.Job("kmeans-spill-combined", nil)
+	job.NewPointMapper = func() mr.PointMapper { return &emitAssignMapper{centers: centers} }
+	job.NewCombiner = func() mr.Reducer { return MergeReducer{} }
+	job.NewReducer = func() mr.Reducer { return MergeReducer{} }
+	res, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
-		cached, err := Iterate(env, initial)
-		if err != nil {
-			t.Fatal(err)
+// TestIterateCachedMatchesLegacyExactly is the contract of in-mapper
+// combining: folding points into per-center accumulators inside the
+// mapper must produce bit-identical centers, sizes and app.* counters to
+// emitting one pair per point and combining at spill time — same fold
+// order per (task, center), same reduce-side merge order — and the same
+// shuffle volume.
+func TestIterateCachedMatchesLegacyExactly(t *testing.T) {
+	env, ds := testEnv(t, dataset.Spec{K: 6, Dim: 5, N: 3000, MinSeparation: 15, Seed: 21}, 8<<10)
+	initial := vec.CloneAll(ds.Centers)
+	for _, c := range initial {
+		c[0] += 1.5 // force real movement
+	}
+
+	cached, err := Iterate(env, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spill := iterateSpillCombined(t, env, initial)
+	sums := make(map[int64]vec.WeightedPoint)
+	for _, kv := range spill.Output {
+		sums[kv.Key] = kv.Value.(mr.WeightedPointValue).WeightedPoint
+	}
+	for c := range initial {
+		wp := sums[int64(c)]
+		want := initial[c]
+		if wp.Count > 0 {
+			want = wp.Centroid()
 		}
-		legacy, err := IterateLegacy(env, initial, "")
-		if err != nil {
-			t.Fatal(err)
+		if !vec.Equal(cached.Centers[c], want) {
+			t.Errorf("center %d: in-mapper %v != spill-combined %v", c, cached.Centers[c], want)
 		}
-		for c := range initial {
-			if !vec.Equal(cached.Centers[c], legacy.Centers[c]) {
-				t.Errorf("kdtree=%v center %d: cached %v != legacy %v",
-					useTree, c, cached.Centers[c], legacy.Centers[c])
-			}
-			if cached.Sizes[c] != legacy.Sizes[c] {
-				t.Errorf("kdtree=%v size %d: cached %d != legacy %d",
-					useTree, c, cached.Sizes[c], legacy.Sizes[c])
-			}
+		if cached.Sizes[c] != wp.Count {
+			t.Errorf("size %d: in-mapper %d != spill-combined %d", c, cached.Sizes[c], wp.Count)
 		}
-		for _, counter := range []string{CounterDistances, CounterPoints} {
-			if a, b := cached.Job.Counters.Get(counter), legacy.Job.Counters.Get(counter); a != b {
-				t.Errorf("kdtree=%v %s: cached %d != legacy %d", useTree, counter, a, b)
-			}
-		}
-		// The shuffle volume of the in-mapper-combined path must match the
-		// spill-combined legacy path: one record per non-empty (task,
-		// center) either way.
-		for _, counter := range []string{mr.CounterShuffleRecords, mr.CounterShuffleBytes} {
-			if a, b := cached.Job.Counters.Get(counter), legacy.Job.Counters.Get(counter); a != b {
-				t.Errorf("kdtree=%v %s: cached %d != legacy %d", useTree, counter, a, b)
-			}
+	}
+	// The shuffle volume of the in-mapper-combined path must match the
+	// spill-combined path too: one record per non-empty (task, center)
+	// either way.
+	for _, counter := range []string{CounterDistances, CounterPoints, mr.CounterShuffleRecords, mr.CounterShuffleBytes} {
+		if a, b := cached.Job.Counters.Get(counter), spill.Counters.Get(counter); a != b {
+			t.Errorf("%s: in-mapper %d != spill-combined %d", counter, a, b)
 		}
 	}
 }

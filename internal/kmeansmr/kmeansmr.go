@@ -18,9 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/dfs"
-	"gmeansmr/internal/kdtree"
 	"gmeansmr/internal/mr"
 	"gmeansmr/internal/obs"
 	"gmeansmr/internal/vec"
@@ -51,19 +49,6 @@ type Env struct {
 	Cluster mr.Cluster
 	Input   string
 	Dim     int
-	// UseKDTree accelerates the mappers' nearest-center queries with a
-	// k-d tree over the center set (the mrkd-tree idea of Pelleg & Moore
-	// that the paper's related work cites). Results are identical to the
-	// linear scan; only the number of distance computations drops. It
-	// implies the row-major mapper path: the batched columnar kernel is a
-	// linear scan, and the kd-tree's pruned distance counts cannot be
-	// reproduced by it.
-	UseKDTree bool
-	// DisableColumnar forces the per-point row-major mapper path even
-	// where the batched dim-major kernels apply. Results are bit-identical
-	// either way (pinned by the columnar equivalence tests); this exists
-	// for those tests and for the columnar-vs-scalar benchmarks.
-	DisableColumnar bool
 	// Ctx, when non-nil, cancels or deadlines every job built from this
 	// environment — the drivers (G-means rounds, multi-k-means iterations)
 	// also check it between jobs. Nil means context.Background().
@@ -86,35 +71,6 @@ func (e Env) Context() context.Context {
 	}
 	return context.Background()
 }
-
-// NearestFunc returns the environment's nearest-center lookup over the
-// given centers: a pruned k-d tree descent when UseKDTree is set, else the
-// exhaustive scan. The third result feeds CounterDistances: the kd-tree
-// path reports the descent's actual (pruned) computation count, while the
-// linear path reports the paper's modelled cost of k distances per query —
-// vec.NearestIndex may abandon wide candidates partway (early exit), but
-// the cost model the experiments chart counts full point-center
-// comparisons, not the micro-architectural shortcut.
-//
-// The returned function is safe for concurrent use, so jobs build it once
-// per job (one k-d tree construction per iteration, k·log k) and share it
-// read-only across every map task instead of rebuilding it per split.
-func (e Env) NearestFunc(centers []vec.Vector) func(vec.Vector) (int, float64, int64) {
-	if e.UseKDTree && len(centers) > 1 {
-		tree := kdtree.Build(centers)
-		return tree.NearestCounted
-	}
-	k := int64(len(centers))
-	return func(p vec.Vector) (int, float64, int64) {
-		i, d2 := vec.NearestIndex(p, centers)
-		return i, d2, k
-	}
-}
-
-// RowMajorOnly reports whether jobs built from this environment must use
-// the per-point row-major mapper path (see UseKDTree and DisableColumnar);
-// drivers copy it into mr.Job.DisableColumnar.
-func (e Env) RowMajorOnly() bool { return e.UseKDTree || e.DisableColumnar }
 
 // BatchAssigner wraps the fused nearest-center kernel of internal/vec
 // with reusable per-task buffers. One instance belongs to one map task;
@@ -165,18 +121,35 @@ func (e Env) Validate() error {
 	return e.Cluster.Validate()
 }
 
+// Job returns a point job over the environment's input carrying spec,
+// with every environment-level field (FS, cluster, context, trace,
+// backend) filled in; the caller installs the factories built from spec.
+func (e Env) Job(name string, spec *mr.JobSpec) *mr.Job {
+	return &mr.Job{
+		Name:     name,
+		FS:       e.FS,
+		Cluster:  e.Cluster,
+		Input:    []string{e.Input},
+		PointDim: e.Dim,
+		Ctx:      e.Ctx,
+		Trace:    e.Trace,
+		Runner:   e.Runner,
+		Spec:     spec,
+	}
+}
+
 // assignMapper is the classical k-means mapper with in-mapper combining:
-// it consumes decoded points, folds each into a per-center WeightedPoint
-// accumulator, and emits the ≤k non-empty partial sums in Close. The
+// one fused batch-kernel call assigns every point of the split to its
+// nearest center, then each point folds into a per-center WeightedPoint
+// accumulator, and Close emits the ≤k non-empty partial sums. The
 // n-record emit stream of the textbook formulation never exists, so the
 // spill sort only ever sees ≤k keys per task. The accumulation order per
 // (task, center) is input-record order — exactly the order the spill
-// combiner of the emit-per-point formulation folds the same points in —
-// which keeps the refined centers bit-identical to legacyAssignMapper's.
+// combiner folds the same points in behind emitAssignMapper — which keeps
+// the refined centers bit-identical between the two formulations. The
+// distance counter ticks the paper's modelled cost of k per point.
 type assignMapper struct {
-	env     Env
 	centers []vec.Vector
-	nearest func(vec.Vector) (int, float64, int64)
 
 	accs   []vec.WeightedPoint
 	batch  BatchAssigner
@@ -185,38 +158,10 @@ type assignMapper struct {
 }
 
 func (m *assignMapper) Setup(*mr.TaskContext) error {
-	if m.nearest == nil {
-		m.nearest = m.env.NearestFunc(m.centers)
-	}
 	m.accs = make([]vec.WeightedPoint, len(m.centers))
 	return nil
 }
 
-func (m *assignMapper) MapPoint(_ *mr.TaskContext, p vec.Vector, _ mr.Emitter) error {
-	best, _, comps := m.nearest(p)
-	m.dists += comps
-	m.points++
-	if best < 0 {
-		// Every distance overflowed to +Inf (finite but astronomically
-		// large coordinates): fail the task with a diagnosis instead of
-		// indexing the accumulator with -1.
-		return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
-	}
-	// Merge reads p without retaining it, the same fold the spill combiner
-	// performed — one implementation keeps the bit-identity guarantee in
-	// one place.
-	m.accs[best].Merge(vec.WeightedPoint{Sum: p, Count: 1})
-	return nil
-}
-
-// MapColumns is the columnar fast path of the assignment: one fused
-// batch-kernel call replaces the n·k scalar Dist2 calls of the MapPoint
-// loop. The kernel returns bit-identical indices (vec.NearestBatch's
-// contract) and the fold below merges points in the same input order, so
-// accumulators — and therefore centers, sizes and counters — match the
-// row-major path bit for bit. The engine only takes this path on the
-// linear scan (see Env.RowMajorOnly), whose modelled distance cost is k
-// per point.
 func (m *assignMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n := cols.Len()
 	idx := m.batch.Assign(m.centers, cols)
@@ -224,6 +169,9 @@ func (m *assignMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 	m.points += int64(n)
 	for j, best := range idx {
 		if best < 0 {
+			// Every distance overflowed to +Inf (finite but astronomically
+			// large coordinates): fail the task with a diagnosis instead of
+			// indexing the accumulator with -1.
 			return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
 		}
 		m.accs[best].Merge(vec.WeightedPoint{Sum: cols.At(j), Count: 1})
@@ -242,37 +190,35 @@ func (m *assignMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	return nil
 }
 
-// legacyAssignMapper is the pre-cache formulation of the k-means mapper:
-// parse the text record, emit one (centerID, partial sum) pair per point
-// and leave all combining to the spill combiner. Kept as the baseline of
-// the combiner ablation and the hot-path benchmark (BenchmarkIterationHotPath),
-// and as the no-combiner worst case of the paper's shuffle-cost model.
-type legacyAssignMapper struct {
-	env     Env
+// emitAssignMapper is the textbook formulation of the k-means mapper: the
+// same batched assignment, but one (centerID, point) pair emitted per
+// point, leaving all combining to the job's combiner — or to the reducer
+// alone, the no-combiner worst case of the paper's shuffle-cost model
+// (IterateNoCombiner).
+type emitAssignMapper struct {
 	centers []vec.Vector
-	nearest func(vec.Vector) (int, float64, int64)
+	batch   BatchAssigner
 }
 
-func (m *legacyAssignMapper) Setup(*mr.TaskContext) error {
-	if m.nearest == nil {
-		m.nearest = m.env.NearestFunc(m.centers)
+func (m *emitAssignMapper) Setup(*mr.TaskContext) error { return nil }
+
+func (m *emitAssignMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
+	n := cols.Len()
+	idx := m.batch.Assign(m.centers, cols)
+	ctx.Count(CounterIDDistances, int64(len(m.centers))*int64(n))
+	ctx.Count(CounterIDPoints, int64(n))
+	for j, best := range idx {
+		if best < 0 {
+			return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
+		}
+		// The value wraps the cache's read-only point view without
+		// copying: reducers only accumulate into their own sums.
+		emit.Emit(int64(best), mr.OwnWeightedPointValue(cols.At(j)))
 	}
 	return nil
 }
 
-func (m *legacyAssignMapper) Map(ctx *mr.TaskContext, rec mr.Record, emit mr.Emitter) error {
-	p, err := dataset.ParsePointDim(rec.Line, m.env.Dim)
-	if err != nil {
-		return err
-	}
-	best, _, comps := m.nearest(p)
-	ctx.Count(CounterIDDistances, comps)
-	ctx.Count(CounterIDPoints, 1)
-	emit.Emit(int64(best), mr.OwnWeightedPointValue(p))
-	return nil
-}
-
-func (m *legacyAssignMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
+func (m *emitAssignMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 
 // MergeReducer merges WeightedPointValue partial sums; it serves as both
 // combiner and reducer of the classical k-means job.
@@ -310,29 +256,15 @@ type IterationResult struct {
 }
 
 // Iterate runs one classical MR k-means iteration over the dataset,
-// refining the given centers. It uses the decoded-point fast path with
-// in-mapper combining; results (centers, sizes, app.* counters) are
-// bit-identical to the legacy text-parse path.
+// refining the given centers, with in-mapper combining.
 func Iterate(env Env, centers []vec.Vector) (*IterationResult, error) {
-	return iterate(env, centers, "kmeans", modePoints)
+	return iterate(env, centers, "kmeans", modeInMapper)
 }
 
-// IterateLegacy runs one MR k-means iteration on the pre-cache hot path:
-// text records re-parsed per pass, one emitted pair per point, combining
-// at spill time. It exists as the baseline of BenchmarkIterationHotPath
-// and the cached-vs-uncached equality tests; production callers use
-// Iterate.
-func IterateLegacy(env Env, centers []vec.Vector, name string) (*IterationResult, error) {
-	if name == "" {
-		name = "kmeans-legacy"
-	}
-	return iterate(env, centers, name, modeLegacyText)
-}
-
-// IterateNoCombiner runs one MR k-means iteration with combining disabled
-// on the legacy text path, shuffling O(n) coordinate records — the worst
-// case of the paper's cost model. Intended for the combiner ablation
-// benchmark.
+// IterateNoCombiner runs one MR k-means iteration with combining
+// disabled: one record per point crosses the shuffle, O(n) coordinate
+// records — the worst case of the paper's cost model. Intended for the
+// combiner ablation benchmark.
 func IterateNoCombiner(env Env, centers []vec.Vector, name string) (*IterationResult, error) {
 	if name == "" {
 		name = "kmeans-nocombine"
@@ -340,15 +272,13 @@ func IterateNoCombiner(env Env, centers []vec.Vector, name string) (*IterationRe
 	return iterate(env, centers, name, modeNoCombiner)
 }
 
-// iterateMode selects the hot-path variant of one k-means iteration.
+// iterateMode selects the combining variant of one k-means iteration.
 type iterateMode int
 
 const (
-	// modePoints: decoded-point input, in-mapper combining. The default.
-	modePoints iterateMode = iota
-	// modeLegacyText: text input, emit per point, spill combiner.
-	modeLegacyText
-	// modeNoCombiner: text input, emit per point, no combining at all.
+	// modeInMapper: in-mapper combining (assignMapper). The default.
+	modeInMapper iterateMode = iota
+	// modeNoCombiner: one emitted pair per point, no combining at all.
 	modeNoCombiner
 )
 
@@ -359,37 +289,12 @@ func iterate(env Env, centers []vec.Vector, name string, mode iterateMode) (*Ite
 	if len(centers) == 0 {
 		return nil, fmt.Errorf("kmeansmr: no centers to refine")
 	}
-	// One nearest-center structure per job, shared read-only by all tasks.
-	nearest := env.NearestFunc(centers)
-	job := &mr.Job{
-		Name:            name,
-		FS:              env.FS,
-		Cluster:         env.Cluster,
-		Input:           []string{env.Input},
-		Ctx:             env.Ctx,
-		Trace:           env.Trace,
-		DisableColumnar: env.RowMajorOnly(),
-		Runner:          env.Runner,
-		Spec:            assignSpec(env, centers, mode),
-		NewReducer:      func() mr.Reducer { return MergeReducer{} },
+	spec := assignSpec(centers, mode)
+	parts, err := buildAssign(spec.Payload)
+	if err != nil {
+		return nil, err
 	}
-	switch mode {
-	case modePoints:
-		job.PointDim = env.Dim
-		job.NewPointMapper = func() mr.PointMapper {
-			return &assignMapper{env: env, centers: centers, nearest: nearest}
-		}
-		job.NewCombiner = func() mr.Reducer { return MergeReducer{} }
-	case modeLegacyText:
-		job.NewMapper = func() mr.Mapper {
-			return &legacyAssignMapper{env: env, centers: centers, nearest: nearest}
-		}
-		job.NewCombiner = func() mr.Reducer { return MergeReducer{} }
-	case modeNoCombiner:
-		job.NewMapper = func() mr.Mapper {
-			return &legacyAssignMapper{env: env, centers: centers, nearest: nearest}
-		}
-	}
+	job := parts.Install(env.Job(name, spec))
 	res, err := job.Run()
 	if err != nil {
 		return nil, err

@@ -97,17 +97,16 @@ func (r *MultiResult) AvgIterationTime() time.Duration {
 }
 
 // multiMapper is the paper's Algorithm 6 with in-mapper combining: for
-// every candidate k, assign each decoded point under that k's center set
-// and fold it into the (k, centerID) accumulator, emitting the Σ_k k
-// partial sums in Close. The per-point work is Σ_k k distance
-// computations — the O(n·k²) term of the cost analysis — but the shuffle
-// and spill sort only ever see Σ_k k records per task instead of n·|ks|.
+// every candidate k, one fused kernel call assigns the split's points
+// under that k's center set, and each point folds into the (k, centerID)
+// accumulator; Close emits the Σ_k k partial sums. The per-point work is
+// Σ_k k distance computations — the O(n·k²) term of the cost analysis,
+// which the distance counter ticks — but the shuffle and spill sort only
+// ever see Σ_k k records per task instead of n·|ks|. Per (k, center,
+// dimension) the accumulation runs in input-record order.
 type multiMapper struct {
-	env        Env
 	centerSets map[int][]vec.Vector
 	ks         []int
-	// nearest is built once per job and shared read-only by all tasks.
-	nearest map[int]func(vec.Vector) (int, float64, int64)
 
 	accs   map[int][]vec.WeightedPoint
 	batch  BatchAssigner
@@ -116,9 +115,6 @@ type multiMapper struct {
 }
 
 func (m *multiMapper) Setup(*mr.TaskContext) error {
-	if m.nearest == nil {
-		m.nearest = buildNearestByK(m.env, m.centerSets, m.ks)
-	}
 	m.accs = make(map[int][]vec.WeightedPoint, len(m.ks))
 	for _, k := range m.ks {
 		m.accs[k] = make([]vec.WeightedPoint, len(m.centerSets[k]))
@@ -126,24 +122,6 @@ func (m *multiMapper) Setup(*mr.TaskContext) error {
 	return nil
 }
 
-func (m *multiMapper) MapPoint(_ *mr.TaskContext, p vec.Vector, _ mr.Emitter) error {
-	for _, k := range m.ks {
-		best, _, comps := m.nearest[k](p)
-		m.dists += comps
-		if best < 0 {
-			return fmt.Errorf("kmeansmr: point has no nearest center for k=%d (all distances non-finite)", k)
-		}
-		m.accs[k][best].Merge(vec.WeightedPoint{Sum: p, Count: 1})
-	}
-	m.points++
-	return nil
-}
-
-// MapColumns batches the per-k assignment: one fused kernel call per
-// candidate center set instead of Σ_k k scalar Dist2 calls per point. Per
-// (k, center, dimension) the accumulation runs in the same point order as
-// the MapPoint loop, so the partial sums are bit-identical; the distance
-// counter ticks the same Σ_k k modelled cost per point.
 func (m *multiMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n := cols.Len()
 	for _, k := range m.ks {
@@ -174,17 +152,6 @@ func (m *multiMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 		}
 	}
 	return nil
-}
-
-// buildNearestByK constructs the per-k nearest-center lookups once so a
-// job's map wave shares them instead of rebuilding (k-d trees included)
-// per split.
-func buildNearestByK(env Env, centerSets map[int][]vec.Vector, ks []int) map[int]func(vec.Vector) (int, float64, int64) {
-	nearest := make(map[int]func(vec.Vector) (int, float64, int64), len(ks))
-	for _, k := range ks {
-		nearest[k] = env.NearestFunc(centerSets[k])
-	}
-	return nearest
 }
 
 // RunMulti executes the full multi-k-means pipeline: random shared seeding,
@@ -227,25 +194,13 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		}
 		itStart := time.Now()
 		itSpan := cfg.Env.Trace.StartSpan(fmt.Sprintf("iter-%d", it+1), "phase")
-		nearest := buildNearestByK(cfg.Env, centerSets, ks)
-		job := &mr.Job{
-			Name:            fmt.Sprintf("multi-k-means-iter-%d", it),
-			FS:              cfg.FS,
-			Cluster:         cfg.Cluster,
-			Input:           []string{cfg.Input},
-			Ctx:             cfg.Ctx,
-			Trace:           cfg.Env.Trace,
-			PointDim:        cfg.Dim,
-			DisableColumnar: cfg.Env.RowMajorOnly(),
-			Runner:          cfg.Env.Runner,
-			Spec:            multikSpec(cfg.Env, centerSets, ks),
-			NewPointMapper: func() mr.PointMapper {
-				return &multiMapper{env: cfg.Env, centerSets: centerSets, ks: ks, nearest: nearest}
-			},
-			NewCombiner: func() mr.Reducer { return MergeReducer{} },
-			NewReducer:  func() mr.Reducer { return MergeReducer{} },
+		spec := multikSpec(centerSets, ks)
+		parts, err := buildMultiK(spec.Payload)
+		if err != nil {
+			itSpan.End()
+			return nil, err
 		}
-		jr, err := job.Run()
+		jr, err := parts.Install(cfg.Env.Job(fmt.Sprintf("multi-k-means-iter-%d", it), spec)).Run()
 		if err != nil {
 			itSpan.End()
 			return nil, err
@@ -325,11 +280,12 @@ type evalValue struct {
 
 func (evalValue) ByteSize() int { return 24 }
 
-// evalMapper scores every candidate k in one pass with in-mapper combining:
-// it keeps one accumulator per k, fed from decoded points, and flushes
-// them in Close.
+// evalMapper scores every candidate k in one pass with in-mapper
+// combining: per k, one fused kernel call returns each point's nearest
+// squared distance (bit-identical to vec.NearestIndex's), and the quality
+// sums fold in input-record order into one accumulator per k, flushed in
+// Close.
 type evalMapper struct {
-	env        Env
 	centerSets map[int][]vec.Vector
 	ks         []int
 	acc        map[int]*evalValue
@@ -345,22 +301,6 @@ func (m *evalMapper) Setup(*mr.TaskContext) error {
 	return nil
 }
 
-func (m *evalMapper) MapPoint(_ *mr.TaskContext, p vec.Vector, _ mr.Emitter) error {
-	for _, k := range m.ks {
-		centers := m.centerSets[k]
-		_, d2 := vec.NearestIndex(p, centers)
-		m.dists += int64(len(centers))
-		a := m.acc[k]
-		a.SumD2 += d2
-		a.SumD += math.Sqrt(d2)
-		a.Count++
-	}
-	return nil
-}
-
-// MapColumns batches the scoring pass: the fused kernel returns each
-// point's nearest squared distance bit-identically, and the quality sums
-// fold in the same point order as the MapPoint loop.
 func (m *evalMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n := cols.Len()
 	for _, k := range m.ks {
@@ -419,24 +359,12 @@ func Evaluate(cfg MultiConfig, res *MultiResult) error {
 	sort.Ints(ks)
 	evalSpan := cfg.Env.Trace.StartSpan("evaluate", "phase")
 	defer evalSpan.End()
-	job := &mr.Job{
-		Name:            "multi-k-means-evaluate",
-		FS:              cfg.FS,
-		Cluster:         cfg.Cluster,
-		Input:           []string{cfg.Input},
-		Ctx:             cfg.Ctx,
-		Trace:           cfg.Env.Trace,
-		PointDim:        cfg.Dim,
-		DisableColumnar: cfg.Env.RowMajorOnly(),
-		Runner:          cfg.Env.Runner,
-		Spec:            evalSpec(cfg.Env, res.CentersByK, ks),
-		NewPointMapper: func() mr.PointMapper {
-			return &evalMapper{env: cfg.Env, centerSets: res.CentersByK, ks: ks}
-		},
-		NewCombiner: func() mr.Reducer { return evalReducer{} },
-		NewReducer:  func() mr.Reducer { return evalReducer{} },
+	spec := evalSpec(res.CentersByK, ks)
+	parts, err := buildEval(spec.Payload)
+	if err != nil {
+		return err
 	}
-	jr, err := job.Run()
+	jr, err := parts.Install(cfg.Env.Job("multi-k-means-evaluate", spec)).Run()
 	if err != nil {
 		return err
 	}

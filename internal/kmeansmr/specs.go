@@ -9,12 +9,14 @@ import (
 )
 
 // This file makes the package's jobs portable across process boundaries:
-// every job constructor attaches an mr.JobSpec naming a kind registered
-// here, and the builders below reconstruct the identical mapper/combiner/
-// reducer factories from the spec payload inside a worker process
-// (internal/mrdist ships the spec; cmd/mrworker links this package so the
-// registrations exist on both sides). Payloads use the GMWR encoding of
-// docs/wire.md.
+// every job constructor encodes an mr.JobSpec naming a kind registered
+// here and builds its mapper/combiner/reducer factories from that spec's
+// payload through the builders below — the same builders a worker process
+// runs (internal/mrdist ships the spec; cmd/mrworker links this package so
+// the registrations exist on both sides). Payloads use the GMWR encoding
+// of docs/wire.md. Payloads carry only what the mappers and reducers
+// compute with; the environment (FS, cluster, context, trace, backend)
+// never crosses the wire — the worker supplies its own.
 
 // Job kind names registered by this package.
 const (
@@ -46,23 +48,6 @@ func init() {
 	mrdist.RegisterKind(KindEval, buildEval)
 }
 
-// EncodeEnvSpec appends the worker-relevant environment fields: the
-// dimensionality and the flags that pick the mapper's nearest-center
-// structure. FS/Cluster/Ctx/Trace/Runner never cross the wire — the worker
-// supplies its own.
-func EncodeEnvSpec(e *mrdist.Encoder, env Env) {
-	e.U32(uint32(env.Dim)).Bool(env.UseKDTree).Bool(env.DisableColumnar)
-}
-
-// DecodeEnvSpec reads the environment block written by EncodeEnvSpec.
-func DecodeEnvSpec(d *mrdist.Decoder) Env {
-	return Env{
-		Dim:             int(d.U32()),
-		UseKDTree:       d.Bool(),
-		DisableColumnar: d.Bool(),
-	}
-}
-
 // EncodeCenters appends a u32-counted center list.
 func EncodeCenters(e *mrdist.Encoder, centers []vec.Vector) {
 	e.U32(uint32(len(centers)))
@@ -85,10 +70,9 @@ func DecodeCenters(d *mrdist.Decoder) []vec.Vector {
 }
 
 // assignSpec encodes one classical k-means iteration.
-func assignSpec(env Env, centers []vec.Vector, mode iterateMode) *mr.JobSpec {
+func assignSpec(centers []vec.Vector, mode iterateMode) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
 	e.U8(byte(mode))
-	EncodeEnvSpec(e, env)
 	EncodeCenters(e, centers)
 	return &mr.JobSpec{Kind: KindAssign, Payload: e.Bytes()}
 }
@@ -96,30 +80,17 @@ func assignSpec(env Env, centers []vec.Vector, mode iterateMode) *mr.JobSpec {
 func buildAssign(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
 	mode := iterateMode(d.U8())
-	env := DecodeEnvSpec(d)
 	centers := DecodeCenters(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindAssign, err)
 	}
-	// One nearest-center structure per task request, shared by the task's
-	// mapper — the same sharing the driver-side job performs per job.
-	nearest := env.NearestFunc(centers)
 	parts := mrdist.JobParts{NewReducer: func() mr.Reducer { return MergeReducer{} }}
 	switch mode {
-	case modePoints:
-		parts.NewPointMapper = func() mr.PointMapper {
-			return &assignMapper{env: env, centers: centers, nearest: nearest}
-		}
-		parts.NewCombiner = func() mr.Reducer { return MergeReducer{} }
-	case modeLegacyText:
-		parts.NewMapper = func() mr.Mapper {
-			return &legacyAssignMapper{env: env, centers: centers, nearest: nearest}
-		}
+	case modeInMapper:
+		parts.NewPointMapper = func() mr.PointMapper { return &assignMapper{centers: centers} }
 		parts.NewCombiner = func() mr.Reducer { return MergeReducer{} }
 	case modeNoCombiner:
-		parts.NewMapper = func() mr.Mapper {
-			return &legacyAssignMapper{env: env, centers: centers, nearest: nearest}
-		}
+		parts.NewPointMapper = func() mr.PointMapper { return &emitAssignMapper{centers: centers} }
 	default:
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: unknown assign mode %d", mode)
 	}
@@ -155,24 +126,21 @@ func decodeCenterSets(d *mrdist.Decoder) (map[int][]vec.Vector, []int) {
 }
 
 // multikSpec encodes one multi-k-means iteration.
-func multikSpec(env Env, centerSets map[int][]vec.Vector, ks []int) *mr.JobSpec {
+func multikSpec(centerSets map[int][]vec.Vector, ks []int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	EncodeEnvSpec(e, env)
 	encodeCenterSets(e, centerSets, ks)
 	return &mr.JobSpec{Kind: KindMultiK, Payload: e.Bytes()}
 }
 
 func buildMultiK(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	env := DecodeEnvSpec(d)
 	sets, ks := decodeCenterSets(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindMultiK, err)
 	}
-	nearest := buildNearestByK(env, sets, ks)
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {
-			return &multiMapper{env: env, centerSets: sets, ks: ks, nearest: nearest}
+			return &multiMapper{centerSets: sets, ks: ks}
 		},
 		NewCombiner: func() mr.Reducer { return MergeReducer{} },
 		NewReducer:  func() mr.Reducer { return MergeReducer{} },
@@ -180,23 +148,21 @@ func buildMultiK(payload []byte) (mrdist.JobParts, error) {
 }
 
 // evalSpec encodes the multi-k evaluation job.
-func evalSpec(env Env, centerSets map[int][]vec.Vector, ks []int) *mr.JobSpec {
+func evalSpec(centerSets map[int][]vec.Vector, ks []int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	EncodeEnvSpec(e, env)
 	encodeCenterSets(e, centerSets, ks)
 	return &mr.JobSpec{Kind: KindEval, Payload: e.Bytes()}
 }
 
 func buildEval(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	env := DecodeEnvSpec(d)
 	sets, ks := decodeCenterSets(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindEval, err)
 	}
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {
-			return &evalMapper{env: env, centerSets: sets, ks: ks}
+			return &evalMapper{centerSets: sets, ks: ks}
 		},
 		NewCombiner: func() mr.Reducer { return evalReducer{} },
 		NewReducer:  func() mr.Reducer { return evalReducer{} },

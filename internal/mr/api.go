@@ -43,43 +43,24 @@ type Reducer interface {
 	Close(ctx *TaskContext, emit Emitter) error
 }
 
-// PointMapper is the decoded-input fast path of Mapper: instead of text
-// records, the engine feeds the task the cached float64 points of its
-// split (see dfs.OpenSplitPoints), so the per-record ParseFloat work of
-// the classic path happens at most once per split per job chain. The
-// point slice is a read-only view into the shared decode cache: mappers
-// must not modify it, but may retain it (e.g. inside emitted values) —
-// the backing array is immutable.
+// PointMapper is the decoded-input contract of Mapper: instead of text
+// records, the engine hands the task its whole split at once, decoded to
+// float64 points from the DFS split cache (see dfs.OpenSplitPoints) and
+// laid out dim-major (structure-of-arrays), so parsing happens at most
+// once per (file, split) and per-split work — nearest-center assignment
+// above all — runs as one batched kernel call (vec.NearestBatch) instead
+// of a per-point loop. The cols view is read-only and shared with the
+// decode cache: mappers must not modify it, but may retain it or its row
+// views (cols.At) — e.g. inside emitted values — since the backing arrays
+// are immutable.
 type PointMapper interface {
-	// Setup runs once before the first point of the task.
+	// Setup runs once before the task's split.
 	Setup(ctx *TaskContext) error
-	// MapPoint processes one decoded point.
-	MapPoint(ctx *TaskContext, p []float64, emit Emitter) error
-	// Close runs after the last point and may emit trailing pairs —
-	// in-mapper combining mappers emit their accumulators here.
-	Close(ctx *TaskContext, emit Emitter) error
-}
-
-// ColumnarMapper is an optional extension of PointMapper: a point mapper
-// that also implements it is handed its whole split at once in dim-major
-// (structure-of-arrays) form, so per-split work — nearest-center
-// assignment above all — can run as one batched kernel call instead of a
-// per-point interface call chasing n row views. The engine prefers
-// MapColumns whenever the mapper implements it and the job has not set
-// DisableColumnar; Setup and Close still run around it, and MapPoint is
-// never called for a split served columnar.
-//
-// Contract: MapColumns must produce exactly the emissions and counter
-// ticks the equivalent MapPoint loop over cols.At(0..Len-1) would — the
-// columnar layout is a performance path, never a semantic one. The
-// kmeansmr/core equivalence tests pin this (bit-identical centers, sizes
-// and counters between the two paths). The cols view is read-only, shared
-// with the decode cache, and may be retained, like the point slices of
-// MapPoint.
-type ColumnarMapper interface {
-	PointMapper
 	// MapColumns processes every point of the split in one call.
 	MapColumns(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error
+	// Close runs after MapColumns and may emit trailing pairs — in-mapper
+	// combining mappers emit their accumulators here.
+	Close(ctx *TaskContext, emit Emitter) error
 }
 
 // MapperFactory builds one Mapper per map task.

@@ -31,23 +31,16 @@ type Job struct {
 
 	// Exactly one of NewMapper and NewPointMapper must be set. NewMapper
 	// feeds text records (Hadoop's TextInputFormat shape); NewPointMapper
-	// selects the decoded-point fast path, which serves each split's
-	// points from the DFS decode cache and requires PointDim.
+	// hands each split to the mapper whole, as decoded dim-major columns
+	// served from the DFS decode cache, and requires PointDim.
 	NewMapper      MapperFactory
 	NewPointMapper PointMapperFactory
 	// PointDim is the point dimensionality of the input files; required
 	// with NewPointMapper (every record must decode to exactly PointDim
 	// coordinates).
-	PointDim int
-	// DisableColumnar forces the per-point row-major path even for point
-	// mappers that implement ColumnarMapper. Drivers set it when the
-	// mapper's batched kernels do not apply (kd-tree-accelerated nearest
-	// lookups report pruned distance counts the linear batch kernel cannot
-	// reproduce); the equivalence tests and benchmarks use it to pin the
-	// two paths against each other.
-	DisableColumnar bool
-	NewCombiner     ReducerFactory // optional; nil disables combining
-	NewReducer      ReducerFactory
+	PointDim    int
+	NewCombiner ReducerFactory // optional; nil disables combining
+	NewReducer  ReducerFactory
 
 	// NumReducers is the number of reduce tasks (= output partitions).
 	// Zero selects the cluster's total reduce capacity, the common Hadoop
@@ -305,9 +298,9 @@ func (j *Job) ExecMapTask(taskID int, sp dfs.Split, numReducers int, partition P
 	return parts, nil
 }
 
-// mapSplit feeds one split through a fresh mapper instance — decoded
-// points on the fast path, text records otherwise — and returns the input
-// record count.
+// mapSplit feeds one split through a fresh mapper instance — the decoded
+// columnar split for point mappers, text records otherwise — and returns
+// the input record count.
 func (j *Job) mapSplit(ctx *TaskContext, sp dfs.Split, em Emitter) (int64, error) {
 	if j.NewPointMapper != nil {
 		mapper := j.NewPointMapper()
@@ -318,21 +311,12 @@ func (j *Job) mapSplit(ctx *TaskContext, sp dfs.Split, em Emitter) (int64, error
 		if err != nil {
 			return 0, err
 		}
-		n := ps.Len()
-		if cm, ok := mapper.(ColumnarMapper); ok && !j.DisableColumnar {
-			// Columnar fast path: the whole split in one call, against the
-			// dim-major view materialized once per cached decode.
-			if err := cm.MapColumns(ctx, ps.Columns(), em); err != nil {
-				return 0, err
-			}
-			return int64(n), mapper.Close(ctx, em)
+		// The whole split in one call, against the dim-major view
+		// materialized once per cached decode.
+		if err := mapper.MapColumns(ctx, ps.Columns(), em); err != nil {
+			return 0, err
 		}
-		for i := 0; i < n; i++ {
-			if err := mapper.MapPoint(ctx, ps.At(i), em); err != nil {
-				return 0, err
-			}
-		}
-		return int64(n), mapper.Close(ctx, em)
+		return int64(ps.Len()), mapper.Close(ctx, em)
 	}
 	mapper := j.NewMapper()
 	if err := mapper.Setup(ctx); err != nil {

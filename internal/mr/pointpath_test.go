@@ -10,20 +10,23 @@ import (
 )
 
 // sumPointMapper accumulates per-dimension sums in-mapper and emits one
-// value per dimension at Close — the canonical shape of the decoded fast
-// path.
+// value per dimension at Close — the canonical shape of a point job.
 type sumPointMapper struct {
 	sums []float64
 }
 
 func (m *sumPointMapper) Setup(*TaskContext) error { return nil }
 
-func (m *sumPointMapper) MapPoint(_ *TaskContext, p []float64, _ Emitter) error {
+func (m *sumPointMapper) MapColumns(_ *TaskContext, cols *dfs.ColumnarSplit, _ Emitter) error {
 	if m.sums == nil {
-		m.sums = make([]float64, len(p))
+		m.sums = make([]float64, cols.Dim())
 	}
-	for d, x := range p {
-		m.sums[d] += x
+	n := cols.Len()
+	for d := range m.sums {
+		col := cols.Col(d)
+		for j := 0; j < n; j++ {
+			m.sums[d] += col[j]
+		}
 	}
 	return nil
 }
@@ -116,62 +119,39 @@ func dfsFormat(x, y float64) string {
 	return strconv.FormatFloat(x, 'g', -1, 64) + " " + strconv.FormatFloat(y, 'g', -1, 64) + "\n"
 }
 
-// columnarSumMapper is sumPointMapper plus the columnar extension; it
-// records which path the engine drove so the dispatch tests can assert it.
-type columnarSumMapper struct {
+// countingSumMapper is sumPointMapper that also counts its MapColumns
+// calls, so the dispatch test can assert how the engine drove it.
+type countingSumMapper struct {
 	sumPointMapper
-	pathTaken *pathCounts // shared across tasks, mutated under its mutex
+	calls *callCount // shared across tasks, mutated under its mutex
 }
 
-type pathCounts struct {
-	mu       sync.Mutex
-	columnar int
-	perPoint int
+type callCount struct {
+	mu sync.Mutex
+	n  int
 }
 
-func (m *columnarSumMapper) MapPoint(ctx *TaskContext, p []float64, emit Emitter) error {
-	m.pathTaken.mu.Lock()
-	m.pathTaken.perPoint++
-	m.pathTaken.mu.Unlock()
-	return m.sumPointMapper.MapPoint(ctx, p, emit)
+func (m *countingSumMapper) MapColumns(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
+	m.calls.mu.Lock()
+	m.calls.n++
+	m.calls.mu.Unlock()
+	return m.sumPointMapper.MapColumns(ctx, cols, emit)
 }
 
-func (m *columnarSumMapper) MapColumns(_ *TaskContext, cols *dfs.ColumnarSplit, _ Emitter) error {
-	m.pathTaken.mu.Lock()
-	m.pathTaken.columnar++
-	m.pathTaken.mu.Unlock()
-	if m.sums == nil {
-		m.sums = make([]float64, cols.Dim())
-	}
-	n := cols.Len()
-	for d := range m.sums {
-		col := cols.Col(d)
-		for j := 0; j < n; j++ {
-			m.sums[d] += col[j]
-		}
-	}
-	return nil
-}
-
-// TestColumnarMapperDispatch: the engine must drive a ColumnarMapper
-// through MapColumns once per split — never MapPoint — unless the job
-// sets DisableColumnar, and input-record accounting must still count
-// points on both paths.
+// TestColumnarMapperDispatch: the engine must drive a PointMapper through
+// MapColumns exactly once per split, and input-record accounting must
+// still count points.
 func TestColumnarMapperDispatch(t *testing.T) {
-	build := func() (*Job, *pathCounts) {
-		fs := dfs.New(64) // several splits
-		var b strings.Builder
-		for i := 0; i < 100; i++ {
-			b.WriteString(dfsFormat(float64(i), float64(2*i)))
-		}
-		fs.Create("/pts", []byte(b.String()))
-		counts := &pathCounts{}
-		job := pointPathJob(fs, 2)
-		job.NewPointMapper = func() PointMapper { return &columnarSumMapper{pathTaken: counts} }
-		return job, counts
+	fs := dfs.New(64) // several splits
+	var b strings.Builder
+	for i := 0; i < 100; i++ {
+		b.WriteString(dfsFormat(float64(i), float64(2*i)))
 	}
+	fs.Create("/pts", []byte(b.String()))
+	calls := &callCount{}
+	job := pointPathJob(fs, 2)
+	job.NewPointMapper = func() PointMapper { return &countingSumMapper{calls: calls} }
 
-	job, counts := build()
 	splits, err := job.FS.Splits("/pts")
 	if err != nil {
 		t.Fatal(err)
@@ -180,21 +160,10 @@ func TestColumnarMapperDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts.columnar != len(splits) || counts.perPoint != 0 {
-		t.Errorf("columnar dispatch: %d MapColumns calls (want %d), %d MapPoint calls (want 0)",
-			counts.columnar, len(splits), counts.perPoint)
+	if calls.n != len(splits) {
+		t.Errorf("%d MapColumns calls, want one per split (%d)", calls.n, len(splits))
 	}
 	if n := res.Counters.Get(CounterMapInputRecords); n != 100 {
 		t.Errorf("map input records = %d, want 100", n)
-	}
-
-	job, counts = build()
-	job.DisableColumnar = true
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if counts.columnar != 0 || counts.perPoint != 100 {
-		t.Errorf("DisableColumnar: %d MapColumns calls (want 0), %d MapPoint calls (want 100)",
-			counts.columnar, counts.perPoint)
 	}
 }

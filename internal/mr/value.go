@@ -19,18 +19,13 @@
 //
 // # Contract
 //
-// Input fast paths. Jobs read their input one of three ways, in order of
-// increasing batching: NewMapper feeds text records (offset + line, the
-// TextInputFormat shape); NewPointMapper feeds decoded float64 points
-// served from the DFS split cache, so parsing happens at most once per
-// (file, split); a PointMapper that also implements ColumnarMapper
-// receives each split once, whole, in dim-major form — the layer the
-// batched vec kernels plug into. All three paths must compute the same
-// thing: the fast paths are performance routes, never semantic ones, and
-// the equivalence tests in kmeansmr/core pin bit-identical results across
-// them. Job.DisableColumnar forces the per-point route where a batched
-// kernel does not apply (kd-tree-accelerated lookups) or when pinning the
-// paths against each other.
+// Input contracts. Jobs read their input one of two ways: NewMapper
+// feeds text records (offset + line, the TextInputFormat shape);
+// NewPointMapper hands each split once, whole, as decoded float64 points
+// in dim-major form, served from the DFS split cache so parsing happens
+// at most once per (file, split) — the layer the batched vec kernels plug
+// into. Every point job in the repository uses the second; the text
+// contract remains the engine's generic record interface.
 //
 // Counter interning. Counters are addressed by name through a string API,
 // but per-record hot loops must not pay a map lookup per tick: intern the

@@ -29,9 +29,9 @@ func fuzzWorker() *Worker {
 // buildParts rejects execution (fuzz inputs must not run real tasks).
 func fuzzTaskPrefix(e *Encoder) {
 	e.Str("job-1").Str("fuzz").Str("fuzz.nokind").Blob([]byte{1, 2, 3})
-	e.U32(2).U32(2).U32(2)      // cluster: nodes, map slots, reduce slots
-	e.I64(64 << 20).F64(.66)    // task heap, max usage
-	e.U32(0).Bool(false).U32(2) // point dim, columnar off, reducers
+	e.U32(2).U32(2).U32(2)   // cluster: nodes, map slots, reduce slots
+	e.I64(64 << 20).F64(.66) // task heap, max usage
+	e.U32(0).U32(2)          // point dim, reducers
 }
 
 func fuzzMapFrame() []byte {

@@ -7,16 +7,26 @@ import (
 	"gmeansmr/internal/mr"
 )
 
-// JobParts is the user code of one job, reconstructed on a worker from a
-// JobSpec payload. Exactly the factory fields of mr.Job: the builder must
-// return factories that produce mappers/reducers identical in behaviour to
-// the ones the driver runs locally — that identity is what the backend
-// equivalence pin rests on.
+// JobParts is the user code of one job, built from a JobSpec payload.
+// Exactly the factory fields of mr.Job. Job constructors build their own
+// factories from the same payload through the same builder the worker
+// runs (see Install), so the two sides cannot drift apart — the identity
+// the backend equivalence pin rests on.
 type JobParts struct {
 	NewMapper      mr.MapperFactory
 	NewPointMapper mr.PointMapperFactory
 	NewCombiner    mr.ReducerFactory
 	NewReducer     mr.ReducerFactory
+}
+
+// Install sets j's mapper, combiner and reducer factories from p and
+// returns j. The job constructors and the worker both build their jobs
+// through it from the same KindBuilder output, so a remote worker runs
+// the same map and reduce code as an in-process job by construction.
+func (p JobParts) Install(j *mr.Job) *mr.Job {
+	j.NewMapper, j.NewPointMapper = p.NewMapper, p.NewPointMapper
+	j.NewCombiner, j.NewReducer = p.NewCombiner, p.NewReducer
+	return j
 }
 
 // KindBuilder decodes a JobSpec payload into the job's factories.

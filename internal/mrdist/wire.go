@@ -29,7 +29,7 @@ import (
 // length-prefixed with u32.
 const (
 	wireMagic   = "GMWR"
-	wireVersion = 1
+	wireVersion = 2
 )
 
 var errWire = errors.New("mrdist: malformed wire message")

@@ -170,7 +170,6 @@ type taskRequest struct {
 	spec        mr.JobSpec
 	cluster     mr.Cluster
 	pointDim    int
-	disColumnar bool
 	numReducers int
 }
 
@@ -187,7 +186,6 @@ func decodeTaskRequest(d *Decoder) taskRequest {
 			MaxHeapUsage:       d.F64(),
 		},
 		pointDim:    int(d.U32()),
-		disColumnar: d.Bool(),
 		numReducers: int(d.U32()),
 	}
 }
@@ -196,7 +194,7 @@ func encodeTaskRequest(e *Encoder, jobID string, j *mr.Job, numReducers int) {
 	e.Str(jobID).Str(j.Name).Str(j.Spec.Kind).Blob(j.Spec.Payload)
 	e.U32(uint32(j.Cluster.Nodes)).U32(uint32(j.Cluster.MapSlotsPerNode)).U32(uint32(j.Cluster.ReduceSlotsPerNode))
 	e.I64(j.Cluster.TaskHeapBytes).F64(j.Cluster.MaxHeapUsage)
-	e.U32(uint32(j.PointDim)).Bool(j.DisableColumnar).U32(uint32(numReducers))
+	e.U32(uint32(j.PointDim)).U32(uint32(numReducers))
 }
 
 // job reconstructs the executable mr.Job for a task request against this
@@ -207,17 +205,12 @@ func (tr *taskRequest) job(fs *dfs.FS) (*mr.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mr.Job{
-		Name:            tr.name,
-		FS:              fs,
-		Cluster:         tr.cluster,
-		NewMapper:       parts.NewMapper,
-		NewPointMapper:  parts.NewPointMapper,
-		PointDim:        tr.pointDim,
-		DisableColumnar: tr.disColumnar,
-		NewCombiner:     parts.NewCombiner,
-		NewReducer:      parts.NewReducer,
-	}, nil
+	return parts.Install(&mr.Job{
+		Name:     tr.name,
+		FS:       fs,
+		Cluster:  tr.cluster,
+		PointDim: tr.pointDim,
+	}), nil
 }
 
 // writeTaskErr encodes a deterministic task failure. ErrHeapSpace loses

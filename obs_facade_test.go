@@ -103,18 +103,10 @@ func TestWithTracePhaseSpansSumToWallTime(t *testing.T) {
 // TestProgressEventStreamCompleteness pins the Progress contract: a
 // multi-round G-means run emits exactly one event per round — strategy
 // attached, per-round Duration, phase breakdown — plus exactly one
-// closing merge event, under both the columnar and row-major paths and
-// for both merge configurations (explicit radius merges in the driver,
-// MergeAuto merges in the facade).
+// closing merge event, for both merge configurations (explicit radius
+// merges in the driver, MergeAuto merges in the facade).
 func TestProgressEventStreamCompleteness(t *testing.T) {
 	ds := mixturePoints(t, 4, 3, 3000, 7)
-	paths := []struct {
-		name string
-		opts []Option
-	}{
-		{"columnar", nil},
-		{"row-major", []Option{WithKDTree()}},
-	}
 	merges := []struct {
 		name string
 		opt  Option
@@ -122,85 +114,82 @@ func TestProgressEventStreamCompleteness(t *testing.T) {
 		{"explicit-radius", WithMergeRadius(1e-9)},
 		{"auto", WithMergeRadius(MergeAuto)},
 	}
-	for _, path := range paths {
-		for _, merge := range merges {
-			t.Run(path.name+"/"+merge.name, func(t *testing.T) {
-				var events []Progress
-				reg := NewRegistry()
-				opts := append([]Option{
-					WithSeed(7),
-					WithProgress(func(p Progress) { events = append(events, p) }),
-					WithObserver(reg),
-					merge.opt,
-				}, path.opts...)
-				c, err := New(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := c.Run(context.Background(), FromPoints(ds.Points))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Iterations < 2 {
-					t.Fatalf("run converged in %d rounds; need a multi-round run", res.Iterations)
-				}
+	for _, merge := range merges {
+		t.Run("columnar/"+merge.name, func(t *testing.T) {
+			var events []Progress
+			reg := NewRegistry()
+			c, err := New(
+				WithSeed(7),
+				WithProgress(func(p Progress) { events = append(events, p) }),
+				WithObserver(reg),
+				merge.opt,
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run(context.Background(), FromPoints(ds.Points))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations < 2 {
+				t.Fatalf("run converged in %d rounds; need a multi-round run", res.Iterations)
+			}
 
-				var mergeEvents int
-				seenRound := make(map[int]bool)
-				for _, ev := range events {
-					if ev.Algorithm != AlgorithmGMeansMR {
-						t.Errorf("event algorithm = %q", ev.Algorithm)
-					}
-					if ev.Strategy == "merge" {
-						mergeEvents++
-						if ev.Round != res.Iterations+1 {
-							t.Errorf("merge event round = %d, want %d", ev.Round, res.Iterations+1)
-						}
-						continue
-					}
-					if seenRound[ev.Round] {
-						t.Errorf("round %d emitted more than one event", ev.Round)
-					}
-					seenRound[ev.Round] = true
-					if ev.Strategy == "" {
-						t.Errorf("round %d event has no strategy", ev.Round)
-					}
-					if ev.Duration <= 0 {
-						t.Errorf("round %d event has no duration", ev.Round)
-					}
-					if len(ev.Phases) == 0 {
-						t.Errorf("round %d event has no phase breakdown", ev.Round)
-					}
-					var phaseSum time.Duration
-					for _, d := range ev.Phases {
-						phaseSum += d
-					}
-					if phaseSum > ev.Duration {
-						t.Errorf("round %d phases sum to %v, exceeding round duration %v",
-							ev.Round, phaseSum, ev.Duration)
-					}
+			var mergeEvents int
+			seenRound := make(map[int]bool)
+			for _, ev := range events {
+				if ev.Algorithm != AlgorithmGMeansMR {
+					t.Errorf("event algorithm = %q", ev.Algorithm)
 				}
-				for round := 1; round <= res.Iterations; round++ {
-					if !seenRound[round] {
-						t.Errorf("round %d emitted no event", round)
+				if ev.Strategy == "merge" {
+					mergeEvents++
+					if ev.Round != res.Iterations+1 {
+						t.Errorf("merge event round = %d, want %d", ev.Round, res.Iterations+1)
 					}
+					continue
 				}
-				if len(seenRound) != res.Iterations {
-					t.Errorf("saw events for %d rounds, run reported %d", len(seenRound), res.Iterations)
+				if seenRound[ev.Round] {
+					t.Errorf("round %d emitted more than one event", ev.Round)
 				}
-				if mergeEvents != 1 {
-					t.Errorf("saw %d merge events, want exactly 1", mergeEvents)
+				seenRound[ev.Round] = true
+				if ev.Strategy == "" {
+					t.Errorf("round %d event has no strategy", ev.Round)
 				}
+				if ev.Duration <= 0 {
+					t.Errorf("round %d event has no duration", ev.Round)
+				}
+				if len(ev.Phases) == 0 {
+					t.Errorf("round %d event has no phase breakdown", ev.Round)
+				}
+				var phaseSum time.Duration
+				for _, d := range ev.Phases {
+					phaseSum += d
+				}
+				if phaseSum > ev.Duration {
+					t.Errorf("round %d phases sum to %v, exceeding round duration %v",
+						ev.Round, phaseSum, ev.Duration)
+				}
+			}
+			for round := 1; round <= res.Iterations; round++ {
+				if !seenRound[round] {
+					t.Errorf("round %d emitted no event", round)
+				}
+			}
+			if len(seenRound) != res.Iterations {
+				t.Errorf("saw events for %d rounds, run reported %d", len(seenRound), res.Iterations)
+			}
+			if mergeEvents != 1 {
+				t.Errorf("saw %d merge events, want exactly 1", mergeEvents)
+			}
 
-				// The observer registry ticked once per test round.
-				if got := reg.Counter("gmeans_rounds_total").Value(); got != int64(res.Iterations) {
-					t.Errorf("gmeans_rounds_total = %d, want %d", got, res.Iterations)
-				}
-				if reg.Histogram("gmeans_round_seconds", nil).Count() != int64(res.Iterations) {
-					t.Errorf("gmeans_round_seconds count = %d, want %d",
-						reg.Histogram("gmeans_round_seconds", nil).Count(), res.Iterations)
-				}
-			})
-		}
+			// The observer registry ticked once per test round.
+			if got := reg.Counter("gmeans_rounds_total").Value(); got != int64(res.Iterations) {
+				t.Errorf("gmeans_rounds_total = %d, want %d", got, res.Iterations)
+			}
+			if reg.Histogram("gmeans_round_seconds", nil).Count() != int64(res.Iterations) {
+				t.Errorf("gmeans_round_seconds count = %d, want %d",
+					reg.Histogram("gmeans_round_seconds", nil).Count(), res.Iterations)
+			}
+		})
 	}
 }
