@@ -479,12 +479,11 @@ func BenchmarkIterationHotPath(b *testing.B) {
 	})
 }
 
-// BenchmarkColdScan measures the cost of a *first* decode of a dataset —
-// the cold-scan path a chained-job workload pays on its opening pass —
-// for the text record format (ParseFloat per coordinate) against the
-// binary point format (memory-bandwidth frame decode). Each iteration
-// re-creates the file, which invalidates the decode cache, so every scan
-// is cold. Both formats are first checked to decode bit-identical points.
+// BenchmarkColdScan measures the cost of a *first* decode of a text
+// dataset (ParseFloat per coordinate) — the cold scan a file written as
+// raw bytes pays on its opening pass, as a worker's pushed replica does.
+// Each iteration re-creates the file, which invalidates the decode cache,
+// so every scan is cold.
 func BenchmarkColdScan(b *testing.B) {
 	spec := dataset.Spec{K: 16, Dim: 10, N: 100_000, CenterRange: 100,
 		StdDev: 1, MinSeparation: 8, Seed: 79}
@@ -509,52 +508,26 @@ func BenchmarkColdScan(b *testing.B) {
 		return n
 	}
 
-	var textBytes, binBytes []byte
+	var textBytes []byte
 	{
 		fs := dfs.New(split)
 		ds.WriteToDFS(fs, "/p")
 		textBytes, _ = fs.ReadAll("/p")
-		binBytes = dataset.EncodePointsBinary(ds.Points, spec.Dim)
 	}
 
-	// Equality gate: both encodings must decode to bit-identical points.
-	{
-		fsT, fsB := dfs.New(split), dfs.New(split)
-		fsT.Create("/p", textBytes)
-		fsB.Create("/p", binBytes)
-		tp, err := dataset.LoadPoints(fsT, "/p")
-		if err != nil {
-			b.Fatal(err)
-		}
-		bp, err := dataset.LoadPoints(fsB, "/p")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range tp {
-			if !vec.Equal(tp[i], bp[i]) {
-				b.Fatalf("text and binary decode disagree on point %d", i)
+	b.Run("text-parse", func(b *testing.B) {
+		fs := dfs.New(split)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fs.Create("/p", textBytes) // invalidates the decode cache: scan below is cold
+			if n := scanAll(fs, "/p"); n != spec.N {
+				b.Fatalf("scanned %d points, want %d", n, spec.N)
 			}
 		}
-	}
-
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"text-parse", textBytes}, {"binary-frames", binBytes}} {
-		b.Run(tc.name, func(b *testing.B) {
-			fs := dfs.New(split)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fs.Create("/p", tc.data) // invalidates the decode cache: scan below is cold
-				if n := scanAll(fs, "/p"); n != spec.N {
-					b.Fatalf("scanned %d points, want %d", n, spec.N)
-				}
-			}
-			b.ReportMetric(float64(spec.N), "points")
-			b.ReportMetric(float64(len(tc.data)), "file_bytes")
-		})
-	}
+		b.ReportMetric(float64(spec.N), "points")
+		b.ReportMetric(float64(len(textBytes)), "file_bytes")
+	})
 }
 
 // BenchmarkStage measures a Run's ingest: the facade staging an n=200k,
@@ -591,11 +564,11 @@ func BenchmarkStage(b *testing.B) {
 	b.ReportMetric(float64(spec.N), "points")
 }
 
-// BenchmarkReduceMerge measures the reduce-side merge of per-task sorted
-// runs: the engine's k-way heap merge against the historical concatenate +
-// stable-sort formulation it replaced. The shape mirrors a real shuffle —
-// many runs (one per map task) of combined output, duplicate keys across
-// runs — and the two paths are first checked to produce identical output.
+// BenchmarkReduceMerge measures the engine's k-way heap merge of per-task
+// sorted runs on the reduce side. The shape mirrors a real shuffle — many
+// runs (one per map task) of combined output, duplicate keys across runs.
+// Its order against the historical concatenate + stable sort is pinned by
+// internal/mr's TestMergeRunsMatchesConcatSort.
 func BenchmarkReduceMerge(b *testing.B) {
 	const (
 		numRuns = 64  // map tasks feeding one reducer
@@ -613,27 +586,6 @@ func BenchmarkReduceMerge(b *testing.B) {
 		runs[t] = run
 	}
 
-	// Equality gate: bit-for-bit the same merged sequence.
-	want := mr.ConcatSortRuns(runs)
-	got := mr.MergeRuns(runs)
-	if len(want) != len(got) {
-		b.Fatalf("merge lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			b.Fatalf("merge order diverges at record %d", i)
-		}
-	}
-
-	b.Run("concat-stable-sort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if out := mr.ConcatSortRuns(runs); len(out) != numRuns*perRun {
-				b.Fatal("bad merge")
-			}
-		}
-		b.ReportMetric(numRuns, "runs")
-	})
 	b.Run("kway-heap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

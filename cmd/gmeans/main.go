@@ -11,6 +11,13 @@
 //	gmeans -algo seq-gmeans d100.txt
 //	gmeans -timeout 30s d100.txt   # bound the run; cancels between MR waves
 //
+// Multi-k-means maintains center sets for every candidate k in
+// -kmin..-kmax (step -kstep) through -iters chained MapReduce jobs, then
+// picks k by -criterion (elbow, jump, silhouette or bic) and prints the
+// WCSS of every candidate:
+//
+//	gmeans -algo multik -kmax 20 -criterion bic d100.txt
+//
 // Execution backend: -backend=local (default) runs MapReduce tasks on
 // in-process goroutine pools; -backend=proc spawns one worker process per
 // simulated node and schedules tasks over HTTP (internal/mrdist), with
@@ -34,6 +41,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"sort"
 	"time"
 
 	gmeansmr "gmeansmr"
@@ -66,6 +74,12 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 		tracing  = flag.String("trace", "", "write a Chrome-trace file of the run's spans here")
 		debug    = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060)")
+
+		kmin      = flag.Int("kmin", 1, "multik: smallest candidate k")
+		kmax      = flag.Int("kmax", 16, "multik: largest candidate k")
+		kstep     = flag.Int("kstep", 1, "multik: candidate step")
+		iters     = flag.Int("iters", 10, "multik: k-means iterations")
+		criterion = flag.String("criterion", "elbow", "multik: k-selection criterion: elbow, jump, silhouette, bic")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -80,6 +94,9 @@ func main() {
 		gmeansmr.WithNodes(*nodes),
 		gmeansmr.WithSeed(*seed),
 		gmeansmr.WithSplitSize(*split),
+		gmeansmr.WithKRange(*kmin, *kmax, *kstep),
+		gmeansmr.WithMultiKIterations(*iters),
+		gmeansmr.WithCriterion(gmeansmr.Criterion(*criterion)),
 	}
 	if *fallback {
 		opts = append(opts, gmeansmr.WithBackendFallback())
@@ -172,6 +189,18 @@ func main() {
 	printCounter("distances", gmeansmr.CounterDistances)
 	printCounter("AD tests", gmeansmr.CounterADTests)
 	printCounter("shuffle bytes", gmeansmr.CounterShuffleBytes)
+
+	if res.WCSSByK != nil {
+		ks := make([]int, 0, len(res.WCSSByK))
+		for k := range res.WCSSByK {
+			ks = append(ks, k)
+		}
+		sort.Ints(ks)
+		fmt.Printf("\nk selected by the %s criterion from:\n%-6s %-14s\n", *criterion, "k", "WCSS")
+		for _, k := range ks {
+			fmt.Printf("%-6d %-14.3f\n", k, res.WCSSByK[k])
+		}
+	}
 
 	if *centers != "" {
 		f, err := os.Create(*centers)

@@ -24,7 +24,7 @@ func newTaskCtx(heap int64) *mr.TaskContext {
 }
 
 func wp(coords ...float64) mr.Value {
-	return mr.NewWeightedPointValue(vec.Vector(coords))
+	return mr.OwnWeightedPointValue(vec.Vector(coords))
 }
 
 func TestKFNCReducerMergesBelowOffset(t *testing.T) {

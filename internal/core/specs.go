@@ -12,9 +12,9 @@ import (
 // This file registers the G-means jobs with the distributed backend: each
 // job constructor encodes an mr.JobSpec and builds its factories from the
 // spec's payload through the builders below — the same builders a worker
-// process runs. Both the driver and the worker binary (cmd/mrworker) link
-// this package, so the kind names resolve on both sides. Payloads use the
-// GMWR encoding of docs/wire.md.
+// process runs. The worker is a re-execution of the master's binary, so
+// the kind names resolve on both sides. Payloads use the GMWR encoding of
+// docs/wire.md.
 
 // Job kind names registered by this package.
 const (

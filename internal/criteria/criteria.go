@@ -1,9 +1,9 @@
-// Package criteria implements the cluster-count selection criteria the
-// paper surveys in its related work (§2): the elbow method (variance
-// explained / F-test), average silhouette, Dunn's index, the gap statistic,
-// the jump method, and BIC/AIC. These are what a multi-k-means pipeline
-// applies after computing centers for every candidate k ("multi-k-means
-// requires at least one additional job to find the correct value of k").
+// Package criteria implements the cluster-count selection criteria, from
+// those the paper surveys in its related work (§2), that this repository
+// selects k with: the elbow method, average silhouette, the jump method,
+// and BIC/AIC. These are what a multi-k-means pipeline applies after
+// computing centers for every candidate k ("multi-k-means requires at
+// least one additional job to find the correct value of k").
 package criteria
 
 import (
@@ -32,30 +32,6 @@ type Clustering struct {
 // FromResult adapts a lloyd.Result into a Clustering.
 func FromResult(r *lloyd.Result) Clustering {
 	return Clustering{K: len(r.Centers), Centers: r.Centers, Assignment: r.Assignment, WCSS: r.WCSS}
-}
-
-// TotalSS returns the total sum of squares of the dataset around its global
-// centroid — the denominator of the variance-explained ratio.
-func TotalSS(points []vec.Vector) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	mean := vec.Mean(points)
-	var s float64
-	for _, p := range points {
-		s += vec.Dist2(p, mean)
-	}
-	return s
-}
-
-// VarianceExplained returns the between-group share of variance,
-// 1 − WCSS/TSS, the quantity the elbow method plots against k.
-func VarianceExplained(points []vec.Vector, c Clustering) float64 {
-	tss := TotalSS(points)
-	if tss == 0 {
-		return 1
-	}
-	return 1 - c.WCSS/tss
 }
 
 // ElbowK picks k by the elbow criterion, using the drop-ratio form: the k
@@ -165,129 +141,6 @@ func SilhouetteK(points []vec.Vector, cs []Clustering, sampleSize int, seed int6
 	return bestK, nil
 }
 
-// Dunn returns Dunn's index: minimum inter-cluster center distance divided
-// by maximum cluster diameter (computed against centers for tractability —
-// the "centroid diameter" variant). Higher is better.
-func Dunn(points []vec.Vector, c Clustering) float64 {
-	if c.K < 2 {
-		return 0
-	}
-	minInter := math.Inf(1)
-	for i := 0; i < c.K; i++ {
-		for j := i + 1; j < c.K; j++ {
-			if d := vec.Dist(c.Centers[i], c.Centers[j]); d < minInter {
-				minInter = d
-			}
-		}
-	}
-	maxDiam := 0.0
-	radius := make([]float64, c.K)
-	for i, p := range points {
-		a := c.Assignment[i]
-		if d := vec.Dist(p, c.Centers[a]); d > radius[a] {
-			radius[a] = d
-		}
-	}
-	for _, r := range radius {
-		if 2*r > maxDiam {
-			maxDiam = 2 * r
-		}
-	}
-	if maxDiam == 0 {
-		return 0
-	}
-	return minInter / maxDiam
-}
-
-// DunnK picks the candidate with the highest Dunn index.
-func DunnK(points []vec.Vector, cs []Clustering) (int, error) {
-	if len(cs) < 2 {
-		return 0, ErrNeedTwoK
-	}
-	bestK, best := 0, math.Inf(-1)
-	for _, c := range cs {
-		if d := Dunn(points, c); d > best {
-			best, bestK = d, c.K
-		}
-	}
-	return bestK, nil
-}
-
-// GapResult reports the gap statistic for one k.
-type GapResult struct {
-	K     int
-	Gap   float64
-	SK    float64 // simulation standard error, scaled by sqrt(1+1/B)
-	LogW  float64
-	ELogW float64
-}
-
-// GapStatistic computes Tibshirani's gap statistic for each candidate
-// clustering using B uniform reference datasets drawn over the bounding box
-// of the data. Reference clusterings reuse Lloyd with the same k.
-func GapStatistic(points []vec.Vector, cs []Clustering, b int, seed int64) ([]GapResult, error) {
-	if len(points) == 0 {
-		return nil, errors.New("criteria: gap statistic of empty dataset")
-	}
-	if b <= 0 {
-		b = 10
-	}
-	lo, hi := boundingBox(points)
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]GapResult, 0, len(cs))
-	for _, c := range cs {
-		logW := math.Log(math.Max(c.WCSS, math.SmallestNonzeroFloat64))
-		refLogs := make([]float64, b)
-		for rep := 0; rep < b; rep++ {
-			ref := uniformReference(points, lo, hi, rng)
-			res, err := lloyd.Run(ref, lloyd.Config{K: c.K, MaxIterations: 30, Seeding: lloyd.SeedPlusPlus, Seed: rng.Int63()})
-			if err != nil {
-				return nil, err
-			}
-			refLogs[rep] = math.Log(math.Max(res.WCSS, math.SmallestNonzeroFloat64))
-		}
-		mean := meanOf(refLogs)
-		sd := 0.0
-		for _, v := range refLogs {
-			sd += (v - mean) * (v - mean)
-		}
-		sd = math.Sqrt(sd / float64(b))
-		out = append(out, GapResult{
-			K:     c.K,
-			Gap:   mean - logW,
-			SK:    sd * math.Sqrt(1+1/float64(b)),
-			LogW:  logW,
-			ELogW: mean,
-		})
-	}
-	return out, nil
-}
-
-// GapK applies the standard selection rule: the smallest k with
-// Gap(k) ≥ Gap(k+1) − s_{k+1}. Falls back to the k with the largest gap
-// when the rule never fires.
-func GapK(points []vec.Vector, cs []Clustering, b int, seed int64) (int, error) {
-	if len(cs) < 2 {
-		return 0, ErrNeedTwoK
-	}
-	gaps, err := GapStatistic(points, cs, b, seed)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < len(gaps)-1; i++ {
-		if gaps[i].Gap >= gaps[i+1].Gap-gaps[i+1].SK {
-			return gaps[i].K, nil
-		}
-	}
-	bestK, best := gaps[0].K, math.Inf(-1)
-	for _, g := range gaps {
-		if g.Gap > best {
-			best, bestK = g.Gap, g.K
-		}
-	}
-	return bestK, nil
-}
-
 // JumpK implements Sugar & James' jump method: distortions d_k = WCSS/(n·p)
 // are raised to the power −p/2 (the recommended transformation) and the k
 // with the largest jump d_k^{-p/2} − d_{k-1}^{-p/2} wins. The candidate
@@ -383,36 +236,6 @@ func AIC(points []vec.Vector, c Clustering) float64 {
 	return ll - params
 }
 
-func boundingBox(points []vec.Vector) (lo, hi vec.Vector) {
-	d := len(points[0])
-	lo = vec.Clone(points[0])
-	hi = vec.Clone(points[0])
-	for _, p := range points {
-		for i := 0; i < d; i++ {
-			if p[i] < lo[i] {
-				lo[i] = p[i]
-			}
-			if p[i] > hi[i] {
-				hi[i] = p[i]
-			}
-		}
-	}
-	return lo, hi
-}
-
-func uniformReference(points []vec.Vector, lo, hi vec.Vector, rng *rand.Rand) []vec.Vector {
-	out := make([]vec.Vector, len(points))
-	d := len(lo)
-	for i := range out {
-		p := make(vec.Vector, d)
-		for j := 0; j < d; j++ {
-			p[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
-		}
-		out[i] = p
-	}
-	return out
-}
-
 func sampleIndexes(n, sampleSize int, seed int64) []int {
 	if sampleSize <= 0 || sampleSize >= n {
 		idx := make([]int, n)
@@ -423,12 +246,4 @@ func sampleIndexes(n, sampleSize int, seed int64) []int {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	return rng.Perm(n)[:sampleSize]
-}
-
-func meanOf(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -1,7 +1,6 @@
 package criteria
 
 import (
-	"math"
 	"testing"
 
 	"gmeansmr/internal/dataset"
@@ -30,37 +29,6 @@ func trueKData(t *testing.T, k int, seed int64) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-func TestTotalSS(t *testing.T) {
-	pts := []vec.Vector{{0}, {2}, {4}}
-	// Mean 2; SS = 4 + 0 + 4 = 8.
-	if got := TotalSS(pts); got != 8 {
-		t.Errorf("TotalSS = %v, want 8", got)
-	}
-	if got := TotalSS(nil); got != 0 {
-		t.Errorf("TotalSS(nil) = %v", got)
-	}
-}
-
-func TestVarianceExplainedBounds(t *testing.T) {
-	ds := trueKData(t, 3, 1)
-	cs := clusteringsFor(t, ds.Points, 5)
-	prev := -1.0
-	for _, c := range cs {
-		ve := VarianceExplained(ds.Points, c)
-		if ve < 0 || ve > 1 {
-			t.Errorf("k=%d: variance explained %v out of [0,1]", c.K, ve)
-		}
-		if ve < prev-0.05 {
-			t.Errorf("variance explained dropped sharply at k=%d: %v -> %v", c.K, prev, ve)
-		}
-		prev = ve
-	}
-	// With 3 well-separated clusters, k=3 must explain almost everything.
-	if ve := VarianceExplained(ds.Points, cs[2]); ve < 0.95 {
-		t.Errorf("k=3 explains only %v", ve)
-	}
 }
 
 func TestElbowFindsTrueK(t *testing.T) {
@@ -126,56 +94,6 @@ func TestSilhouetteGoodBeatsBad(t *testing.T) {
 	}
 }
 
-func TestDunnFindsTrueK(t *testing.T) {
-	ds := trueKData(t, 3, 6)
-	cs := clusteringsFor(t, ds.Points, 5)
-	k, err := DunnK(ds.Points, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 3 {
-		t.Errorf("DunnK = %d, want 3", k)
-	}
-}
-
-func TestDunnDegenerate(t *testing.T) {
-	if got := Dunn(nil, Clustering{K: 1}); got != 0 {
-		t.Errorf("Dunn(k=1) = %v", got)
-	}
-}
-
-func TestGapFindsTrueK(t *testing.T) {
-	ds := trueKData(t, 3, 7)
-	cs := clusteringsFor(t, ds.Points, 5)
-	k, err := GapK(ds.Points, cs, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 3 {
-		t.Errorf("GapK = %d, want 3", k)
-	}
-}
-
-func TestGapStatisticShape(t *testing.T) {
-	ds := trueKData(t, 3, 8)
-	cs := clusteringsFor(t, ds.Points, 4)
-	gaps, err := GapStatistic(ds.Points, cs, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gaps) != 4 {
-		t.Fatalf("gaps = %d", len(gaps))
-	}
-	for _, g := range gaps {
-		if g.SK < 0 {
-			t.Errorf("negative gap SE at k=%d", g.K)
-		}
-		if math.IsNaN(g.Gap) {
-			t.Errorf("NaN gap at k=%d", g.K)
-		}
-	}
-}
-
 func TestJumpFindsTrueK(t *testing.T) {
 	ds := trueKData(t, 4, 9)
 	cs := clusteringsFor(t, ds.Points, 7)
@@ -227,12 +145,6 @@ func TestSelectorsNeedTwo(t *testing.T) {
 	pts := []vec.Vector{{0}, {1}}
 	if _, err := SilhouetteK(pts, one, 0, 1); err == nil {
 		t.Error("SilhouetteK accepted one candidate")
-	}
-	if _, err := DunnK(pts, one); err == nil {
-		t.Error("DunnK accepted one candidate")
-	}
-	if _, err := GapK(pts, one, 2, 1); err == nil {
-		t.Error("GapK accepted one candidate")
 	}
 	if _, err := JumpK(pts, one); err == nil {
 		t.Error("JumpK accepted one candidate")

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 
@@ -321,52 +320,13 @@ func (d *Dataset) WriteToDFS(fs *dfs.FS, path string) {
 	w.Close()
 }
 
-// WriteToDFSBinary stores the dataset's points in the binary point-record
-// format (dfs binary.go): a dim-carrying header followed by fixed-stride
-// little-endian float64 frames. Coordinates round-trip bit-exactly and
-// cold scans skip text parsing entirely; the text format written by
-// WriteToDFS remains the default interchange encoding.
-func (d *Dataset) WriteToDFSBinary(fs *dfs.FS, path string) {
-	fs.Create(path, EncodePointsBinary(d.Points, d.Spec.Dim))
-}
-
-// EncodePointsBinary renders points as one binary point file: header plus
-// one frame per point. Every point must have exactly dim coordinates; a
-// ragged point panics rather than silently encoding a misaligned body
-// that would decode without error into different points (the text path
-// preserves per-record arity, so its dim checks catch the same mistake
-// downstream — the binary frame layout cannot).
-func EncodePointsBinary(points []vec.Vector, dim int) []byte {
-	buf := dfs.BinaryHeader(dim)
-	buf = slices.Grow(buf, len(points)*dim*8)
-	for i, p := range points {
-		if len(p) != dim {
-			panic(fmt.Sprintf("dataset: EncodePointsBinary point %d has %d coordinates, want %d", i, len(p), dim))
-		}
-		buf = dfs.AppendBinaryPoint(buf, p)
-	}
-	return buf
-}
-
-// LoadPoints reads every point of a DFS point file — text or binary,
-// sniffed from the file's magic — into memory. Intended for tests,
-// examples and sequential baselines — the MapReduce jobs stream splits
-// instead.
+// LoadPoints reads every point of a DFS point file into memory. Intended
+// for tests, examples and sequential baselines — the MapReduce jobs
+// stream splits instead.
 func LoadPoints(fs *dfs.FS, path string) ([]vec.Vector, error) {
 	data, err := fs.ReadAll(path)
 	if err != nil {
 		return nil, err
-	}
-	if dfs.IsBinary(data) {
-		dim, flat, err := dfs.DecodeBinaryPoints(data)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", path, err)
-		}
-		pts := make([]vec.Vector, len(flat)/dim)
-		for i := range pts {
-			pts[i] = vec.Vector(flat[i*dim : (i+1)*dim : (i+1)*dim])
-		}
-		return pts, nil
 	}
 	lines := dfs.SplitLines(data)
 	pts := make([]vec.Vector, 0, len(lines))

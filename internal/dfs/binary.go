@@ -7,11 +7,10 @@ package dfs
 // charges for. This file defines the repository's binary alternative: a
 // fixed-size header carrying the dimensionality followed by fixed-stride
 // frames of little-endian IEEE 754 float64 coordinates, one frame per
-// point. Cold scans of a binary file skip strconv.ParseFloat entirely and
-// decode at memory bandwidth, while the paper's I/O accounting (dataset
-// reads, bytes scanned) is charged exactly as for text: every scan of a
-// split accounts the split's bytes, and the per-split byte shares sum to
-// the file size.
+// point. It is the on-disk and serving format: generated datasets, files
+// opened with gmeansmr.FromFile and /v1/assign/batch bodies. The DFS itself
+// stores text only — a binary body there is rejected by OpenSplit and
+// OpenSplitPoints with ErrBinaryFile.
 //
 // Layout:
 //
@@ -20,11 +19,6 @@ package dfs
 //	offset 6:  reserved uint16 LE (zero)
 //	offset 8:  dim      uint32 LE
 //	offset 12: frames, each dim × 8 bytes of little-endian float64
-//
-// Split ownership mirrors the text rules in spirit: frame i begins at byte
-// BinaryHeaderLen + i*stride, and a split [Start, End) owns exactly the
-// frames whose first byte lies in that window — each frame has one owner
-// for any split layout, including layouts narrower than one frame.
 
 import (
 	"encoding/binary"
@@ -46,7 +40,7 @@ const BinaryHeaderLen = 12
 const maxBinaryDim = 1 << 20
 
 // IsBinary reports whether data begins with the binary point-file magic.
-// Text scans must not be pointed at such files (see OpenSplit).
+// Split scans reject such files (see ErrBinaryFile).
 func IsBinary(data []byte) bool {
 	return len(data) >= len(BinaryMagic) && string(data[:len(BinaryMagic)]) == BinaryMagic
 }
@@ -117,8 +111,7 @@ func binaryDim(data []byte) (int, error) {
 
 // DecodeBinaryPoints decodes a whole binary point file into its declared
 // dimensionality and a flat coordinate array (Len = len(flat)/dim points).
-// Used by whole-file readers such as dataset.LoadPoints; split scans go
-// through OpenSplitPoints instead.
+// Used by whole-file readers of point files outside the DFS.
 func DecodeBinaryPoints(data []byte) (dim int, flat []float64, err error) {
 	if !IsBinary(data) {
 		return 0, nil, fmt.Errorf("dfs: not a binary point file")
@@ -133,70 +126,4 @@ func DecodeBinaryPoints(data []byte) (dim int, flat []float64, err error) {
 		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
 	}
 	return dim, flat, nil
-}
-
-// decodeBinarySplit decodes the frames owned by one split of a binary
-// file. Ownership: a split owns every frame whose first byte lies in
-// [Start, End). Byte accounting charges the split its owned frames plus
-// its overlap with the header window, so the shares of a full split set
-// sum to the file size — the same conservation the text path provides.
-func decodeBinarySplit(data []byte, sp Split, dim int) (*PointSplit, error) {
-	fileDim, err := binaryDim(data)
-	if err != nil {
-		return nil, fmt.Errorf("dfs: %s split %d: %w", sp.Path, sp.Index, err)
-	}
-	if fileDim != dim {
-		return nil, fmt.Errorf("dfs: %s split %d: file holds %d-dimensional points, caller asked for %d",
-			sp.Path, sp.Index, fileDim, dim)
-	}
-	stride := int64(8 * dim)
-	// Clamp the window to the data: stale descriptors may outlive a shrink,
-	// exactly as in the text path. A window that inverts after clamping
-	// owns nothing.
-	start, end := sp.Start, sp.End
-	if start < 0 {
-		start = 0
-	}
-	if limit := int64(len(data)); end > limit {
-		end = limit
-	}
-	if start >= end {
-		return &PointSplit{flat: []float64{}, dim: dim}, nil
-	}
-	var logical int64
-	if start < BinaryHeaderLen && end > 0 {
-		// Header share: the overlap of this split with the header window.
-		hEnd := end
-		if hEnd > BinaryHeaderLen {
-			hEnd = BinaryHeaderLen
-		}
-		logical += hEnd - start
-	}
-	// First frame beginning at or after start.
-	first := int64(0)
-	if start > BinaryHeaderLen {
-		first = (start - BinaryHeaderLen + stride - 1) / stride
-	}
-	// Frames strictly beginning before end.
-	afterEnd := int64(0)
-	if end > BinaryHeaderLen {
-		afterEnd = (end - BinaryHeaderLen + stride - 1) / stride
-	}
-	total := (int64(len(data)) - BinaryHeaderLen) / stride
-	if afterEnd > total {
-		afterEnd = total
-	}
-	if first >= afterEnd {
-		return &PointSplit{flat: []float64{}, dim: dim, bytes: logical}, nil
-	}
-	n := afterEnd - first
-	flat := make([]float64, n*int64(dim))
-	body := data[BinaryHeaderLen+first*stride:]
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
-	}
-	logical += n * stride
-	// Keep the frame window so a later Columns() call can fill the
-	// dim-major view straight from the file bytes (see columnar.go).
-	return &PointSplit{flat: flat, dim: dim, bytes: logical, raw: body[:n*stride]}, nil
 }

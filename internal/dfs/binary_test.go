@@ -1,11 +1,13 @@
 package dfs
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // binaryFile encodes n random points of dim coordinates and returns the
@@ -46,110 +48,24 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinarySplitsDeliverEveryPointOnce is the binary analogue of the text
-// path's core invariant: for any split size, scanning via splits yields
-// every point exactly once, in file order.
-func TestBinarySplitsDeliverEveryPointOnce(t *testing.T) {
-	f := func(seed int64, splitRaw uint8, dimRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dim := 1 + int(dimRaw)%6
-		n := rng.Intn(50)
-		data, want := binaryFile(n, dim, seed)
-		fs := New(1 + int(splitRaw)%96)
-		fs.Create("/b", data)
-		splits, err := fs.Splits("/b")
-		if err != nil {
-			return false
-		}
-		var got [][]float64
-		for _, sp := range splits {
-			ps, err := fs.OpenSplitPoints(sp, dim)
-			if err != nil {
-				return false
-			}
-			for i := 0; i < ps.Len(); i++ {
-				got = append(got, ps.At(i))
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			for d := range want[i] {
-				if got[i][d] != want[i][d] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBinarySplitByteAccountingSumsToFileSize pins the I/O model: one full
-// scan of a binary file accounts exactly the file's bytes, on the cold
-// decode and on every cached scan after it.
-func TestBinarySplitByteAccountingSumsToFileSize(t *testing.T) {
-	for _, splitSize := range []int{1, 7, 12, 13, 40, 1 << 20} {
-		data, _ := binaryFile(37, 3, 2)
-		fs := New(splitSize)
-		fs.Create("/b", data)
-		splits, err := fs.Splits("/b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for scan := 0; scan < 3; scan++ {
-			before := fs.BytesRead()
-			for _, sp := range splits {
-				if _, err := fs.OpenSplitPoints(sp, 3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := fs.BytesRead() - before; got != int64(len(data)) {
-				t.Fatalf("splitSize %d scan %d accounted %d bytes, file is %d",
-					splitSize, scan, got, len(data))
-			}
-		}
-	}
-}
-
 func TestBinaryDecodeErrors(t *testing.T) {
 	data, _ := binaryFile(4, 3, 3)
 
-	// Requested dim must match the header.
-	fs := New(0)
-	fs.Create("/b", data)
-	splits, _ := fs.Splits("/b")
-	if _, err := fs.OpenSplitPoints(splits[0], 2); err == nil {
-		t.Error("dim mismatch accepted")
-	}
-
 	// A truncated frame is a corrupt file.
-	fs.Create("/trunc", data[:len(data)-5])
-	splits, _ = fs.Splits("/trunc")
-	if _, err := fs.OpenSplitPoints(splits[0], 3); err == nil {
+	if _, _, err := DecodeBinaryPoints(data[:len(data)-5]); err == nil {
 		t.Error("truncated frame accepted")
 	}
 
 	// An unknown version must be rejected, not misdecoded.
 	bad := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint16(bad[4:], 99)
-	fs.Create("/v99", bad)
-	splits, _ = fs.Splits("/v99")
-	if _, err := fs.OpenSplitPoints(splits[0], 3); err == nil {
+	if _, _, err := DecodeBinaryPoints(bad); err == nil {
 		t.Error("future version accepted")
 	}
 
 	// A zero-dim header is corrupt.
-	zero := BinaryHeader(0)
-	fs.Create("/zero", zero)
-	splits, _ = fs.Splits("/zero")
-	if len(splits) > 0 {
-		if _, err := fs.OpenSplitPoints(splits[0], 3); err == nil {
-			t.Error("zero-dim header accepted")
-		}
+	if _, _, err := DecodeBinaryPoints(BinaryHeader(0)); err == nil {
+		t.Error("zero-dim header accepted")
 	}
 
 	// Whole-file decode of a non-binary file.
@@ -158,64 +74,42 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestOpenSplitRejectsBinary: text record scans over frame bytes are
-// always a bug; the reader must refuse rather than mis-parse.
+// TestOpenSplitRejectsBinary: the DFS stores text only, so record and
+// point scans over frame bytes must fail typed, naming the path, on every
+// split — never mis-parse the frames as lines.
 func TestOpenSplitRejectsBinary(t *testing.T) {
-	data, _ := binaryFile(2, 2, 4)
-	fs := New(0)
+	data, _ := binaryFile(20, 2, 4)
+	fs := New(64)
 	fs.Create("/b", data)
 	splits, _ := fs.Splits("/b")
-	if _, err := fs.OpenSplit(splits[0]); err == nil {
-		t.Fatal("OpenSplit accepted a binary point file")
+	if len(splits) < 2 {
+		t.Fatalf("want several splits, got %d", len(splits))
 	}
-}
-
-// TestBinaryStaleSplitBeyondShrunkenFile mirrors the text-path test: split
-// descriptors held across a shrink must decode to zero points, not panic.
-func TestBinaryStaleSplitBeyondShrunkenFile(t *testing.T) {
-	data, _ := binaryFile(200, 3, 5)
-	fs := New(512)
-	fs.Create("/b", data)
-	stale, err := fs.Splits("/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stale) < 3 {
-		t.Fatalf("want ≥3 splits, got %d", len(stale))
-	}
-	small, _ := binaryFile(1, 3, 5)
-	fs.Create("/b", small)
-	for _, sp := range stale[1:] {
-		ps, err := fs.OpenSplitPoints(sp, 3)
-		if err != nil {
-			t.Fatal(err)
+	for _, sp := range splits {
+		if _, err := fs.OpenSplit(sp); !errors.Is(err, ErrBinaryFile) || !strings.Contains(err.Error(), "/b") {
+			t.Fatalf("OpenSplit split %d: err = %v, want ErrBinaryFile naming /b", sp.Index, err)
 		}
-		if ps.Len() != 0 {
-			t.Errorf("stale split %d decoded %d points from shrunken file", sp.Index, ps.Len())
+		if _, err := fs.OpenSplitPoints(sp, 2); !errors.Is(err, ErrBinaryFile) || !strings.Contains(err.Error(), "/b") {
+			t.Fatalf("OpenSplitPoints split %d: err = %v, want ErrBinaryFile naming /b", sp.Index, err)
 		}
 	}
 }
 
-// TestBinarySpecialValues: the binary format must round-trip bit patterns
-// the text format cannot (NaN payloads aside, text 'g' formatting already
-// round-trips — but ±Inf and NaN never survive a text parse path that
-// validates; at the dfs layer the codec itself must be exact).
+// TestBinarySpecialValues: the codec must round-trip bit patterns the
+// text format cannot (±Inf and NaN never survive a text parse path that
+// validates; the codec itself must be exact).
 func TestBinarySpecialValues(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.MaxFloat64, math.SmallestNonzeroFloat64, 1e-308}
 	data := BinaryHeader(len(vals))
 	data = AppendBinaryPoint(data, vals)
-	fs := New(0)
-	fs.Create("/b", data)
-	splits, _ := fs.Splits("/b")
-	ps, err := fs.OpenSplitPoints(splits[0], len(vals))
+	dim, got, err := DecodeBinaryPoints(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Len() != 1 {
-		t.Fatalf("decoded %d points", ps.Len())
+	if dim != len(vals) || len(got) != len(vals) {
+		t.Fatalf("decoded dim %d, %d coordinates", dim, len(got))
 	}
-	got := ps.At(0)
 	for d, x := range vals {
 		if math.Float64bits(got[d]) != math.Float64bits(x) {
 			t.Errorf("dim %d: bits %x != %x", d, math.Float64bits(got[d]), math.Float64bits(x))
@@ -223,39 +117,35 @@ func TestBinarySpecialValues(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBinarySplit drives the binary split decoder with arbitrary
-// bytes and windows: it must never panic or over-allocate, and whatever it
-// accepts must be internally consistent (Len·Dim coordinates, non-negative
-// byte accounting bounded by the window and header).
-func FuzzDecodeBinarySplit(f *testing.F) {
+// FuzzDecodeBinaryPoints drives the GMPB decoders that take bytes from
+// outside the program — ParseBinaryHeader and DecodeBinaryPoints — with
+// arbitrary input: they must never panic or over-allocate, and whatever
+// DecodeBinaryPoints accepts must re-encode to the identical body bytes.
+func FuzzDecodeBinaryPoints(f *testing.F) {
 	valid, _ := binaryFile(3, 2, 6)
-	f.Add(valid, int64(0), int64(len(valid)), 2)
-	f.Add(valid, int64(5), int64(20), 2)
-	f.Add(valid[:len(valid)-3], int64(0), int64(64), 2)                           // truncated frame
-	f.Add([]byte("GMPBxxxx"), int64(0), int64(8), 1)                              // truncated header
-	f.Add([]byte("GMPB\x01\x00\x00\x00\xff\xff\xff\xff"), int64(0), int64(12), 1) // absurd dim
-	f.Add([]byte("1 2 3\n4 5 6\n"), int64(0), int64(12), 3)                       // text masquerading
-	f.Fuzz(func(t *testing.T, data []byte, start, end int64, dim int) {
-		if dim <= 0 || dim > 64 {
-			return
+	f.Add(valid)
+	f.Add(BinaryHeader(2))                                // header only: zero frames
+	f.Add(valid[:len(valid)-3])                           // truncated frame
+	f.Add([]byte("GMPBxxxx"))                             // truncated header
+	f.Add([]byte("GMPB\x01\x00\x00\x00\xff\xff\xff\xff")) // absurd dim
+	f.Add([]byte("1 2 3\n4 5 6\n"))                       // text masquerading
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdrDim, hdrErr := ParseBinaryHeader(data)
+		if hdrErr == nil && (!IsBinary(data) || hdrDim <= 0 || hdrDim > maxBinaryDim) {
+			t.Fatalf("header accepted with dim %d", hdrDim)
 		}
-		sp := Split{Path: "/fuzz", Index: 0, Start: start, End: end}
-		ps, err := decodeSplit(data, sp, dim)
+		dim, flat, err := DecodeBinaryPoints(data)
 		if err != nil {
 			return
 		}
-		if ps.Dim() != dim {
-			t.Fatalf("decoded dim %d, asked %d", ps.Dim(), dim)
+		if hdrErr != nil || dim != hdrDim {
+			t.Fatalf("whole-file decode accepted dim %d; header decode: dim %d, err %v", dim, hdrDim, hdrErr)
 		}
-		if ps.Bytes() < 0 || ps.Bytes() > int64(len(data)) {
-			t.Fatalf("accounted %d bytes of a %d-byte file", ps.Bytes(), len(data))
+		if len(flat)%dim != 0 {
+			t.Fatalf("decoded %d coordinates of dim %d", len(flat), dim)
 		}
-		if IsBinary(data) {
-			// A binary split can never decode more coordinates than the
-			// file body holds.
-			if int64(ps.Len())*int64(dim)*8 > int64(len(data)) {
-				t.Fatalf("decoded %d points of dim %d from %d bytes", ps.Len(), dim, len(data))
-			}
+		if body := AppendBinaryPoint(nil, flat); !bytes.Equal(body, data[BinaryHeaderLen:]) {
+			t.Fatalf("decoded %d coordinates do not re-encode to the %d-byte body", len(flat), len(data)-BinaryHeaderLen)
 		}
 	})
 }

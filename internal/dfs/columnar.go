@@ -28,11 +28,6 @@ package dfs
 // already-opened split, and the paper's I/O model charged the split's
 // logical bytes when OpenSplitPoints served it.
 
-import (
-	"encoding/binary"
-	"math"
-)
-
 // ColumnarSplit is the dim-major form of one decoded split: coordinate d
 // of point j lives at Flat()[d*Len()+j], so each dimension is one
 // contiguous array across all points. It shares its identity (and its
@@ -66,42 +61,21 @@ func (c *ColumnarSplit) Col(d int) []float64 {
 // without a gather.
 func (c *ColumnarSplit) At(i int) []float64 { return c.ps.At(i) }
 
-// Rows returns the row-major twin of this view.
-func (c *ColumnarSplit) Rows() *PointSplit { return c.ps }
-
 // Columns returns the dim-major view of the split, materializing it on
-// first call and serving the cached transpose afterwards. For splits
-// decoded from a binary point file the columns fill directly from the
-// file's frame bytes; text-decoded splits transpose the row-major array.
-// Either way the coordinate values are the identical float64 bits the row
-// view holds. Safe for concurrent use.
+// first call and serving the cached transpose afterwards. The coordinate
+// values are the identical float64 bits the row view holds. Safe for
+// concurrent use.
 func (p *PointSplit) Columns() *ColumnarSplit {
 	p.colOnce.Do(func() {
 		n, dim := p.Len(), p.dim
 		cs := &ColumnarSplit{ps: p, flat: make([]float64, n*dim)}
-		if p.raw != nil {
-			fillColumnsFromBinary(cs.flat, p.raw, n, dim)
-		} else {
-			for j := 0; j < n; j++ {
-				row := p.flat[j*dim : (j+1)*dim]
-				for d, v := range row {
-					cs.flat[d*n+j] = v
-				}
+		for j := 0; j < n; j++ {
+			row := p.flat[j*dim : (j+1)*dim]
+			for d, v := range row {
+				cs.flat[d*n+j] = v
 			}
 		}
 		p.col = cs
 	})
 	return p.col
-}
-
-// fillColumnsFromBinary decodes the fixed-stride frames of a binary split
-// window straight into dim-major order, skipping the row-major
-// intermediate. raw holds exactly n frames of dim little-endian float64s.
-func fillColumnsFromBinary(dst []float64, raw []byte, n, dim int) {
-	for j := 0; j < n; j++ {
-		frame := raw[j*8*dim:]
-		for d := 0; d < dim; d++ {
-			dst[d*n+j] = math.Float64frombits(binary.LittleEndian.Uint64(frame[d*8:]))
-		}
-	}
 }

@@ -1,10 +1,10 @@
 // Package dfs simulates the distributed file system underneath the
 // MapReduce engine: files divided into fixed-size splits, exactly like
-// HDFS blocks feeding Hadoop input formats. Point datasets come in two
-// record formats — newline-delimited text (TextInputFormat shape) and the
-// GMPB binary frame format of binary.go, specified in docs/formats.md —
-// both served through the same decoded point cache (pointcache.go) and
-// its columnar views (columnar.go).
+// HDFS blocks feeding Hadoop input formats. Point datasets have one record
+// format — newline-delimited text (TextInputFormat shape) — served through
+// the decoded point cache (pointcache.go) and its columnar views
+// (columnar.go). The GMPB binary frame codec of binary.go, specified in
+// docs/formats.md, is for files outside the DFS; split scans reject it.
 //
 // The paper's cost model counts "dataset reads" as the dominant I/O cost of
 // chained MapReduce jobs (G-means pays O(log2 k) reads, multi-k-means one
@@ -21,12 +21,10 @@
 //
 // Split ownership. A split [Start, End) owns the records that begin at or
 // after Start (skipping a partial leading record unless Start is 0) and
-// reads through the record straddling End; a binary split owns the frames
-// whose first byte lies in its window. Every record has exactly one owner
-// under any layout. One implementation per format enforces the rules —
-// recordIter behind both RecordReader and the cache's text decode,
-// decodeBinarySplit behind the binary decode — so scan paths cannot
-// diverge on ownership.
+// reads through the record straddling End. Every record has exactly one
+// owner under any layout. One implementation enforces the rules —
+// recordIter, behind both RecordReader and the cache's decode — so scan
+// paths cannot diverge on ownership.
 //
 // Snapshot reads. OpenSplit, OpenSplitPoints and Columns hand out
 // immutable views: a reader holding one across a concurrent overwrite,
@@ -47,8 +45,8 @@
 // Delete of the path drop them with the bytes, SetSplitSize keeps them,
 // since they do not depend on the split layout.
 //
-// Accounting conservation. Every scan of a split — text or binary, cold
-// or cached, row-major or columnar — accounts the split's full logical
+// Accounting conservation. Every scan of a split — cold or cached,
+// row-major or columnar — accounts the split's full logical
 // bytes, and per-split shares always sum to the file size; jobs tick one
 // dataset read per non-empty input scan. Caching removes parse CPU only;
 // the paper's I/O model never notices it.
@@ -59,9 +57,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -73,6 +68,11 @@ const DefaultSplitSize = 64 << 20
 
 // ErrNotFound is returned when a path does not exist in the file system.
 var ErrNotFound = errors.New("dfs: file not found")
+
+// ErrBinaryFile is returned when a split scan meets a file whose body is
+// a binary point file (see binary.go): the DFS stores points as text only,
+// and parsing frame bytes as lines is always a bug.
+var ErrBinaryFile = errors.New("dfs: binary point file has no text records")
 
 // FS is an in-memory simulated distributed file system.
 //
@@ -247,14 +247,6 @@ func (fs *FS) Delete(path string) {
 	fs.invalidatePoints(path)
 }
 
-// Exists reports whether path is present.
-func (fs *FS) Exists(path string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
 // Size returns the length in bytes of the file at path.
 func (fs *FS) Size(path string) (int64, error) {
 	fs.mu.RLock()
@@ -264,18 +256,6 @@ func (fs *FS) Size(path string) (int64, error) {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	return int64(len(f.data)), nil
-}
-
-// List returns the sorted paths currently stored.
-func (fs *FS) List() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ReadAll returns a copy of the file contents and accounts one dataset read.
@@ -336,9 +316,7 @@ func (fs *FS) Splits(path string) ([]Split, error) {
 func (fs *FS) CountDatasetRead() { fs.datasetReads.Add(1) }
 
 // OpenSplit returns a RecordReader over the records of the given split.
-// Binary point files (see binary.go) have no text records; scanning one as
-// text is always a bug, so it is rejected here rather than letting the
-// caller mis-parse frame bytes as lines.
+// A binary point file is rejected with ErrBinaryFile.
 func (fs *FS) OpenSplit(sp Split) (*RecordReader, error) {
 	fs.mu.RLock()
 	f, ok := fs.files[sp.Path]
@@ -347,7 +325,7 @@ func (fs *FS) OpenSplit(sp Split) (*RecordReader, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, sp.Path)
 	}
 	if IsBinary(f.data) {
-		return nil, fmt.Errorf("dfs: %s is a binary point file; open it with OpenSplitPoints", sp.Path)
+		return nil, fmt.Errorf("%w: %s", ErrBinaryFile, sp.Path)
 	}
 	return newRecordReader(fs, f.data, sp), nil
 }
@@ -473,32 +451,10 @@ func (r *RecordReader) flush() {
 	}
 }
 
-// WriteLines joins lines with '\n' and stores them at path. A trailing
-// newline terminates the file when any lines are present.
-func (fs *FS) WriteLines(path string, lines []string) {
-	var buf bytes.Buffer
-	for _, ln := range lines {
-		buf.WriteString(ln)
-		buf.WriteByte('\n')
-	}
-	fs.Create(path, buf.Bytes())
-}
-
-// ReadLines returns all records of the file at path in order. It accounts
-// one dataset read.
-func (fs *FS) ReadLines(path string) ([]string, error) {
-	data, err := fs.ReadAll(path)
-	if err != nil {
-		return nil, err
-	}
-	return SplitLines(data), nil
-}
-
 // SplitLines splits file contents into records, tolerating records of up
 // to 64 MiB (the bufio.Scanner default of 64 KiB is too small for very
-// wide points). Shared by ReadLines and whole-file text readers layered
-// on ReadAll (e.g. dataset.LoadPoints), so record splitting cannot
-// diverge between them.
+// wide points). Used by whole-file text readers layered on ReadAll, such
+// as dataset.LoadPoints.
 func SplitLines(data []byte) []string {
 	var out []string
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -507,30 +463,4 @@ func SplitLines(data []byte) []string {
 		out = append(out, sc.Text())
 	}
 	return out
-}
-
-// ImportLocal loads an operating-system file into the simulated FS. It is
-// used by the CLI tools so datasets generated with cmd/datagen can be fed
-// to the engine.
-func (fs *FS) ImportLocal(osPath, dfsPath string) error {
-	f, err := os.Open(osPath)
-	if err != nil {
-		return fmt.Errorf("dfs: import %s: %w", osPath, err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return fmt.Errorf("dfs: import %s: %w", osPath, err)
-	}
-	fs.Create(dfsPath, data)
-	return nil
-}
-
-// ExportLocal writes a simulated file out to the operating system.
-func (fs *FS) ExportLocal(dfsPath, osPath string) error {
-	data, err := fs.ReadAll(dfsPath)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(osPath, data, 0o644)
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,19 +48,16 @@ func TestNotFound(t *testing.T) {
 	}
 }
 
-func TestExistsDeleteList(t *testing.T) {
+func TestDelete(t *testing.T) {
 	fs := New(0)
 	fs.Create("/b", []byte("x"))
 	fs.Create("/a", []byte("y"))
-	if !fs.Exists("/a") || !fs.Exists("/b") {
-		t.Fatal("files should exist")
-	}
-	if got := fs.List(); len(got) != 2 || got[0] != "/a" || got[1] != "/b" {
-		t.Errorf("List = %v", got)
-	}
 	fs.Delete("/a")
-	if fs.Exists("/a") {
-		t.Error("deleted file still exists")
+	if _, err := fs.Size("/a"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("deleted file: Size err = %v, want ErrNotFound", err)
+	}
+	if n, err := fs.Size("/b"); err != nil || n != 1 {
+		t.Errorf("surviving file: Size = %d, %v", n, err)
 	}
 	fs.Delete("/a") // idempotent
 }
@@ -72,15 +67,15 @@ func TestWriterCommitsOnClose(t *testing.T) {
 	w := fs.Writer("/w")
 	fmt.Fprintf(w, "line %d\n", 1)
 	w.WriteString("line 2\n")
-	if fs.Exists("/w") {
+	if _, err := fs.Size("/w"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("file should not exist before Close")
 	}
 	w.Close()
-	lines, err := fs.ReadLines("/w")
+	data, err := fs.ReadAll("/w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 2 || lines[0] != "line 1" || lines[1] != "line 2" {
+	if lines := SplitLines(data); len(lines) != 2 || lines[0] != "line 1" || lines[1] != "line 2" {
 		t.Errorf("lines = %v", lines)
 	}
 }
@@ -153,7 +148,7 @@ func TestSplitRecordAlignment(t *testing.T) {
 	// exactly once.
 	lines := []string{"a", "bb", "ccc", "dddd", "eeeee", "ffffff", "g", "hh"}
 	fs := New(7)
-	fs.WriteLines("/f", lines)
+	fs.Create("/f", []byte(strings.Join(lines, "\n")+"\n"))
 	got := readViaSplits(t, fs, "/f")
 	if len(got) != len(lines) {
 		t.Fatalf("got %d records, want %d: %v", len(got), len(lines), got)
@@ -192,41 +187,8 @@ func TestCounters(t *testing.T) {
 	if fs.BytesRead() != 0 || fs.BytesWritten() != 0 || fs.DatasetReads() != 0 {
 		t.Error("ResetCounters left non-zero counters")
 	}
-	if !fs.Exists("/f") {
+	if n, err := fs.Size("/f"); err != nil || n != 6 {
 		t.Error("ResetCounters should not touch files")
-	}
-}
-
-func TestImportExportLocal(t *testing.T) {
-	dir := t.TempDir()
-	local := filepath.Join(dir, "in.txt")
-	if err := os.WriteFile(local, []byte("1 2\n3 4\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs := New(0)
-	if err := fs.ImportLocal(local, "/data"); err != nil {
-		t.Fatal(err)
-	}
-	lines, err := fs.ReadLines("/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("lines = %v", lines)
-	}
-	out := filepath.Join(dir, "out.txt")
-	if err := fs.ExportLocal("/data", out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "1 2\n3 4\n" {
-		t.Errorf("exported = %q", data)
-	}
-	if err := fs.ImportLocal(filepath.Join(dir, "nope"), "/x"); err == nil {
-		t.Error("expected error importing missing file")
 	}
 }
 
@@ -253,7 +215,11 @@ func TestPropSplitsDeliverEveryRecordOnce(t *testing.T) {
 			lines[i] = strings.Repeat(string(rune('a'+i%26)), 1+r.Intn(12))
 		}
 		fs := New(splitSize)
-		fs.WriteLines("/f", lines)
+		var buf strings.Builder
+		for _, ln := range lines {
+			buf.WriteString(ln + "\n")
+		}
+		fs.Create("/f", []byte(buf.String()))
 		splits, err := fs.Splits("/f")
 		if err != nil {
 			return false

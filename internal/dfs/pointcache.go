@@ -49,11 +49,6 @@ type PointSplit struct {
 	dim   int
 	bytes int64
 
-	// raw is the split's binary frame window when the split was decoded
-	// from a binary point file (nil for text); Columns fills the dim-major
-	// view straight from it instead of transposing flat.
-	raw []byte
-
 	colOnce sync.Once
 	col     *ColumnarSplit
 }
@@ -71,11 +66,10 @@ func (p *PointSplit) At(i int) []float64 {
 	return p.flat[i*p.dim : (i+1)*p.dim : (i+1)*p.dim]
 }
 
-// Bytes returns the logical byte size of the split's records: for text
-// files, the bytes a RecordReader pass over the same split accounts; for
-// binary files, the split's owned frames plus its share of the header.
-// Either way the shares of a full split set sum to the file size, so every
-// scan pays the paper's full I/O cost.
+// Bytes returns the logical byte size of the split's records: the bytes a
+// RecordReader pass over the same split accounts. The shares of a full
+// split set sum to the file size, so every scan pays the paper's full I/O
+// cost.
 func (p *PointSplit) Bytes() int64 { return p.bytes }
 
 // filePoints is the decoded cache entry for one file: a snapshot of the
@@ -104,11 +98,11 @@ func (fp *filePoints) valid(dim, splitSize int, data []byte) bool {
 }
 
 // OpenSplitPoints returns the decoded points of the given split, decoding
-// on first access and serving the cached decode on every later scan. Both
-// record formats are supported: text records are parsed through the shared
-// tokenizer, binary files (see binary.go) decode their fixed-stride frames
-// directly. Each call accounts the split's logical bytes as read, so
-// BytesRead advances per scan exactly as a full pass over the file does;
+// on first access and serving the cached decode on every later scan. Text
+// records are parsed through the shared tokenizer; a binary point file
+// (see binary.go) is rejected with ErrBinaryFile. Each call accounts the
+// split's logical bytes as read, so BytesRead advances per scan exactly as
+// a full pass over the file does;
 // dataset-read accounting is unchanged (jobs tick it once per input scan).
 // Every record must hold exactly dim coordinates.
 //
@@ -197,16 +191,15 @@ func (fp *filePoints) decode(sp Split) (*PointSplit, error) {
 	return decodeSplit(fp.data, sp, fp.dim)
 }
 
-// decodeSplit parses the records of one split into a flat point array,
-// dispatching on the file's format: binary frames decode at memory
-// bandwidth (decodeBinarySplit), text records go through the shared
-// tokenizer. The text walk uses the same recordIter that backs
-// RecordReader, so record ownership is rule-for-rule identical to a text
-// scan, and it counts the same consumed bytes per record that RecordReader
-// accounts.
+// decodeSplit parses the text records of one split into a flat point
+// array through the shared tokenizer. The walk uses the same recordIter
+// that backs RecordReader, so record ownership is rule-for-rule identical
+// to a text scan, and it counts the same consumed bytes per record that
+// RecordReader accounts. A binary body (a replica pushed from outside the
+// process can hold anything) is rejected rather than parsed as lines.
 func decodeSplit(data []byte, sp Split, dim int) (*PointSplit, error) {
 	if IsBinary(data) {
-		return decodeBinarySplit(data, sp, dim)
+		return nil, fmt.Errorf("%w: %s", ErrBinaryFile, sp.Path)
 	}
 	// Pre-size for the common case of ~15 bytes per coordinate; a split
 	// narrower than one record may own no records at all.

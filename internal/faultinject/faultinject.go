@@ -9,7 +9,7 @@
 // Transport and Middleware return their argument unchanged, so production
 // paths carry no wrapper at all. Scenarios serialize to JSON and travel
 // to worker subprocesses through the MRDIST_FAULT_SCENARIO environment
-// variable, which RunWorker consults before serving.
+// variable, which the worker consults before serving.
 //
 // Determinism: probabilistic rules draw from a rand.Rand seeded with
 // Scenario.Seed, and rule bookkeeping (Skip/Count) is sequential under a

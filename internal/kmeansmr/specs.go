@@ -12,11 +12,12 @@ import (
 // every job constructor encodes an mr.JobSpec naming a kind registered
 // here and builds its mapper/combiner/reducer factories from that spec's
 // payload through the builders below — the same builders a worker process
-// runs (internal/mrdist ships the spec; cmd/mrworker links this package so
-// the registrations exist on both sides). Payloads use the GMWR encoding
-// of docs/wire.md. Payloads carry only what the mappers and reducers
-// compute with; the environment (FS, cluster, context, trace, backend)
-// never crosses the wire — the worker supplies its own.
+// runs (internal/mrdist ships the spec; the worker re-executes the
+// master's binary, so the registrations exist on both sides). Payloads
+// use the GMWR encoding of docs/wire.md. Payloads carry only what the
+// mappers and reducers compute with; the environment (FS, cluster,
+// context, trace, backend) never crosses the wire — the worker supplies
+// its own.
 
 // Job kind names registered by this package.
 const (

@@ -7,7 +7,6 @@ package lloyd
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"gmeansmr/internal/vec"
@@ -248,19 +247,4 @@ func BestOf(points []vec.Vector, cfg Config, restarts int) (*Result, error) {
 		}
 	}
 	return best, nil
-}
-
-// MaxCenterMovement returns the largest displacement between two center
-// slices of equal length, used by drivers to detect convergence.
-func MaxCenterMovement(a, b []vec.Vector) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	worst := 0.0
-	for i := range a {
-		if d := vec.Dist(a[i], b[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -161,20 +161,6 @@ func TestBestOfImprovesOrEquals(t *testing.T) {
 	}
 }
 
-func TestMaxCenterMovement(t *testing.T) {
-	a := []vec.Vector{{0, 0}, {1, 1}}
-	b := []vec.Vector{{0, 3}, {1, 1}}
-	if got := MaxCenterMovement(a, b); got != 3 {
-		t.Errorf("MaxCenterMovement = %v, want 3", got)
-	}
-	if got := MaxCenterMovement(a, a); got != 0 {
-		t.Errorf("MaxCenterMovement(same) = %v", got)
-	}
-	if got := MaxCenterMovement(a, b[:1]); !math.IsInf(got, 1) {
-		t.Errorf("length mismatch should be +Inf, got %v", got)
-	}
-}
-
 // TestPropWCSSNonIncreasingAcrossIterations: running more Lloyd iterations
 // never increases WCSS — the fundamental monotonicity of the algorithm.
 func TestPropWCSSNonIncreasingAcrossIterations(t *testing.T) {

@@ -79,9 +79,6 @@ func (c *TaskContext) flushCounters() {
 	c.local, c.localTouched = nil, nil
 }
 
-// HeapBudget returns the task's total heap in bytes.
-func (c *TaskContext) HeapBudget() int64 { return c.heapBudget }
-
 // HeapUsed returns the bytes currently reserved by the task.
 func (c *TaskContext) HeapUsed() int64 { return c.heapUsed }
 

@@ -13,7 +13,7 @@ import (
 // folding each task's output, and a sort-shuffled reduce.
 func ExampleJob_Run() {
 	fs := dfs.New(16) // tiny splits: several map tasks even for this input
-	fs.WriteLines("/in", []string{"1 10", "2 20", "1 5", "2 2", "1 1"})
+	fs.Create("/in", []byte("1 10\n2 20\n1 5\n2 2\n1 1\n"))
 
 	sum := mr.ReducerFunc(func(_ *mr.TaskContext, key int64, values []mr.Value, emit mr.Emitter) error {
 		var s int64

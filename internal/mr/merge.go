@@ -1,7 +1,5 @@
 package mr
 
-import "slices"
-
 // Reduce-side merge.
 //
 // Each map task hands the reduce phase one key-sorted run per partition.
@@ -13,8 +11,7 @@ import "slices"
 // record count). MergeRuns produces the identical sequence with a k-way
 // heap merge over the already-sorted runs: O(n log r) comparisons for r
 // runs, and no re-examination of the order that already exists inside each
-// run. ConcatSortRuns keeps the old formulation alive as the measured
-// baseline of BenchmarkReduceMerge and the oracle of the equivalence test.
+// run. The old formulation survives as the oracle of the merge tests.
 
 // runHeap is a binary min-heap of run indices, ordered by each run's
 // current head key with the run index itself as the tie-break. Keeping the
@@ -72,8 +69,9 @@ func (h *runHeap) fix() {
 
 // MergeRuns merges per-task key-sorted runs into one key-sorted sequence,
 // breaking key ties by run index and preserving within-run order — the
-// byte-for-byte order ConcatSortRuns produces. Runs must individually be
-// key-sorted (the map phase guarantees this); empty or nil runs are fine.
+// byte-for-byte order concatenate + stable sort produces. Runs must
+// individually be key-sorted (the map phase guarantees this); empty or nil
+// runs are fine.
 func MergeRuns(runs [][]KV) []KV {
 	total := 0
 	live := 0
@@ -111,17 +109,4 @@ func MergeRuns(runs [][]KV) []KV {
 		h.fix()
 	}
 	return out
-}
-
-// ConcatSortRuns is the historical reduce-side merge: concatenate the runs
-// in task order, then stable-sort by key. Kept as the measured baseline of
-// BenchmarkReduceMerge and as the oracle MergeRuns is equivalence-tested
-// against; the engine itself merges with MergeRuns.
-func ConcatSortRuns(runs [][]KV) []KV {
-	var merged []KV
-	for _, run := range runs {
-		merged = append(merged, run...)
-	}
-	slices.SortStableFunc(merged, byKey)
-	return merged
 }

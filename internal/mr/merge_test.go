@@ -31,6 +31,18 @@ func makeRuns(rng *rand.Rand, r, maxLen, keySpace int) [][]KV {
 	return runs
 }
 
+// concatSortRuns is the historical reduce-side merge: concatenate the runs
+// in task order, then stable-sort by key. It is the oracle MergeRuns is
+// equivalence-tested against.
+func concatSortRuns(runs [][]KV) []KV {
+	var merged []KV
+	for _, run := range runs {
+		merged = append(merged, run...)
+	}
+	slices.SortStableFunc(merged, byKey)
+	return merged
+}
+
 // TestMergeRunsMatchesConcatSort pins the engine's reduce-merge contract:
 // the k-way merge must produce byte-for-byte the sequence of the
 // historical concatenate + stable-sort formulation, for any number of
@@ -40,7 +52,7 @@ func TestMergeRunsMatchesConcatSort(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		r := rng.Intn(9)
 		runs := makeRuns(rng, r, 20, 1+rng.Intn(6))
-		want := ConcatSortRuns(runs)
+		want := concatSortRuns(runs)
 		got := MergeRuns(runs)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: merged %d records, want %d", trial, len(got), len(want))

@@ -57,19 +57,16 @@ func wordCountJob(fs *dfs.FS, input string, combine bool) *Job {
 }
 
 func writeTokens(fs *dfs.FS, path string, tokens []int) {
-	var lines []string
-	var cur []string
+	var buf strings.Builder
 	for i, tok := range tokens {
-		cur = append(cur, strconv.Itoa(tok))
-		if (i+1)%5 == 0 {
-			lines = append(lines, strings.Join(cur, " "))
-			cur = nil
+		buf.WriteString(strconv.Itoa(tok))
+		if (i+1)%5 == 0 || i == len(tokens)-1 {
+			buf.WriteByte('\n')
+		} else {
+			buf.WriteByte(' ')
 		}
 	}
-	if len(cur) > 0 {
-		lines = append(lines, strings.Join(cur, " "))
-	}
-	fs.WriteLines(path, lines)
+	fs.Create(path, []byte(buf.String()))
 }
 
 func countsFromResult(res *Result) map[int64]int64 {
@@ -175,7 +172,7 @@ func TestDatasetReadAccounting(t *testing.T) {
 
 func TestMapperErrorFailsJob(t *testing.T) {
 	fs := dfs.New(0)
-	fs.WriteLines("/in", []string{"not-a-number"})
+	fs.Create("/in", []byte("not-a-number\n"))
 	_, err := wordCountJob(fs, "/in", false).Run()
 	if err == nil {
 		t.Fatal("expected job failure")
@@ -260,7 +257,7 @@ func TestDefaultPartitionerNegativeKeys(t *testing.T) {
 
 func TestMapperSetupCloseLifecycle(t *testing.T) {
 	fs := dfs.New(8) // several splits
-	fs.WriteLines("/in", []string{"1 1", "2 2", "3 3"})
+	fs.Create("/in", []byte("1 1\n2 2\n3 3\n"))
 	var mu = make(chan string, 100)
 	job := &Job{
 		Name:    "lifecycle",
@@ -327,7 +324,7 @@ func (m *lifecycleMapper) Close(ctx *TaskContext, emit Emitter) error {
 
 func TestJobValidation(t *testing.T) {
 	fs := dfs.New(0)
-	fs.WriteLines("/in", []string{"1"})
+	fs.Create("/in", []byte("1\n"))
 	base := wordCountJob(fs, "/in", false)
 
 	bad := *base
@@ -452,7 +449,7 @@ func TestValueByteSizes(t *testing.T) {
 	if (ADDecisionValue{}).ByteSize() != 17 {
 		t.Error("ADDecisionValue size")
 	}
-	if NewWeightedPointValue([]float64{1, 2, 3}).ByteSize() != 40 {
+	if OwnWeightedPointValue([]float64{1, 2, 3}).ByteSize() != 40 {
 		t.Error("WeightedPointValue size")
 	}
 }
@@ -590,7 +587,7 @@ func TestMultipleInputFiles(t *testing.T) {
 
 func TestNegativeKeysRouteAndGroup(t *testing.T) {
 	fs := dfs.New(0)
-	fs.WriteLines("/in", []string{"x"})
+	fs.Create("/in", []byte("x\n"))
 	job := &Job{
 		Name:    "negkeys",
 		FS:      fs,
@@ -659,7 +656,7 @@ func TestOffsetKeysSurviveShuffle(t *testing.T) {
 	// keys shuffling intact.
 	const offset = int64(1) << 62
 	fs := dfs.New(0)
-	fs.WriteLines("/in", []string{"x", "y"})
+	fs.Create("/in", []byte("x\ny\n"))
 	job := &Job{
 		Name:    "offset",
 		FS:      fs,

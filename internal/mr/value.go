@@ -90,12 +90,6 @@ type WeightedPointValue struct {
 	vec.WeightedPoint
 }
 
-// NewWeightedPointValue starts an accumulation from a single point,
-// copying its coordinates.
-func NewWeightedPointValue(p vec.Vector) WeightedPointValue {
-	return WeightedPointValue{vec.NewWeightedPoint(p)}
-}
-
 // OwnWeightedPointValue wraps p without copying; the caller hands over
 // ownership and must not modify p afterwards. Mappers that parse a fresh
 // vector per input record use this to avoid one allocation per emitted

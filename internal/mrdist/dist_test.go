@@ -125,14 +125,14 @@ func (sumReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 // numbersFS writes 0..n-1 one per line and returns the FS plus the
 // expected per-residue sums.
 func numbersFS(n, splitSize int) (*dfs.FS, map[int64]int64) {
-	lines := make([]string, n)
+	var buf strings.Builder
 	want := make(map[int64]int64, sumKeys)
 	for v := 0; v < n; v++ {
-		lines[v] = strconv.Itoa(v)
+		buf.WriteString(strconv.Itoa(v) + "\n")
 		want[int64(v%sumKeys)] += int64(v)
 	}
 	fs := dfs.New(splitSize)
-	fs.WriteLines("/nums.txt", lines)
+	fs.Create("/nums.txt", []byte(buf.String()))
 	return fs, want
 }
 

@@ -61,10 +61,6 @@ var ErrBackendUnavailable = errors.New("mrdist: backend unavailable")
 // current binary as the worker (which must call MaybeWorker early in main)
 // and uses conservative failure-handling defaults.
 type Options struct {
-	// WorkerBinary is the executable spawned per node. Empty selects the
-	// current binary (os.Executable), the usual arrangement: one binary,
-	// MaybeWorker splitting the roles.
-	WorkerBinary string
 	// WorkerEnv returns extra environment entries for worker i. Tests use
 	// it to inject faults (EnvTestSlowMS, faultinject.EnvScenario).
 	WorkerEnv func(i int) []string
@@ -106,11 +102,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.WorkerBinary == "" {
-		if self, err := os.Executable(); err == nil {
-			o.WorkerBinary = self
-		}
-	}
 	if o.LogDir == "" {
 		o.LogDir = os.Getenv("MRDIST_LOG_DIR")
 	}
@@ -297,10 +288,11 @@ func (r *ProcRunner) ensureWorkers(n int) error {
 }
 
 func (r *ProcRunner) spawnWorker(id int) (*workerHandle, error) {
-	if r.opts.WorkerBinary == "" {
-		return nil, fmt.Errorf("no worker binary")
+	self, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("locate worker binary: %w", err)
 	}
-	cmd := exec.Command(r.opts.WorkerBinary)
+	cmd := exec.Command(self)
 	cmd.Env = append(os.Environ(), EnvWorkerMode+"=1")
 	if r.opts.WorkerEnv != nil {
 		cmd.Env = append(cmd.Env, r.opts.WorkerEnv(id)...)

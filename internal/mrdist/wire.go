@@ -1,12 +1,13 @@
 // Package mrdist is the distributed execution backend of the MapReduce
 // engine: a master (ProcRunner) that schedules the tasks of an mr.Job onto
-// worker subprocesses (cmd/mrworker, or any binary that calls MaybeWorker)
-// over HTTP, with input replication, shuffle pull, straggler speculation
-// and bounded retry around worker death. The in-process mr.LocalRunner
-// remains the reference implementation; this backend executes the very
-// same mr.Job.ExecMapTask / ExecReduceTask code on replicas of the same
-// input and merges per-task counters by name, so its results are pinned
-// bit-identical to the local backend (TestProcBackendMatchesLocalExactly).
+// worker subprocesses (re-executions of the master binary, which calls
+// MaybeWorker) over HTTP, with input replication, shuffle pull, straggler
+// speculation and bounded retry around worker death. The in-process
+// mr.LocalRunner remains the reference implementation; this backend
+// executes the very same mr.Job.ExecMapTask / ExecReduceTask code on
+// replicas of the same input and merges per-task counters by name, so its
+// results are pinned bit-identical to the local backend
+// (TestProcBackendMatchesLocalExactly).
 //
 // The wire protocol — GMWR-framed little-endian messages over plain HTTP
 // POST bodies — is specified in docs/wire.md.

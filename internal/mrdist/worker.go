@@ -62,7 +62,7 @@ type jobState struct {
 }
 
 // NewWorker returns a worker with an empty replica FS. Tests drive it
-// directly; processes use RunWorker/MaybeWorker.
+// directly; processes use MaybeWorker.
 func NewWorker() *Worker {
 	w := &Worker{
 		fs:       dfs.New(0),
@@ -92,25 +92,25 @@ func (w *Worker) Handler() http.Handler {
 // master spawned it as one (EnvWorkerMode set). It never returns in that
 // case: the worker serves until its stdin closes — the master holds the
 // write end of the pipe, so master death reaps the worker — then exits.
-// Binaries that can act as workers (cmd/mrworker, the CLIs, test binaries)
-// call this first thing in main / TestMain.
+// Binaries that can act as workers (the CLIs, test binaries) call this
+// first thing in main / TestMain: the master re-executes its own binary.
 func MaybeWorker() {
 	if os.Getenv(EnvWorkerMode) != "1" {
 		return
 	}
-	if err := RunWorker(); err != nil {
+	if err := runWorker(); err != nil {
 		fmt.Fprintln(os.Stderr, "mrworker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// RunWorker runs the worker loop in this process: listen on a loopback
+// runWorker runs the worker loop in this process: listen on a loopback
 // port, announce it on stdout, serve until stdin reaches EOF. When the
 // master scripted a fault scenario into the environment
 // (faultinject.EnvScenario), the worker's mux is wrapped in its
 // middleware; otherwise the surface is served bare.
-func RunWorker() error {
+func runWorker() error {
 	inj, err := faultinject.FromEnv()
 	if err != nil {
 		return err

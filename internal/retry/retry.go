@@ -195,16 +195,6 @@ func Classify(ctx context.Context, err error) Class {
 	return Permanent
 }
 
-// IsTransient reports whether err retries under some policy, and if so
-// whether it blames the executing peer.
-func IsTransient(err error) (blame, ok bool) {
-	var tr transientError
-	if errors.As(err, &tr) {
-		return tr.blame, true
-	}
-	return false, false
-}
-
 // Do runs op under the policy: per-attempt deadline, classification,
 // jittered backoff, attempt and elapsed budgets. op receives the
 // per-attempt context. Sequential call sites (input pushes, map-output

@@ -77,11 +77,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns Φ⁻¹(p) for p in (0,1) using the Acklam rational
 // approximation (relative error < 1.15e-9), refined with one Halley step.
 // It panics for p outside (0,1).

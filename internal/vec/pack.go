@@ -152,17 +152,3 @@ func (p *CenterPack) NearestRows(points []Vector, s *AssignScratch) (idx []int32
 	}
 	return idx, dist
 }
-
-// NearestColumns assigns n points already laid out dim-major in colflat
-// (coordinate d of point j at colflat[d*n+j]) — the zero-transpose entry
-// point for callers that decode straight into columnar form. Results as
-// in NearestRows.
-func (p *CenterPack) NearestColumns(colflat []float64, n int, s *AssignScratch) (idx []int32, dist []float64) {
-	if s == nil {
-		s = &AssignScratch{}
-	}
-	s.grow(p.dim, n)
-	idx, dist = s.idx[:n], s.dist[:n]
-	NearestBatch(p.centers, colflat, n, idx, dist, &s.bs)
-	return idx, dist
-}

@@ -57,27 +57,6 @@ func TestPackNearestRowsMatchesNearestIndex(t *testing.T) {
 	}
 }
 
-// TestPackNearestColumns: the zero-transpose entry point must agree with
-// the row entry point on the same data.
-func TestPackNearestColumns(t *testing.T) {
-	centers, points := packFixture(t, 16, 5, 9)
-	p := PackCenters(centers)
-	n, dim := len(points), 5
-	colflat := make([]float64, dim*n)
-	for j, q := range points {
-		for d, x := range q {
-			colflat[d*n+j] = x
-		}
-	}
-	ri, rd := p.NearestRows(points, nil)
-	ci, cd := p.NearestColumns(colflat, n, nil)
-	for j := range points {
-		if ri[j] != ci[j] || rd[j] != cd[j] {
-			t.Fatalf("point %d: rows (%d, %v), columns (%d, %v)", j, ri[j], rd[j], ci[j], cd[j])
-		}
-	}
-}
-
 // TestPackIsACopy: mutating the source centers after packing must not
 // change what the pack answers — the pack is the hot-swap publication
 // unit and cannot alias caller memory.

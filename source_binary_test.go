@@ -7,7 +7,18 @@ import (
 
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/dfs"
+	"gmeansmr/internal/vec"
 )
+
+// encodeGMPB renders points as a binary point file, the way
+// datagen -format binary writes one.
+func encodeGMPB(points []vec.Vector, dim int) []byte {
+	b := dfs.BinaryHeader(dim)
+	for _, p := range points {
+		b = dfs.AppendBinaryPoint(b, p)
+	}
+	return b
+}
 
 // TestFromFileSniffsBinary: the public file source must transparently read
 // the binary point format datagen -format binary emits, yielding exactly
@@ -29,7 +40,7 @@ func TestFromFileSniffsBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	binPath := filepath.Join(dir, "p.gmpb")
-	if err := os.WriteFile(binPath, dataset.EncodePointsBinary(ds.Points, 4), 0o644); err != nil {
+	if err := os.WriteFile(binPath, encodeGMPB(ds.Points, 4), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,7 +84,7 @@ func TestFromFileBinaryTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := dataset.EncodePointsBinary(ds.Points, 3)
+	data := encodeGMPB(ds.Points, 3)
 	path := filepath.Join(t.TempDir(), "trunc.gmpb")
 	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
