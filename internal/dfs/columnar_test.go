@@ -37,43 +37,45 @@ func readAllColumns(t *testing.T, fs *FS, path string, dim int) [][]float64 {
 // columnar view must hold the identical float64 bits the row view holds,
 // and both access paths (Col and Flat) must agree.
 func TestColumnsMatchRows(t *testing.T) {
-	text, want := pointFile(311, 5, 11)
-	fs := New(512)
-	fs.Create("/p", []byte(text))
-	splits, err := fs.Splits("/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, sp := range splits {
-		ps, err := fs.OpenSplitPoints(sp, 5)
+	t.Run("text", func(t *testing.T) {
+		text, want := pointFile(311, 5, 11)
+		fs := New(512)
+		fs.Create("/p", []byte(text))
+		splits, err := fs.Splits("/p")
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := ps.Columns()
-		if cs.Len() != ps.Len() || cs.Dim() != ps.Dim() {
-			t.Fatalf("split %d: columnar shape %dx%d, rows %dx%d",
-				sp.Index, cs.Len(), cs.Dim(), ps.Len(), ps.Dim())
-		}
-		flat := cs.Flat()
-		n := cs.Len()
-		for i := 0; i < n; i++ {
-			row := ps.At(i)
-			if got := cs.At(i); &got[0] != &row[0] {
-				t.Fatalf("split %d: columnar At(%d) is not the row view", sp.Index, i)
+		total := 0
+		for _, sp := range splits {
+			ps, err := fs.OpenSplitPoints(sp, 5)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for d, v := range row {
-				if cs.Col(d)[i] != v || flat[d*n+i] != v {
-					t.Fatalf("split %d point %d dim %d: columnar %v, row %v",
-						sp.Index, i, d, cs.Col(d)[i], v)
+			cs := ps.Columns()
+			if cs.Len() != ps.Len() || cs.Dim() != ps.Dim() {
+				t.Fatalf("split %d: columnar shape %dx%d, rows %dx%d",
+					sp.Index, cs.Len(), cs.Dim(), ps.Len(), ps.Dim())
+			}
+			flat := cs.Flat()
+			n := cs.Len()
+			for i := 0; i < n; i++ {
+				row := ps.At(i)
+				if got := cs.At(i); &got[0] != &row[0] {
+					t.Fatalf("split %d: columnar At(%d) is not the row view", sp.Index, i)
+				}
+				for d, v := range row {
+					if cs.Col(d)[i] != v || flat[d*n+i] != v {
+						t.Fatalf("split %d point %d dim %d: columnar %v, row %v",
+							sp.Index, i, d, cs.Col(d)[i], v)
+					}
 				}
 			}
+			total += n
 		}
-		total += n
-	}
-	if total != len(want) {
-		t.Fatalf("columnar views covered %d points, want %d", total, len(want))
-	}
+		if total != len(want) {
+			t.Fatalf("columnar views covered %d points, want %d", total, len(want))
+		}
+	})
 }
 
 // TestColumnsCachedOncePerSplit checks that repeated scans share one

@@ -23,6 +23,7 @@ import (
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/mr"
 	"gmeansmr/internal/mrdist"
+	"gmeansmr/internal/obs"
 	"gmeansmr/internal/vec"
 )
 
@@ -411,9 +412,14 @@ func TestProcWorkerDeathMidWave(t *testing.T) {
 	defer runner.Close()
 
 	// 1-slot nodes and paced map tasks keep the wave long enough to kill a
-	// worker that holds both completed map output and a running task.
+	// worker that holds both completed map output and a running task. The
+	// job's trace names the worker of every finished map task, so the kill
+	// lands on a worker whose output the reduce wave must fetch: that
+	// failed fetch declares the death whether or not a heartbeat has
+	// noticed it yet.
 	fs, want := numbersFS(2400, 1<<10)
 	job := sumJob(fs, testCluster(3, 1, 1), runner, sumPayload{sleepMS: 200})
+	job.Trace = obs.NewTrace()
 
 	type outcome struct {
 		res *mr.Result
@@ -425,7 +431,6 @@ func TestProcWorkerDeathMidWave(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	completed := runner.Registry().Counter(mrdist.MetricTasksCompleted)
 	killDeadline := time.After(20 * time.Second)
 	killed := false
 poll:
@@ -437,8 +442,9 @@ poll:
 			break poll
 		case <-time.After(5 * time.Millisecond):
 			pids := runner.WorkerPIDs()
-			if completed.Value() >= 1 && len(pids) == 3 {
-				if err := syscall.Kill(pids[len(pids)-1], syscall.SIGKILL); err != nil {
+			id, ok := finishedMapWorker(job.Trace)
+			if ok && len(pids) == 3 {
+				if err := syscall.Kill(pids[id], syscall.SIGKILL); err != nil {
 					t.Fatalf("kill worker: %v", err)
 				}
 				killed = true
@@ -465,6 +471,19 @@ poll:
 	if got := runner.Registry().Counter(mrdist.MetricTaskRetries).Value(); got < 1 {
 		t.Errorf("task retries metric = %d, want >= 1", got)
 	}
+}
+
+// finishedMapWorker returns the node id of a worker that has finished a
+// map task, read from the task spans the master records on the job trace.
+func finishedMapWorker(tr *obs.Trace) (int, bool) {
+	for _, ev := range tr.Events() {
+		if ev.Name == "map-task" {
+			if id, ok := ev.Args["worker"].(int); ok {
+				return id, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // TestProcStragglerSpeculation slows one worker's map tasks via the test
