@@ -11,7 +11,6 @@ import (
 
 	"gmeansmr/internal/core"
 	"gmeansmr/internal/criteria"
-	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/lloyd"
@@ -739,7 +738,7 @@ func (c *Clusterer) multiK(st *staged, src DataSource) (*Result, error) {
 	for k := kMin; k <= kMax; k += c.cfg.kStep {
 		cs = append(cs, criteria.Clustering{K: k, Centers: mres.CentersByK[k], WCSS: mres.WCSSByK[k]})
 	}
-	chosen, err := c.selectK(st.env, cs)
+	chosen, err := c.selectK(st, cs)
 	if err != nil {
 		return nil, err
 	}
@@ -760,12 +759,14 @@ func (c *Clusterer) multiK(st *staged, src DataSource) (*Result, error) {
 
 // selectK applies the configured criterion to the candidate clusterings.
 // Criteria beyond elbow need the points and read them back from the staged
-// DFS file (one extra dataset read, materialized in memory).
-func (c *Clusterer) selectK(env kmeansmr.Env, cs []criteria.Clustering) (int, error) {
+// DFS file through the decoded-split cache: one extra dataset read,
+// materialized in memory in file order (a sample of all st.n points draws
+// nothing from its RNG).
+func (c *Clusterer) selectK(st *staged, cs []criteria.Clustering) (int, error) {
 	if c.cfg.criterion == CriterionElbow {
 		return criteria.ElbowK(cs)
 	}
-	points, err := dataset.LoadPoints(env.FS, env.Input)
+	points, err := kmeansmr.SampleUpTo(st.env, st.n, c.cfg.seed)
 	if err != nil {
 		return 0, err
 	}

@@ -349,26 +349,38 @@ func TestOptionValidation(t *testing.T) {
 }
 
 // TestMultiKCriteria checks every selection criterion picks the right k on
-// an easy, well-separated workload.
+// an easy, well-separated workload, and pins selectK's I/O: the criteria
+// beyond elbow read the staged points back in exactly one more dataset
+// read than elbow pays on the same data.
 func TestMultiKCriteria(t *testing.T) {
 	ds := mixturePoints(t, 3, 2, 1200, 36)
-	for _, cr := range []Criterion{CriterionElbow, CriterionJump, CriterionSilhouette, CriterionBIC} {
+	run := func(t *testing.T, cr Criterion) *Result {
+		t.Helper()
+		c, err := New(
+			WithAlgorithm(AlgorithmMultiK),
+			WithKRange(1, 6, 1),
+			WithCriterion(cr),
+			WithSeed(2),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(context.Background(), FromPoints(ds.Points))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.K != 3 {
+			t.Errorf("criterion %s selected k=%d, want 3", cr, res.K)
+		}
+		return res
+	}
+	t.Run(string(CriterionElbow), func(t *testing.T) { run(t, CriterionElbow) })
+	for _, cr := range []Criterion{CriterionJump, CriterionSilhouette, CriterionBIC} {
 		t.Run(string(cr), func(t *testing.T) {
-			c, err := New(
-				WithAlgorithm(AlgorithmMultiK),
-				WithKRange(1, 6, 1),
-				WithCriterion(cr),
-				WithSeed(2),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.Run(context.Background(), FromPoints(ds.Points))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.K != 3 {
-				t.Errorf("criterion %s selected k=%d, want 3", cr, res.K)
+			reads := run(t, cr).Counters[CounterDatasetReads]
+			elbowReads := run(t, CriterionElbow).Counters[CounterDatasetReads]
+			if reads != elbowReads+1 {
+				t.Errorf("criterion %s: %d dataset reads, want elbow's %d + 1", cr, reads, elbowReads)
 			}
 		})
 	}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/pointtext"
@@ -286,22 +285,11 @@ func FormatPoint(p vec.Vector) string {
 }
 
 // ParsePoint decodes a text record produced by FormatPoint, inferring the
-// dimensionality from the record itself. Like ParsePointDim it delegates
-// to the shared pointtext tokenizer.
+// dimensionality from the record itself. It delegates to the shared
+// pointtext tokenizer — the same one the dfs decoded-split cache uses — so
+// the two can never diverge on record syntax.
 func ParsePoint(line string) (vec.Vector, error) {
 	out, err := pointtext.AppendPointAny(vec.Vector(nil), line)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	return out, nil
-}
-
-// ParsePointDim decodes a point when the dimensionality is known, avoiding
-// the growth reallocations of ParsePoint. It delegates to the shared
-// pointtext tokenizer — the same one the dfs decoded-split cache uses —
-// so the text and cached scan paths can never diverge on record syntax.
-func ParsePointDim(line string, dim int) (vec.Vector, error) {
-	out, err := pointtext.AppendPoint(make(vec.Vector, 0, dim), line, dim)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
@@ -318,27 +306,4 @@ func (d *Dataset) WriteToDFS(fs *dfs.FS, path string) {
 		w.Append(p)
 	}
 	w.Close()
-}
-
-// LoadPoints reads every point of a DFS point file into memory. Intended
-// for tests, examples and sequential baselines — the MapReduce jobs
-// stream splits instead.
-func LoadPoints(fs *dfs.FS, path string) ([]vec.Vector, error) {
-	data, err := fs.ReadAll(path)
-	if err != nil {
-		return nil, err
-	}
-	lines := dfs.SplitLines(data)
-	pts := make([]vec.Vector, 0, len(lines))
-	for _, ln := range lines {
-		if strings.TrimSpace(ln) == "" {
-			continue
-		}
-		p, err := ParsePoint(ln)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
 }

@@ -140,52 +140,44 @@ func TestParsePointToleratesWhitespace(t *testing.T) {
 	}
 }
 
-func TestParsePointDim(t *testing.T) {
-	got, err := ParsePointDim("1 2 3", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.Equal(got, vec.Vector{1, 2, 3}) {
-		t.Errorf("got %v", got)
-	}
-	if _, err := ParsePointDim("1 2", 3); err == nil {
-		t.Error("wrong dimensionality accepted")
-	}
-	if _, err := ParsePointDim("1 2 3 4", 3); err == nil {
-		t.Error("extra coordinates accepted")
-	}
-}
-
+// TestWriteLoadDFS round-trips a dataset through the DFS: the written file
+// serves its points bit-identically through the split reader, and so does
+// a raw copy of its bytes, which the reader must parse.
 func TestWriteLoadDFS(t *testing.T) {
 	ds, err := Generate(Spec{K: 3, Dim: 4, N: 50, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := dfs.New(0)
+	fs := dfs.New(256) // several splits
 	ds.WriteToDFS(fs, "/pts")
-	got, err := LoadPoints(fs, "/pts")
+	raw, err := fs.Contents("/pts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 50 {
-		t.Fatalf("loaded %d points", len(got))
-	}
-	for i := range got {
-		if !vec.Equal(got[i], ds.Points[i]) {
-			t.Fatalf("point %d differs after DFS round trip", i)
+	fs.Create("/raw", raw)
+	for _, path := range []string{"/pts", "/raw"} {
+		splits, err := fs.Splits(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestLoadPointsSkipsBlankLines(t *testing.T) {
-	fs := dfs.New(0)
-	fs.Create("/pts", []byte("1 2\n\n3 4\n   \n"))
-	got, err := LoadPoints(fs, "/pts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d points, want 2", len(got))
+		var got []vec.Vector
+		for _, sp := range splits {
+			ps, err := fs.OpenSplitPoints(sp, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < ps.Len(); i++ {
+				got = append(got, ps.At(i))
+			}
+		}
+		if len(splits) < 2 || len(got) != 50 {
+			t.Fatalf("%s: loaded %d points from %d splits", path, len(got), len(splits))
+		}
+		for i := range got {
+			if !vec.Equal(got[i], ds.Points[i]) {
+				t.Fatalf("%s: point %d differs after DFS round trip", path, i)
+			}
+		}
 	}
 }
 
@@ -210,24 +202,6 @@ func TestPropCodecRoundTrip(t *testing.T) {
 		return err == nil && vec.Equal(got, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropParsePointDimMatchesParsePoint(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(8)
-		p := make(vec.Vector, d)
-		for i := range p {
-			p[i] = r.NormFloat64() * 100
-		}
-		line := FormatPoint(p)
-		a, err1 := ParsePoint(line)
-		b, err2 := ParsePointDim(line, d)
-		return err1 == nil && err2 == nil && vec.Equal(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

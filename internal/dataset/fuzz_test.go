@@ -3,6 +3,8 @@ package dataset
 import (
 	"math"
 	"testing"
+
+	"gmeansmr/internal/pointtext"
 )
 
 // FuzzParsePoint drives the text record parser with arbitrary lines. It
@@ -32,15 +34,15 @@ func FuzzParsePoint(f *testing.F) {
 		if len(p) == 0 {
 			t.Fatalf("accepted %q with zero coordinates", line)
 		}
-		// The known-dimension path must accept exactly what the
-		// inferring path produced, bit for bit.
-		q, err := ParsePointDim(line, len(p))
+		// The known-dimension path the DFS decode uses must accept exactly
+		// what the inferring path produced, bit for bit.
+		q, err := pointtext.AppendPoint(nil, line, len(p))
 		if err != nil {
-			t.Fatalf("ParsePointDim(%q, %d) rejected what ParsePoint accepted: %v", line, len(p), err)
+			t.Fatalf("AppendPoint(%q, %d) rejected what ParsePoint accepted: %v", line, len(p), err)
 		}
 		for d := range p {
 			if math.Float64bits(p[d]) != math.Float64bits(q[d]) {
-				t.Fatalf("dim %d of %q: ParsePoint %x vs ParsePointDim %x",
+				t.Fatalf("dim %d of %q: ParsePoint %x vs AppendPoint %x",
 					d, line, math.Float64bits(p[d]), math.Float64bits(q[d]))
 			}
 		}

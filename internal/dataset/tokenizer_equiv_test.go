@@ -1,19 +1,31 @@
 package dataset
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"gmeansmr/internal/dfs"
+	"gmeansmr/internal/vec"
 )
 
-// TestDFSDecodeMatchesParsePointDim pins the end-to-end contract between
-// the two scan paths: dfs.OpenSplitPoints must decode exactly what
-// ParsePointDim decodes, byte for byte, across the quirks the text format
-// tolerates. Both now delegate to internal/pointtext, so this is a guard
-// against either side growing its own preprocessing rather than against
-// duplicate tokenizers.
-func TestDFSDecodeMatchesParsePointDim(t *testing.T) {
+// parseDim is ParsePoint plus the arity check a reader of a fixed-dim
+// file applies.
+func parseDim(line string, dim int) (vec.Vector, error) {
+	p, err := ParsePoint(line)
+	if err == nil && len(p) != dim {
+		err = fmt.Errorf("record %q has %d coordinates, want %d", line, len(p), dim)
+	}
+	return p, err
+}
+
+// TestDFSDecodeMatchesParsePoint pins the end-to-end contract between the
+// two text readers: dfs.OpenSplitPoints must decode exactly what
+// ParsePoint (the reader of text files outside the DFS) decodes, byte for
+// byte, across the quirks the text format tolerates. Both delegate to
+// internal/pointtext, so this is a guard against either side growing its
+// own preprocessing rather than against duplicate tokenizers.
+func TestDFSDecodeMatchesParsePoint(t *testing.T) {
 	records := []struct {
 		line string
 		dim  int
@@ -26,9 +38,9 @@ func TestDFSDecodeMatchesParsePointDim(t *testing.T) {
 		{"1e308 -1e308", 2},                            // near-overflow magnitudes
 	}
 	for _, rec := range records {
-		want, err := ParsePointDim(rec.line, rec.dim)
+		want, err := parseDim(rec.line, rec.dim)
 		if err != nil {
-			t.Fatalf("ParsePointDim(%q): %v", rec.line, err)
+			t.Fatalf("ParsePoint(%q): %v", rec.line, err)
 		}
 		fs := dfs.New(0)
 		fs.Create("/r", []byte(rec.line+"\n"))
@@ -57,8 +69,8 @@ func TestDFSDecodeMatchesParsePointDim(t *testing.T) {
 		line string
 		dim  int
 	}{{"1 2 3", 2}, {"1 x", 2}, {"", 1}} {
-		if _, err := ParsePointDim(bad.line, bad.dim); err == nil {
-			t.Fatalf("ParsePointDim accepted %q dim %d", bad.line, bad.dim)
+		if _, err := parseDim(bad.line, bad.dim); err == nil {
+			t.Fatalf("ParsePoint accepted %q dim %d", bad.line, bad.dim)
 		}
 		fs := dfs.New(0)
 		fs.Create("/r", []byte(bad.line+"\n"))
@@ -97,7 +109,7 @@ func TestDFSDecodeMatchesParsePointDim(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < ps.Len(); j++ {
-			want, err := ParsePointDim(FormatPoint(ds.Points[i]), 7)
+			want, err := parseDim(FormatPoint(ds.Points[i]), 7)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,8 +9,8 @@ package dfs
 // frames of little-endian IEEE 754 float64 coordinates, one frame per
 // point. It is the on-disk and serving format: generated datasets, files
 // opened with gmeansmr.FromFile and /v1/assign/batch bodies. The DFS itself
-// stores text only — a binary body there is rejected by OpenSplit and
-// OpenSplitPoints with ErrBinaryFile.
+// stores text only — a binary body there is rejected by OpenSplitPoints
+// with ErrBinaryFile.
 //
 // Layout:
 //

@@ -74,9 +74,9 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestOpenSplitRejectsBinary: the DFS stores text only, so record and
-// point scans over frame bytes must fail typed, naming the path, on every
-// split — never mis-parse the frames as lines.
+// TestOpenSplitRejectsBinary: the DFS stores text only, so split scans
+// over frame bytes must fail typed, naming the path, on every split —
+// never mis-parse the frames as lines.
 func TestOpenSplitRejectsBinary(t *testing.T) {
 	data, _ := binaryFile(20, 2, 4)
 	fs := New(64)
@@ -86,9 +86,6 @@ func TestOpenSplitRejectsBinary(t *testing.T) {
 		t.Fatalf("want several splits, got %d", len(splits))
 	}
 	for _, sp := range splits {
-		if _, err := fs.OpenSplit(sp); !errors.Is(err, ErrBinaryFile) || !strings.Contains(err.Error(), "/b") {
-			t.Fatalf("OpenSplit split %d: err = %v, want ErrBinaryFile naming /b", sp.Index, err)
-		}
 		if _, err := fs.OpenSplitPoints(sp, 2); !errors.Is(err, ErrBinaryFile) || !strings.Contains(err.Error(), "/b") {
 			t.Fatalf("OpenSplitPoints split %d: err = %v, want ErrBinaryFile naming /b", sp.Index, err)
 		}

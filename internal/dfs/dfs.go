@@ -23,12 +23,13 @@
 // after Start (skipping a partial leading record unless Start is 0) and
 // reads through the record straddling End. Every record has exactly one
 // owner under any layout. One implementation enforces the rules —
-// recordIter, behind both RecordReader and the cache's decode — so scan
-// paths cannot diverge on ownership.
+// recordIter, walked by the point cache's decode — and the written-points
+// slicer (pointwriter.go) applies the same rule to record offsets.
 //
-// Snapshot reads. OpenSplit, OpenSplitPoints and Columns hand out
-// immutable views: a reader holding one across a concurrent overwrite,
-// delete or re-split keeps a consistent snapshot of the bytes it opened.
+// Snapshot reads. OpenSplitPoints is the one split reader: it and Columns
+// hand out immutable views, so a reader holding one across a concurrent
+// overwrite, delete or re-split keeps a consistent snapshot of the bytes
+// it opened.
 //
 // Written-from-points files. A text file committed by PointWriter keeps
 // the float64 points it was formatted from and each record's start
@@ -45,15 +46,14 @@
 // Delete of the path drop them with the bytes, SetSplitSize keeps them,
 // since they do not depend on the split layout.
 //
-// Accounting conservation. Every scan of a split — cold or cached,
-// row-major or columnar — accounts the split's full logical
-// bytes, and per-split shares always sum to the file size; jobs tick one
-// dataset read per non-empty input scan. Caching removes parse CPU only;
+// Accounting conservation. Every scan of a split — cold or cached —
+// accounts the split's full logical bytes, and per-split shares always
+// sum to the file size; jobs tick one dataset read per non-empty input
+// scan. Caching removes parse CPU only;
 // the paper's I/O model never notices it.
 package dfs
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -95,9 +95,9 @@ type FS struct {
 
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
-	// datasetReads counts whole-file scan passes (one per OpenAll or per
-	// complete set of split readers consumed); this is the paper's "dataset
-	// read" unit.
+	// datasetReads counts whole-file scan passes, ticked through
+	// CountDatasetRead once per complete set of split reads; this is the
+	// paper's "dataset read" unit.
 	datasetReads atomic.Int64
 }
 
@@ -195,7 +195,7 @@ func (fs *FS) Version(path string) int64 {
 // Contents returns a copy of the file's raw bytes without touching any read
 // accounting. It exists for the replication plane of distributed backends —
 // shipping a file to a worker is a transport cost, not one of the paper's
-// dataset scans; ReadAll is the accessor that accounts a scan.
+// dataset scans, which go through OpenSplitPoints.
 func (fs *FS) Contents(path string) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -258,21 +258,6 @@ func (fs *FS) Size(path string) (int64, error) {
 	return int64(len(f.data)), nil
 }
 
-// ReadAll returns a copy of the file contents and accounts one dataset read.
-func (fs *FS) ReadAll(path string) ([]byte, error) {
-	fs.mu.RLock()
-	f, ok := fs.files[path]
-	fs.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	cp := make([]byte, len(f.data))
-	copy(cp, f.data)
-	fs.bytesRead.Add(int64(len(cp)))
-	fs.datasetReads.Add(1)
-	return cp, nil
-}
-
 // Split identifies one contiguous byte range of a file, aligned to record
 // (line) boundaries the same way Hadoop's TextInputFormat aligns splits: a
 // reader assigned [Start, End) consumes the first record that *begins* at
@@ -315,35 +300,18 @@ func (fs *FS) Splits(path string) ([]Split, error) {
 // the input exactly once.
 func (fs *FS) CountDatasetRead() { fs.datasetReads.Add(1) }
 
-// OpenSplit returns a RecordReader over the records of the given split.
-// A binary point file is rejected with ErrBinaryFile.
-func (fs *FS) OpenSplit(sp Split) (*RecordReader, error) {
-	fs.mu.RLock()
-	f, ok := fs.files[sp.Path]
-	fs.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, sp.Path)
-	}
-	if IsBinary(f.data) {
-		return nil, fmt.Errorf("%w: %s", ErrBinaryFile, sp.Path)
-	}
-	return newRecordReader(fs, f.data, sp), nil
-}
-
 // recordIter walks the newline-delimited records of a split using the
 // Hadoop alignment convention (skip a partial leading record unless the
 // split starts at byte 0; read through the record straddling End). It is
-// the single implementation of the split-ownership rules — RecordReader
-// (text scans) and decodeSplit (the point cache) both consume it, so the
-// two paths cannot diverge on which records a split owns.
+// the single implementation of the split-ownership rules; decodeSplit
+// (the point cache) consumes it.
 type recordIter struct {
 	data []byte
 	pos  int64
 	end  int64
 	done bool
 	// recStart is the byte offset in data of the record last returned by
-	// next — the record's true position in the file, which is what Hadoop's
-	// TextInputFormat hands mappers as the record key. It differs from a
+	// next — the record's true position in the file. It differs from a
 	// running sum of record lengths whenever the split skipped a partial
 	// leading record or a record ends in "\r\n".
 	recStart int64
@@ -375,7 +343,7 @@ func newRecordIter(data []byte, sp Split) recordIter {
 // record's byte offset and it.pos sits just past its terminator, so
 // it.pos - it.recStart is the record's full consumed byte length.
 func (it *recordIter) next() ([]byte, bool) {
-	// Hadoop's LineRecordReader reads every record whose first byte lies at
+	// Hadoop's line reader reads every record whose first byte lies at
 	// or before End (inclusive); the matching skip rule in newRecordIter
 	// guarantees each record is owned by exactly one split.
 	if it.done || it.pos > it.end || it.pos >= int64(len(it.data)) {
@@ -394,73 +362,9 @@ func (it *recordIter) next() ([]byte, bool) {
 		it.pos += int64(idx) + 1
 	}
 	// CRLF line endings: the terminator is two bytes; the '\r' belongs to
-	// it, not to the record, exactly as in Hadoop's LineRecordReader.
+	// it, not to the record, exactly as in Hadoop's line reader.
 	if n := len(rec); n > 0 && rec[n-1] == '\r' {
 		rec = rec[:n-1]
 	}
 	return rec, true
-}
-
-// RecordReader iterates the records of a split as strings.
-//
-// Byte accounting is buffered locally and published to the file system
-// when the reader is exhausted: dozens of concurrent map tasks hammering
-// one atomic counter per record would serialize the map wave.
-type RecordReader struct {
-	fs      *FS
-	it      recordIter
-	pending int64
-}
-
-func newRecordReader(fs *FS, data []byte, sp Split) *RecordReader {
-	return &RecordReader{fs: fs, it: newRecordIter(data, sp)}
-}
-
-// Next returns the next record (without its line terminator) and true, or
-// ("", false) when the split is exhausted. Returned strings are copies and
-// remain valid indefinitely.
-func (r *RecordReader) Next() (string, bool) {
-	line, _, ok := r.NextRecord()
-	return line, ok
-}
-
-// NextRecord is Next plus the record's true byte offset in the file — the
-// value Hadoop's TextInputFormat uses as the record key. Unlike a running
-// sum of record lengths, the offset is correct on every split (the partial
-// leading record a non-first split skips is accounted for) and for both
-// "\n" and "\r\n" terminators.
-func (r *RecordReader) NextRecord() (line string, offset int64, ok bool) {
-	rec, ok := r.it.next()
-	if !ok {
-		r.flush()
-		return "", 0, false
-	}
-	// Account the bytes actually consumed (record + terminator), so CRLF
-	// files and unterminated final records are charged exactly.
-	r.pending += r.it.pos - r.it.recStart
-	if r.it.done {
-		r.flush()
-	}
-	return string(rec), r.it.recStart, true
-}
-
-func (r *RecordReader) flush() {
-	if r.pending != 0 {
-		r.fs.bytesRead.Add(r.pending)
-		r.pending = 0
-	}
-}
-
-// SplitLines splits file contents into records, tolerating records of up
-// to 64 MiB (the bufio.Scanner default of 64 KiB is too small for very
-// wide points). Used by whole-file text readers layered on ReadAll, such
-// as dataset.LoadPoints.
-func SplitLines(data []byte) []string {
-	var out []string
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		out = append(out, sc.Text())
-	}
-	return out
 }

@@ -9,36 +9,42 @@ import (
 	"testing/quick"
 )
 
+// TestCreateReadAll: reading a whole file back with Contents returns the
+// created bytes without accounting a read — replication is not one of the
+// paper's dataset scans.
 func TestCreateReadAll(t *testing.T) {
 	fs := New(0)
 	fs.Create("/a", []byte("hello\nworld\n"))
-	got, err := fs.ReadAll("/a")
+	got, err := fs.Contents("/a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "hello\nworld\n" {
-		t.Errorf("ReadAll = %q", got)
+		t.Errorf("Contents = %q", got)
 	}
-	if fs.DatasetReads() != 1 {
-		t.Errorf("DatasetReads = %d, want 1", fs.DatasetReads())
+	if fs.DatasetReads() != 0 || fs.BytesRead() != 0 {
+		t.Errorf("Contents accounted a read: DatasetReads = %d, BytesRead = %d", fs.DatasetReads(), fs.BytesRead())
 	}
 }
 
 func TestReadAllReturnsCopy(t *testing.T) {
 	fs := New(0)
 	fs.Create("/a", []byte("abc"))
-	got, _ := fs.ReadAll("/a")
+	got, _ := fs.Contents("/a")
 	got[0] = 'X'
-	again, _ := fs.ReadAll("/a")
+	again, _ := fs.Contents("/a")
 	if string(again) != "abc" {
-		t.Error("ReadAll exposed internal buffer")
+		t.Error("Contents exposed internal buffer")
 	}
 }
 
 func TestNotFound(t *testing.T) {
 	fs := New(0)
-	if _, err := fs.ReadAll("/missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := fs.Contents("/missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
+	}
+	if _, err := fs.OpenSplitPoints(Split{Path: "/missing"}, 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("OpenSplitPoints err = %v, want ErrNotFound", err)
 	}
 	if _, err := fs.Splits("/missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Splits err = %v, want ErrNotFound", err)
@@ -71,12 +77,12 @@ func TestWriterCommitsOnClose(t *testing.T) {
 		t.Fatal("file should not exist before Close")
 	}
 	w.Close()
-	data, err := fs.ReadAll("/w")
+	data, err := fs.Contents("/w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := SplitLines(data); len(lines) != 2 || lines[0] != "line 1" || lines[1] != "line 2" {
-		t.Errorf("lines = %v", lines)
+	if string(data) != "line 1\nline 2\n" {
+		t.Errorf("contents = %q", data)
 	}
 }
 
@@ -117,31 +123,6 @@ func TestSplitsEmptyFile(t *testing.T) {
 	}
 }
 
-// readViaSplits reads every record of the file through its splits, in
-// order, the way a map wave does.
-func readViaSplits(t *testing.T, fs *FS, path string) []string {
-	t.Helper()
-	splits, err := fs.Splits(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, sp := range splits {
-		rd, err := fs.OpenSplit(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			rec, ok := rd.Next()
-			if !ok {
-				break
-			}
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 func TestSplitRecordAlignment(t *testing.T) {
 	// Records of various lengths with a tiny split size force records to
 	// straddle split boundaries; Hadoop alignment must deliver each record
@@ -149,7 +130,7 @@ func TestSplitRecordAlignment(t *testing.T) {
 	lines := []string{"a", "bb", "ccc", "dddd", "eeeee", "ffffff", "g", "hh"}
 	fs := New(7)
 	fs.Create("/f", []byte(strings.Join(lines, "\n")+"\n"))
-	got := readViaSplits(t, fs, "/f")
+	got, _, _ := collectRecords(t, fs, "/f")
 	if len(got) != len(lines) {
 		t.Fatalf("got %d records, want %d: %v", len(got), len(lines), got)
 	}
@@ -163,7 +144,7 @@ func TestSplitRecordAlignment(t *testing.T) {
 func TestSplitNoTrailingNewline(t *testing.T) {
 	fs := New(4)
 	fs.Create("/f", []byte("ab\ncdefg")) // final record unterminated
-	got := readViaSplits(t, fs, "/f")
+	got, _, _ := collectRecords(t, fs, "/f")
 	if len(got) != 2 || got[0] != "ab" || got[1] != "cdefg" {
 		t.Errorf("records = %v", got)
 	}
@@ -171,16 +152,22 @@ func TestSplitNoTrailingNewline(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	fs := New(0)
-	fs.Create("/f", []byte("abcde\n"))
+	fs.Create("/f", []byte("12345\n"))
 	if fs.BytesWritten() != 6 {
 		t.Errorf("BytesWritten = %d", fs.BytesWritten())
 	}
-	fs.ReadAll("/f")
+	splits, _ := fs.Splits("/f")
+	if _, err := fs.OpenSplitPoints(splits[0], 1); err != nil {
+		t.Fatal(err)
+	}
 	if fs.BytesRead() != 6 {
 		t.Errorf("BytesRead = %d", fs.BytesRead())
 	}
+	if fs.DatasetReads() != 0 {
+		t.Errorf("a split scan ticked DatasetReads = %d; jobs tick it", fs.DatasetReads())
+	}
 	fs.CountDatasetRead()
-	if fs.DatasetReads() != 2 {
+	if fs.DatasetReads() != 1 {
 		t.Errorf("DatasetReads = %d", fs.DatasetReads())
 	}
 	fs.ResetCounters()
@@ -196,7 +183,7 @@ func TestOverwrite(t *testing.T) {
 	fs := New(0)
 	fs.Create("/f", []byte("old"))
 	fs.Create("/f", []byte("new"))
-	got, _ := fs.ReadAll("/f")
+	got, _ := fs.Contents("/f")
 	if string(got) != "new" {
 		t.Errorf("contents = %q", got)
 	}
@@ -220,25 +207,8 @@ func TestPropSplitsDeliverEveryRecordOnce(t *testing.T) {
 			buf.WriteString(ln + "\n")
 		}
 		fs.Create("/f", []byte(buf.String()))
-		splits, err := fs.Splits("/f")
-		if err != nil {
-			return false
-		}
-		var got []string
-		for _, sp := range splits {
-			rd, err := fs.OpenSplit(sp)
-			if err != nil {
-				return false
-			}
-			for {
-				rec, ok := rd.Next()
-				if !ok {
-					break
-				}
-				got = append(got, rec)
-			}
-		}
-		if len(got) != len(lines) {
+		got, _, consumed := collectRecords(t, fs, "/f")
+		if len(got) != len(lines) || consumed != int64(buf.Len()) {
 			return false
 		}
 		for i := range lines {

@@ -6,41 +6,44 @@ import (
 	"testing"
 )
 
-// collectRecords reads every (record, offset) pair of the file via its
-// splits, in order.
-func collectRecords(t *testing.T, fs *FS, path string) (lines []string, offsets []int64) {
+// collectRecords walks every split of the file with recordIter, in order,
+// and returns each owned record with its byte offset, plus the bytes the
+// walk consumed (records and terminators) — what decodeSplit accounts.
+func collectRecords(t *testing.T, fs *FS, path string) (lines []string, offsets []int64, consumed int64) {
 	t.Helper()
 	splits, err := fs.Splits(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, err := fs.Contents(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sp := range splits {
-		rd, err := fs.OpenSplit(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		it := newRecordIter(data, sp)
 		for {
-			line, off, ok := rd.NextRecord()
+			rec, ok := it.next()
 			if !ok {
 				break
 			}
-			lines = append(lines, line)
-			offsets = append(offsets, off)
+			lines = append(lines, string(rec))
+			offsets = append(offsets, it.recStart)
+			consumed += it.pos - it.recStart
 		}
 	}
-	return lines, offsets
+	return lines, offsets, consumed
 }
 
-// TestNextRecordOffsetsMultiSplit is the regression test for the
+// TestRecordOffsetsMultiSplit is the regression test for the
 // split-relative offset drift: on every split but the first, a running sum
 // seeded with Split.Start over-counts by the skipped partial leading
 // record. The true offsets must equal each record's actual byte position.
-func TestNextRecordOffsetsMultiSplit(t *testing.T) {
+func TestRecordOffsetsMultiSplit(t *testing.T) {
 	records := []string{"alpha", "bb", "c", "dddddddd", "ee", "ffff", "g"}
 	data := strings.Join(records, "\n") + "\n"
 	fs := New(7) // force records to straddle many split boundaries
 	fs.Create("/f", []byte(data))
-	lines, offsets := collectRecords(t, fs, "/f")
+	lines, offsets, _ := collectRecords(t, fs, "/f")
 	if len(lines) != len(records) {
 		t.Fatalf("read %d records, want %d", len(lines), len(records))
 	}
@@ -56,15 +59,14 @@ func TestNextRecordOffsetsMultiSplit(t *testing.T) {
 	}
 }
 
-// TestNextRecordOffsetsCRLF pins the two-byte-terminator case: records are
-// returned without the '\r', offsets are the line starts, and byte
-// accounting charges the full consumed bytes (terminators included).
-func TestNextRecordOffsetsCRLF(t *testing.T) {
+// TestRecordOffsetsCRLF pins the two-byte-terminator case: records are
+// returned without the '\r', offsets are the line starts, and the
+// consumed bytes include the full terminators.
+func TestRecordOffsetsCRLF(t *testing.T) {
 	data := "aa\r\nbbbb\r\nc\r\ndd\r\n"
 	fs := New(5)
 	fs.Create("/f", []byte(data))
-	fs.ResetCounters()
-	lines, offsets := collectRecords(t, fs, "/f")
+	lines, offsets, consumed := collectRecords(t, fs, "/f")
 	wantLines := []string{"aa", "bbbb", "c", "dd"}
 	wantOffsets := []int64{0, 4, 10, 13}
 	if len(lines) != len(wantLines) {
@@ -78,33 +80,33 @@ func TestNextRecordOffsetsCRLF(t *testing.T) {
 			t.Errorf("record %d offset = %d, want %d", i, offsets[i], wantOffsets[i])
 		}
 	}
-	if got := fs.BytesRead(); got != int64(len(data)) {
-		t.Errorf("BytesRead = %d, want %d (CRLF terminators charged)", got, len(data))
+	if consumed != int64(len(data)) {
+		t.Errorf("consumed %d bytes, want %d (CRLF terminators charged)", consumed, len(data))
 	}
 }
 
-// TestNextRecordOffsetNoFinalNewline: the unterminated last record has a
-// correct offset and accounts only its real bytes.
-func TestNextRecordOffsetNoFinalNewline(t *testing.T) {
+// TestRecordOffsetNoFinalNewline: the unterminated last record has a
+// correct offset and consumes only its real bytes.
+func TestRecordOffsetNoFinalNewline(t *testing.T) {
 	data := "ab\ncdefg"
 	fs := New(4)
 	fs.Create("/f", []byte(data))
-	fs.ResetCounters()
-	lines, offsets := collectRecords(t, fs, "/f")
+	lines, offsets, consumed := collectRecords(t, fs, "/f")
 	if len(lines) != 2 || lines[0] != "ab" || lines[1] != "cdefg" {
 		t.Fatalf("records = %q", lines)
 	}
 	if offsets[0] != 0 || offsets[1] != 3 {
 		t.Errorf("offsets = %v, want [0 3]", offsets)
 	}
-	if got := fs.BytesRead(); got != int64(len(data)) {
-		t.Errorf("BytesRead = %d, want %d", got, len(data))
+	if consumed != int64(len(data)) {
+		t.Errorf("consumed %d bytes, want %d", consumed, len(data))
 	}
 }
 
-// TestPropNextRecordOffsets: for any record set and split size, the offset
-// stream equals the true byte positions of the records in the file.
-func TestPropNextRecordOffsets(t *testing.T) {
+// TestPropRecordOffsets: for any record set and split size, the offset
+// stream equals the true byte positions of the records in the file, and
+// the walk consumes every byte exactly once.
+func TestPropRecordOffsets(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(30)
@@ -124,9 +126,9 @@ func TestPropNextRecordOffsets(t *testing.T) {
 		}
 		fs := New(1 + r.Intn(24))
 		fs.Create("/f", []byte(b.String()))
-		lines, offsets := collectRecords(t, fs, "/f")
-		if len(lines) != n {
-			t.Fatalf("seed %d: %d records, want %d", seed, len(lines), n)
+		lines, offsets, consumed := collectRecords(t, fs, "/f")
+		if len(lines) != n || consumed != int64(b.Len()) {
+			t.Fatalf("seed %d: %d records over %d bytes, want %d over %d", seed, len(lines), consumed, n, b.Len())
 		}
 		for i := range wantLines {
 			if lines[i] != wantLines[i] || offsets[i] != wantOff[i] {

@@ -2,8 +2,8 @@ package dfs
 
 // Decoded-split point cache.
 //
-// Every mapper in this repository consumes the same text records and decodes
-// them into the same float64 points, every iteration. The paper's cost model
+// Every mapper in this repository consumes the same records as the same
+// float64 points, every iteration. The paper's cost model
 // charges an iteration one *dataset read* — it says nothing about paying the
 // strconv.ParseFloat tax n·dim times per pass. This file caches the decoded
 // form of each split so the parse happens once per (file, split) and later
@@ -12,9 +12,9 @@ package dfs
 // from (pointwriter.go), bit-identical to what the parse would return.
 //
 // Accounting stays faithful to the paper's I/O model: every OpenSplitPoints
-// call accounts the split's logical text bytes as read, exactly as a
-// RecordReader pass over the same split would, and jobs keep ticking one
-// dataset read per input scan. The cache changes CPU cost only — what the
+// call accounts the split's logical text bytes as read — the bytes of the
+// records it owns, terminators included — and jobs keep ticking one dataset
+// read per input scan. The cache changes CPU cost only — what the
 // counters measure (scans of the dataset) is untouched.
 //
 // Memory trade-off: one cached file costs ≈ 8·n·dim bytes of float64s on top
@@ -28,8 +28,7 @@ package dfs
 // SetSplitSize drops every entry (the split layout changed) but no written
 // points, so the re-split file is sliced again rather than parsed. Readers
 // that obtained a PointSplit before an invalidation keep a consistent
-// snapshot, mirroring how RecordReader keeps reading the byte slice it
-// captured.
+// snapshot of the bytes it was decoded from.
 
 import (
 	"fmt"
@@ -66,16 +65,15 @@ func (p *PointSplit) At(i int) []float64 {
 	return p.flat[i*p.dim : (i+1)*p.dim : (i+1)*p.dim]
 }
 
-// Bytes returns the logical byte size of the split's records: the bytes a
-// RecordReader pass over the same split accounts. The shares of a full
-// split set sum to the file size, so every scan pays the paper's full I/O
-// cost.
+// Bytes returns the logical byte size of the split's records: each owned
+// record with its terminator. The shares of a full split set sum to the
+// file size, so every scan pays the paper's full I/O cost.
 func (p *PointSplit) Bytes() int64 { return p.bytes }
 
 // filePoints is the decoded cache entry for one file: a snapshot of the
 // file's bytes plus one lazily-decoded slot per split. The snapshot makes
 // concurrent decode immune to a mid-wave overwrite of the path (readers of
-// the old entry keep the old data, exactly like RecordReader).
+// the old entry keep the old data).
 type filePoints struct {
 	data      []byte
 	written   *writtenPoints // the points data was written from, or nil
@@ -111,8 +109,8 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("dfs: OpenSplitPoints needs a positive dim, got %d", dim)
 	}
-	// Fast path: cache hits take only the read lock, like OpenSplit, so a
-	// map wave's split opens never serialize on an exclusive section.
+	// Fast path: cache hits take only the read lock, so a map wave's split
+	// opens never serialize on an exclusive section.
 	fs.mu.RLock()
 	f, ok := fs.files[sp.Path]
 	fp := fs.points[sp.Path]
@@ -192,10 +190,10 @@ func (fp *filePoints) decode(sp Split) (*PointSplit, error) {
 }
 
 // decodeSplit parses the text records of one split into a flat point
-// array through the shared tokenizer. The walk uses the same recordIter
-// that backs RecordReader, so record ownership is rule-for-rule identical
-// to a text scan, and it counts the same consumed bytes per record that
-// RecordReader accounts. A binary body (a replica pushed from outside the
+// array through the shared tokenizer. recordIter decides which records the
+// split owns, and each owned record counts its consumed bytes (record plus
+// "\n" or "\r\n" terminator), so the shares of a full split set sum to
+// the file size. A binary body (a replica pushed from outside the
 // process can hold anything) is rejected rather than parsed as lines.
 func decodeSplit(data []byte, sp Split, dim int) (*PointSplit, error) {
 	if IsBinary(data) {

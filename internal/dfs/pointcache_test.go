@@ -69,36 +69,55 @@ func TestOpenSplitPointsDecodesEveryRecordOnce(t *testing.T) {
 	}
 }
 
-// TestOpenSplitPointsAccountingMatchesRecordReader checks that a decoded
-// scan advances BytesRead exactly as a text scan of the same splits does,
-// on every scan — the paper's I/O model must not notice the cache.
-func TestOpenSplitPointsAccountingMatchesRecordReader(t *testing.T) {
-	text, _ := pointFile(300, 4, 2)
+// TestOpenSplitPointsAccountingSumsToFileSize pins the accounting
+// contract: the per-split byte shares of a scan sum to the file size, and
+// every scan — cold or cached — advances BytesRead by exactly that much,
+// on LF, CRLF and unterminated files and on a file written from points.
+// The paper's I/O model must not notice the cache.
+func TestOpenSplitPointsAccountingSumsToFileSize(t *testing.T) {
+	text, pts := pointFile(300, 4, 2)
 	fs := New(512)
-	fs.Create("/p", []byte(text))
-	splits, err := fs.Splits("/p")
-	if err != nil {
-		t.Fatal(err)
+	fs.Create("/lf", []byte(text))
+	fs.Create("/crlf", []byte(strings.ReplaceAll(text, "\n", "\r\n")))
+	fs.Create("/unterminated", []byte(strings.TrimSuffix(text, "\n")))
+	w := fs.PointWriter("/written", 4)
+	for _, p := range pts {
+		w.Append(p)
 	}
-	base := fs.BytesRead()
-	for _, sp := range splits {
-		rd, err := fs.OpenSplit(sp)
+	w.Close()
+	for _, path := range []string{"/lf", "/crlf", "/unterminated", "/written"} {
+		size, err := fs.Size(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if _, ok := rd.Next(); !ok {
-				break
-			}
+		splits, err := fs.Splits(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	textBytes := fs.BytesRead() - base
-
-	for scan := 0; scan < 3; scan++ { // first scan decodes, later scans hit cache
-		before := fs.BytesRead()
-		readAllSplitPoints(t, fs, "/p", 4)
-		if got := fs.BytesRead() - before; got != textBytes {
-			t.Fatalf("scan %d accounted %d bytes, text scan accounts %d", scan, got, textBytes)
+		if len(splits) < 3 {
+			t.Fatalf("%s: want several splits, got %d", path, len(splits))
+		}
+		for scan := 0; scan < 3; scan++ { // first scan decodes, later scans hit cache
+			before := fs.BytesRead()
+			var shares int64
+			n := 0
+			for _, sp := range splits {
+				ps, err := fs.OpenSplitPoints(sp, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shares += ps.Bytes()
+				n += ps.Len()
+			}
+			if n != len(pts) {
+				t.Fatalf("%s scan %d: %d points, want %d", path, scan, n, len(pts))
+			}
+			if shares != size {
+				t.Errorf("%s scan %d: split shares sum to %d, want file size %d", path, scan, shares, size)
+			}
+			if got := fs.BytesRead() - before; got != size {
+				t.Errorf("%s scan %d: accounted %d bytes, want file size %d", path, scan, got, size)
+			}
 		}
 	}
 }
@@ -198,8 +217,8 @@ func TestOpenSplitPointsSetSplitSize(t *testing.T) {
 	}
 }
 
-// TestOpenSplitPointsSplitNarrowerThanRecord pins the RecordReader parity
-// on degenerate layouts: a split too narrow to own any record (its whole
+// TestOpenSplitPointsSplitNarrowerThanRecord pins split ownership on
+// degenerate layouts: a split too narrow to own any record (its whole
 // window sits inside one record) must decode to zero points, not panic,
 // and the full set of splits must still deliver every record exactly once.
 func TestOpenSplitPointsSplitNarrowerThanRecord(t *testing.T) {
@@ -221,8 +240,7 @@ func TestOpenSplitPointsSplitNarrowerThanRecord(t *testing.T) {
 
 // TestOpenSplitPointsStaleSplitBeyondShrunkenFile holds split descriptors
 // across an overwrite that shrinks the file: descriptors whose window now
-// lies beyond the data must decode to zero points (on both scan paths),
-// not panic.
+// lies beyond the data must decode to zero points, not panic.
 func TestOpenSplitPointsStaleSplitBeyondShrunkenFile(t *testing.T) {
 	text, _ := pointFile(200, 3, 8)
 	fs := New(512)
@@ -242,13 +260,6 @@ func TestOpenSplitPointsStaleSplitBeyondShrunkenFile(t *testing.T) {
 		}
 		if ps.Len() != 0 {
 			t.Errorf("stale split %d decoded %d points from shrunken file", sp.Index, ps.Len())
-		}
-		rd, err := fs.OpenSplit(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec, ok := rd.Next(); ok {
-			t.Errorf("stale split %d text scan returned record %q", sp.Index, rec)
 		}
 	}
 }

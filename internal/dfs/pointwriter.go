@@ -48,7 +48,7 @@ type writtenPoints struct {
 // rule: records whose first byte lies in [0, End] for a split starting at
 // byte 0, and in (Start, End] for any other. size is the file's length;
 // Bytes is the span from the first owned record to the end of the last,
-// the bytes a RecordReader pass over sp accounts.
+// the bytes decodeSplit accounts for the same split.
 func (wp *writtenPoints) split(sp Split, size int64) *PointSplit {
 	if sp.Start < 0 || sp.Start >= size {
 		return &PointSplit{flat: []float64{}, dim: wp.dim}

@@ -2,32 +2,10 @@ package mr
 
 import "gmeansmr/internal/dfs"
 
-// Record is one input record handed to a mapper: a line of the input file
-// plus its byte offset, mirroring Hadoop's TextInputFormat (offset key,
-// line value).
-type Record struct {
-	Offset int64
-	Line   string
-}
-
 // Emitter receives key/value pairs from mappers, combiners and reducers.
 // Implementations are not safe for concurrent use; each task owns its own.
 type Emitter interface {
 	Emit(key int64, value Value)
-}
-
-// Mapper processes the records of one input split. One fresh Mapper
-// instance is created per map task (via the job's MapperFactory), so
-// instances may keep per-task state — the TestFewClusters strategy depends
-// on this to buffer projections in the mapper and flush decisions in Close,
-// exactly like Hadoop's Mapper.cleanup.
-type Mapper interface {
-	// Setup runs once before the first record of the task.
-	Setup(ctx *TaskContext) error
-	// Map processes one record.
-	Map(ctx *TaskContext, rec Record, emit Emitter) error
-	// Close runs after the last record and may emit trailing pairs.
-	Close(ctx *TaskContext, emit Emitter) error
 }
 
 // Reducer processes groups of values sharing a key. One fresh Reducer
@@ -43,16 +21,21 @@ type Reducer interface {
 	Close(ctx *TaskContext, emit Emitter) error
 }
 
-// PointMapper is the decoded-input contract of Mapper: instead of text
-// records, the engine hands the task its whole split at once, decoded to
-// float64 points from the DFS split cache (see dfs.OpenSplitPoints) and
-// laid out dim-major (structure-of-arrays), so parsing happens at most
-// once per (file, split) and per-split work — nearest-center assignment
-// above all — runs as one batched kernel call (vec.NearestBatch) instead
-// of a per-point loop. The cols view is read-only and shared with the
-// decode cache: mappers must not modify it, but may retain it or its row
-// views (cols.At) — e.g. inside emitted values — since the backing arrays
-// are immutable.
+// PointMapper processes the input split of one map task. The engine hands
+// the task its whole split at once, decoded to float64 points from the DFS
+// split cache (see dfs.OpenSplitPoints) and laid out dim-major
+// (structure-of-arrays), so parsing happens at most once per (file, split)
+// and per-split work — nearest-center assignment above all — runs as one
+// batched kernel call (vec.NearestBatch) instead of a per-point loop. The
+// cols view is read-only and shared with the decode cache: mappers must
+// not modify it, but may retain it or its row views (cols.At) — e.g.
+// inside emitted values — since the backing arrays are immutable.
+//
+// One fresh instance is created per map task (via the job's
+// PointMapperFactory), so instances may keep per-task state — the
+// TestFewClusters strategy depends on this to buffer projections in the
+// mapper and flush decisions in Close, exactly like Hadoop's
+// Mapper.cleanup.
 type PointMapper interface {
 	// Setup runs once before the task's split.
 	Setup(ctx *TaskContext) error
@@ -62,9 +45,6 @@ type PointMapper interface {
 	// combining mappers emit their accumulators here.
 	Close(ctx *TaskContext, emit Emitter) error
 }
-
-// MapperFactory builds one Mapper per map task.
-type MapperFactory func() Mapper
 
 // PointMapperFactory builds one PointMapper per map task.
 type PointMapperFactory func() PointMapper
@@ -84,21 +64,6 @@ func DefaultPartitioner(key int64, numReducers int) int {
 	}
 	return p
 }
-
-// MapperFunc adapts a plain function to the Mapper interface for jobs that
-// need no per-task state.
-type MapperFunc func(ctx *TaskContext, rec Record, emit Emitter) error
-
-// Setup implements Mapper.
-func (MapperFunc) Setup(*TaskContext) error { return nil }
-
-// Map implements Mapper.
-func (f MapperFunc) Map(ctx *TaskContext, rec Record, emit Emitter) error {
-	return f(ctx, rec, emit)
-}
-
-// Close implements Mapper.
-func (MapperFunc) Close(*TaskContext, Emitter) error { return nil }
 
 // ReducerFunc adapts a plain function to the Reducer interface.
 type ReducerFunc func(ctx *TaskContext, key int64, values []Value, emit Emitter) error

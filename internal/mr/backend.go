@@ -123,131 +123,83 @@ func (LocalRunner) NewShuffle(numReducers, numMapTasks int) ShuffleStore {
 }
 
 // RunMapPhase executes one map task per split on a worker pool bounded by
-// the cluster's map capacity. Context cancellation is observed before every
-// task launch: tasks already running drain, queued tasks never start.
+// the cluster's map capacity (see runPool for cancellation).
 func (LocalRunner) RunMapPhase(ctx context.Context, j *Job, splits []dfs.Split, numReducers int, partition Partitioner, counters *Counters, shuffle ShuffleStore) error {
 	store := shuffle.(*MemShuffle)
-	sem := make(chan struct{}, j.Cluster.MapCapacity())
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for t, sp := range splits {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
+	return runPool(ctx, j.Name, len(splits), j.Cluster.MapCapacity(), func(t int) error {
+		runs, err := j.ExecMapTask(t, splits[t], numReducers, partition, counters)
+		if err != nil {
+			return err
 		}
-		// Deterministic check first: a two-way select alone would pick a
-		// ready case at random and could keep launching tasks on a
-		// cancelled context.
-		if err := ctx.Err(); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = jobErr(j.Name, err)
-			}
-			mu.Unlock()
-			break
+		for p := range runs {
+			store.Put(t, p, runs[p])
 		}
-		select {
-		case <-ctx.Done():
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = jobErr(j.Name, ctx.Err())
-			}
-			mu.Unlock()
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(taskID int, sp dfs.Split) {
-				defer func() { <-sem; wg.Done() }()
-				mu.Lock()
-				aborted := firstErr != nil
-				mu.Unlock()
-				if aborted {
-					return
-				}
-				runs, err := j.ExecMapTask(taskID, sp, numReducers, partition, counters)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				for p := range runs {
-					store.Put(taskID, p, runs[p])
-				}
-			}(t, sp)
-		}
-	}
-	wg.Wait()
-	return firstErr
+		return nil
+	})
 }
 
 // RunReducePhase executes one reduce task per partition on a worker pool
-// bounded by the cluster's reduce capacity. Cancellation is observed before
-// every task launch, as in the map phase.
+// bounded by the cluster's reduce capacity (see runPool for cancellation).
 func (LocalRunner) RunReducePhase(ctx context.Context, j *Job, numReducers int, counters *Counters, shuffle ShuffleStore) ([][]KV, error) {
 	store := shuffle.(*MemShuffle)
-	sem := make(chan struct{}, j.Cluster.ReduceCapacity())
 	outputs := make([][]KV, numReducers)
+	err := runPool(ctx, j.Name, numReducers, j.Cluster.ReduceCapacity(), func(p int) error {
+		out, err := j.ExecReduceTask(p, counters, store.Runs(p))
+		outputs[p] = out
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outputs, nil
+}
+
+// runPool runs task(0) … task(n-1) with at most width in flight and
+// returns the first error. ctx is observed before every launch: tasks
+// already running drain, queued tasks never start, and the error wraps
+// ctx.Err(). After the first task error no further task starts either.
+func runPool(ctx context.Context, job string, n, width int, task func(i int) error) error {
+	sem := make(chan struct{}, width)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for p := 0; p < numReducers; p++ {
+	fail := func(err error) {
 		mu.Lock()
-		stop := firstErr != nil
+		if firstErr == nil {
+			firstErr = err
+		}
 		mu.Unlock()
-		if stop {
-			break
-		}
-		// Deterministic check first, as in RunMapPhase.
-		if err := ctx.Err(); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = jobErr(j.Name, err)
-			}
-			mu.Unlock()
-			break
-		}
+	}
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return firstErr != nil
+	}
+	for i := 0; i < n && !failed(); i++ {
 		select {
 		case <-ctx.Done():
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = jobErr(j.Name, ctx.Err())
-			}
-			mu.Unlock()
 		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(p int) {
-				defer func() { <-sem; wg.Done() }()
-				mu.Lock()
-				aborted := firstErr != nil
-				mu.Unlock()
-				if aborted {
-					return
-				}
-				out, err := j.ExecReduceTask(p, counters, store.Runs(p))
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				outputs[p] = out
-			}(p)
 		}
+		// Deterministic check after the wait: a select with both cases
+		// ready picks one at random, so a slot freed after cancellation
+		// could otherwise launch a queued task.
+		if err := ctx.Err(); err != nil {
+			fail(jobErr(job, err))
+			break
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			if failed() {
+				return
+			}
+			if err := task(i); err != nil {
+				fail(err)
+			}
+		}(i)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return outputs, nil
+	return firstErr
 }

@@ -8,6 +8,22 @@ import (
 	"gmeansmr/internal/mr"
 )
 
+// keyValueMapper reads 2-dim points as (key, value) pairs: the engine
+// hands each map task its split as decoded columns, one per coordinate.
+type keyValueMapper struct{}
+
+func (keyValueMapper) Setup(*mr.TaskContext) error { return nil }
+
+func (keyValueMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
+	keys, vals := cols.Col(0), cols.Col(1)
+	for i := range keys {
+		emit.Emit(int64(keys[i]), mr.Int64Value(vals[i]))
+	}
+	return nil
+}
+
+func (keyValueMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
+
 // ExampleJob_Run runs the classic first MapReduce job — sum values per
 // key — on the simulated cluster: one map task per DFS split, a combiner
 // folding each task's output, and a sort-shuffled reduce.
@@ -24,22 +40,14 @@ func ExampleJob_Run() {
 		return nil
 	})
 	job := &mr.Job{
-		Name:    "sum-per-key",
-		FS:      fs,
-		Cluster: mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, TaskHeapBytes: 1 << 20, MaxHeapUsage: 1},
-		Input:   []string{"/in"},
-		NewMapper: func() mr.Mapper {
-			return mr.MapperFunc(func(_ *mr.TaskContext, rec mr.Record, emit mr.Emitter) error {
-				var key, val int64
-				if _, err := fmt.Sscanf(rec.Line, "%d %d", &key, &val); err != nil {
-					return err
-				}
-				emit.Emit(key, mr.Int64Value(val))
-				return nil
-			})
-		},
-		NewCombiner: func() mr.Reducer { return sum },
-		NewReducer:  func() mr.Reducer { return sum },
+		Name:           "sum-per-key",
+		FS:             fs,
+		Cluster:        mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, TaskHeapBytes: 1 << 20, MaxHeapUsage: 1},
+		Input:          []string{"/in"},
+		PointDim:       2,
+		NewPointMapper: func() mr.PointMapper { return keyValueMapper{} },
+		NewCombiner:    func() mr.Reducer { return sum },
+		NewReducer:     func() mr.Reducer { return sum },
 	}
 	res, err := job.Run()
 	if err != nil {

@@ -29,15 +29,12 @@ type Job struct {
 	// splits; one map task runs per split.
 	Input []string
 
-	// Exactly one of NewMapper and NewPointMapper must be set. NewMapper
-	// feeds text records (Hadoop's TextInputFormat shape); NewPointMapper
-	// hands each split to the mapper whole, as decoded dim-major columns
-	// served from the DFS decode cache, and requires PointDim.
-	NewMapper      MapperFactory
+	// NewPointMapper builds each map task's mapper, which receives its
+	// split whole, as decoded dim-major columns served from the DFS
+	// decode cache.
 	NewPointMapper PointMapperFactory
-	// PointDim is the point dimensionality of the input files; required
-	// with NewPointMapper (every record must decode to exactly PointDim
-	// coordinates).
+	// PointDim is the point dimensionality of the input files: every
+	// record must decode to exactly PointDim coordinates.
 	PointDim    int
 	NewCombiner ReducerFactory // optional; nil disables combining
 	NewReducer  ReducerFactory
@@ -211,11 +208,9 @@ func (j *Job) validate() error {
 		return fmt.Errorf("mr: job %q: nil FS", j.Name)
 	case len(j.Input) == 0:
 		return fmt.Errorf("mr: job %q: no input", j.Name)
-	case j.NewMapper == nil && j.NewPointMapper == nil:
+	case j.NewPointMapper == nil:
 		return fmt.Errorf("mr: job %q: nil mapper factory", j.Name)
-	case j.NewMapper != nil && j.NewPointMapper != nil:
-		return fmt.Errorf("mr: job %q: both NewMapper and NewPointMapper set", j.Name)
-	case j.NewPointMapper != nil && j.PointDim <= 0:
+	case j.PointDim <= 0:
 		return fmt.Errorf("mr: job %q: NewPointMapper requires a positive PointDim, got %d", j.Name, j.PointDim)
 	case j.NewReducer == nil:
 		return fmt.Errorf("mr: job %q: nil reducer factory", j.Name)
@@ -298,50 +293,23 @@ func (j *Job) ExecMapTask(taskID int, sp dfs.Split, numReducers int, partition P
 	return parts, nil
 }
 
-// mapSplit feeds one split through a fresh mapper instance — the decoded
-// columnar split for point mappers, text records otherwise — and returns
-// the input record count.
+// mapSplit feeds one split's decoded columns through a fresh mapper
+// instance and returns the input record count.
 func (j *Job) mapSplit(ctx *TaskContext, sp dfs.Split, em Emitter) (int64, error) {
-	if j.NewPointMapper != nil {
-		mapper := j.NewPointMapper()
-		if err := mapper.Setup(ctx); err != nil {
-			return 0, err
-		}
-		ps, err := j.FS.OpenSplitPoints(sp, j.PointDim)
-		if err != nil {
-			return 0, err
-		}
-		// The whole split in one call, against the dim-major view
-		// materialized once per cached decode.
-		if err := mapper.MapColumns(ctx, ps.Columns(), em); err != nil {
-			return 0, err
-		}
-		return int64(ps.Len()), mapper.Close(ctx, em)
-	}
-	mapper := j.NewMapper()
+	mapper := j.NewPointMapper()
 	if err := mapper.Setup(ctx); err != nil {
 		return 0, err
 	}
-	reader, err := j.FS.OpenSplit(sp)
+	ps, err := j.FS.OpenSplitPoints(sp, j.PointDim)
 	if err != nil {
 		return 0, err
 	}
-	var records int64
-	for {
-		// The reader reports each record's true byte offset. A running sum
-		// seeded with sp.Start would be wrong for every split but the first
-		// (the skipped partial leading record goes unaccounted) and for
-		// CRLF terminators.
-		line, offset, ok := reader.NextRecord()
-		if !ok {
-			break
-		}
-		records++
-		if err := mapper.Map(ctx, Record{Offset: offset, Line: line}, em); err != nil {
-			return 0, err
-		}
+	// The whole split in one call, against the dim-major view
+	// materialized once per cached decode.
+	if err := mapper.MapColumns(ctx, ps.Columns(), em); err != nil {
+		return 0, err
 	}
-	return records, mapper.Close(ctx, em)
+	return int64(ps.Len()), mapper.Close(ctx, em)
 }
 
 // combineRun applies the combiner to one sorted run and returns the

@@ -3,87 +3,10 @@ package mr
 import (
 	"context"
 	"errors"
-	"strings"
-	"sync"
 	"testing"
 
 	"gmeansmr/internal/dfs"
 )
-
-// offsetMapper records every (offset, line) pair it sees.
-type offsetMapper struct {
-	mu      *sync.Mutex
-	seen    map[int64]string
-	emitKey int64
-}
-
-func (m *offsetMapper) Setup(*TaskContext) error { return nil }
-
-func (m *offsetMapper) Map(_ *TaskContext, rec Record, emit Emitter) error {
-	m.mu.Lock()
-	m.seen[rec.Offset] = rec.Line
-	m.mu.Unlock()
-	emit.Emit(m.emitKey, Int64Value(1))
-	return nil
-}
-
-func (m *offsetMapper) Close(*TaskContext, Emitter) error { return nil }
-
-// TestRecordOffsetsAcrossSplits is the engine-level regression test for
-// the split-relative Record.Offset drift: with many splits (and CRLF
-// terminators), every record must arrive with its true byte offset — the
-// contract of Hadoop's TextInputFormat offset key.
-func TestRecordOffsetsAcrossSplits(t *testing.T) {
-	for _, crlf := range []bool{false, true} {
-		records := []string{"10", "2002", "3", "40444", "55", "6", "777777", "88"}
-		sep := "\n"
-		if crlf {
-			sep = "\r\n"
-		}
-		var b strings.Builder
-		want := map[int64]string{}
-		for _, rec := range records {
-			want[int64(b.Len())] = rec
-			b.WriteString(rec)
-			b.WriteString(sep)
-		}
-		fs := dfs.New(6) // several splits, records straddling boundaries
-		fs.Create("/in", []byte(b.String()))
-
-		mu := &sync.Mutex{}
-		seen := map[int64]string{}
-		job := &Job{
-			Name:    "offsets",
-			FS:      fs,
-			Cluster: testCluster(),
-			Input:   []string{"/in"},
-			NewMapper: func() Mapper {
-				return &offsetMapper{mu: mu, seen: seen}
-			},
-			NewReducer: func() Reducer {
-				return ReducerFunc(func(_ *TaskContext, key int64, values []Value, emit Emitter) error {
-					emit.Emit(key, Int64Value(len(values)))
-					return nil
-				})
-			},
-		}
-		res, err := job.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MapTasks < 2 {
-			t.Fatalf("crlf=%v: want a multi-split job, got %d map tasks", crlf, res.MapTasks)
-		}
-		if len(seen) != len(want) {
-			t.Fatalf("crlf=%v: saw %d distinct offsets, want %d: %v", crlf, len(seen), len(want), seen)
-		}
-		for off, rec := range want {
-			if seen[off] != rec {
-				t.Errorf("crlf=%v: offset %d carried %q, want %q", crlf, off, seen[off], rec)
-			}
-		}
-	}
-}
 
 // TestDatasetReadNotTickedForEmptyInput: an empty file yields no splits,
 // so no map task ever scans it — it must not count as a dataset read.

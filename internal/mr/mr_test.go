@@ -19,26 +19,39 @@ func testCluster() Cluster {
 	return Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2, TaskHeapBytes: 1 << 20, MaxHeapUsage: 0.66}
 }
 
+// columnsMapper adapts a plain function to PointMapper for test jobs
+// that need no per-task state.
+type columnsMapper func(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error
+
+func (columnsMapper) Setup(*TaskContext) error { return nil }
+
+func (f columnsMapper) MapColumns(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
+	return f(ctx, cols, emit)
+}
+
+func (columnsMapper) Close(*TaskContext, Emitter) error { return nil }
+
+// countTokens emits (token, 1) for every coordinate of the split.
+func countTokens(_ *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
+	for d := 0; d < cols.Dim(); d++ {
+		for _, x := range cols.Col(d) {
+			emit.Emit(int64(x), Int64Value(1))
+		}
+	}
+	return nil
+}
+
 // wordCountJob builds the canonical MapReduce smoke test: tokens are
-// non-negative ints; the job counts occurrences per token.
+// non-negative ints stored as 1-dim points; the job counts occurrences
+// per token.
 func wordCountJob(fs *dfs.FS, input string, combine bool) *Job {
 	j := &Job{
-		Name:    "wordcount",
-		FS:      fs,
-		Cluster: testCluster(),
-		Input:   []string{input},
-		NewMapper: func() Mapper {
-			return MapperFunc(func(ctx *TaskContext, rec Record, emit Emitter) error {
-				for _, tok := range strings.Fields(rec.Line) {
-					n, err := strconv.ParseInt(tok, 10, 64)
-					if err != nil {
-						return err
-					}
-					emit.Emit(n, Int64Value(1))
-				}
-				return nil
-			})
-		},
+		Name:           "wordcount",
+		FS:             fs,
+		Cluster:        testCluster(),
+		Input:          []string{input},
+		PointDim:       1,
+		NewPointMapper: func() PointMapper { return columnsMapper(countTokens) },
 		NewReducer: func() Reducer {
 			return ReducerFunc(func(ctx *TaskContext, key int64, values []Value, emit Emitter) error {
 				var sum int64
@@ -56,15 +69,12 @@ func wordCountJob(fs *dfs.FS, input string, combine bool) *Job {
 	return j
 }
 
+// writeTokens stores tokens as a 1-dim point file, one token per record.
 func writeTokens(fs *dfs.FS, path string, tokens []int) {
 	var buf strings.Builder
-	for i, tok := range tokens {
+	for _, tok := range tokens {
 		buf.WriteString(strconv.Itoa(tok))
-		if (i+1)%5 == 0 || i == len(tokens)-1 {
-			buf.WriteByte('\n')
-		} else {
-			buf.WriteByte(' ')
-		}
+		buf.WriteByte('\n')
 	}
 	fs.Create(path, []byte(buf.String()))
 }
@@ -141,8 +151,8 @@ func TestEngineCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := res.Counters
-	if got := c.Get(CounterMapInputRecords); got != 1 {
-		t.Errorf("map input records = %d, want 1 line", got)
+	if got := c.Get(CounterMapInputRecords); got != 3 {
+		t.Errorf("map input records = %d, want 3 points", got)
 	}
 	if got := c.Get(CounterMapOutputRecords); got != 3 {
 		t.Errorf("map output records = %d, want 3", got)
@@ -170,19 +180,33 @@ func TestDatasetReadAccounting(t *testing.T) {
 	}
 }
 
+// TestMapperErrorFailsJob: a mapper error and an undecodable input record
+// both fail the job as a map-task error.
 func TestMapperErrorFailsJob(t *testing.T) {
 	fs := dfs.New(0)
-	fs.Create("/in", []byte("not-a-number\n"))
-	_, err := wordCountJob(fs, "/in", false).Run()
-	if err == nil {
-		t.Fatal("expected job failure")
+	writeTokens(fs, "/in", []int{1})
+	fs.Create("/bad", []byte("not-a-number\n"))
+	failing := wordCountJob(fs, "/in", false)
+	failing.NewPointMapper = func() PointMapper {
+		return columnsMapper(func(*TaskContext, *dfs.ColumnarSplit, Emitter) error {
+			return errors.New("map boom")
+		})
 	}
-	var te *TaskError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %T, want *TaskError", err)
-	}
-	if te.Kind != MapTask {
-		t.Errorf("failing kind = %s, want map", te.Kind)
+	for name, job := range map[string]*Job{
+		"mapper error": failing,
+		"bad record":   wordCountJob(fs, "/bad", false),
+	} {
+		_, err := job.Run()
+		if err == nil {
+			t.Fatalf("%s: expected job failure", name)
+		}
+		var te *TaskError
+		if !errors.As(err, &te) {
+			t.Fatalf("%s: err = %T, want *TaskError", name, err)
+		}
+		if te.Kind != MapTask {
+			t.Errorf("%s: failing kind = %s, want map", name, te.Kind)
+		}
 	}
 }
 
@@ -260,11 +284,12 @@ func TestMapperSetupCloseLifecycle(t *testing.T) {
 	fs.Create("/in", []byte("1 1\n2 2\n3 3\n"))
 	var mu = make(chan string, 100)
 	job := &Job{
-		Name:    "lifecycle",
-		FS:      fs,
-		Cluster: testCluster(),
-		Input:   []string{"/in"},
-		NewMapper: func() Mapper {
+		Name:     "lifecycle",
+		FS:       fs,
+		Cluster:  testCluster(),
+		Input:    []string{"/in"},
+		PointDim: 2,
+		NewPointMapper: func() PointMapper {
 			return &lifecycleMapper{events: mu}
 		},
 		NewReducer: func() Reducer {
@@ -308,12 +333,8 @@ func (m *lifecycleMapper) Setup(*TaskContext) error {
 	return nil
 }
 
-func (m *lifecycleMapper) Map(ctx *TaskContext, rec Record, emit Emitter) error {
-	for _, tok := range strings.Fields(rec.Line) {
-		n, _ := strconv.ParseInt(tok, 10, 64)
-		emit.Emit(n, Int64Value(1))
-	}
-	return nil
+func (m *lifecycleMapper) MapColumns(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
+	return countTokens(ctx, cols, emit)
 }
 
 func (m *lifecycleMapper) Close(ctx *TaskContext, emit Emitter) error {
@@ -338,7 +359,7 @@ func TestJobValidation(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 	bad = *base
-	bad.NewMapper = nil
+	bad.NewPointMapper = nil
 	if _, err := bad.Run(); err == nil {
 		t.Error("nil mapper accepted")
 	}
@@ -587,14 +608,15 @@ func TestMultipleInputFiles(t *testing.T) {
 
 func TestNegativeKeysRouteAndGroup(t *testing.T) {
 	fs := dfs.New(0)
-	fs.Create("/in", []byte("x\n"))
+	fs.Create("/in", []byte("0\n"))
 	job := &Job{
-		Name:    "negkeys",
-		FS:      fs,
-		Cluster: testCluster(),
-		Input:   []string{"/in"},
-		NewMapper: func() Mapper {
-			return MapperFunc(func(ctx *TaskContext, rec Record, emit Emitter) error {
+		Name:     "negkeys",
+		FS:       fs,
+		Cluster:  testCluster(),
+		Input:    []string{"/in"},
+		PointDim: 1,
+		NewPointMapper: func() PointMapper {
+			return columnsMapper(func(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
 				emit.Emit(-5, Int64Value(1))
 				emit.Emit(-5, Int64Value(1))
 				emit.Emit(-1<<62, Int64Value(1))
@@ -656,16 +678,19 @@ func TestOffsetKeysSurviveShuffle(t *testing.T) {
 	// keys shuffling intact.
 	const offset = int64(1) << 62
 	fs := dfs.New(0)
-	fs.Create("/in", []byte("x\ny\n"))
+	fs.Create("/in", []byte("0\n1\n"))
 	job := &Job{
-		Name:    "offset",
-		FS:      fs,
-		Cluster: testCluster(),
-		Input:   []string{"/in"},
-		NewMapper: func() Mapper {
-			return MapperFunc(func(ctx *TaskContext, rec Record, emit Emitter) error {
-				emit.Emit(3, Int64Value(1))
-				emit.Emit(3+offset, Int64Value(1))
+		Name:     "offset",
+		FS:       fs,
+		Cluster:  testCluster(),
+		Input:    []string{"/in"},
+		PointDim: 1,
+		NewPointMapper: func() PointMapper {
+			return columnsMapper(func(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
+				for range cols.Len() {
+					emit.Emit(3, Int64Value(1))
+					emit.Emit(3+offset, Int64Value(1))
+				}
 				return nil
 			})
 		},

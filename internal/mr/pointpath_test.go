@@ -101,14 +101,6 @@ func TestPointMapperValidation(t *testing.T) {
 		t.Error("PointDim=0 accepted with NewPointMapper")
 	}
 
-	both := pointPathJob(fs, 2)
-	both.NewMapper = func() Mapper {
-		return MapperFunc(func(*TaskContext, Record, Emitter) error { return nil })
-	}
-	if _, err := both.Run(); err == nil {
-		t.Error("both mapper factories accepted")
-	}
-
 	badDim := pointPathJob(fs, 3) // records have 2 coordinates
 	if _, err := badDim.Run(); err == nil {
 		t.Error("dimension mismatch did not fail the job")

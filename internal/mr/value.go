@@ -19,13 +19,13 @@
 //
 // # Contract
 //
-// Input contracts. Jobs read their input one of two ways: NewMapper
-// feeds text records (offset + line, the TextInputFormat shape);
-// NewPointMapper hands each split once, whole, as decoded float64 points
-// in dim-major form, served from the DFS split cache so parsing happens
-// at most once per (file, split) — the layer the batched vec kernels plug
-// into. Every point job in the repository uses the second; the text
-// contract remains the engine's generic record interface.
+// Input contract. A job's input files are point files in the DFS text
+// record format, and every map task reads its split one way:
+// NewPointMapper's mapper receives the split once, whole, as decoded
+// float64 points in dim-major form (dfs.OpenSplitPoints, then Columns,
+// then PointMapper.MapColumns), served from the DFS split cache so
+// parsing happens at most once per (file, split) — the layer the batched
+// vec kernels plug into.
 //
 // Counter interning. Counters are addressed by name through a string API,
 // but per-record hot loops must not pay a map lookup per tick: intern the

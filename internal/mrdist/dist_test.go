@@ -67,9 +67,9 @@ func init() {
 
 func sumParts(p sumPayload) mrdist.JobParts {
 	return mrdist.JobParts{
-		NewMapper:   func() mr.Mapper { return &sumMapper{sleepMS: p.sleepMS} },
-		NewCombiner: func() mr.Reducer { return sumReducer{} },
-		NewReducer:  func() mr.Reducer { return sumReducer{heapBytes: p.heapBytes} },
+		NewPointMapper: func() mr.PointMapper { return &sumMapper{sleepMS: p.sleepMS} },
+		NewCombiner:    func() mr.Reducer { return sumReducer{} },
+		NewReducer:     func() mr.Reducer { return sumReducer{heapBytes: p.heapBytes} },
 	}
 }
 
@@ -84,13 +84,13 @@ func (m *sumMapper) Setup(*mr.TaskContext) error {
 	return nil
 }
 
-func (m *sumMapper) Map(ctx *mr.TaskContext, rec mr.Record, emit mr.Emitter) error {
-	v, err := strconv.ParseInt(strings.TrimSpace(rec.Line), 10, 64)
-	if err != nil {
-		return err
+func (m *sumMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
+	col := cols.Col(0)
+	for _, x := range col {
+		v := int64(x)
+		emit.Emit(v%sumKeys, mr.Int64Value(v))
 	}
-	ctx.Counter("sumtest.records", 1)
-	emit.Emit(v%sumKeys, mr.Int64Value(v))
+	ctx.Counter("sumtest.records", int64(len(col)))
 	return nil
 }
 
@@ -138,18 +138,15 @@ func numbersFS(n, splitSize int) (*dfs.FS, map[int64]int64) {
 }
 
 func sumJob(fs *dfs.FS, cluster mr.Cluster, runner mr.TaskRunner, p sumPayload) *mr.Job {
-	parts := sumParts(p)
-	return &mr.Job{
-		Name:        "dist-sum",
-		FS:          fs,
-		Cluster:     cluster,
-		Input:       []string{"/nums.txt"},
-		Runner:      runner,
-		Spec:        sumSpec(p),
-		NewMapper:   parts.NewMapper,
-		NewCombiner: parts.NewCombiner,
-		NewReducer:  parts.NewReducer,
-	}
+	return sumParts(p).Install(&mr.Job{
+		Name:     "dist-sum",
+		FS:       fs,
+		Cluster:  cluster,
+		Input:    []string{"/nums.txt"},
+		PointDim: 1,
+		Runner:   runner,
+		Spec:     sumSpec(p),
+	})
 }
 
 func checkSums(t *testing.T, res *mr.Result, want map[int64]int64) {

@@ -13,7 +13,6 @@ import (
 // runs (see Install), so the two sides cannot drift apart — the identity
 // the backend equivalence pin rests on.
 type JobParts struct {
-	NewMapper      mr.MapperFactory
 	NewPointMapper mr.PointMapperFactory
 	NewCombiner    mr.ReducerFactory
 	NewReducer     mr.ReducerFactory
@@ -24,7 +23,7 @@ type JobParts struct {
 // through it from the same KindBuilder output, so a remote worker runs
 // the same map and reduce code as an in-process job by construction.
 func (p JobParts) Install(j *mr.Job) *mr.Job {
-	j.NewMapper, j.NewPointMapper = p.NewMapper, p.NewPointMapper
+	j.NewPointMapper = p.NewPointMapper
 	j.NewCombiner, j.NewReducer = p.NewCombiner, p.NewReducer
 	return j
 }
