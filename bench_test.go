@@ -272,36 +272,6 @@ func BenchmarkTable4NodeScaling(b *testing.B) {
 
 // --- Ablations ---------------------------------------------------------------
 
-// BenchmarkAblationCombiner quantifies the shuffle-volume reduction the
-// paper attributes to combiners ("this effect is largely mitigated by the
-// use of a combiner").
-func BenchmarkAblationCombiner(b *testing.B) {
-	spec := dataset.Spec{K: 16, Dim: 10, N: 20_000, CenterRange: 100,
-		StdDev: 1, MinSeparation: 8, Seed: 23}
-	for _, combine := range []bool{true, false} {
-		name := "with-combiner"
-		if !combine {
-			name = "no-combiner"
-		}
-		b.Run(name, func(b *testing.B) {
-			env, ds := benchEnv(b, spec, benchCluster())
-			for i := 0; i < b.N; i++ {
-				var it *kmeansmr.IterationResult
-				var err error
-				if combine {
-					it, err = kmeansmr.Iterate(env, ds.Centers)
-				} else {
-					it, err = kmeansmr.IterateNoCombiner(env, ds.Centers, "")
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(it.Job.Counters.Get(mr.CounterShuffleBytes)), "shuffle_bytes")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationStrategy compares the two normality-test strategies the
 // hybrid switch chooses between.
 func BenchmarkAblationStrategy(b *testing.B) {
@@ -750,16 +720,6 @@ func BenchmarkSeqVsMRGMeans(b *testing.B) {
 	b.Run("sequential-principal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := seqgmeans.Run(ds.Points, seqgmeans.Config{Seed: 62})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.K), "k_found")
-			b.ReportMetric(float64(coverageOf(ds, res.Centers)), "covered")
-		}
-	})
-	b.Run("sequential-random", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := seqgmeans.Run(ds.Points, seqgmeans.Config{Init: seqgmeans.InitRandom, Seed: 62})
 			if err != nil {
 				b.Fatal(err)
 			}

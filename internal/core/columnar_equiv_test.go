@@ -13,8 +13,8 @@ import (
 // TestGMeansColumnarMatchesRowMajor pins the whole G-means trajectory to
 // golden digests (invariants.Digest over the final centers and every
 // counter of the run): every job of every round — the fused k-means +
-// candidate pass with and without combiners, both normality-test
-// strategies, and the PCA candidate job. The digests were recorded from
+// candidate pass, both normality-test strategies, and the PCA candidate
+// job. The digests were recorded from
 // both the per-point row-major mapper path and the batched columnar path
 // while both existed — they agreed, on amd64 and under GOARCH=386 — so the
 // columnar mappers that remain reproduce the row-major decisions bit for
@@ -28,7 +28,6 @@ func TestGMeansColumnarMatchesRowMajor(t *testing.T) {
 		{"few-clusters", Config{ForceStrategy: StrategyFewClusters}, "e9b3573dc3b7696f9b231f5d"},
 		{"reducer", Config{ForceStrategy: StrategyReducer}, "888158c3fba7da6d59fb59f1"},
 		{"pca-candidates", Config{Candidates: CandidatesPCA}, "cb86ef944b8517f47b9df678"},
-		{"no-combiners", Config{DisableCombiners: true}, "0c48368c0b0913c63e934c71"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, err := dataset.Generate(dataset.Spec{K: 3, Dim: 16, N: 2400,

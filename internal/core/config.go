@@ -29,39 +29,23 @@ const Offset = int64(1) << 62
 // requires approximatively 64 Bytes (8 doubles) per point."
 const HeapBytesPerPoint = 64
 
-// DefaultMinTestSamples is the minimum projection-sample size for a
-// mapper-side Anderson–Darling decision. The paper: "a minimum size of 8 is
-// considered to be sufficient. In our implementation we use a threshold of
-// 20, to stay on the safe side."
+// DefaultMinTestSamples is the minimum projection-sample size for an
+// Anderson–Darling decision in either test job. The paper: "a minimum size
+// of 8 is considered to be sufficient. In our implementation we use a
+// threshold of 20, to stay on the safe side."
 const DefaultMinTestSamples = 20
 
-// VotePolicy is how the TestFewClusters reducer combines the per-mapper
-// normality decisions of one cluster.
-type VotePolicy int
-
-// Vote policies.
+// The paper's fixed choices for the G-means loop, which starts from one
+// cluster.
 const (
-	// VoteMajority accepts the Gaussian hypothesis when the majority of
-	// mapper decisions (weighted by sample size) accept it. The default.
-	VoteMajority VotePolicy = iota
-	// VoteAll accepts only when every mapper decision accepts — the
-	// aggressive-splitting extreme.
-	VoteAll
-	// VoteAny accepts when any mapper decision accepts — the conservative
-	// extreme.
-	VoteAny
+	// kmeansPasses is the number of refinement passes per G-means round,
+	// including the KMeansAndFindNewCenters pass: "we found
+	// experimentally that only two k-means iterations are sufficient".
+	kmeansPasses = 2
+	// minTestableSize marks clusters smaller than this as final without
+	// testing: they cannot produce a reliable split decision.
+	minTestableSize = 2 * DefaultMinTestSamples
 )
-
-func (v VotePolicy) String() string {
-	switch v {
-	case VoteAll:
-		return "all"
-	case VoteAny:
-		return "any"
-	default:
-		return "majority"
-	}
-}
 
 // TestStrategy names which normality-test job an iteration used.
 type TestStrategy string
@@ -84,32 +68,15 @@ const (
 type Config struct {
 	kmeansmr.Env
 
-	// InitialClusters is the number of clusters the first iteration starts
-	// from (the paper starts with one).
-	InitialClusters int
 	// Alpha is the Anderson–Darling significance level; smaller splits
 	// less. Zero selects 0.0001, the strict level used by the original
 	// G-means paper.
 	Alpha float64
-	// KMeansIterations is the number of refinement iterations per G-means
-	// round, including the KMeansAndFindNewCenters pass. The paper found
-	// two are enough ("we found experimentally that only two k-means
-	// iterations are sufficient"). Zero selects 2.
-	KMeansIterations int
 	// MaxIterations caps the G-means rounds; zero selects 30 (the paper
 	// needed at most 13 on its workloads).
 	MaxIterations int
 	// MaxK stops splitting once this many centers exist (0 = unlimited).
 	MaxK int
-	// MinTestSamples is the smallest projection sample a mapper-side test
-	// will decide on; zero selects DefaultMinTestSamples.
-	MinTestSamples int
-	// MinClusterSize marks clusters smaller than this as final without
-	// testing (they cannot produce a reliable split decision). Zero
-	// selects 2×MinTestSamples.
-	MinClusterSize int64
-	// Vote selects the TestFewClusters decision-combining policy.
-	Vote VotePolicy
 	// Candidates selects how next-round candidate centers are picked:
 	// CandidatesRandom fuses the pick into the last k-means pass (the
 	// paper's KMeansAndFindNewCenters); CandidatesPCA pays the "additional
@@ -132,9 +99,6 @@ type Config struct {
 	// ForceStrategy, when non-empty, pins the test strategy instead of the
 	// paper's hybrid switch rule. Used by ablation benchmarks.
 	ForceStrategy TestStrategy
-	// DisableCombiners turns combiners off in every job, for the shuffle
-	// ablation bench.
-	DisableCombiners bool
 	// MergeRadius, when positive, enables the post-processing step the
 	// paper leaves as future work: centers closer than this are merged
 	// after the loop terminates.
@@ -148,26 +112,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.InitialClusters <= 0 {
-		c.InitialClusters = 1
-	}
 	if c.Alpha == 0 {
 		c.Alpha = 0.0001
-	}
-	if c.KMeansIterations <= 0 {
-		c.KMeansIterations = 2
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 30
 	}
-	if c.MinTestSamples <= 0 {
-		c.MinTestSamples = DefaultMinTestSamples
-	}
 	if c.ConfirmRounds <= 0 {
 		c.ConfirmRounds = 2
-	}
-	if c.MinClusterSize <= 0 {
-		c.MinClusterSize = 2 * int64(c.MinTestSamples)
 	}
 	return c
 }
@@ -179,9 +131,6 @@ func (c Config) Validate() error {
 	}
 	if c.Alpha < 0 || c.Alpha >= 1 {
 		return fmt.Errorf("core: alpha must be in (0,1), got %g", c.Alpha)
-	}
-	if c.InitialClusters < 0 {
-		return fmt.Errorf("core: InitialClusters must be non-negative, got %d", c.InitialClusters)
 	}
 	return nil
 }

@@ -70,7 +70,7 @@ func TestRunSingleGaussianStopsAtOne(t *testing.T) {
 	}
 }
 
-// Regression: datasets smaller than the 2·InitialClusters seeding sample
+// Regression: datasets smaller than the two-point seeding sample
 // previously failed with "dataset has only 1 points, need 2 samples". The
 // seeding now pads the sample by pairing points with themselves, so the run
 // degrades to the trivial clustering instead of erroring.
@@ -362,22 +362,6 @@ func TestRunDistancesLinearInK(t *testing.T) {
 	}
 }
 
-func TestVotePolicies(t *testing.T) {
-	for _, v := range []VotePolicy{VoteMajority, VoteAll, VoteAny} {
-		env, _ := newEnv(t, dataset.Spec{K: 3, Dim: 2, N: 3000, MinSeparation: 25, Seed: 15}, 64<<10, smallCluster())
-		res, err := Run(Config{Env: env, Seed: 11, Vote: v, ForceStrategy: StrategyFewClusters})
-		if err != nil {
-			t.Fatalf("vote %s: %v", v, err)
-		}
-		if res.K < 3 {
-			t.Errorf("vote %s under-split: k=%d", v, res.K)
-		}
-	}
-	if VoteAll.String() != "all" || VoteAny.String() != "any" || VoteMajority.String() != "majority" {
-		t.Error("VotePolicy.String wrong")
-	}
-}
-
 func TestMergeCloseCenters(t *testing.T) {
 	centers := []vec.Vector{{0, 0}, {0.5, 0}, {10, 10}, {10, 10.4}, {50, 50}}
 	got := MergeCloseCenters(centers, 1)
@@ -445,9 +429,7 @@ func TestSuggestMergeRadius(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.InitialClusters != 1 || c.Alpha != 0.0001 || c.KMeansIterations != 2 ||
-		c.MaxIterations != 30 || c.MinTestSamples != DefaultMinTestSamples ||
-		c.MinClusterSize != 2*DefaultMinTestSamples {
+	if c.Alpha != 0.0001 || c.MaxIterations != 30 || c.ConfirmRounds != 2 {
 		t.Errorf("defaults = %+v", c)
 	}
 }

@@ -33,7 +33,7 @@ type Result struct {
 //
 //	PickInitialCenters
 //	while not ClusteringCompleted:
-//	    KMeans                     (KMeansIterations-1 plain passes)
+//	    KMeans                     (kmeansPasses-1 plain passes)
 //	    KMeansAndFindNewCenters    (last pass + candidate picking)
 //	    TestClusters               (hybrid strategy)
 func Run(cfg Config) (*Result, error) {
@@ -85,8 +85,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		kmSpan := trace.StartSpan("kmeans", "round-phase")
 		phaseStart := time.Now()
 		centers := liveCenters(found, active)
-		for it := 0; it < cfg.KMeansIterations-1; it++ {
-			itRes, err := kmeansIteration(cfg, centers, round, it)
+		for pass := 1; pass < kmeansPasses; pass++ {
+			itRes, err := kmeansmr.Iterate(cfg.Env, centers)
 			if err != nil {
 				kmSpan.End()
 				roundSpan.End()
@@ -119,7 +119,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			case a.parentSize() == 0:
 				// Other clusters absorbed every point: the cluster no
 				// longer exists.
-			case a.parentSize() < cfg.MinClusterSize:
+			case a.parentSize() < minTestableSize:
 				found = append(found, a.parent)
 			default:
 				testable = append(testable, a)
@@ -218,7 +218,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				switch {
 				case child.size == 0:
 					// Empty child: nothing to represent.
-				case child.size < cfg.MinClusterSize || len(child.cands) == 0:
+				case child.size < minTestableSize || len(child.cands) == 0:
 					found = append(found, child.center)
 				default:
 					na := &activeCluster{parent: child.center, c1: child.cands[0]}
@@ -290,32 +290,27 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// pickInitialCenters implements the paper's serial PickInitialCenters: it
-// draws pairs of random points as the first candidate centers. With
-// InitialClusters=1 this is one pair for the whole dataset.
+// pickInitialCenters implements the paper's serial PickInitialCenters for
+// its single starting cluster: it draws one pair of random points as the
+// first candidate centers.
 func pickInitialCenters(cfg Config) ([]*activeCluster, error) {
-	sample, err := kmeansmr.SampleUpTo(cfg.Env, 2*cfg.InitialClusters, cfg.Seed)
+	sample, err := kmeansmr.SampleUpTo(cfg.Env, 2, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	// Degenerate n < 2·InitialClusters datasets: pad the sample by pairing
-	// points with clones of themselves. The candidate pair collapses onto
-	// the point, the split test keeps the parent, and the run converges to
-	// the trivial clustering instead of erroring out. Bit-identical to the
-	// old SamplePoints path whenever the dataset is large enough.
-	for i := 0; len(sample) < 2*cfg.InitialClusters; i++ {
-		sample = append(sample, vec.Clone(sample[i]))
+	// A one-point dataset: pair the point with a clone of itself. The
+	// candidate pair collapses onto the point, the split test keeps the
+	// parent, and the run converges to the trivial clustering instead of
+	// erroring out.
+	if len(sample) == 1 {
+		sample = append(sample, vec.Clone(sample[0]))
 	}
-	active := make([]*activeCluster, cfg.InitialClusters)
-	for i := range active {
-		c1, c2 := sample[2*i], sample[2*i+1]
-		mid := vec.Scale(vec.Add(c1, c2), 0.5)
-		active[i] = &activeCluster{parent: mid, c1: c1, c2: c2}
-	}
-	return active, nil
+	c1, c2 := sample[0], sample[1]
+	mid := vec.Scale(vec.Add(c1, c2), 0.5)
+	return []*activeCluster{{parent: mid, c1: c1, c2: c2}}, nil
 }
 
 // liveCenters builds the center array refined by the k-means jobs:
@@ -351,7 +346,7 @@ func writeBack(found []vec.Vector, active []*activeCluster, kfnc *kfncOutput) {
 // children, one extra dataset read — the trade-off the paper describes).
 func lastPassWithCandidates(cfg Config, centers []vec.Vector, round int, counters *mr.Counters) (*kfncOutput, error) {
 	if cfg.Candidates == CandidatesPCA {
-		itRes, err := kmeansIteration(cfg, centers, round, cfg.KMeansIterations-1)
+		itRes, err := kmeansmr.Iterate(cfg.Env, centers)
 		if err != nil {
 			return nil, err
 		}
@@ -371,15 +366,6 @@ func lastPassWithCandidates(cfg Config, centers []vec.Vector, round int, counter
 	return kfnc, nil
 }
 
-// kmeansIteration is a thin wrapper around kmeansmr.Iterate that honors the
-// DisableCombiners ablation flag.
-func kmeansIteration(cfg Config, centers []vec.Vector, round, it int) (*kmeansmr.IterationResult, error) {
-	if !cfg.DisableCombiners {
-		return kmeansmr.Iterate(cfg.Env, centers)
-	}
-	return kmeansmr.IterateNoCombiner(cfg.Env, centers, fmt.Sprintf("gmeans-kmeans-%d-%d", round, it))
-}
-
 // chooseStrategy implements the paper's hybrid rule: "first use the
 // TestFewClusters strategy, and switch to the other strategy only when ...
 // the number of clusters to test is larger than the total reduce capacity,
@@ -392,7 +378,7 @@ func kmeansIteration(cfg Config, centers []vec.Vector, round, it int) (*kmeansmr
 // values of k" — a safe supposition at 10M points per 64MB split, but not
 // in general. When the smallest cluster under test cannot hand every
 // mapper a decidable sample (expected split-local sample below
-// MinTestSamples), the reducer-side test is used instead, heap permitting:
+// DefaultMinTestSamples), the reducer-side test is used instead, heap permitting:
 // accepting a cluster on an undecidable sample would freeze it forever.
 func chooseStrategy(cfg Config, numToTest int, estHeap, minClusterSize int64, numSplits int) TestStrategy {
 	if cfg.ForceStrategy != "" {
@@ -402,7 +388,7 @@ func chooseStrategy(cfg Config, numToTest int, estHeap, minClusterSize int64, nu
 	if numToTest > cfg.Cluster.ReduceCapacity() && heapFits {
 		return StrategyReducer
 	}
-	if numSplits > 0 && minClusterSize/int64(numSplits) < int64(cfg.MinTestSamples) && heapFits {
+	if numSplits > 0 && minClusterSize/int64(numSplits) < DefaultMinTestSamples && heapFits {
 		return StrategyReducer
 	}
 	return StrategyFewClusters

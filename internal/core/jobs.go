@@ -40,8 +40,9 @@ var (
 // flushed in Close), which is exactly what the spill combiner would have
 // produced for those keys, in the same fold order — so sums, candidate
 // selection and therefore the whole G-means trajectory stay bit-identical
-// to the emit-twice formulation. Candidate records still go out one per
-// point: the combiner/reducer's seeded random pick needs to see them.
+// to the emit-twice formulation (TestKFNCInMapperMatchesEmitTwiceExactly
+// pins this). Candidate records still go out one per point: the
+// combiner/reducer's seeded random pick needs to see them.
 type kfncMapper struct {
 	centers []vec.Vector
 
@@ -86,37 +87,6 @@ func (m *kfncMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	}
 	return nil
 }
-
-// legacyKFNCMapper is the paper's literal emit-twice formulation, kept for
-// the DisableCombiners ablation so the "doubled shuffle" the paper
-// describes stays measurable.
-type legacyKFNCMapper struct {
-	centers []vec.Vector
-	batch   kmeansmr.BatchAssigner
-}
-
-func (m *legacyKFNCMapper) Setup(*mr.TaskContext) error { return nil }
-
-func (m *legacyKFNCMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
-	n := cols.Len()
-	idx := m.batch.Assign(m.centers, cols)
-	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.centers))*int64(n))
-	ctx.Count(kmeansmr.CounterIDPoints, int64(n))
-	for j, best := range idx {
-		if best < 0 {
-			return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
-		}
-		// Both values share the cached vector: the k-means reduction only
-		// accumulates into its own sums and the candidate path re-emits
-		// values verbatim, so no copy is needed.
-		wp := mr.OwnWeightedPointValue(cols.At(j))
-		emit.Emit(int64(best), wp)
-		emit.Emit(int64(best)+Offset, wp)
-	}
-	return nil
-}
-
-func (m *legacyKFNCMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 
 // kfncReducer serves as combiner and reducer of KMeansAndFindNewCenters:
 // "the combiner and reducer test the value of the key. If it is larger than
@@ -256,7 +226,6 @@ func (m *testMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 // like the paper's "Java heap space" crashes (Figure 2).
 type testReducer struct {
 	alpha float64
-	minN  int
 }
 
 func (r *testReducer) Setup(*mr.TaskContext) error { return nil }
@@ -277,7 +246,7 @@ func (r *testReducer) Reduce(ctx *mr.TaskContext, key int64, values []mr.Value, 
 		projections = append(projections, float64(f))
 	}
 	ctx.Count(counterIDADTests, 1)
-	res, err := stats.ADTest(projections, r.alpha, r.minN)
+	res, err := stats.ADTest(projections, r.alpha, DefaultMinTestSamples)
 	if err != nil {
 		// Not enough samples for a verdict: report "undecided accept".
 		emit.Emit(key, mr.ADDecisionValue{N: int64(len(projections)), Normal: true})
@@ -303,7 +272,6 @@ type fewMapper struct {
 	foundCount int
 	vectors    []vec.Vector
 	alpha      float64
-	minN       int
 
 	lists map[int][]float64
 	batch kmeansmr.BatchAssigner
@@ -341,14 +309,14 @@ func (m *fewMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 
 func (m *fewMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	for i, projections := range m.lists {
-		if len(projections) < m.minN {
+		if len(projections) < DefaultMinTestSamples {
 			// "There is a risk that the number of points in some clusters
 			// is smaller than the threshold. The mapper is then not able to
 			// compute a decision."
 			continue
 		}
 		ctx.Count(counterIDADTests, 1)
-		res, err := stats.ADTest(projections, m.alpha, m.minN)
+		res, err := stats.ADTest(projections, m.alpha, DefaultMinTestSamples)
 		if err != nil {
 			continue
 		}
@@ -358,18 +326,16 @@ func (m *fewMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 }
 
 // fewReducer combines the mapper decisions of one cluster: "their task is
-// only to combine the decisions taken by mappers". The combining rule is
-// the configurable VotePolicy (sample-size-weighted majority by default).
-type fewReducer struct {
-	vote VotePolicy
-}
+// only to combine the decisions taken by mappers". The cluster is Gaussian
+// when mappers holding at least half of its tested samples accept — a
+// majority vote weighted by sample size.
+type fewReducer struct{}
 
 func (r *fewReducer) Setup(*mr.TaskContext) error { return nil }
 
 func (r *fewReducer) Reduce(_ *mr.TaskContext, key int64, values []mr.Value, emit mr.Emitter) error {
 	var normalN, totalN int64
 	var wsum float64
-	anyNormal, allNormal := false, true
 	for _, v := range values {
 		d, ok := v.(mr.ADDecisionValue)
 		if !ok {
@@ -379,24 +345,12 @@ func (r *fewReducer) Reduce(_ *mr.TaskContext, key int64, values []mr.Value, emi
 		wsum += d.A2Star * float64(d.N)
 		if d.Normal {
 			normalN += d.N
-			anyNormal = true
-		} else {
-			allNormal = false
 		}
 	}
 	if totalN == 0 {
 		return nil
 	}
-	var normal bool
-	switch r.vote {
-	case VoteAll:
-		normal = allNormal
-	case VoteAny:
-		normal = anyNormal
-	default:
-		normal = normalN*2 >= totalN
-	}
-	emit.Emit(key, mr.ADDecisionValue{A2Star: wsum / float64(totalN), N: totalN, Normal: normal})
+	emit.Emit(key, mr.ADDecisionValue{A2Star: wsum / float64(totalN), N: totalN, Normal: normalN*2 >= totalN})
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,39 +97,6 @@ func TestKFNCReducerDeterministicByKey(t *testing.T) {
 	}
 }
 
-func TestFewReducerVotePolicies(t *testing.T) {
-	mixed := []mr.Value{
-		mr.ADDecisionValue{A2Star: 0.5, N: 100, Normal: true},
-		mr.ADDecisionValue{A2Star: 2.5, N: 40, Normal: false},
-		mr.ADDecisionValue{A2Star: 0.6, N: 80, Normal: true},
-	}
-	cases := []struct {
-		vote VotePolicy
-		want bool
-	}{
-		{VoteMajority, true}, // 180 normal vs 40 not
-		{VoteAll, false},
-		{VoteAny, true},
-	}
-	for _, c := range cases {
-		r := &fewReducer{vote: c.vote}
-		em := &collectEmitter{}
-		if err := r.Reduce(newTaskCtx(0), 0, mixed, em); err != nil {
-			t.Fatal(err)
-		}
-		if len(em.out) != 1 {
-			t.Fatalf("vote %s emitted %d", c.vote, len(em.out))
-		}
-		d := em.out[0].Value.(mr.ADDecisionValue)
-		if d.Normal != c.want {
-			t.Errorf("vote %s → normal=%v, want %v", c.vote, d.Normal, c.want)
-		}
-		if d.N != 220 {
-			t.Errorf("vote %s total N = %d", c.vote, d.N)
-		}
-	}
-}
-
 func TestFewReducerMajorityWeightedBySampleSize(t *testing.T) {
 	// One big rejecting mapper outweighs two small accepting ones.
 	values := []mr.Value{
@@ -136,13 +104,41 @@ func TestFewReducerMajorityWeightedBySampleSize(t *testing.T) {
 		mr.ADDecisionValue{N: 30, Normal: true},
 		mr.ADDecisionValue{N: 30, Normal: true},
 	}
-	r := &fewReducer{vote: VoteMajority}
+	r := &fewReducer{}
 	em := &collectEmitter{}
 	if err := r.Reduce(newTaskCtx(0), 0, values, em); err != nil {
 		t.Fatal(err)
 	}
 	if em.out[0].Value.(mr.ADDecisionValue).Normal {
 		t.Error("sample-size weighting ignored")
+	}
+
+	// A rejecting minority is outvoted; an exact tie accepts; N and the
+	// sample-weighted A*² mean cover every decision.
+	for _, c := range []struct {
+		values []mr.Value
+		normal bool
+		n      int64
+		a2     float64
+	}{
+		{[]mr.Value{
+			mr.ADDecisionValue{A2Star: 0.5, N: 100, Normal: true},
+			mr.ADDecisionValue{A2Star: 2.5, N: 40, Normal: false},
+			mr.ADDecisionValue{A2Star: 0.6, N: 80, Normal: true},
+		}, true, 220, (0.5*100 + 2.5*40 + 0.6*80) / 220},
+		{[]mr.Value{
+			mr.ADDecisionValue{A2Star: 3, N: 50, Normal: false},
+			mr.ADDecisionValue{A2Star: 1, N: 50, Normal: true},
+		}, true, 100, 2},
+	} {
+		em := &collectEmitter{}
+		if err := r.Reduce(newTaskCtx(0), 0, c.values, em); err != nil {
+			t.Fatal(err)
+		}
+		d := em.out[0].Value.(mr.ADDecisionValue)
+		if d.Normal != c.normal || d.N != c.n || math.Abs(d.A2Star-c.a2) > 1e-12 {
+			t.Errorf("decision = %+v, want normal=%v N=%d A2*=%v", d, c.normal, c.n, c.a2)
+		}
 	}
 }
 
@@ -243,7 +239,7 @@ func TestVotePolicyRandomizedNeverPanics(t *testing.T) {
 				Normal: r.Intn(2) == 0,
 			}
 		}
-		red := &fewReducer{vote: VotePolicy(r.Intn(3))}
+		red := &fewReducer{}
 		em := &collectEmitter{}
 		if err := red.Reduce(newTaskCtx(0), int64(trial), values, em); err != nil {
 			t.Fatal(err)

@@ -47,10 +47,10 @@ func init() {
 }
 
 // kfncSpec encodes the KMeansAndFindNewCenters job: the candidate-pick
-// seed, whether the combiner ablation is active, and the current centers.
+// seed and the current centers.
 func kfncSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	e.I64(cfg.Seed + int64(round)).Bool(cfg.DisableCombiners)
+	e.I64(cfg.Seed + int64(round))
 	kmeansmr.EncodeCenters(e, centers)
 	return &mr.JobSpec{Kind: KindKFNC, Payload: e.Bytes()}
 }
@@ -58,31 +58,24 @@ func kfncSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
 func buildKFNC(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
 	seed := d.I64()
-	noCombiners := d.Bool()
 	centers := kmeansmr.DecodeCenters(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindKFNC, err)
 	}
-	parts := mrdist.JobParts{
-		NewReducer: func() mr.Reducer { return &kfncReducer{seed: seed} },
-	}
-	if noCombiners {
-		parts.NewPointMapper = func() mr.PointMapper { return &legacyKFNCMapper{centers: centers} }
-	} else {
-		parts.NewPointMapper = func() mr.PointMapper { return &kfncMapper{centers: centers} }
-		parts.NewCombiner = func() mr.Reducer { return &kfncReducer{seed: seed} }
-	}
-	return parts, nil
+	return mrdist.JobParts{
+		NewPointMapper: func() mr.PointMapper { return &kfncMapper{centers: centers} },
+		NewCombiner:    func() mr.Reducer { return &kfncReducer{seed: seed} },
+		NewReducer:     func() mr.Reducer { return &kfncReducer{seed: seed} },
+	}, nil
 }
 
-// testSpec encodes a normality-test job: the strategy, the test
-// parameters, and the per-cluster geometry (parents plus the split vector
+// testSpec encodes a normality-test job: the strategy, the significance
+// level, and the per-cluster geometry (parents plus the split vector
 // of each active cluster).
 func testSpec(cfg Config, strategy TestStrategy, parents []vec.Vector, foundCount int, vectors []vec.Vector) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
 	e.Str(string(strategy))
-	e.F64(cfg.Alpha).U32(uint32(cfg.MinTestSamples)).U8(byte(cfg.Vote))
-	e.U32(uint32(foundCount))
+	e.F64(cfg.Alpha).U32(uint32(foundCount))
 	kmeansmr.EncodeCenters(e, parents)
 	kmeansmr.EncodeCenters(e, vectors)
 	return &mr.JobSpec{Kind: KindTest, Payload: e.Bytes()}
@@ -92,8 +85,6 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
 	strategy := TestStrategy(d.Str())
 	alpha := d.F64()
-	minN := int(d.U32())
-	vote := VotePolicy(d.U8())
 	foundCount := int(d.U32())
 	parents := kmeansmr.DecodeCenters(d)
 	vectors := kmeansmr.DecodeCenters(d)
@@ -106,15 +97,15 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 			NewPointMapper: func() mr.PointMapper {
 				return &testMapper{parents: parents, foundCount: foundCount, vectors: vectors}
 			},
-			NewReducer: func() mr.Reducer { return &testReducer{alpha: alpha, minN: minN} },
+			NewReducer: func() mr.Reducer { return &testReducer{alpha: alpha} },
 		}, nil
 	case StrategyFewClusters:
 		return mrdist.JobParts{
 			NewPointMapper: func() mr.PointMapper {
 				return &fewMapper{parents: parents, foundCount: foundCount,
-					vectors: vectors, alpha: alpha, minN: minN}
+					vectors: vectors, alpha: alpha}
 			},
-			NewReducer: func() mr.Reducer { return &fewReducer{vote: vote} },
+			NewReducer: func() mr.Reducer { return &fewReducer{} },
 		}, nil
 	default:
 		return mrdist.JobParts{}, fmt.Errorf("core: unknown test strategy %q in %s payload", strategy, KindTest)

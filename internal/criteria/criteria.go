@@ -1,7 +1,7 @@
 // Package criteria implements the cluster-count selection criteria, from
 // those the paper surveys in its related work (§2), that this repository
 // selects k with: the elbow method, average silhouette, the jump method,
-// and BIC/AIC. These are what a multi-k-means pipeline applies after
+// and BIC. These are what a multi-k-means pipeline applies after
 // computing centers for every candidate k ("multi-k-means requires at
 // least one additional job to find the correct value of k").
 package criteria
@@ -219,21 +219,6 @@ func BICK(points []vec.Vector, cs []Clustering) (int, error) {
 		}
 	}
 	return bestK, nil
-}
-
-// AIC scores a clustering with the Akaike information criterion under the
-// same model as BIC. Higher is better.
-func AIC(points []vec.Vector, c Clustering) float64 {
-	n := float64(len(points))
-	if n == 0 || c.K == 0 {
-		return math.Inf(-1)
-	}
-	d := float64(len(points[0]))
-	bic := BIC(points, c)
-	// Recover log-likelihood from BIC and re-penalize: AIC = ll − params.
-	params := float64(c.K) * (d + 1)
-	ll := bic + params/2*math.Log(n)
-	return ll - params
 }
 
 func sampleIndexes(n, sampleSize int, seed int64) []int {

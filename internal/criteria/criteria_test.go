@@ -128,18 +128,6 @@ func TestBICPrefersTrueStructure(t *testing.T) {
 	}
 }
 
-func TestAICPenalizesLessThanBIC(t *testing.T) {
-	ds := trueKData(t, 3, 12)
-	cs := clusteringsFor(t, ds.Points, 6)
-	// For large n, BIC's log(n)/2 penalty exceeds AIC's 1 per parameter, so
-	// AIC(k) − AIC(1) ≥ BIC(k) − BIC(1) for k > 1.
-	dAIC := AIC(ds.Points, cs[5]) - AIC(ds.Points, cs[0])
-	dBIC := BIC(ds.Points, cs[5]) - BIC(ds.Points, cs[0])
-	if dAIC < dBIC {
-		t.Errorf("AIC delta %v should be ≥ BIC delta %v", dAIC, dBIC)
-	}
-}
-
 func TestSelectorsNeedTwo(t *testing.T) {
 	one := []Clustering{{K: 1}}
 	pts := []vec.Vector{{0}, {1}}

@@ -1,6 +1,7 @@
 package kmeansmr
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -9,6 +10,35 @@ import (
 	"gmeansmr/internal/mr"
 	"gmeansmr/internal/vec"
 )
+
+// emitAssignMapper is the textbook formulation of the k-means mapper: the
+// same batched assignment, but one (centerID, point) pair emitted per
+// point, leaving all combining to the job's combiner. It is the reference
+// assignMapper must match bit for bit.
+type emitAssignMapper struct {
+	centers []vec.Vector
+	batch   BatchAssigner
+}
+
+func (m *emitAssignMapper) Setup(*mr.TaskContext) error { return nil }
+
+func (m *emitAssignMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
+	n := cols.Len()
+	idx := m.batch.Assign(m.centers, cols)
+	ctx.Count(CounterIDDistances, int64(len(m.centers))*int64(n))
+	ctx.Count(CounterIDPoints, int64(n))
+	for j, best := range idx {
+		if best < 0 {
+			return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
+		}
+		// The value wraps the cache's read-only point view without
+		// copying: reducers only accumulate into their own sums.
+		emit.Emit(int64(best), mr.OwnWeightedPointValue(cols.At(j)))
+	}
+	return nil
+}
+
+func (m *emitAssignMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 
 // iterateSpillCombined runs the emit-per-point formulation of one k-means
 // iteration — emitAssignMapper, one pair per point, all combining left to

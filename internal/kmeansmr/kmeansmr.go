@@ -144,10 +144,12 @@ func (e Env) Job(name string, spec *mr.JobSpec) *mr.Job {
 // accumulator, and Close emits the ≤k non-empty partial sums. The
 // n-record emit stream of the textbook formulation never exists, so the
 // spill sort only ever sees ≤k keys per task. The accumulation order per
-// (task, center) is input-record order — exactly the order the spill
-// combiner folds the same points in behind emitAssignMapper — which keeps
-// the refined centers bit-identical between the two formulations. The
-// distance counter ticks the paper's modelled cost of k per point.
+// (task, center) is input-record order — exactly the order a spill
+// combiner would fold the same points in behind the textbook
+// one-pair-per-point mapper — which keeps the refined centers
+// bit-identical between the two formulations
+// (TestIterateCachedMatchesLegacyExactly pins this). The distance counter
+// ticks the paper's modelled cost of k per point.
 type assignMapper struct {
 	centers []vec.Vector
 
@@ -190,36 +192,6 @@ func (m *assignMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	return nil
 }
 
-// emitAssignMapper is the textbook formulation of the k-means mapper: the
-// same batched assignment, but one (centerID, point) pair emitted per
-// point, leaving all combining to the job's combiner — or to the reducer
-// alone, the no-combiner worst case of the paper's shuffle-cost model
-// (IterateNoCombiner).
-type emitAssignMapper struct {
-	centers []vec.Vector
-	batch   BatchAssigner
-}
-
-func (m *emitAssignMapper) Setup(*mr.TaskContext) error { return nil }
-
-func (m *emitAssignMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
-	n := cols.Len()
-	idx := m.batch.Assign(m.centers, cols)
-	ctx.Count(CounterIDDistances, int64(len(m.centers))*int64(n))
-	ctx.Count(CounterIDPoints, int64(n))
-	for j, best := range idx {
-		if best < 0 {
-			return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
-		}
-		// The value wraps the cache's read-only point view without
-		// copying: reducers only accumulate into their own sums.
-		emit.Emit(int64(best), mr.OwnWeightedPointValue(cols.At(j)))
-	}
-	return nil
-}
-
-func (m *emitAssignMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
-
 // MergeReducer merges WeightedPointValue partial sums; it serves as both
 // combiner and reducer of the classical k-means job.
 type MergeReducer struct{}
@@ -258,43 +230,18 @@ type IterationResult struct {
 // Iterate runs one classical MR k-means iteration over the dataset,
 // refining the given centers, with in-mapper combining.
 func Iterate(env Env, centers []vec.Vector) (*IterationResult, error) {
-	return iterate(env, centers, "kmeans", modeInMapper)
-}
-
-// IterateNoCombiner runs one MR k-means iteration with combining
-// disabled: one record per point crosses the shuffle, O(n) coordinate
-// records — the worst case of the paper's cost model. Intended for the
-// combiner ablation benchmark.
-func IterateNoCombiner(env Env, centers []vec.Vector, name string) (*IterationResult, error) {
-	if name == "" {
-		name = "kmeans-nocombine"
-	}
-	return iterate(env, centers, name, modeNoCombiner)
-}
-
-// iterateMode selects the combining variant of one k-means iteration.
-type iterateMode int
-
-const (
-	// modeInMapper: in-mapper combining (assignMapper). The default.
-	modeInMapper iterateMode = iota
-	// modeNoCombiner: one emitted pair per point, no combining at all.
-	modeNoCombiner
-)
-
-func iterate(env Env, centers []vec.Vector, name string, mode iterateMode) (*IterationResult, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
 	if len(centers) == 0 {
 		return nil, fmt.Errorf("kmeansmr: no centers to refine")
 	}
-	spec := assignSpec(centers, mode)
+	spec := assignSpec(centers)
 	parts, err := buildAssign(spec.Payload)
 	if err != nil {
 		return nil, err
 	}
-	job := parts.Install(env.Job(name, spec))
+	job := parts.Install(env.Job("kmeans", spec))
 	res, err := job.Run()
 	if err != nil {
 		return nil, err

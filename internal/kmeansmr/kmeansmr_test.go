@@ -90,30 +90,25 @@ func TestIterateMatchesSequentialLloyd(t *testing.T) {
 	}
 }
 
-func TestIterateCombinerInvariance(t *testing.T) {
+// TestIterateShuffleBoundedByCenters pins in-mapper combining: each map
+// task sends at most one partial sum per center across the shuffle, so the
+// shuffle is O(splits·k) records rather than O(n).
+func TestIterateShuffleBoundedByCenters(t *testing.T) {
 	env, ds := testEnv(t, dataset.Spec{K: 3, Dim: 2, N: 600, MinSeparation: 20, Seed: 3}, 2<<10)
-	initial := vec.CloneAll(ds.Centers)
-	with, err := Iterate(env, initial)
+	res, err := Iterate(env, ds.Centers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := IterateNoCombiner(env, initial, "")
+	splits, err := env.FS.Splits(env.Input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := range initial {
-		if !vec.ApproxEqual(with.Centers[c], without.Centers[c], 1e-9) {
-			t.Errorf("center %d differs with/without combiner", c)
-		}
-		if with.Sizes[c] != without.Sizes[c] {
-			t.Errorf("size %d differs with/without combiner", c)
-		}
+	maxRecords := int64(len(splits) * len(ds.Centers))
+	if got := res.Job.Counters.Get(mr.CounterShuffleRecords); got > maxRecords {
+		t.Errorf("shuffle records = %d, want ≤ %d (in-mapper combining bound)", got, maxRecords)
 	}
-	// Combiner must shrink the shuffle.
-	w := with.Job.Counters.Get(mr.CounterShuffleRecords)
-	wo := without.Job.Counters.Get(mr.CounterShuffleRecords)
-	if w >= wo {
-		t.Errorf("combiner did not shrink shuffle: %d vs %d", w, wo)
+	if maxRecords >= int64(len(ds.Points)) {
+		t.Fatalf("bound %d does not separate combining from one record per point (n=%d)", maxRecords, len(ds.Points))
 	}
 }
 

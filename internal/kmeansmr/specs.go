@@ -71,31 +71,23 @@ func DecodeCenters(d *mrdist.Decoder) []vec.Vector {
 }
 
 // assignSpec encodes one classical k-means iteration.
-func assignSpec(centers []vec.Vector, mode iterateMode) *mr.JobSpec {
+func assignSpec(centers []vec.Vector) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	e.U8(byte(mode))
 	EncodeCenters(e, centers)
 	return &mr.JobSpec{Kind: KindAssign, Payload: e.Bytes()}
 }
 
 func buildAssign(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	mode := iterateMode(d.U8())
 	centers := DecodeCenters(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindAssign, err)
 	}
-	parts := mrdist.JobParts{NewReducer: func() mr.Reducer { return MergeReducer{} }}
-	switch mode {
-	case modeInMapper:
-		parts.NewPointMapper = func() mr.PointMapper { return &assignMapper{centers: centers} }
-		parts.NewCombiner = func() mr.Reducer { return MergeReducer{} }
-	case modeNoCombiner:
-		parts.NewPointMapper = func() mr.PointMapper { return &emitAssignMapper{centers: centers} }
-	default:
-		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: unknown assign mode %d", mode)
-	}
-	return parts, nil
+	return mrdist.JobParts{
+		NewPointMapper: func() mr.PointMapper { return &assignMapper{centers: centers} },
+		NewCombiner:    func() mr.Reducer { return MergeReducer{} },
+		NewReducer:     func() mr.Reducer { return MergeReducer{} },
+	}, nil
 }
 
 // encodeCenterSets appends the per-k center sets in ks order — the order

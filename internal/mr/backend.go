@@ -72,6 +72,7 @@ type TaskRunner interface {
 	// RunMapPhase executes one map task per split. Implementations must
 	// observe ctx before launching queued tasks and return the first task
 	// error (deterministic task failures fail the job, as in Hadoop).
+	// Job.Run always passes DefaultPartitioner as partition.
 	RunMapPhase(ctx context.Context, j *Job, splits []dfs.Split, numReducers int, partition Partitioner, counters *Counters, shuffle ShuffleStore) error
 	// RunReducePhase executes one reduce task per partition and returns
 	// the per-partition outputs indexed by partition.

@@ -17,9 +17,9 @@ import (
 func byKey(a, b KV) int { return cmp.Compare(a.Key, b.Key) }
 
 // Job describes one MapReduce job: where the input lives, how to map,
-// combine and reduce it, and which cluster executes it. Zero-value optional
-// fields get Hadoop-like defaults (hash partitioner, reducer count equal to
-// the cluster's reduce capacity).
+// combine and reduce it, and which cluster executes it. Keys are routed by
+// Hadoop's hash partitioner (DefaultPartitioner); a zero NumReducers
+// selects the cluster's reduce capacity.
 type Job struct {
 	Name    string
 	FS      *dfs.FS
@@ -44,8 +44,6 @@ type Job struct {
 	// practice the paper assumes when it says the reduce-phase parallelism
 	// of TestClusters "is bounded by k".
 	NumReducers int
-
-	Partition Partitioner // nil selects DefaultPartitioner
 
 	// Ctx, when non-nil, lets callers cancel the job or bound it with a
 	// deadline. The scheduler checks it before launching every task, so a
@@ -120,10 +118,6 @@ func (j *Job) Run() (*Result, error) {
 	if numReducers <= 0 {
 		numReducers = j.Cluster.ReduceCapacity()
 	}
-	partition := j.Partition
-	if partition == nil {
-		partition = DefaultPartitioner
-	}
 
 	start := time.Now()
 	counters := NewCounters()
@@ -168,7 +162,7 @@ func (j *Job) Run() (*Result, error) {
 		SetArg("reduce_tasks", numReducers)
 
 	mapSpan := j.Trace.StartSpan("map", "mr")
-	err := runner.RunMapPhase(ctx, j, splits, numReducers, partition, counters, shuffle)
+	err := runner.RunMapPhase(ctx, j, splits, numReducers, DefaultPartitioner, counters, shuffle)
 	mapSpan.End()
 	if err != nil {
 		return nil, err

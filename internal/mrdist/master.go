@@ -78,9 +78,6 @@ type Options struct {
 	// deterministic task error fails the job at once, exactly as in the
 	// local backend.
 	Retry retry.Policy
-	// MaxAttempts is the historical name for Retry.MaxAttempts; when
-	// Retry.MaxAttempts is zero it seeds it. Default 4.
-	MaxAttempts int
 	// Seed drives backoff jitter; a fixed seed replays a schedule's
 	// delays exactly, which the chaos harness relies on. Zero is a valid
 	// (deterministic) seed.
@@ -108,11 +105,7 @@ func (o Options) withDefaults() Options {
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
 	}
-	if o.Retry.MaxAttempts <= 0 && o.MaxAttempts > 0 {
-		o.Retry.MaxAttempts = o.MaxAttempts
-	}
 	o.Retry = o.Retry.WithDefaults()
-	o.MaxAttempts = o.Retry.MaxAttempts
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 500 * time.Millisecond
 	}
@@ -770,15 +763,13 @@ func (r *ProcRunner) pickLive(taskID int) *workerHandle {
 
 // RunMapPhase implements mr.TaskRunner: one map task per split, scheduled
 // over the worker fleet. After the wave it verifies every winning output
-// still lives on a live worker and recovers any that do not.
+// still lives on a live worker and recovers any that do not. The workers
+// apply mr.DefaultPartitioner themselves, the only partition Job.Run
+// passes.
 func (r *ProcRunner) RunMapPhase(ctx context.Context, j *mr.Job, splits []dfs.Split, numReducers int, partition mr.Partitioner, counters *mr.Counters, shuffle mr.ShuffleStore) error {
 	if j.Spec == nil {
 		return fmt.Errorf("mr: job %q: the proc backend requires Job.Spec (a registered job kind)", j.Name)
 	}
-	if j.Partition != nil {
-		return fmt.Errorf("mr: job %q: the proc backend supports only the default partitioner", j.Name)
-	}
-	_ = partition // workers apply mr.DefaultPartitioner, verified above
 	if err := r.ensureWorkers(j.Cluster.Nodes); err != nil {
 		return fmt.Errorf("mr: job %q: %w", j.Name, err)
 	}

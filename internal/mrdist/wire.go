@@ -30,7 +30,7 @@ import (
 // length-prefixed with u32.
 const (
 	wireMagic   = "GMWR"
-	wireVersion = 2
+	wireVersion = 3
 )
 
 var errWire = errors.New("mrdist: malformed wire message")

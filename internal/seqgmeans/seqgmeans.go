@@ -7,10 +7,10 @@
 // Anderson–Darling test rejects Gaussianity of its points projected on
 // the child-connecting vector.
 //
-// It serves three purposes: a correctness reference for the MapReduce
-// version (internal/core), the "what the paper adapted" baseline for
-// ablation benchmarks (random vs principal-direction children), and a
-// practical in-memory k-finder for datasets that fit in RAM.
+// It serves two purposes: a correctness reference for the MapReduce
+// version (internal/core), which picks random children instead ("in our
+// implementation, the new centers are chosen randomly"), and a practical
+// in-memory k-finder for datasets that fit in RAM.
 package seqgmeans
 
 import (
@@ -24,18 +24,12 @@ import (
 	"gmeansmr/internal/vec"
 )
 
-// ChildInit selects how a cluster's two candidate children are placed.
-type ChildInit int
-
-// Child initialization strategies.
 const (
-	// InitPrincipal places children at c ± m along the principal
-	// component, the Hamerly–Elkan prescription. Deterministic.
-	InitPrincipal ChildInit = iota
-	// InitRandom picks two random member points — what the MapReduce
-	// adaptation does, because principal components would need an extra
-	// job ("in our implementation, the new centers are chosen randomly").
-	InitRandom
+	// minSplitSize is the smallest cluster tested for a split; smaller
+	// ones are final.
+	minSplitSize = 25
+	// lloydIterations bounds every inner Lloyd run.
+	lloydIterations = 50
 )
 
 // Config parameterizes a sequential G-means run.
@@ -44,12 +38,6 @@ type Config struct {
 	Alpha float64
 	// MaxK bounds the number of clusters (0 = 1024).
 	MaxK int
-	// MinClusterSize stops splitting clusters smaller than this (0 = 25).
-	MinClusterSize int
-	// MaxKMeansIterations bounds every inner Lloyd run (0 = 50).
-	MaxKMeansIterations int
-	// Init selects child placement (default InitPrincipal).
-	Init ChildInit
 	Seed int64
 	// Progress, when non-nil, is invoked as the work queue advances, with
 	// the counts of finalized centers, clusters still queued, tests run and
@@ -63,12 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 1024
-	}
-	if c.MinClusterSize <= 0 {
-		c.MinClusterSize = 25
-	}
-	if c.MaxKMeansIterations <= 0 {
-		c.MaxKMeansIterations = 50
 	}
 	return c
 }
@@ -123,16 +105,16 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 			cfg.Progress(len(final), len(queue), res.Tests, res.Splits)
 		}
 
-		if len(w.members) < cfg.MinClusterSize || len(final)+len(queue)+2 > cfg.MaxK {
+		if len(w.members) < minSplitSize || len(final)+len(queue)+2 > cfg.MaxK {
 			final = append(final, w.center)
 			continue
 		}
 		sub := gather(points, w.members)
 
 		// 1. Find two children and refine them with k-means on the subset.
-		c1, c2 := children(sub, w.center, cfg, rng)
+		c1, c2 := children(sub, w.center, rng)
 		split, err := lloyd.RunFrom(sub, []vec.Vector{c1, c2}, lloyd.Config{
-			MaxIterations: cfg.MaxKMeansIterations,
+			MaxIterations: lloydIterations,
 		})
 		if err != nil {
 			return nil, err
@@ -174,7 +156,7 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 
 	// Global refinement with the discovered centers, as the original
 	// algorithm's final k-means pass.
-	finalRun, err := lloyd.RunFrom(points, final, lloyd.Config{MaxIterations: cfg.MaxKMeansIterations})
+	finalRun, err := lloyd.RunFrom(points, final, lloyd.Config{MaxIterations: lloydIterations})
 	if err != nil {
 		return nil, err
 	}
@@ -185,9 +167,12 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 	return res, nil
 }
 
-// children places the two candidate children for a cluster.
-func children(sub []vec.Vector, center vec.Vector, cfg Config, rng *rand.Rand) (vec.Vector, vec.Vector) {
-	if cfg.Init == InitRandom || len(sub) < 2 {
+// children places the two candidate children for a cluster at c ± m along
+// its principal component, the Hamerly–Elkan prescription. A cluster of
+// fewer than two points has no principal component and gets random
+// members instead.
+func children(sub []vec.Vector, center vec.Vector, rng *rand.Rand) (vec.Vector, vec.Vector) {
+	if len(sub) < 2 {
 		i := rng.Intn(len(sub))
 		j := rng.Intn(len(sub))
 		if j == i {
@@ -263,14 +248,4 @@ func gather(points []vec.Vector, idx []int) []vec.Vector {
 		out[i] = points[j]
 	}
 	return out
-}
-
-// String implements fmt.Stringer for diagnostics.
-func (c ChildInit) String() string {
-	switch c {
-	case InitRandom:
-		return "random"
-	default:
-		return "principal"
-	}
 }

@@ -70,17 +70,6 @@ func TestRunMaxK(t *testing.T) {
 	}
 }
 
-func TestRandomInitAlsoRecovers(t *testing.T) {
-	ds := mixture(t, 6, 2, 6000, 7)
-	res, err := Run(ds.Points, Config{Init: InitRandom, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K < 6 || res.K > 10 {
-		t.Errorf("random-init k=%d for true k=6", res.K)
-	}
-}
-
 func TestPrincipalComponentKnownCovariance(t *testing.T) {
 	// Points stretched along (1,1)/√2: the principal direction must align
 	// with it and λ must approximate the large variance.
@@ -113,12 +102,6 @@ func TestPrincipalComponentDegenerate(t *testing.T) {
 	}
 	if len(dir) != 2 {
 		t.Errorf("direction dim %d", len(dir))
-	}
-}
-
-func TestChildInitString(t *testing.T) {
-	if InitPrincipal.String() != "principal" || InitRandom.String() != "random" {
-		t.Error("ChildInit.String wrong")
 	}
 }
 

@@ -136,8 +136,6 @@ type Options struct {
 	// pulls the replacement model from (typically: re-read the snapshot
 	// file a trainer overwrites). Without it reload requests fail.
 	Loader func() (*model.Model, error)
-	// BruteForceMaxK overrides DefaultBruteForceMaxK (<=0 = default).
-	BruteForceMaxK int
 	// MaxBatch overrides DefaultMaxBatch (<=0 = default).
 	MaxBatch int
 	// CoalesceWindow enables server-side micro-batching of concurrent
@@ -256,7 +254,6 @@ type Server struct {
 	reloadMu sync.Mutex
 	gen      int64
 	loader   func() (*model.Model, error)
-	bruteK   int
 	maxBatch int
 	coal     *coalescer // nil when coalescing is disabled
 	mux      *http.ServeMux
@@ -280,7 +277,6 @@ type Server struct {
 func New(m *model.Model, opts Options) (*Server, error) {
 	s := &Server{
 		loader:   opts.Loader,
-		bruteK:   opts.BruteForceMaxK,
 		maxBatch: opts.MaxBatch,
 		reg:      obs.NewRegistry(),
 		started:  time.Now(),
@@ -293,9 +289,6 @@ func New(m *model.Model, opts Options) (*Server, error) {
 	s.coalesced = s.reg.Counter("serve_coalesced_requests_total")
 	s.coalBatches = s.reg.Counter("serve_coalesced_batches_total")
 	s.binReqs = s.reg.Counter("serve_binary_requests_total")
-	if s.bruteK <= 0 {
-		s.bruteK = DefaultBruteForceMaxK
-	}
 	if s.maxBatch <= 0 {
 		s.maxBatch = DefaultMaxBatch
 	}
@@ -327,7 +320,7 @@ func (s *Server) Swap(m *model.Model) error {
 		return err
 	}
 	a := &assigner{m: m, pack: m.Pack()}
-	if m.K > s.bruteK && m.Dim <= KDTreeMaxDim {
+	if m.K > DefaultBruteForceMaxK && m.Dim <= KDTreeMaxDim {
 		a.tree = kdtree.Build(a.pack.Centers())
 	}
 	s.swapMu.Lock()

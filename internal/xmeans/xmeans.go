@@ -17,31 +17,22 @@ import (
 	"gmeansmr/internal/vec"
 )
 
-// Config parameterizes an X-means run.
+// lloydIterations bounds every inner Lloyd run.
+const lloydIterations = 50
+
+// Config parameterizes an X-means run, which starts from one cluster.
 type Config struct {
-	// KMin is the number of clusters to start from (≥1). Zero selects 1.
-	KMin int
 	// KMax caps the number of clusters; zero selects 64.
 	KMax int
-	// MaxKMeansIterations bounds the inner Lloyd runs; zero selects 50.
-	MaxKMeansIterations int
-	// UseAIC switches the improvement criterion from BIC to AIC.
-	UseAIC bool
-	Seed   int64
+	Seed int64
 	// Progress, when non-nil, is invoked after every improve-structure
 	// round with the 1-based round number and the current center count.
 	Progress func(round, k int)
 }
 
 func (c Config) withDefaults() Config {
-	if c.KMin <= 0 {
-		c.KMin = 1
-	}
 	if c.KMax <= 0 {
 		c.KMax = 64
-	}
-	if c.MaxKMeansIterations <= 0 {
-		c.MaxKMeansIterations = 50
 	}
 	return c
 }
@@ -72,13 +63,10 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 	if len(points) == 0 {
 		return nil, errors.New("xmeans: no points")
 	}
-	if cfg.KMin > len(points) {
-		return nil, errors.New("xmeans: KMin exceeds point count")
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	res, err := lloyd.Run(points, lloyd.Config{
-		K: cfg.KMin, MaxIterations: cfg.MaxKMeansIterations,
+		K: 1, MaxIterations: lloydIterations,
 		Seeding: lloyd.SeedPlusPlus, Seed: rng.Int63(),
 	})
 	if err != nil {
@@ -92,7 +80,7 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 		}
 		rounds++
 		// Improve params.
-		full, err := lloyd.RunFrom(points, centers, lloyd.Config{MaxIterations: cfg.MaxKMeansIterations})
+		full, err := lloyd.RunFrom(points, centers, lloyd.Config{MaxIterations: lloydIterations})
 		if err != nil {
 			return nil, err
 		}
@@ -124,15 +112,15 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 			for i, idx := range m {
 				sub[i] = points[idx]
 			}
-			parentScore := scoreModel(sub, []vec.Vector{centers[ci]}, cfg.UseAIC)
+			parentScore := scoreModel(sub, []vec.Vector{centers[ci]})
 			split, err := lloyd.Run(sub, lloyd.Config{
-				K: 2, MaxIterations: cfg.MaxKMeansIterations,
+				K: 2, MaxIterations: lloydIterations,
 				Seeding: lloyd.SeedPlusPlus, Seed: rng.Int63(),
 			})
 			if err != nil {
 				return nil, err
 			}
-			childScore := scoreModel(sub, split.Centers, cfg.UseAIC)
+			childScore := scoreModel(sub, split.Centers)
 			if childScore > parentScore {
 				next = append(next, split.Centers...)
 				splitAny = true
@@ -149,7 +137,7 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 		}
 	}
 
-	final, err := lloyd.RunFrom(points, centers, lloyd.Config{MaxIterations: cfg.MaxKMeansIterations})
+	final, err := lloyd.RunFrom(points, centers, lloyd.Config{MaxIterations: lloydIterations})
 	if err != nil {
 		return nil, err
 	}
@@ -162,9 +150,8 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 	}, nil
 }
 
-// scoreModel evaluates the information criterion of a (sub)clustering;
-// higher is better.
-func scoreModel(points []vec.Vector, centers []vec.Vector, useAIC bool) float64 {
+// scoreModel evaluates the BIC of a (sub)clustering; higher is better.
+func scoreModel(points []vec.Vector, centers []vec.Vector) float64 {
 	assign := lloyd.Assign(points, centers)
 	c := criteria.Clustering{
 		K:          len(centers),
@@ -174,9 +161,6 @@ func scoreModel(points []vec.Vector, centers []vec.Vector, useAIC bool) float64 
 	}
 	if len(points) <= len(centers) {
 		return math.Inf(-1)
-	}
-	if useAIC {
-		return criteria.AIC(points, c)
 	}
 	return criteria.BIC(points, c)
 }

@@ -96,9 +96,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil, Config{}); err == nil {
 		t.Error("empty points accepted")
 	}
-	if _, err := Run([]vec.Vector{{1}}, Config{KMin: 5}); err == nil {
-		t.Error("KMin > n accepted")
-	}
 }
 
 func TestRunAssignmentConsistent(t *testing.T) {
@@ -120,18 +117,5 @@ func TestRunAssignmentConsistent(t *testing.T) {
 	}
 	if res.Rounds < 1 {
 		t.Errorf("Rounds = %d", res.Rounds)
-	}
-}
-
-func TestAICVariantRuns(t *testing.T) {
-	ds := mixture(t, 4, 1600, 7)
-	res, err := Run(ds.Points, Config{KMax: 16, UseAIC: true, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// AIC penalizes less than BIC, so it may split a bit more but must be
-	// in a sane band.
-	if res.K < 4 || res.K > 10 {
-		t.Errorf("AIC X-means found k=%d for true k=4", res.K)
 	}
 }
