@@ -112,9 +112,13 @@ func TestFewReducerMajorityWeightedBySampleSize(t *testing.T) {
 	if em.out[0].Value.(mr.ADDecisionValue).Normal {
 		t.Error("sample-size weighting ignored")
 	}
+}
 
-	// A rejecting minority is outvoted; an exact tie accepts; N and the
-	// sample-weighted A*² mean cover every decision.
+// TestFewReducerVotePolicies checks the one vote policy left, the
+// sample-size-weighted majority: a rejecting minority is outvoted, an exact
+// tie accepts, and N and the sample-weighted A*² mean cover every decision.
+func TestFewReducerVotePolicies(t *testing.T) {
+	r := &fewReducer{}
 	for _, c := range []struct {
 		values []mr.Value
 		normal bool
