@@ -11,7 +11,8 @@
 // read per iteration). This package tracks those reads so the experiment
 // harness can report them alongside wall-clock time.
 //
-// Files live in memory as byte slices. That is a deliberate substitution
+// Files live in memory, as byte slices or as the points they were written
+// from. That is a deliberate substitution
 // for HDFS blocks on spinning disks: the algorithms under study never
 // observe storage latency directly, only (a) how many times the dataset is
 // scanned and (b) how records are partitioned into splits — both of which
@@ -26,24 +27,30 @@
 // recordIter, walked by the point cache's decode — and the written-points
 // slicer (pointwriter.go) applies the same rule to record offsets.
 //
-// Snapshot reads. OpenSplitPoints is the one split reader: it and Columns
-// hand out immutable views, so a reader holding one across a concurrent
-// overwrite, delete or re-split keeps a consistent snapshot of the bytes
-// it opened.
+// Snapshot reads. OpenSplitPoints is the one split reader of jobs: it and
+// Columns hand out immutable views, so a reader holding one across a
+// concurrent overwrite, delete or re-split keeps a consistent snapshot of
+// the file it opened.
 //
 // Written-from-points files. A text file committed by PointWriter keeps
-// the float64 points it was formatted from and each record's start
-// offset; its splits are sliced from those points under the same
-// ownership rule instead of parsed (pointwriter.go). The bytes are the
-// ones FormatPoint would have written and the points are bit-identical
-// to their parse, so no reader can tell the two kinds of file apart.
-// Files written as raw bytes (Create, Writer) are parsed on first scan.
+// the float64 points it was formatted from, each record's start offset
+// and the text's length, but not the text itself: its splits are sliced
+// from those points under the same ownership rule instead of parsed
+// (pointwriter.go), and Contents regenerates the text byte for byte. The
+// size is the one FormatPoint's lines would have and the points are
+// bit-identical to their parse, so no reader can tell the two kinds of
+// file apart. Files written as raw bytes (Create, Writer) keep their
+// bytes and are parsed on first scan.
+//
+// Replication. ReplicaSplit serves a split through the same cache as
+// OpenSplitPoints without ticking read accounting: it is how a
+// distributed backend ships a split's points to the node that runs it.
 //
 // Cache invalidation. The decoded point cache (and the columnar views
 // hanging off its PointSplits) invalidates per path on Create and Delete,
 // and wholesale on SetSplitSize; stale split descriptors decode correctly
 // but bypass the cache. Written points belong to the file: Create and
-// Delete of the path drop them with the bytes, SetSplitSize keeps them,
+// Delete of the path drop them with the file, SetSplitSize keeps them,
 // since they do not depend on the split layout.
 //
 // Accounting conservation. Every scan of a split — cold or cached —
@@ -89,8 +96,8 @@ type FS struct {
 	points map[string]*filePoints
 	// versions counts generations per path: every Create and Delete bumps
 	// the path's entry, and entries survive deletion (a re-created path must
-	// not repeat an old version). Replication layers cache file replicas per
-	// (path, version). Guarded by mu; lazily allocated.
+	// not repeat an old version). Replication layers cache split replicas
+	// per (path, version). Guarded by mu; lazily allocated.
 	versions map[string]int64
 
 	bytesRead    atomic.Int64
@@ -102,9 +109,14 @@ type FS struct {
 }
 
 type file struct {
+	// data holds the contents of a file written as raw bytes; it is nil
+	// for a file written from points, which keeps no text.
 	data []byte
-	// points are the points a PointWriter formatted data from, or nil for
-	// a file written as raw bytes (pointwriter.go).
+	// size is the file's length in bytes: len(data), or the length of the
+	// text a PointWriter formatted.
+	size int64
+	// points are the points a PointWriter formatted the file from, or nil
+	// for a file written as raw bytes (pointwriter.go).
 	points *writtenPoints
 }
 
@@ -115,13 +127,6 @@ func New(splitSize int) *FS {
 		splitSize = DefaultSplitSize
 	}
 	return &FS{files: make(map[string]*file), splitSize: splitSize}
-}
-
-// SplitSize returns the configured split size in bytes.
-func (fs *FS) SplitSize() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.splitSize
 }
 
 // SetSplitSize reconfigures the split size; subsequent Splits calls use the
@@ -158,19 +163,17 @@ func (fs *FS) ResetCounters() {
 func (fs *FS) Create(path string, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	fs.commit(path, cp, nil)
+	fs.commit(path, &file{data: cp, size: int64(len(cp))})
 }
 
-// commit replaces the file at path with data, which the FS takes over
-// without a copy, and with the points data was written from (nil for raw
-// bytes).
-func (fs *FS) commit(path string, data []byte, points *writtenPoints) {
+// commit replaces the file at path with f, which the FS takes over.
+func (fs *FS) commit(path string, f *file) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[path] = &file{data: data, points: points}
+	fs.files[path] = f
 	fs.invalidatePoints(path)
 	fs.bumpVersion(path)
-	fs.bytesWritten.Add(int64(len(data)))
+	fs.bytesWritten.Add(f.size)
 }
 
 // bumpVersion advances path's generation counter; callers hold fs.mu.
@@ -184,7 +187,7 @@ func (fs *FS) bumpVersion(path string) {
 // Version reports the generation counter of path: zero for a path never
 // created, and a strictly increasing value across every Create and Delete
 // of the path since this FS was constructed (deletion does not reset it).
-// Replication layers use it to decide whether a cached replica of the file
+// Replication layers use it to decide whether a cached replica of a split
 // is current.
 func (fs *FS) Version(path string) int64 {
 	fs.mu.RLock()
@@ -192,16 +195,20 @@ func (fs *FS) Version(path string) int64 {
 	return fs.versions[path]
 }
 
-// Contents returns a copy of the file's raw bytes without touching any read
-// accounting. It exists for the replication plane of distributed backends —
-// shipping a file to a worker is a transport cost, not one of the paper's
-// dataset scans, which go through OpenSplitPoints.
+// Contents returns a copy of the file's bytes without touching any read
+// accounting. A file written from points has its text formatted again,
+// byte-identical to the text its PointWriter formatted. Dataset scans go
+// through OpenSplitPoints and replication through ReplicaSplit; Contents
+// is for tests that inspect a whole file.
 func (fs *FS) Contents(path string) ([]byte, error) {
 	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	f, ok := fs.files[path]
+	fs.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	if f.points != nil {
+		return f.points.text(f.size), nil
 	}
 	cp := make([]byte, len(f.data))
 	copy(cp, f.data)
@@ -232,7 +239,7 @@ func (w *FileWriter) WriteString(s string) (int, error) { return w.buf.WriteStri
 // private to the writer, so the FS takes it over without a copy: a later
 // Write only appends past the committed length.
 func (w *FileWriter) Close() error {
-	w.fs.commit(w.path, w.buf.Bytes(), nil)
+	w.fs.commit(w.path, &file{data: w.buf.Bytes(), size: int64(w.buf.Len())})
 	return nil
 }
 
@@ -255,7 +262,7 @@ func (fs *FS) Size(path string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	return int64(len(f.data)), nil
+	return f.size, nil
 }
 
 // Split identifies one contiguous byte range of a file, aligned to record
@@ -280,7 +287,7 @@ func (fs *FS) Splits(path string) ([]Split, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	total := int64(len(f.data))
+	total := f.size
 	if total == 0 {
 		return nil, nil
 	}

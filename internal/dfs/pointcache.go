@@ -7,28 +7,30 @@ package dfs
 // charges an iteration one *dataset read* — it says nothing about paying the
 // strconv.ParseFloat tax n·dim times per pass. This file caches the decoded
 // form of each split so the parse happens once per (file, split) and later
-// scans serve ready-made points. A file written by PointWriter skips even
-// the one parse: its "decode" slices the points the file was written
-// from (pointwriter.go), bit-identical to what the parse would return.
+// scans serve ready-made points. A file written by PointWriter has no text
+// to parse: its "decode" slices the points the file was written from
+// (pointwriter.go), bit-identical to what a parse of its text would return.
 //
 // Accounting stays faithful to the paper's I/O model: every OpenSplitPoints
 // call accounts the split's logical text bytes as read — the bytes of the
 // records it owns, terminators included — and jobs keep ticking one dataset
 // read per input scan. The cache changes CPU cost only — what the
-// counters measure (scans of the dataset) is untouched.
+// counters measure (scans of the dataset) is untouched. ReplicaSplit reads
+// through the same cache without accounting: copying a split to another
+// node is transport, not a scan.
 //
-// Memory trade-off: one cached file costs ≈ 8·n·dim bytes of float64s on top
-// of the text bytes already held by the in-memory FS (text is ~15 bytes per
-// coordinate, so the decoded form roughly halves again of the text size).
-// A written file holds those bytes from the start and its splits are views
-// into them, so its cache entries cost nothing more.
+// Memory trade-off: a cached raw-byte file costs ≈ 8·n·dim bytes of
+// float64s on top of its text (text is ~15 bytes per coordinate, so the
+// decoded form is about half the text size). A written file holds only
+// the points, and its cache entries are views into them.
 //
-// Invalidation: Create and Delete drop the affected path's decoded entry
-// (and its written points, which belong to the replaced file);
-// SetSplitSize drops every entry (the split layout changed) but no written
-// points, so the re-split file is sliced again rather than parsed. Readers
-// that obtained a PointSplit before an invalidation keep a consistent
-// snapshot of the bytes it was decoded from.
+// Invalidation: the cache entry of a path is keyed on the file it was
+// built from, so Create and Delete, which replace or drop the file (and
+// its written points with it), drop the entry; SetSplitSize drops every
+// entry (the split layout changed) but no written points, so the
+// re-split file is sliced again rather than parsed. Readers that obtained
+// a PointSplit before an invalidation keep a consistent snapshot of the
+// file it was decoded from.
 
 import (
 	"fmt"
@@ -52,8 +54,24 @@ type PointSplit struct {
 	col     *ColumnarSplit
 }
 
+// NewPointSplit wraps len(flat)/dim points of dim coordinates, whose
+// records hold bytes bytes of text, as a split. The split takes flat over:
+// the caller must not modify it afterwards. A node builds the splits whose
+// points another node shipped to it with it. It panics unless dim is
+// positive and divides len(flat).
+func NewPointSplit(flat []float64, dim int, bytes int64) *PointSplit {
+	if dim <= 0 || len(flat)%dim != 0 {
+		panic(fmt.Sprintf("dfs: NewPointSplit: %d coordinates at dim %d", len(flat), dim))
+	}
+	return &PointSplit{flat: flat, dim: dim, bytes: bytes}
+}
+
 // Len returns the number of points in the split.
 func (p *PointSplit) Len() int { return len(p.flat) / p.dim }
+
+// Flat returns the row-major backing array: point i is
+// Flat()[i*Dim():(i+1)*Dim()]. Callers must treat it as read-only.
+func (p *PointSplit) Flat() []float64 { return p.flat }
 
 // Dim returns the dimensionality of the points.
 func (p *PointSplit) Dim() int { return p.dim }
@@ -70,13 +88,12 @@ func (p *PointSplit) At(i int) []float64 {
 // file size, so every scan pays the paper's full I/O cost.
 func (p *PointSplit) Bytes() int64 { return p.bytes }
 
-// filePoints is the decoded cache entry for one file: a snapshot of the
-// file's bytes plus one lazily-decoded slot per split. The snapshot makes
-// concurrent decode immune to a mid-wave overwrite of the path (readers of
-// the old entry keep the old data).
+// filePoints is the decoded cache entry for one file: the file it was
+// built from plus one lazily-decoded slot per split. Holding the file
+// makes concurrent decode immune to a mid-wave overwrite of the path
+// (readers of the old entry keep the old file).
 type filePoints struct {
-	data      []byte
-	written   *writtenPoints // the points data was written from, or nil
+	f         *file
 	dim       int
 	splitSize int
 	slots     []pointSlot
@@ -88,11 +105,10 @@ type pointSlot struct {
 	err  error
 }
 
-// valid reports whether the entry still describes the current file bytes,
+// valid reports whether the entry still describes the current file,
 // dimensionality and split layout.
-func (fp *filePoints) valid(dim, splitSize int, data []byte) bool {
-	return fp.dim == dim && fp.splitSize == splitSize && len(fp.data) == len(data) &&
-		(len(data) == 0 || &fp.data[0] == &data[0])
+func (fp *filePoints) valid(f *file, dim, splitSize int) bool {
+	return fp.f == f && fp.dim == dim && fp.splitSize == splitSize
 }
 
 // OpenSplitPoints returns the decoded points of the given split, decoding
@@ -106,8 +122,27 @@ func (fp *filePoints) valid(dim, splitSize int, data []byte) bool {
 //
 // The returned PointSplit and all point views are safe for concurrent use.
 func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
+	ps, err := fs.openSplit(sp, dim)
+	if err != nil {
+		return nil, err
+	}
+	fs.bytesRead.Add(ps.bytes)
+	return ps, nil
+}
+
+// ReplicaSplit returns the same points as OpenSplitPoints, through the
+// same cache, but accounts no read: shipping a split to the node that
+// runs it is a transport cost, not one of the paper's dataset scans. A
+// split of a written file is a slice of its points; a raw-byte file is
+// parsed once, here, and the parse is cached for later scans.
+func (fs *FS) ReplicaSplit(sp Split, dim int) (*PointSplit, error) {
+	return fs.openSplit(sp, dim)
+}
+
+// openSplit serves one split from the cache, decoding on first access.
+func (fs *FS) openSplit(sp Split, dim int) (*PointSplit, error) {
 	if dim <= 0 {
-		return nil, fmt.Errorf("dfs: OpenSplitPoints needs a positive dim, got %d", dim)
+		return nil, fmt.Errorf("dfs: reading a split needs a positive dim, got %d", dim)
 	}
 	// Fast path: cache hits take only the read lock, so a map wave's split
 	// opens never serialize on an exclusive section.
@@ -119,7 +154,7 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, sp.Path)
 	}
-	if fp == nil || !fp.valid(dim, ss, f.data) {
+	if fp == nil || !fp.valid(f, dim, ss) {
 		fs.mu.Lock()
 		f, ok = fs.files[sp.Path]
 		if !ok {
@@ -128,9 +163,9 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 		}
 		ss = fs.splitSize
 		fp = fs.points[sp.Path]
-		if fp == nil || !fp.valid(dim, ss, f.data) {
-			numSplits := (len(f.data) + ss - 1) / ss
-			fp = &filePoints{data: f.data, written: f.points, dim: dim, splitSize: ss, slots: make([]pointSlot, numSplits)}
+		if fp == nil || !fp.valid(f, dim, ss) {
+			numSplits := (f.size + int64(ss) - 1) / int64(ss)
+			fp = &filePoints{f: f, dim: dim, splitSize: ss, slots: make([]pointSlot, numSplits)}
 			if fs.points == nil {
 				fs.points = make(map[string]*filePoints)
 			}
@@ -143,7 +178,7 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 	canonical := sp.Index >= 0 && sp.Index < len(fp.slots) && sp.Start == int64(sp.Index)*stride
 	if canonical {
 		wantEnd := sp.Start + stride
-		if limit := int64(len(fp.data)); wantEnd > limit {
+		if limit := fp.f.size; wantEnd > limit {
 			wantEnd = limit
 		}
 		canonical = sp.End == wantEnd
@@ -151,22 +186,13 @@ func (fs *FS) OpenSplitPoints(sp Split, dim int) (*PointSplit, error) {
 	if !canonical {
 		// A split descriptor from a stale layout (e.g. obtained before
 		// SetSplitSize); decode it uncached rather than poisoning the cache.
-		ps, err := fp.decode(sp)
-		if err != nil {
-			return nil, err
-		}
-		fs.bytesRead.Add(ps.bytes)
-		return ps, nil
+		return fp.decode(sp)
 	}
 	slot := &fp.slots[sp.Index]
 	slot.once.Do(func() {
 		slot.ps, slot.err = fp.decode(sp)
 	})
-	if slot.err != nil {
-		return nil, slot.err
-	}
-	fs.bytesRead.Add(slot.ps.bytes)
-	return slot.ps, nil
+	return slot.ps, slot.err
 }
 
 // invalidatePoints drops the decoded entry for path. Callers hold fs.mu.
@@ -179,22 +205,26 @@ func (fs *FS) invalidateAllPoints() {
 	fs.points = nil
 }
 
-// decode serves one split of the entry's file: sliced from the points the
-// file was written from when it has them at the asked dim, parsed from its
-// bytes otherwise.
+// decode serves one split of the entry's file: sliced from the points a
+// written file keeps, parsed from a raw-byte file's bytes. A written file
+// read at another dim fails as a parse of its text would.
 func (fp *filePoints) decode(sp Split) (*PointSplit, error) {
-	if wp := fp.written; wp != nil && wp.dim == fp.dim {
-		return wp.split(sp, int64(len(fp.data))), nil
+	wp := fp.f.points
+	if wp == nil {
+		return decodeSplit(fp.f.data, sp, fp.dim)
 	}
-	return decodeSplit(fp.data, sp, fp.dim)
+	if wp.dim != fp.dim {
+		return nil, fmt.Errorf("dfs: %s split %d: file holds %d-dimensional points, want %d", sp.Path, sp.Index, wp.dim, fp.dim)
+	}
+	return wp.split(sp, fp.f.size), nil
 }
 
 // decodeSplit parses the text records of one split into a flat point
 // array through the shared tokenizer. recordIter decides which records the
 // split owns, and each owned record counts its consumed bytes (record plus
 // "\n" or "\r\n" terminator), so the shares of a full split set sum to
-// the file size. A binary body (a replica pushed from outside the
-// process can hold anything) is rejected rather than parsed as lines.
+// the file size. A binary body (Create takes any bytes) is rejected
+// rather than parsed as lines.
 func decodeSplit(data []byte, sp Split, dim int) (*PointSplit, error) {
 	if IsBinary(data) {
 		return nil, fmt.Errorf("%w: %s", ErrBinaryFile, sp.Path)

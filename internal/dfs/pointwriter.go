@@ -8,16 +8,17 @@ package dfs
 // dataset reads and text bytes. PointWriter removes the second pass and
 // parallelizes the first. It formats points into the engine's text
 // records one chunk at a time, on up to GOMAXPROCS goroutines while the
-// caller keeps appending, and concatenates the chunks in order. The
-// committed file then keeps the float64 points it was written from, plus
-// the byte offset at which each record starts. OpenSplitPoints serves a
-// split of such a file by slicing those points under recordIter's
-// ownership rule instead of parsing the split's text.
+// caller keeps appending, but keeps only each record's length: the
+// committed file holds the float64 points it was written from, the byte
+// offset at which each record starts and the text's total size, never
+// the text. OpenSplitPoints serves a split of such a file by slicing
+// those points under recordIter's ownership rule, and Contents formats
+// the text again when a test asks for it.
 //
 // The points are exactly the ones a parse of the text would produce:
 // strconv's shortest 'g' formatting round-trips every float64 through
 // strconv.ParseFloat, and the writer stores NaN in the single form
-// ParseFloat("NaN") returns. The text itself is byte-identical to
+// ParseFloat("NaN") returns. The offsets and size are those of
 // FormatPoint(p)+"\n" per point, so every counter of the I/O model is
 // unchanged.
 
@@ -42,6 +43,16 @@ type writtenPoints struct {
 	flat   []float64
 	dim    int
 	starts []int64
+}
+
+// text formats the file's text again: FormatPoint(p)+"\n" per point, the
+// bytes the writer measured, size of them in all.
+func (wp *writtenPoints) text(size int64) []byte {
+	out := make([]byte, 0, size)
+	for i := 0; i < len(wp.flat); i += wp.dim {
+		out = append(pointtext.AppendRecord(out, wp.flat[i:i+wp.dim]), '\n')
+	}
+	return out
 }
 
 // split returns the points of the records sp owns under recordIter's
@@ -70,10 +81,10 @@ func (wp *writtenPoints) split(sp Split, size int64) *PointSplit {
 	return &PointSplit{flat: flat, dim: wp.dim, bytes: end - wp.starts[lo]}
 }
 
-// PointWriter formats points into a text file of the engine's record
-// format and commits the file, together with the points, on Close. Only
-// the goroutine that created it may call Append and Close. See the file
-// comment for what the kept points buy.
+// PointWriter commits points as a text file of the engine's record format
+// on Close, keeping the points and the records' offsets instead of the
+// text. Only the goroutine that created it may call Append and Close. See
+// the file comment for what the kept points buy.
 type PointWriter struct {
 	fs    *FS
 	path  string
@@ -83,36 +94,39 @@ type PointWriter struct {
 	flat   []float64 // every appended point
 	queued int       // points handed to a chunk so far
 
-	text   []byte  // formatted chunks, concatenated in order
-	starts []int64 // start offset of each record in text
+	size   int64   // text bytes of the retired chunks
+	starts []int64 // start offset of each record in the text
 
 	inFlight []*textChunk // chunks being formatted, oldest first
 	spare    []*textChunk // retired chunks whose buffers can be reused
 	workers  int
 }
 
-// textChunk is one run of consecutive points formatted on its own
-// goroutine into its own buffer.
+// textChunk is one run of consecutive points measured on its own
+// goroutine: each record is formatted into a reused scratch buffer only
+// to learn its length.
 type textChunk struct {
-	pts    []float64
-	dim    int
-	text   []byte
-	starts []int // record start offsets within text
-	done   chan struct{}
+	pts     []float64
+	dim     int
+	scratch []byte
+	starts  []int // record start offsets within the chunk's text
+	size    int   // text bytes of the chunk
+	done    chan struct{}
 }
 
 func (c *textChunk) format() {
-	c.text, c.starts = c.text[:0], c.starts[:0]
+	c.starts, c.size = c.starts[:0], 0
 	for i := 0; i < len(c.pts); i += c.dim {
-		c.starts = append(c.starts, len(c.text))
-		c.text = append(pointtext.AppendRecord(c.text, c.pts[i:i+c.dim]), '\n')
+		c.starts = append(c.starts, c.size)
+		c.scratch = pointtext.AppendRecord(c.scratch[:0], c.pts[i:i+c.dim])
+		c.size += len(c.scratch) + 1 // the record and its '\n'
 	}
 	close(c.done)
 }
 
-// PointWriter returns a writer that materializes dim-dimensional points
-// as a text file at path on Close, replacing any file there. Until Close
-// the file system is untouched.
+// PointWriter returns a writer that commits dim-dimensional points as a
+// text file at path on Close, replacing any file there. Until Close the
+// file system is untouched.
 func (fs *FS) PointWriter(path string, dim int) *PointWriter {
 	if dim <= 0 {
 		panic(fmt.Sprintf("dfs: PointWriter needs a positive dim, got %d", dim))
@@ -144,8 +158,7 @@ func (w *PointWriter) Append(p []float64) {
 
 // submit hands the points appended since the last submit to a new
 // formatting goroutine. With workers chunks already in flight it first
-// retires the oldest, so formatting keeps pace with appending and the
-// text held outside the file stays at a few chunks.
+// retires the oldest, so formatting keeps pace with appending.
 func (w *PointWriter) submit() {
 	n := len(w.flat) / w.dim
 	if w.queued == n {
@@ -169,25 +182,24 @@ func (w *PointWriter) submit() {
 	go c.format()
 }
 
-// retire waits for the oldest in-flight chunk and appends its text and
-// record offsets to the file.
+// retire waits for the oldest in-flight chunk and appends its record
+// offsets and size to the file's.
 func (w *PointWriter) retire() {
 	c := w.inFlight[0]
 	w.inFlight = w.inFlight[1:]
 	<-c.done
-	base := int64(len(w.text))
 	w.starts = grow(w.starts, len(c.starts))
 	for _, s := range c.starts {
-		w.starts = append(w.starts, base+int64(s))
+		w.starts = append(w.starts, w.size+int64(s))
 	}
-	w.text = append(grow(w.text, len(c.text)), c.text...)
+	w.size += int64(c.size)
 	c.pts = nil // a spare chunk must not pin an outgrown points array
 	w.spare = append(w.spare, c)
 }
 
 // grow returns s with room for n more elements, at least doubling its
 // capacity when it has to move: append's 1.25× steps for large slices
-// would copy the staged text and points about four times over.
+// would copy the staged points and offsets about four times over.
 func grow[T any](s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
@@ -195,19 +207,19 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s, max(n, cap(s)))
 }
 
-// Close formats the last partial chunk, waits for every chunk and commits
-// the text and its points to the file system. The text buffer becomes the
-// file's contents without a copy. The writer must not be used afterwards.
+// Close measures the last partial chunk, waits for every chunk and commits
+// the points, their offsets and the text size to the file system. The
+// writer must not be used afterwards.
 func (w *PointWriter) Close() error {
 	w.submit()
 	for len(w.inFlight) > 0 {
 		w.retire()
 	}
-	var wp *writtenPoints
+	f := &file{size: w.size}
 	if len(w.starts) > 0 {
-		wp = &writtenPoints{flat: w.flat, dim: w.dim, starts: w.starts}
+		f.points = &writtenPoints{flat: w.flat, dim: w.dim, starts: w.starts}
 	}
-	w.fs.commit(w.path, w.text, wp)
+	w.fs.commit(w.path, f)
 	*w = PointWriter{}
 	return nil
 }

@@ -218,13 +218,74 @@ func TestPointWriterCreateDropsWrittenPoints(t *testing.T) {
 }
 
 // TestPointWriterOtherDimParses checks that asking for a dim other than
-// the written one falls back to the text, which rejects the records.
+// the written one is an error, as a parse of the file's text would be.
 func TestPointWriterOtherDimParses(t *testing.T) {
 	fs := New(1 << 10)
 	writePoints(fs, "/p", 3, 2, [][]float64{{1, 2, 3}, {4, 5, 6}})
 	sps, _ := fs.Splits("/p")
 	if _, err := fs.OpenSplitPoints(sps[0], 2); err == nil {
 		t.Fatal("3-dimensional records served at dim 2")
+	}
+}
+
+// TestWrittenFileKeepsNoText checks that a written file holds points and
+// offsets but no text, that its size and Contents are still those of the
+// text, and that ReplicaSplit reads through the cache without accounting
+// while OpenSplitPoints accounts every scan.
+func TestWrittenFileKeepsNoText(t *testing.T) {
+	pts := hostilePoints(rand.New(rand.NewSource(21)), 200, 3)
+	want := formatReference(pts)
+	fs := New(len(want)/4 + 1)
+	writePoints(fs, "/p", 3, 16, pts)
+
+	fs.mu.RLock()
+	f := fs.files["/p"]
+	fs.mu.RUnlock()
+	if f.data != nil || f.points == nil {
+		t.Fatalf("written file keeps %d text bytes, points %v", len(f.data), f.points != nil)
+	}
+	size, err := fs.Size("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.Contents("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != int64(len(want)) || fs.BytesWritten() != size || int64(len(got)) != size {
+		t.Fatalf("Size %d, BytesWritten %d, len(Contents) %d, text %d", size, fs.BytesWritten(), len(got), len(want))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("Contents differs from the FormatPoint lines")
+	}
+
+	sps, err := fs.Splits("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shares int64
+	for _, sp := range sps {
+		rp, err := fs.ReplicaSplit(sp, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs.BytesRead() != shares {
+			t.Fatalf("ReplicaSplit of split %d moved BytesRead to %d", sp.Index, fs.BytesRead())
+		}
+		ps, err := fs.OpenSplitPoints(sp, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps != rp {
+			t.Fatalf("split %d: OpenSplitPoints did not serve the cached replica split", sp.Index)
+		}
+		shares += ps.Bytes()
+		if fs.BytesRead() != shares {
+			t.Fatalf("OpenSplitPoints of split %d: BytesRead %d, want %d", sp.Index, fs.BytesRead(), shares)
+		}
+	}
+	if shares != size {
+		t.Fatalf("split shares sum to %d, file size %d", shares, size)
 	}
 }
 

@@ -5,8 +5,8 @@ package dfs
 // the node count — split i belongs to node i mod nodes — which matches the
 // engine's task-placement determinism (map task t prefers node t mod
 // Nodes, and for a single-input job taskID == Split.Index). Placement is a
-// locality preference only: any node can execute any split against its
-// file replica, and because the engine's outputs are placement-independent
+// locality preference only: any node can execute any split once it holds
+// the split's points, and because the engine's outputs are placement-independent
 // (see the mr package contract) re-running a split elsewhere changes
 // nothing observable.
 

@@ -23,31 +23,6 @@ type JobSpec struct {
 	Payload []byte
 }
 
-// FileStore is the input plane of a job: split enumeration, the paper's
-// dataset-read accounting, and raw content access so distributed runners
-// can replicate inputs to the workers that own their splits. *dfs.FS
-// implements it; Job.Run and every TaskRunner reach the input only through
-// these methods (plus the per-task split readers, which run wherever the
-// task runs).
-type FileStore interface {
-	// Splits partitions the file at path into map-task splits.
-	Splits(path string) ([]dfs.Split, error)
-	// SplitSize reports the configured split size, so replicas can be
-	// built with the master's split layout.
-	SplitSize() int
-	// Contents returns the file's raw bytes without ticking any read
-	// accounting — replication is a transport concern, not a dataset scan.
-	Contents(path string) ([]byte, error)
-	// Version reports the file's generation counter, bumped on every
-	// (re)create, so replicas can be cached per (path, version).
-	Version(path string) int64
-	// CountDatasetRead records one whole-dataset scan pass.
-	CountDatasetRead()
-}
-
-// Compile-time check: the simulated DFS is a FileStore.
-var _ FileStore = (*dfs.FS)(nil)
-
 // ShuffleStore carries one job's map outputs from the map wave to the
 // reduce wave. Job.Run treats it as opaque: the runner that created it is
 // its only consumer, so the local runner holds the runs themselves
@@ -128,7 +103,11 @@ func (LocalRunner) NewShuffle(numReducers, numMapTasks int) ShuffleStore {
 func (LocalRunner) RunMapPhase(ctx context.Context, j *Job, splits []dfs.Split, numReducers int, partition Partitioner, counters *Counters, shuffle ShuffleStore) error {
 	store := shuffle.(*MemShuffle)
 	return runPool(ctx, j.Name, len(splits), j.Cluster.MapCapacity(), func(t int) error {
-		runs, err := j.ExecMapTask(t, splits[t], numReducers, partition, counters)
+		ps, err := j.FS.OpenSplitPoints(splits[t], j.PointDim)
+		if err != nil {
+			return wrapTaskErr(j.Name, MapTask, t, err)
+		}
+		runs, err := j.ExecMapTask(t, ps, numReducers, partition, counters)
 		if err != nil {
 			return err
 		}

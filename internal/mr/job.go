@@ -217,15 +217,17 @@ func jobErr(name string, err error) error {
 	return fmt.Errorf("mr: job %q: %w", name, err)
 }
 
-// ExecMapTask maps one split and returns the per-partition, key-sorted,
-// combined runs. It is the unit of work every backend executes — the local
-// runner calls it in-process, a distributed worker calls it on a replica of
-// the input — and it is deterministic: the same split, job parameters and
-// task id produce byte-identical runs and counter deltas wherever it runs.
+// ExecMapTask maps one opened split and returns the per-partition,
+// key-sorted, combined runs. It is the unit of work every backend
+// executes — the local runner calls it on the split it opened with
+// OpenSplitPoints, a distributed worker on the split's points the master
+// shipped to it — and it is deterministic: the same points, job
+// parameters and task id produce byte-identical runs and counter deltas
+// wherever it runs.
 // Counter deltas are buffered per task and flushed into counters once at
 // completion, so callers that re-execute a task (retry, speculation) must
 // merge at most one completion's counters.
-func (j *Job) ExecMapTask(taskID int, sp dfs.Split, numReducers int, partition Partitioner, counters *Counters) ([][]KV, error) {
+func (j *Job) ExecMapTask(taskID int, ps *dfs.PointSplit, numReducers int, partition Partitioner, counters *Counters) ([][]KV, error) {
 	ctx := &TaskContext{
 		JobName:    j.Name,
 		Kind:       MapTask,
@@ -236,7 +238,7 @@ func (j *Job) ExecMapTask(taskID int, sp dfs.Split, numReducers int, partition P
 	}
 	em := &emitter{}
 	taskSpan := j.Trace.StartSpan("map-task", "task").SetTID(int64(taskID))
-	records, err := j.mapSplit(ctx, sp, em)
+	records, err := j.mapSplit(ctx, ps, em)
 	if err != nil {
 		taskSpan.End()
 		return nil, wrapTaskErr(j.Name, MapTask, taskID, err)
@@ -287,15 +289,11 @@ func (j *Job) ExecMapTask(taskID int, sp dfs.Split, numReducers int, partition P
 	return parts, nil
 }
 
-// mapSplit feeds one split's decoded columns through a fresh mapper
-// instance and returns the input record count.
-func (j *Job) mapSplit(ctx *TaskContext, sp dfs.Split, em Emitter) (int64, error) {
+// mapSplit feeds one split's columns through a fresh mapper instance and
+// returns the input record count.
+func (j *Job) mapSplit(ctx *TaskContext, ps *dfs.PointSplit, em Emitter) (int64, error) {
 	mapper := j.NewPointMapper()
 	if err := mapper.Setup(ctx); err != nil {
-		return 0, err
-	}
-	ps, err := j.FS.OpenSplitPoints(sp, j.PointDim)
-	if err != nil {
 		return 0, err
 	}
 	// The whole split in one call, against the dim-major view

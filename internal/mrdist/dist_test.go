@@ -6,13 +6,18 @@
 package mrdist_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -511,5 +516,157 @@ func TestProcStragglerSpeculation(t *testing.T) {
 	}
 	if got := runner.Registry().Counter(mrdist.MetricWorkerDeaths).Value(); got != 0 {
 		t.Errorf("straggling worker was marked dead (%d deaths); slow != dead", got)
+	}
+}
+
+// ---- split push ----------------------------------------------------------
+
+// pushCounter is an http.RoundTripper that decodes every split push the
+// master sends and counts it per (worker, path, version, split index).
+type pushCounter struct {
+	mu     sync.Mutex
+	pushes map[string]int
+	bytes  int64
+	coords int64
+	n      int
+}
+
+func (c *pushCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/fs/push" {
+		body, err := req.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		frame, err := io.ReadAll(body)
+		if err != nil {
+			return nil, err
+		}
+		d := mrdist.NewDecoder(frame)
+		path, version, index := d.Str(), d.I64(), d.U32()
+		d.I64() // start
+		d.I64() // end
+		d.U32() // dim
+		d.I64() // logical text bytes
+		coords := len(d.Vec())
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		c.mu.Lock()
+		c.pushes[fmt.Sprintf("%s %s v%d split %d", req.URL.Host, path, version, index)]++
+		c.bytes += int64(len(frame))
+		c.coords += int64(coords)
+		c.n++
+		c.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestProcPushesEachSplitOncePerWorker runs a chained G-means trajectory
+// on the proc backend with no faults: every worker gets each split it
+// runs at most once, as float64 points, so the push bytes are bounded by
+// one copy of the points per worker plus framing.
+func TestProcPushesEachSplitOncePerWorker(t *testing.T) {
+	spec := dataset.Spec{K: 4, Dim: 3, N: 3000, MinSeparation: 16, Seed: 5}
+	counter := &pushCounter{pushes: make(map[string]int)}
+	runner := mrdist.NewProcRunner(mrdist.Options{Transport: counter})
+	defer runner.Close()
+
+	env, fs := gmeansEnv(t, spec, runner)
+	res, err := core.Run(core.Config{Env: env, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations < 2 {
+		t.Fatalf("trajectory ran %d iterations; the test needs chained jobs", res.Iterations)
+	}
+	splits, err := fs.Splits(env.Input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deaths := runner.Registry().Counter(mrdist.MetricWorkerDeaths).Value(); deaths != 0 {
+		t.Fatalf("%d worker deaths in a run without faults", deaths)
+	}
+
+	counter.mu.Lock()
+	defer counter.mu.Unlock()
+	if counter.n == 0 {
+		t.Fatal("no split was pushed")
+	}
+	for key, n := range counter.pushes {
+		if n > 1 {
+			t.Errorf("%s pushed %d times", key, n)
+		}
+	}
+	nodes := int64(env.Cluster.Nodes)
+	points := nodes * int64(spec.N*spec.Dim)
+	if counter.coords > points {
+		t.Errorf("pushed %d coordinates, more than %d workers × %d", counter.coords, nodes, spec.N*spec.Dim)
+	}
+	framing := int64(counter.n) * int64(64+len(env.Input))
+	if counter.bytes > 8*points+framing {
+		t.Errorf("push bytes %d exceed %d workers × 8·n·dim (%d) plus framing (%d)", counter.bytes, nodes, 8*points, framing)
+	}
+	if counter.n > len(splits)*int(nodes) {
+		t.Errorf("%d pushes for %d splits on %d workers", counter.n, len(splits), nodes)
+	}
+}
+
+// sumMapFrame is a map-task request for kindSum's task 0 on the split
+// sumSplitKey names, hand-encoded in the task request layout of
+// docs/wire.md.
+func sumMapFrame() []byte {
+	e := new(mrdist.Encoder).Begin()
+	spec := sumSpec(sumPayload{})
+	e.Str("job-1").Str("dist-sum").Str(spec.Kind).Blob(spec.Payload)
+	e.U32(1).U32(1).U32(1)   // cluster: nodes, map slots, reduce slots
+	e.I64(64 << 20).F64(.66) // task heap, max usage
+	e.U32(1).U32(2)          // point dim, reducers
+	e.U32(0)                 // task id
+	sumSplitKey(e)
+	return e.Bytes()
+}
+
+// sumSplitKey encodes the split of both frames: path, version, index,
+// start, end.
+func sumSplitKey(e *mrdist.Encoder) {
+	e.Str("/nums.txt").I64(1).U32(0).I64(0).I64(20)
+}
+
+// TestWorkerMapWithoutSplitIsStale checks that a worker answers a map
+// task on a split it was never pushed with status 3 (stale), and runs the
+// same task once the split's points arrive.
+func TestWorkerMapWithoutSplitIsStale(t *testing.T) {
+	h := mrdist.NewWorker().Handler()
+	post := func(path string, frame []byte) *mrdist.Decoder {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", path, bytes.NewReader(frame)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, rr.Code, rr.Body.String())
+		}
+		return mrdist.NewDecoder(rr.Body.Bytes())
+	}
+
+	if st := post("/v1/task/map", sumMapFrame()).U8(); st != 3 {
+		t.Fatalf("map on a split the worker lacks: status %d, want 3", st)
+	}
+
+	push := new(mrdist.Encoder).Begin()
+	sumSplitKey(push)
+	push.U32(1).I64(20).Vec([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) // "0\n" … "9\n"
+	if st := post("/v1/fs/push", push.Bytes()).U8(); st != 0 {
+		t.Fatalf("push: status %d, want 0", st)
+	}
+
+	d := post("/v1/task/map", sumMapFrame())
+	if st := d.U8(); st != 0 {
+		t.Fatalf("map after the push: status %d, want 0", st)
+	}
+	counters := mr.NewCounters()
+	if !d.MergeCounters(counters) {
+		t.Fatalf("map reply: %v", d.Err())
+	}
+	if got := counters.Snapshot()["sumtest.records"]; got != 10 {
+		t.Errorf("map task read %d records, want 10", got)
 	}
 }

@@ -17,10 +17,13 @@ func (blockedTransport) RoundTrip(*http.Request) (*http.Response, error) {
 	return nil, errors.New("network blocked under fuzzing")
 }
 
+// fuzzWorker returns a worker that already holds the split fuzzMapFrame
+// names, so fuzzed map frames get past the split lookup.
 func fuzzWorker() *Worker {
 	w := NewWorker()
 	w.addr = "127.0.0.1:1"
 	w.client = &http.Client{Transport: blockedTransport{}}
+	w.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/fs/push", bytes.NewReader(fuzzPushFrame())))
 	return w
 }
 
@@ -31,15 +34,28 @@ func fuzzTaskPrefix(e *Encoder) {
 	e.Str("job-1").Str("fuzz").Str("fuzz.nokind").Blob([]byte{1, 2, 3})
 	e.U32(2).U32(2).U32(2)   // cluster: nodes, map slots, reduce slots
 	e.I64(64 << 20).F64(.66) // task heap, max usage
-	e.U32(0).U32(2)          // point dim, reducers
+	e.U32(2).U32(2)          // point dim, reducers
 }
 
 func fuzzMapFrame() []byte {
 	e := new(Encoder).Begin()
 	fuzzTaskPrefix(e)
-	e.U32(0)                                  // task id
-	e.Str("/nums.txt").U32(0).I64(0).I64(128) // split
-	e.I64(0)                                  // replica version
+	e.U32(0) // task id
+	fuzzSplitKey(e)
+	return e.Bytes()
+}
+
+// fuzzSplitKey encodes the split both the push and the map frame name:
+// path, version, index, start, end.
+func fuzzSplitKey(e *Encoder) {
+	e.Str("/nums.txt").I64(1).U32(0).I64(0).I64(128)
+}
+
+func fuzzPushFrame() []byte {
+	e := new(Encoder).Begin()
+	fuzzSplitKey(e)
+	e.U32(2).I64(12) // dim, logical text bytes
+	e.Vec([]float64{1, 2, 3, 4})
 	return e.Bytes()
 }
 
@@ -58,12 +74,12 @@ func fuzzShuffleFrame() []byte {
 }
 
 // FuzzWorkerEndpoints throws corrupt and truncated GMWR frames at the
-// worker's task and shuffle endpoints. The contract: no panic, no
+// worker's push, task and shuffle endpoints. The contract: no panic, no
 // unbounded allocation, and every 200 response is itself a well-formed
 // GMWR frame (anything else must be an HTTP error status).
 func FuzzWorkerEndpoints(f *testing.F) {
-	paths := []string{"/v1/task/map", "/v1/task/reduce", "/v1/shuffle"}
-	for i, frame := range [][]byte{fuzzMapFrame(), fuzzReduceFrame(), fuzzShuffleFrame()} {
+	paths := []string{"/v1/task/map", "/v1/task/reduce", "/v1/shuffle", "/v1/fs/push"}
+	for i, frame := range [][]byte{fuzzMapFrame(), fuzzReduceFrame(), fuzzShuffleFrame(), fuzzPushFrame()} {
 		f.Add(i, frame)
 		// Truncations, including mid-envelope and mid-field cuts.
 		for _, cut := range []int{0, 3, 5, 9, len(frame) / 2, len(frame) - 1} {
@@ -85,7 +101,7 @@ func FuzzWorkerEndpoints(f *testing.F) {
 		if len(data) > 1<<16 {
 			return // bound per-iteration work
 		}
-		path := paths[((which%3)+3)%3]
+		path := paths[((which%len(paths))+len(paths))%len(paths)]
 		h := fuzzWorker().Handler()
 		req := httptest.NewRequest("POST", path, bytes.NewReader(data))
 		rr := httptest.NewRecorder()

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -128,6 +127,9 @@ type workerHandle struct {
 	// reaps the fleet even without an explicit Close).
 	stdin io.WriteCloser
 	dead  atomic.Bool
+	// exited is closed by the worker's reaper, the one goroutine that
+	// waits for the process, once it has exited.
+	exited chan struct{}
 
 	// breaker debounces blamed failures: a worker is not declared
 	// unschedulable on one transport blip, and an open breaker re-admits
@@ -136,7 +138,7 @@ type workerHandle struct {
 	breaker *retry.Breaker
 
 	pushMu sync.Mutex
-	pushed map[string]int64 // replica version per path
+	pushed map[splitKey]bool // splits pushed to this worker
 }
 
 // ProcRunner is the distributed mr.TaskRunner: it spawns one worker
@@ -144,9 +146,10 @@ type workerHandle struct {
 // and reduce tasks onto them under one uniform retry policy (per-RPC
 // deadlines, jittered backoff, per-worker breakers) with speculative
 // re-execution of stragglers. Results are bit-identical to
-// mr.LocalRunner: the same task code runs on input replicas, the shuffle
-// merge order is still map-task id, and exactly one completion per task
-// merges counters.
+// mr.LocalRunner: the same task code runs on the same points, shipped to
+// each worker split by split as it first needs them; the shuffle merge
+// order is still map-task id, and exactly one completion per task merges
+// counters.
 //
 // A ProcRunner may be shared across the chained jobs of a run (the fleet
 // is reused); it is safe for use by one job at a time. Close terminates
@@ -225,15 +228,13 @@ func (r *ProcRunner) Close() {
 		w.stdin.Close() // EOF → worker exits on its own
 	}
 	for _, w := range workers {
-		reaped := make(chan struct{})
-		go func(w *workerHandle) { w.cmd.Wait(); close(reaped) }(w)
 		select {
-		case <-reaped:
+		case <-w.exited:
 		case <-time.After(2 * time.Second):
 			if w.cmd.Process != nil {
 				w.cmd.Process.Kill()
 			}
-			<-reaped
+			<-w.exited
 		}
 	}
 }
@@ -329,13 +330,14 @@ func (r *ProcRunner) spawnWorker(id int) (*workerHandle, error) {
 	}()
 	select {
 	case addr := <-addrCh:
-		w := &workerHandle{id: id, addr: addr, cmd: cmd, stdin: stdin, pushed: make(map[string]int64)}
+		w := &workerHandle{id: id, addr: addr, cmd: cmd, stdin: stdin, exited: make(chan struct{}), pushed: make(map[splitKey]bool)}
 		reg := r.opts.Registry
 		stateGauge := reg.Gauge(breakerGaugeName(id))
 		stateGauge.Set(int64(retry.BreakerClosed))
 		w.breaker = retry.NewBreaker(r.policy)
 		w.breaker.OnOpen = func() { reg.Counter(MetricBreakerOpens).Inc() }
 		w.breaker.OnState = func(s retry.BreakerState) { stateGauge.Set(int64(s)) }
+		go r.reap(w)
 		return w, nil
 	case err := <-errCh:
 		cmd.Process.Kill()
@@ -355,8 +357,22 @@ func cutPrefix(s, prefix string) (string, bool) {
 	return "", false
 }
 
-// markDead declares a worker failed: no further dispatch, process killed.
-// Idempotent.
+// reap waits for w's process to exit, the only Wait on it, and then
+// closes w.exited. An exit the runner did not ask for is a death,
+// declared at once rather than after the heartbeat's misses.
+func (r *ProcRunner) reap(w *workerHandle) {
+	w.cmd.Wait()
+	close(w.exited)
+	r.mu.Lock()
+	closing := r.closed
+	r.mu.Unlock()
+	if !closing {
+		r.markDead(w)
+	}
+}
+
+// markDead declares a worker failed: no further dispatch, process killed
+// (its reaper collects it). Idempotent.
 func (r *ProcRunner) markDead(w *workerHandle) {
 	if w == nil || w.dead.Swap(true) {
 		return
@@ -365,7 +381,6 @@ func (r *ProcRunner) markDead(w *workerHandle) {
 	if w.cmd.Process != nil {
 		w.cmd.Process.Kill()
 	}
-	go w.cmd.Wait()
 }
 
 // liveCount reports how many workers are not dead (breaker state aside).
@@ -383,7 +398,8 @@ func (r *ProcRunner) liveCount() int {
 
 // heartbeat pings every worker; HeartbeatMisses consecutive failures mark
 // it dead. Tasks in flight on a dead worker fail their RPCs and requeue.
-// This is the authority on worker *death*; breakers only gate scheduling.
+// The reaper declares the death of a worker whose process exited; the
+// heartbeat catches one that hangs. Breakers only gate scheduling.
 func (r *ProcRunner) heartbeat() {
 	client := &http.Client{Timeout: r.opts.HeartbeatInterval, Transport: r.opts.Transport}
 	misses := make(map[*workerHandle]int)
@@ -494,60 +510,53 @@ func postWire(ctx context.Context, c *http.Client, addr, path string, body []byt
 	return b, nil
 }
 
-// pushInputs replicates the job's input files to w, skipping files whose
-// replica version is already current. Replication moves bytes without
-// ticking read accounting (dfs.Contents), so the paper's cost model sees
-// the same dataset-read counts on both backends.
-func (r *ProcRunner) pushInputs(ctx context.Context, j *mr.Job, w *workerHandle) error {
+// pushSplit ships the points of key's split to w unless w already holds
+// them. They come from the master's decode cache through
+// dfs.ReplicaSplit, which ticks no read accounting, so the paper's cost
+// model sees the same dataset-read counts on both backends. A split the
+// master cannot read fails the task, as the local runner's open does.
+func (r *ProcRunner) pushSplit(ctx context.Context, j *mr.Job, taskID int, key splitKey, w *workerHandle) error {
 	w.pushMu.Lock()
-	defer w.pushMu.Unlock()
-	for _, path := range j.Input {
-		version := j.FS.Version(path)
-		if w.pushed[path] == version {
-			continue
-		}
-		data, err := j.FS.Contents(path)
-		if err != nil {
-			return err
-		}
-		u := fmt.Sprintf("http://%s/v1/fs/push?path=%s&version=%d&split=%d",
-			w.addr, url.QueryEscape(path), version, j.FS.SplitSize())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return retry.Transient(err, true)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			perr := fmt.Errorf("mrdist: push %s to %s: HTTP %d", path, w.addr, resp.StatusCode)
-			if resp.StatusCode >= 500 {
-				return retry.Transient(perr, true)
-			}
-			return perr
-		}
-		w.pushed[path] = version
+	have := w.pushed[key]
+	w.pushMu.Unlock()
+	if have {
+		return nil
 	}
+	ps, err := j.FS.ReplicaSplit(key.split(), j.PointDim)
+	if err != nil {
+		return &mr.TaskError{Job: j.Name, Kind: mr.MapTask, TaskID: taskID, Err: err}
+	}
+	var e Encoder
+	e.Begin()
+	encodeSplitKey(&e, key)
+	e.U32(uint32(ps.Dim())).I64(ps.Bytes()).Vec(ps.Flat())
+	body, err := postWire(ctx, r.client, w.addr, "/v1/fs/push", e.Bytes())
+	if err != nil {
+		return err
+	}
+	if d := NewDecoder(body); d.U8() != statusOK || d.Err() != nil {
+		return retry.Transient(fmt.Errorf("mrdist: push of %s split %d to %s: corrupt reply", key.path, key.index, w.addr), true)
+	}
+	w.pushMu.Lock()
+	w.pushed[key] = true
+	w.pushMu.Unlock()
 	return nil
 }
 
-// execMapRPC runs one map task on w and returns the task's counter deltas.
-// The output runs stay on the worker for shuffle pull.
+// execMapRPC runs one map task on w, pushing its split first if w lacks
+// it, and returns the task's counter deltas. The output runs stay on the
+// worker for shuffle pull.
 func (r *ProcRunner) execMapRPC(ctx context.Context, j *mr.Job, sh *procShuffle, taskID int, numReducers int, w *workerHandle) (*mr.Counters, error) {
-	if err := r.pushInputs(ctx, j, w); err != nil {
+	sp := sh.splits[taskID]
+	key := splitKey{path: sp.Path, version: j.FS.Version(sp.Path), index: sp.Index, start: sp.Start, end: sp.End}
+	if err := r.pushSplit(ctx, j, taskID, key, w); err != nil {
 		return nil, err
 	}
-	sp := sh.splits[taskID]
 	var e Encoder
 	e.Begin()
 	encodeTaskRequest(&e, sh.jobID, j, numReducers)
 	e.U32(uint32(taskID))
-	e.Str(sp.Path).U32(uint32(sp.Index)).I64(sp.Start).I64(sp.End)
-	e.I64(j.FS.Version(sp.Path))
+	encodeSplitKey(&e, key)
 	body, err := postWire(ctx, r.client, w.addr, "/v1/task/map", e.Bytes())
 	if err != nil {
 		return nil, err
@@ -563,12 +572,13 @@ func (r *ProcRunner) execMapRPC(ctx context.Context, j *mr.Job, sh *procShuffle,
 		}
 		return counters, nil
 	case statusStale:
-		// Raced with a replica update; invalidate our record and retry.
-		// Not the worker's fault.
+		// The worker lacks the split (a newer version of the file
+		// replaced it) or holds it at another dim; forget it so the retry
+		// pushes it again. Not the worker's fault.
 		w.pushMu.Lock()
-		delete(w.pushed, sp.Path)
+		delete(w.pushed, key)
 		w.pushMu.Unlock()
-		return nil, retry.Transient(fmt.Errorf("mrdist: stale replica of %s on %s", sp.Path, w.addr), false)
+		return nil, retry.Transient(fmt.Errorf("mrdist: %s lacks split %d of %s", w.addr, key.index, key.path), false)
 	case statusTaskErr:
 		return nil, decodeTaskErr(d, j.Name, w.addr)
 	default:

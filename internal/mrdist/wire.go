@@ -1,11 +1,11 @@
 // Package mrdist is the distributed execution backend of the MapReduce
 // engine: a master (ProcRunner) that schedules the tasks of an mr.Job onto
 // worker subprocesses (re-executions of the master binary, which calls
-// MaybeWorker) over HTTP, with input replication, shuffle pull, straggler
-// speculation and bounded retry around worker death. The in-process
-// mr.LocalRunner remains the reference implementation; this backend
-// executes the very same mr.Job.ExecMapTask / ExecReduceTask code on
-// replicas of the same input and merges per-task counters by name, so its
+// MaybeWorker) over HTTP, with on-demand split pushes, shuffle pull,
+// straggler speculation and bounded retry around worker death. The
+// in-process mr.LocalRunner remains the reference implementation; this
+// backend executes the very same mr.Job.ExecMapTask / ExecReduceTask code
+// on the same points and merges per-task counters by name, so its
 // results are pinned bit-identical to the local backend
 // (TestProcBackendMatchesLocalExactly).
 //
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"gmeansmr/internal/mr"
@@ -30,7 +31,7 @@ import (
 // length-prefixed with u32.
 const (
 	wireMagic   = "GMWR"
-	wireVersion = 3
+	wireVersion = 4
 )
 
 var errWire = errors.New("mrdist: malformed wire message")
@@ -102,6 +103,7 @@ func (e *Encoder) Blob(b []byte) *Encoder {
 // Vec appends a u32 count followed by that many doubles.
 func (e *Encoder) Vec(v vec.Vector) *Encoder {
 	e.U32(uint32(len(v)))
+	e.buf = slices.Grow(e.buf, 8*len(v))
 	for _, x := range v {
 		e.F64(x)
 	}
@@ -145,7 +147,7 @@ func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.buf) {
+	if n < 0 || n > len(d.buf)-d.off {
 		d.fail("truncated")
 		return nil
 	}
@@ -223,7 +225,9 @@ func (d *Decoder) Vec() vec.Vector {
 		// return nil, but the sticky error reports the latter.
 		return nil
 	}
-	if n*8 > len(d.buf)-d.off {
+	// Bound the count by the bytes left before multiplying: n*8 can
+	// overflow a 32-bit int, and a count past 2^31 decodes negative there.
+	if n < 0 || n > (len(d.buf)-d.off)/8 {
 		d.fail("truncated vector")
 		return nil
 	}

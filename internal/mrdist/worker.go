@@ -31,27 +31,49 @@ const (
 	statusOK        = 0 // payload follows
 	statusTaskErr   = 1 // deterministic task failure: fails the job
 	statusFetchFail = 2 // reduce could not pull a map output: retryable
-	statusStale     = 3 // worker replica out of date: re-push and retry
+	statusStale     = 3 // worker lacks the task's split: push it and retry
 )
 
 // readyPrefix precedes the listen address on the worker's first stdout
 // line; the master parses it during spawn.
 const readyPrefix = "MRWORKER READY "
 
-// Worker is one mrdist worker process: a replica FS holding pushed input
-// files, completed map outputs awaiting shuffle pull, and the HTTP surface
-// the master and peer workers drive. See docs/wire.md for the protocol.
+// Worker is one mrdist worker process: the input splits the master pushed
+// to it as points, completed map outputs awaiting shuffle pull, and the
+// HTTP surface the master and peer workers drive. See docs/wire.md for the
+// protocol.
 type Worker struct {
-	fs   *dfs.FS
 	addr string // own base address, e.g. "127.0.0.1:41234"
 
 	slowMS int // EnvTestSlowMS fault injection
 
-	mu       sync.Mutex
-	versions map[string]int64     // replica version per pushed path
-	jobs     map[string]*jobState // live map outputs per job id
+	mu     sync.Mutex
+	splits map[splitKey]*dfs.PointSplit // pushed input splits
+	jobs   map[string]*jobState         // live map outputs per job id
 
 	client *http.Client // for peer shuffle pulls
+}
+
+// splitKey names one split of one version of an input file. The master
+// records the keys it pushed to each worker, and a map task names its
+// split by the same key.
+type splitKey struct {
+	path       string
+	version    int64
+	index      int
+	start, end int64
+}
+
+func (k splitKey) split() dfs.Split {
+	return dfs.Split{Path: k.path, Index: k.index, Start: k.start, End: k.end}
+}
+
+func encodeSplitKey(e *Encoder, k splitKey) {
+	e.Str(k.path).I64(k.version).U32(uint32(k.index)).I64(k.start).I64(k.end)
+}
+
+func decodeSplitKey(d *Decoder) splitKey {
+	return splitKey{path: d.Str(), version: d.I64(), index: int(d.U32()), start: d.I64(), end: d.I64()}
 }
 
 // jobState holds one job's map outputs on this worker: parts[taskID][p] is
@@ -61,14 +83,13 @@ type jobState struct {
 	parts map[int][][]mr.KV
 }
 
-// NewWorker returns a worker with an empty replica FS. Tests drive it
+// NewWorker returns a worker that holds no splits yet. Tests drive it
 // directly; processes use MaybeWorker.
 func NewWorker() *Worker {
 	w := &Worker{
-		fs:       dfs.New(0),
-		versions: make(map[string]int64),
-		jobs:     make(map[string]*jobState),
-		client:   &http.Client{},
+		splits: make(map[splitKey]*dfs.PointSplit),
+		jobs:   make(map[string]*jobState),
+		client: &http.Client{},
 	}
 	if ms, err := strconv.Atoi(os.Getenv(EnvTestSlowMS)); err == nil && ms > 0 {
 		w.slowMS = ms
@@ -139,28 +160,38 @@ func (w *Worker) handlePing(rw http.ResponseWriter, _ *http.Request) {
 	io.WriteString(rw, "ok")
 }
 
-// handlePush installs one file replica: ?path=&version=&split= with the
-// raw contents as the body.
+// handlePush installs one split's points, and drops the splits of older
+// versions of the same file.
 func (w *Worker) handlePush(rw http.ResponseWriter, req *http.Request) {
-	path := req.URL.Query().Get("path")
-	version, err := strconv.ParseInt(req.URL.Query().Get("version"), 10, 64)
-	if path == "" || err != nil {
-		http.Error(rw, "push needs path and version", http.StatusBadRequest)
-		return
-	}
-	data, err := io.ReadAll(req.Body)
+	body, err := io.ReadAll(req.Body)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if ss, err := strconv.Atoi(req.URL.Query().Get("split")); err == nil && ss > 0 && ss != w.fs.SplitSize() {
-		w.fs.SetSplitSize(ss)
+	d := NewDecoder(body)
+	key := decodeSplitKey(d)
+	dim := int(d.U32())
+	textBytes := d.I64()
+	flat := d.Vec()
+	if err := d.Err(); err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
 	}
-	w.fs.Create(path, data)
+	if dim <= 0 || len(flat)%dim != 0 || textBytes < 0 {
+		http.Error(rw, fmt.Sprintf("push of %s split %d: %d coordinates at dim %d, %d bytes",
+			key.path, key.index, len(flat), dim, textBytes), http.StatusBadRequest)
+		return
+	}
+	ps := dfs.NewPointSplit(flat, dim, textBytes)
 	w.mu.Lock()
-	w.versions[path] = version
+	for k := range w.splits {
+		if k.path == key.path && k.version < key.version {
+			delete(w.splits, k)
+		}
+	}
+	w.splits[key] = ps
 	w.mu.Unlock()
-	rw.WriteHeader(http.StatusOK)
+	rw.Write(new(Encoder).Begin().U8(statusOK).Bytes())
 }
 
 // taskRequest is the decoded common prefix of map and reduce requests.
@@ -197,17 +228,16 @@ func encodeTaskRequest(e *Encoder, jobID string, j *mr.Job, numReducers int) {
 	e.U32(uint32(j.PointDim)).U32(uint32(numReducers))
 }
 
-// job reconstructs the executable mr.Job for a task request against this
-// worker's replica FS. The factories come from the spec's registered kind,
-// so the mapper/combiner/reducer behaviour is identical to the driver's.
-func (tr *taskRequest) job(fs *dfs.FS) (*mr.Job, error) {
+// job reconstructs the executable mr.Job for a task request. The
+// factories come from the spec's registered kind, so the
+// mapper/combiner/reducer behaviour is identical to the driver's.
+func (tr *taskRequest) job() (*mr.Job, error) {
 	parts, err := buildParts(&tr.spec)
 	if err != nil {
 		return nil, err
 	}
 	return parts.Install(&mr.Job{
 		Name:     tr.name,
-		FS:       fs,
 		Cluster:  tr.cluster,
 		PointDim: tr.pointDim,
 	}), nil
@@ -233,8 +263,10 @@ func writeTaskErr(e *Encoder, err error) {
 	e.U8(statusTaskErr).Str(kind).U32(taskID).Bool(heap).Str(msg)
 }
 
-// handleMap executes one map task and retains its per-partition runs for
-// shuffle pull.
+// handleMap executes one map task on a pushed split and retains its
+// per-partition runs for shuffle pull. A split this worker lacks, or
+// holds at another dim than the job's, answers statusStale, and the
+// master pushes it before the retry.
 func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 	if w.slowMS > 0 {
 		time.Sleep(time.Duration(w.slowMS) * time.Millisecond)
@@ -247,8 +279,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 	d := NewDecoder(body)
 	tr := decodeTaskRequest(d)
 	taskID := int(d.U32())
-	sp := dfs.Split{Path: d.Str(), Index: int(d.U32()), Start: d.I64(), End: d.I64()}
-	wantVersion := d.I64()
+	key := decodeSplitKey(d)
 	if err := d.Err(); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -257,21 +288,21 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 	var e Encoder
 	e.Begin()
 	w.mu.Lock()
-	have := w.versions[sp.Path]
+	ps := w.splits[key]
 	w.mu.Unlock()
-	if have != wantVersion {
+	if ps == nil || ps.Dim() != tr.pointDim {
 		e.U8(statusStale)
 		rw.Write(e.Bytes())
 		return
 	}
 
-	j, err := tr.job(w.fs)
+	j, err := tr.job()
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	counters := mr.NewCounters()
-	runs, err := j.ExecMapTask(taskID, sp, tr.numReducers, mr.DefaultPartitioner, counters)
+	runs, err := j.ExecMapTask(taskID, ps, tr.numReducers, mr.DefaultPartitioner, counters)
 	if err != nil {
 		writeTaskErr(&e, err)
 		rw.Write(e.Bytes())
@@ -413,7 +444,7 @@ func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	j, err := tr.job(w.fs)
+	j, err := tr.job()
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
 		return

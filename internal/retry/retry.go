@@ -114,9 +114,9 @@ func (p Policy) Backoff(failures int, rng *rand.Rand) time.Duration {
 
 // transientError wraps a failure worth re-attempting. Blame reports
 // whether the executing peer itself is suspect (transport failures,
-// per-attempt timeouts, 5xx: yes; a stale replica or a dead *peer* of the
-// executor: no — punishing a healthy worker for someone else's loss is
-// exactly what the classification exists to prevent).
+// per-attempt timeouts, 5xx: yes; a split the worker lacks or a dead
+// *peer* of the executor: no — punishing a healthy worker for someone
+// else's loss is exactly what the classification exists to prevent).
 type transientError struct {
 	err   error
 	blame bool
