@@ -653,31 +653,6 @@ func BenchmarkNearestIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConfirmRounds compares the paper's literal single-accept
-// freezing against the confirmed variant this reproduction defaults to.
-func BenchmarkAblationConfirmRounds(b *testing.B) {
-	spec := dataset.Spec{K: 64, Dim: 10, N: 30_000, CenterRange: 100,
-		StdDev: 1, MinSeparation: 8, Seed: 49}
-	ds, err := dataset.Generate(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, confirm := range []int{1, 2} {
-		b.Run(fmt.Sprintf("confirm=%d", confirm), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env, _ := benchEnv(b, spec, benchCluster())
-				res, err := core.Run(core.Config{Env: env, Seed: 50, ConfirmRounds: confirm})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.K), "k_found")
-				b.ReportMetric(float64(coverageOf(ds, res.Centers)), "covered")
-				b.ReportMetric(float64(res.Iterations), "iterations")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationMultiSeeding compares the paper's random multi-k-means
 // seeding with the k-means++ production initializer it recommends.
 func BenchmarkAblationMultiSeeding(b *testing.B) {
@@ -707,9 +682,10 @@ func BenchmarkAblationMultiSeeding(b *testing.B) {
 	}
 }
 
-// BenchmarkSeqVsMRGMeans compares the original sequential G-means
-// (principal-component child placement, Hamerly & Elkan) with the paper's
-// MapReduce adaptation (random children, parallel doubling) on k recovery.
+// BenchmarkSeqVsMRGMeans compares the original sequential G-means (one
+// cluster split at a time) with the paper's MapReduce adaptation (every
+// cluster tested and split in parallel each round) on k recovery; both
+// place principal-component children (Hamerly & Elkan).
 func BenchmarkSeqVsMRGMeans(b *testing.B) {
 	spec := dataset.Spec{K: 16, Dim: 4, N: 16_000, CenterRange: 100, StdDev: 1,
 		MinSeparation: 12, Seed: 61}
@@ -738,32 +714,4 @@ func BenchmarkSeqVsMRGMeans(b *testing.B) {
 			b.ReportMetric(float64(coverageOf(ds, res.Centers)), "covered")
 		}
 	})
-}
-
-// BenchmarkAblationCandidatePolicy compares the paper's fused random
-// candidate picking against principal-component placement via the
-// additional MapReduce job the paper mentions: better split directions for
-// one more dataset read per round.
-func BenchmarkAblationCandidatePolicy(b *testing.B) {
-	spec := dataset.Spec{K: 32, Dim: 10, N: 20_000, CenterRange: 100, StdDev: 1,
-		MinSeparation: 8, Seed: 67}
-	ds, err := dataset.Generate(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, policy := range []core.CandidatePolicy{core.CandidatesRandom, core.CandidatesPCA} {
-		b.Run(policy.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env, _ := benchEnv(b, spec, benchCluster())
-				env.FS.ResetCounters()
-				res, err := core.Run(core.Config{Env: env, Seed: 68, Candidates: policy})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.K), "k_found")
-				b.ReportMetric(float64(coverageOf(ds, res.Centers)), "covered")
-				b.ReportMetric(float64(env.FS.DatasetReads()), "dataset_reads")
-			}
-		})
-	}
 }

@@ -104,8 +104,10 @@ type Progress struct {
 	// iterations including their driver-side center updates, the merge
 	// round), so durations from different algorithms chart comparably.
 	Duration time.Duration
-	// Phases breaks Duration down by round phase (MR G-means only:
-	// "kmeans", "kfnc", "test"); nil elsewhere.
+	// Phases breaks Duration down by round phase (MR G-means only):
+	// "kmeans" (the first k-means pass), "kfnc" (the last k-means pass
+	// plus the PCA candidate job, the paper's KMeansAndFindNewCenters
+	// step) and "test" (the normality test); nil elsewhere.
 	Phases map[string]time.Duration
 }
 

@@ -8,9 +8,9 @@
 //
 // Usage:
 //
-//	stress                     # default matrix: all scenarios × kfnc,pca
+//	stress                     # default matrix: all scenarios × few,pca
 //	stress -kinds all          # add the test-strategy and multik kinds
-//	stress -scenarios kill,hang -kinds kfnc
+//	stress -scenarios kill,hang -kinds few
 //	stress -seed 42 -v         # reproduce a failing schedule
 //
 // On failure the harness prints the scenario JSON and seed (and the
@@ -53,7 +53,7 @@ func main() {
 	log.SetPrefix("stress: ")
 
 	var (
-		kindsFlag     = flag.String("kinds", "kfnc,pca", "job kinds to sweep: comma list of kfnc,test,pca,multik, or all")
+		kindsFlag     = flag.String("kinds", "few,pca", "job kinds to sweep: comma list of few,test,pca,multik, or all")
 		scenariosFlag = flag.String("scenarios", "all", "fault scenarios to sweep: comma list (see -list), or all")
 		list          = flag.Bool("list", false, "print the scenario and kind names and exit")
 		seed          = flag.Int64("seed", 1, "seed for dataset, schedules and fault draws")
@@ -293,9 +293,9 @@ func kindSet() []jobKind {
 		}
 	}
 	return []jobKind{
-		{name: "kfnc", run: gmeans(core.Config{Seed: 7, ForceStrategy: core.StrategyFewClusters})},
+		{name: "few", run: gmeans(core.Config{Seed: 7, ForceStrategy: core.StrategyFewClusters})},
 		{name: "test", run: gmeans(core.Config{Seed: 7, ForceStrategy: core.StrategyReducer})},
-		{name: "pca", run: gmeans(core.Config{Seed: 7, Candidates: core.CandidatesPCA})},
+		{name: "pca", run: gmeans(core.Config{Seed: 7})},
 		{name: "multik", run: func(env kmeansmr.Env, fs *dfs.FS) (string, error) {
 			cfg := kmeansmr.MultiConfig{Env: env, KMin: 1, KMax: 4, Iterations: 3, Seed: 5}
 			res, err := kmeansmr.RunMulti(cfg)

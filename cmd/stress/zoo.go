@@ -233,17 +233,16 @@ func checkKernel(points [][]float64, centers []vec.Vector) []invariants.Violatio
 	return nil
 }
 
-// runCorePCA drives the core engine with PCA candidate generation — the
-// path most sensitive to degenerate geometry (collinear, d=1, point-mass
-// clusters) — and asserts the DFS read-conservation law and the batch
-// kernel's agreement with the scalar one on top of the result invariants.
+// runCorePCA drives the core engine directly — its principal-component
+// candidate job is the path most sensitive to degenerate geometry
+// (collinear, d=1, point-mass clusters) — and asserts the DFS
+// read-conservation law and the batch kernel's agreement with the scalar
+// one on top of the result invariants.
 func runCorePCA(c zoo.Cell, seed int64) ([]invariants.Violation, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), zooCellTimeout)
 	defer cancel()
 	env, fs := stageZoo(c, seed)
-	res, err := core.RunContext(ctx, core.Config{
-		Env: env, Seed: seed, MaxK: zooMaxK, Candidates: core.CandidatesPCA,
-	})
+	res, err := core.RunContext(ctx, core.Config{Env: env, Seed: seed, MaxK: zooMaxK})
 	if err != nil {
 		return nil, err
 	}

@@ -12,22 +12,19 @@ import (
 
 // TestGMeansColumnarMatchesRowMajor pins the whole G-means trajectory to
 // golden digests (invariants.Digest over the final centers and every
-// counter of the run): every job of every round — the fused k-means +
-// candidate pass, both normality-test strategies, and the PCA candidate
-// job. The digests were recorded from
-// both the per-point row-major mapper path and the batched columnar path
-// while both existed — they agreed, on amd64 and under GOARCH=386 — so the
-// columnar mappers that remain reproduce the row-major decisions bit for
-// bit.
+// counter of the run): every job of every round — the k-means passes, the
+// PCA candidate job and both normality-test strategies. The columnar
+// mappers were pinned to the per-point row-major path while both existed;
+// the digests are the same on amd64 and under GOARCH=386.
 func TestGMeansColumnarMatchesRowMajor(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
 		digest string
 	}{
-		{"few-clusters", Config{ForceStrategy: StrategyFewClusters}, "e9b3573dc3b7696f9b231f5d"},
-		{"reducer", Config{ForceStrategy: StrategyReducer}, "888158c3fba7da6d59fb59f1"},
-		{"pca-candidates", Config{Candidates: CandidatesPCA}, "cb86ef944b8517f47b9df678"},
+		{"few-clusters", Config{ForceStrategy: StrategyFewClusters}, "1d0a8db11c84a00edbf61fdb"},
+		{"reducer", Config{ForceStrategy: StrategyReducer}, "0a66b3868b2287a4daa94f28"},
+		{"pca-candidates", Config{}, "1d0a8db11c84a00edbf61fdb"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, err := dataset.Generate(dataset.Spec{K: 3, Dim: 16, N: 2400,

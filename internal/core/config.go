@@ -1,15 +1,19 @@
 // Package core implements the paper's contribution: G-means on MapReduce
-// (Algorithm 1 of the paper). The driver chains three jobs per iteration —
+// (Algorithm 1 of the paper). The driver chains four jobs per iteration —
 //
-//	KMeans                    refine the current candidate centers
-//	KMeansAndFindNewCenters   last k-means pass + pick 2 candidates/center
-//	TestClusters              project each cluster on the vector joining
-//	                          its two candidates and Anderson–Darling test
-//	                          the projections (or TestFewClusters: test in
-//	                          the mapper while k is small)
+//	KMeans            refine the current candidate centers (two passes)
+//	PCA candidates    place 2 next-round candidates per center along its
+//	                  cluster's principal component (Hamerly & Elkan)
+//	TestClusters      project each cluster on the vector joining its two
+//	                  candidates and Anderson–Darling test the
+//	                  projections (or TestFewClusters: test in the mapper
+//	                  while k is small)
 //
-// — splitting every cluster whose projections fail the normality test,
-// until every cluster looks Gaussian.
+// — splitting every cluster whose projections fail the normality test and
+// freezing it on its first accept, until every cluster looks Gaussian. The
+// last k-means pass plus the candidate job is the step the paper fuses into
+// KMeansAndFindNewCenters with random candidates; the principal-component
+// children are the "additional MapReduce job" it mentions.
 package core
 
 import (
@@ -17,12 +21,6 @@ import (
 
 	"gmeansmr/internal/kmeansmr"
 )
-
-// Offset is the key offset separating "candidate center" records from
-// "refine this center" records inside the KMeansAndFindNewCenters job. The
-// paper sets it to half the largest Java long: 2^62 ("The value of OFFSET
-// is thus 2^62"), which also caps the algorithm at 2^62 centers.
-const Offset = int64(1) << 62
 
 // HeapBytesPerPoint is the reducer-memory model measured by the paper's
 // first experiment (Figure 2): "Linear regression shows our reducer
@@ -39,7 +37,7 @@ const DefaultMinTestSamples = 20
 // cluster.
 const (
 	// kmeansPasses is the number of refinement passes per G-means round,
-	// including the KMeansAndFindNewCenters pass: "we found
+	// including the last pass before candidate placement: "we found
 	// experimentally that only two k-means iterations are sufficient".
 	kmeansPasses = 2
 	// minTestableSize marks clusters smaller than this as final without
@@ -77,25 +75,6 @@ type Config struct {
 	MaxIterations int
 	// MaxK stops splitting once this many centers exist (0 = unlimited).
 	MaxK int
-	// Candidates selects how next-round candidate centers are picked:
-	// CandidatesRandom fuses the pick into the last k-means pass (the
-	// paper's KMeansAndFindNewCenters); CandidatesPCA pays the "additional
-	// MapReduce job" the paper mentions to place children along each
-	// cluster's principal component, as the original sequential G-means
-	// does.
-	Candidates CandidatePolicy
-	// ConfirmRounds is the number of consecutive Anderson–Darling accepts
-	// (each against a freshly drawn candidate pair, hence a fresh
-	// projection direction) required before a cluster is frozen. The
-	// paper's Algorithm 1 freezes on the first accept (ConfirmRounds=1),
-	// but under *global* k-means refinement a cluster's two candidates can
-	// both land in one of its true sub-clusters, leaving the projection
-	// vector orthogonal to the real separation — a merged cluster then
-	// passes the test and is frozen forever. Requiring a second opinion
-	// with an independent direction repairs exactly that failure mode and
-	// costs the "few additional iterations" the paper reports needing in
-	// practice. Zero selects 2.
-	ConfirmRounds int
 	// ForceStrategy, when non-empty, pins the test strategy instead of the
 	// paper's hybrid switch rule. Used by ablation benchmarks.
 	ForceStrategy TestStrategy
@@ -103,7 +82,8 @@ type Config struct {
 	// paper leaves as future work: centers closer than this are merged
 	// after the loop terminates.
 	MergeRadius float64
-	// Seed drives initial-center picking and candidate sampling.
+	// Seed drives initial-center picking and the start vectors of the
+	// candidate job's power iterations.
 	Seed int64
 	// Progress, when non-nil, is invoked after every G-means round with the
 	// round's diagnostics and a snapshot of the run's cumulative counters.
@@ -117,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 30
-	}
-	if c.ConfirmRounds <= 0 {
-		c.ConfirmRounds = 2
 	}
 	return c
 }

@@ -64,9 +64,9 @@ func TestRunSingleGaussianStopsAtOne(t *testing.T) {
 	if res.K != 1 {
 		t.Errorf("single Gaussian split into k=%d", res.K)
 	}
-	// One accept per confirmation round (default 2).
-	if res.Iterations != 2 {
-		t.Errorf("iterations = %d, want 2 (ConfirmRounds)", res.Iterations)
+	// Frozen on the first accept.
+	if res.Iterations != 1 {
+		t.Errorf("iterations = %d, want 1", res.Iterations)
 	}
 }
 
@@ -140,6 +140,40 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 	for i := range a.Centers {
 		if !vec.ApproxEqual(a.Centers[i], b.Centers[i], 1e-12) {
 			t.Fatalf("center %d differs across same-seed runs", i)
+		}
+	}
+}
+
+// TestRunFindsEveryTrueCluster gates the split rule on quality: on
+// well-separated mixtures every true cluster gets its own center, k does
+// not overshoot, and the clustering's mean distance is that of the true
+// centers. A rule whose children can both fall in one true sub-cluster
+// projects the merged cluster across its separation, accepts it and
+// freezes it merged.
+func TestRunFindsEveryTrueCluster(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		env, ds := newEnv(t, dataset.Spec{K: 32, Dim: 16, N: 16000, StdDev: 1,
+			MinSeparation: 8, Seed: seed}, 256<<10, smallCluster())
+		res, err := Run(Config{Env: env, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		missed := 0
+		for _, truth := range ds.Centers {
+			if _, d2 := vec.NearestIndex(truth, res.Centers); d2 > 4 {
+				missed++
+			}
+		}
+		var got, truth float64
+		for i, p := range ds.Points {
+			_, d2 := vec.NearestIndex(p, res.Centers)
+			got += math.Sqrt(d2)
+			truth += vec.Dist(p, ds.Centers[ds.Labels[i]])
+		}
+		ratio := got / truth
+		if missed > 0 || res.K > 40 || ratio > 1.25 {
+			t.Errorf("seed %d: k=%d, %d true clusters without a center within 2, mean distance %.3f× the true centers'",
+				seed, res.K, missed, ratio)
 		}
 	}
 }
@@ -309,10 +343,11 @@ func TestRunCountersPopulated(t *testing.T) {
 	if res.Counters.Get(CounterProjections) == 0 {
 		t.Error("no projections recorded")
 	}
-	// The paper: 3 jobs per iteration + 1 sampling read.
-	wantReads := int64(1 + 3*res.Iterations)
+	// 1 sampling read + 4 jobs per round: the paper's three plus the
+	// candidate job.
+	wantReads := int64(1 + 4*res.Iterations)
 	if got := env.FS.DatasetReads(); got != wantReads {
-		t.Errorf("dataset reads = %d, want %d (1 + 3×%d iterations)", got, wantReads, res.Iterations)
+		t.Errorf("dataset reads = %d, want %d (1 + 4×%d iterations)", got, wantReads, res.Iterations)
 	}
 }
 
@@ -429,49 +464,19 @@ func TestSuggestMergeRadius(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Alpha != 0.0001 || c.MaxIterations != 30 || c.ConfirmRounds != 2 {
+	if c.Alpha != 0.0001 || c.MaxIterations != 30 {
 		t.Errorf("defaults = %+v", c)
 	}
 }
 
-func TestOffsetValue(t *testing.T) {
-	if Offset != int64(1)<<62 {
-		t.Errorf("Offset = %d, want 2^62 as in the paper", Offset)
-	}
-}
-
-// TestConfirmRoundsAblation: single-accept freezing (the paper's literal
-// Algorithm 1) must never *beat* the confirmed variant on cluster coverage.
-func TestConfirmRoundsAblation(t *testing.T) {
-	spec := dataset.Spec{K: 32, Dim: 10, N: 16000, MinSeparation: 8, Seed: 53}
-	covered := map[int]int{}
-	for _, confirm := range []int{1, 2} {
-		env, ds := newEnv(t, spec, 256<<10, smallCluster())
-		res, err := Run(Config{Env: env, Seed: 54, ConfirmRounds: confirm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, truth := range ds.Centers {
-			if _, d2 := vec.NearestIndex(truth, res.Centers); d2 <= 9 {
-				n++
-			}
-		}
-		covered[confirm] = n
-	}
-	if covered[1] > covered[2] {
-		t.Errorf("confirmation hurt coverage: confirm=1 %d vs confirm=2 %d", covered[1], covered[2])
-	}
-}
-
-// TestRunPCACandidates: the PCA candidate policy (the paper's "additional
-// MapReduce job" variant) must also recover k, and must pay one extra
-// dataset read per round.
+// TestRunPCACandidates: principal-component candidates (the paper's
+// "additional MapReduce job") recover k, paying one extra dataset read per
+// round.
 func TestRunPCACandidates(t *testing.T) {
 	spec := dataset.Spec{K: 8, Dim: 3, N: 8000, MinSeparation: 20, Seed: 71}
 	env, ds := newEnv(t, spec, 128<<10, smallCluster())
 	env.FS.ResetCounters()
-	res, err := Run(Config{Env: env, Seed: 72, Candidates: CandidatesPCA})
+	res, err := Run(Config{Env: env, Seed: 72})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,11 +493,5 @@ func TestRunPCACandidates(t *testing.T) {
 	wantReads := int64(1 + 4*res.Iterations)
 	if got := env.FS.DatasetReads(); got != wantReads {
 		t.Errorf("dataset reads = %d, want %d (PCA pays one extra per round)", got, wantReads)
-	}
-}
-
-func TestCandidatePolicyString(t *testing.T) {
-	if CandidatesRandom.String() != "random" || CandidatesPCA.String() != "pca" {
-		t.Error("CandidatePolicy.String wrong")
 	}
 }

@@ -33,9 +33,12 @@ type Result struct {
 //
 //	PickInitialCenters
 //	while not ClusteringCompleted:
-//	    KMeans                     (kmeansPasses-1 plain passes)
-//	    KMeansAndFindNewCenters    (last pass + candidate picking)
+//	    KMeans                     (kmeansPasses passes)
+//	    PCA candidates             (two principal children per center)
 //	    TestClusters               (hybrid strategy)
+//
+// The last k-means pass and the candidate job together form the step the
+// paper calls KMeansAndFindNewCenters.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -101,7 +104,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		// --- Last k-means pass + candidate picking. ---
 		kfncSpan := trace.StartSpan("kfnc", "round-phase")
 		phaseStart = time.Now()
-		kfnc, err := lastPassWithCandidates(cfg, centers, round, res.Counters)
+		kfnc, err := lastPassWithCandidates(cfg, centers, len(found), round, res.Counters)
 		if err != nil {
 			kfncSpan.End()
 			roundSpan.End()
@@ -190,20 +193,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		for i, a := range testable {
 			if outcomes[i].Normal || !outcomes[i].Decided {
 				// Gaussian (or no evidence against it): "keep the original
-				// center, and discard c1 and c2" — but only freeze after
-				// ConfirmRounds consecutive accepts along independent
-				// projection directions (see Config.ConfirmRounds).
-				a.accepts++
-				if a.accepts >= cfg.ConfirmRounds || !outcomes[i].Decided {
-					found = append(found, a.parent)
-					continue
-				}
-				if retest := a.retestWithFreshChildren(); retest != nil {
-					next = append(next, retest)
-				} else {
-					// No fresh candidates survived sampling: freeze.
-					found = append(found, a.parent)
-				}
+				// center, and discard c1 and c2".
+				found = append(found, a.parent)
 				continue
 			}
 			splits++
@@ -218,18 +209,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				switch {
 				case child.size == 0:
 					// Empty child: nothing to represent.
-				case child.size < minTestableSize || len(child.cands) == 0:
+				case child.size < minTestableSize || len(child.cands) < 2:
+					// Too small to test, or the refined center lost every
+					// point before the candidate job: nothing to split.
 					found = append(found, child.center)
 				default:
-					na := &activeCluster{parent: child.center, c1: child.cands[0]}
-					if len(child.cands) > 1 {
-						na.c2 = child.cands[1]
-					} else {
-						// Only one distinct candidate survived sampling:
-						// pair it with the child center itself.
-						na.c2 = vec.Clone(child.center)
-					}
-					next = append(next, na)
+					next = append(next, &activeCluster{parent: child.center,
+						c1: child.cands[0], c2: child.cands[1]})
 				}
 			}
 		}
@@ -325,8 +311,16 @@ func liveCenters(found []vec.Vector, active []*activeCluster) []vec.Vector {
 	return out
 }
 
-// writeBack distributes the refined centers, sizes and candidate picks of
-// the KFNC job back onto the found slice and the active clusters.
+// kfncOutput is the outcome of a round's KMeansAndFindNewCenters step: the
+// refined centers, their sizes and ≤2 candidate children per center.
+type kfncOutput struct {
+	centers    []vec.Vector
+	sizes      []int64
+	candidates [][]vec.Vector
+}
+
+// writeBack distributes the refined centers, sizes and candidate children
+// of the KFNC step back onto the found slice and the active clusters.
 func writeBack(found []vec.Vector, active []*activeCluster, kfnc *kfncOutput) {
 	f := len(found)
 	for i, a := range active {
@@ -339,31 +333,22 @@ func writeBack(found []vec.Vector, active []*activeCluster, kfnc *kfncOutput) {
 	}
 }
 
-// lastPassWithCandidates runs the round's final refinement pass and picks
-// two next-round candidates per center: either the paper's fused
-// KMeansAndFindNewCenters job (random cluster points, no extra read) or a
-// plain k-means pass followed by the PCA candidate job (principal
-// children, one extra dataset read — the trade-off the paper describes).
-func lastPassWithCandidates(cfg Config, centers []vec.Vector, round int, counters *mr.Counters) (*kfncOutput, error) {
-	if cfg.Candidates == CandidatesPCA {
-		itRes, err := kmeansmr.Iterate(cfg.Env, centers)
-		if err != nil {
-			return nil, err
-		}
-		itRes.Job.Counters.MergeInto(counters)
-		cands, jobRes, err := runPCACandidates(cfg, itRes.Centers, round)
-		if err != nil {
-			return nil, err
-		}
-		jobRes.Counters.MergeInto(counters)
-		return &kfncOutput{centers: itRes.Centers, sizes: itRes.Sizes, candidates: cands}, nil
+// lastPassWithCandidates runs the round's final refinement pass, then the
+// PCA candidate job on the refined centers: the paper's
+// KMeansAndFindNewCenters step, paying the one extra dataset read the
+// paper names for better-placed children.
+func lastPassWithCandidates(cfg Config, centers []vec.Vector, foundCount, round int, counters *mr.Counters) (*kfncOutput, error) {
+	itRes, err := kmeansmr.Iterate(cfg.Env, centers)
+	if err != nil {
+		return nil, err
 	}
-	kfnc, jobRes, err := runKFNC(cfg, centers, round)
+	itRes.Job.Counters.MergeInto(counters)
+	cands, jobRes, err := runPCACandidates(cfg, itRes.Centers, foundCount, round)
 	if err != nil {
 		return nil, err
 	}
 	jobRes.Counters.MergeInto(counters)
-	return kfnc, nil
+	return &kfncOutput{centers: itRes.Centers, sizes: itRes.Sizes, candidates: cands}, nil
 }
 
 // chooseStrategy implements the paper's hybrid rule: "first use the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/kmeansmr"
@@ -25,161 +24,6 @@ var (
 	counterIDADTests     = mr.InternCounter(CounterADTests)
 	counterIDProjections = mr.InternCounter(CounterProjections)
 )
-
-// ---------------------------------------------------------------------------
-// KMeansAndFindNewCenters (paper Algorithm 2)
-// ---------------------------------------------------------------------------
-
-// kfncMapper performs the last k-means assignment of the round over
-// decoded points. The paper's formulation emits the coordinates of each
-// point twice — once for the k-means reduction and once under key+Offset
-// so the reduce side can pick two candidate next-iteration centers per
-// current center ("This doubles the quantity of data to be shuffled ...
-// largely mitigated by the use of a combiner"). This mapper pre-combines
-// the k-means half in-mapper (per-center WeightedPoint accumulators,
-// flushed in Close), which is exactly what the spill combiner would have
-// produced for those keys, in the same fold order — so sums, candidate
-// selection and therefore the whole G-means trajectory stay bit-identical
-// to the emit-twice formulation (TestKFNCInMapperMatchesEmitTwiceExactly
-// pins this). Candidate records still go out one per point: the
-// combiner/reducer's seeded random pick needs to see them.
-type kfncMapper struct {
-	centers []vec.Vector
-
-	accs   []vec.WeightedPoint
-	batch  kmeansmr.BatchAssigner
-	dists  int64
-	points int64
-}
-
-func (m *kfncMapper) Setup(*mr.TaskContext) error {
-	m.accs = make([]vec.WeightedPoint, len(m.centers))
-	return nil
-}
-
-func (m *kfncMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
-	n := cols.Len()
-	idx := m.batch.Assign(m.centers, cols)
-	m.dists += int64(len(m.centers)) * int64(n)
-	m.points += int64(n)
-	for j, best := range idx {
-		if best < 0 {
-			return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
-		}
-		p := cols.At(j)
-		m.accs[best].Merge(vec.WeightedPoint{Sum: p, Count: 1})
-		// The candidate value wraps the cache's point view without
-		// copying: combiners and reducers re-emit candidate values
-		// verbatim and never mutate them, and the driver copies on
-		// Centroid().
-		emit.Emit(int64(best)+Offset, mr.OwnWeightedPointValue(p))
-	}
-	return nil
-}
-
-func (m *kfncMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
-	ctx.Count(kmeansmr.CounterIDDistances, m.dists)
-	ctx.Count(kmeansmr.CounterIDPoints, m.points)
-	for i := range m.accs {
-		if m.accs[i].Count > 0 {
-			emit.Emit(int64(i), mr.WeightedPointValue{WeightedPoint: m.accs[i]})
-		}
-	}
-	return nil
-}
-
-// kfncReducer serves as combiner and reducer of KMeansAndFindNewCenters:
-// "the combiner and reducer test the value of the key. If it is larger than
-// the predefined offset, they keep only 2 new centers per cluster.
-// Otherwise they perform classical k-means reduction."
-//
-// Candidate selection is seeded by (run seed, key) rather than task id, so
-// the picked candidates do not depend on how keys were partitioned across
-// reduce tasks — runs on differently-sized clusters stay bit-identical,
-// which the node-scaling experiment relies on.
-type kfncReducer struct {
-	seed int64
-}
-
-func (r *kfncReducer) Setup(*mr.TaskContext) error { return nil }
-
-func (r *kfncReducer) Reduce(ctx *mr.TaskContext, key int64, values []mr.Value, emit mr.Emitter) error {
-	if key < Offset {
-		return kmeansmr.MergeReducer{}.Reduce(ctx, key, values, emit)
-	}
-	// Candidate stream: keep two of the incoming points (each value is a
-	// single point or a survivor of a previous combine round).
-	switch len(values) {
-	case 0:
-		return nil
-	case 1:
-		emit.Emit(key, values[0])
-	case 2:
-		emit.Emit(key, values[0])
-		emit.Emit(key, values[1])
-	default:
-		rng := rand.New(rand.NewSource(r.seed*1_000_003 ^ key))
-		i := rng.Intn(len(values))
-		j := rng.Intn(len(values) - 1)
-		if j >= i {
-			j++
-		}
-		emit.Emit(key, values[i])
-		emit.Emit(key, values[j])
-	}
-	return nil
-}
-
-func (r *kfncReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
-
-// kfncOutput is the driver-side decoding of the job's output.
-type kfncOutput struct {
-	centers    []vec.Vector
-	sizes      []int64
-	candidates [][]vec.Vector // ≤2 candidate points per center
-}
-
-// runKFNC runs the KMeansAndFindNewCenters job over the given centers.
-func runKFNC(cfg Config, centers []vec.Vector, round int) (*kfncOutput, *mr.Result, error) {
-	spec := kfncSpec(cfg, centers, round)
-	parts, err := buildKFNC(spec.Payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-kfnc-round-%d", round), spec)).Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &kfncOutput{
-		centers:    vec.CloneAll(centers),
-		sizes:      make([]int64, len(centers)),
-		candidates: make([][]vec.Vector, len(centers)),
-	}
-	for _, kv := range res.Output {
-		wp, ok := kv.Value.(mr.WeightedPointValue)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: unexpected KFNC output value %T", kv.Value)
-		}
-		if kv.Key >= Offset {
-			idx := kv.Key - Offset
-			if idx < 0 || idx >= int64(len(centers)) {
-				return nil, nil, fmt.Errorf("core: KFNC candidate key %d out of range", kv.Key)
-			}
-			if len(out.candidates[idx]) < 2 {
-				out.candidates[idx] = append(out.candidates[idx], wp.Centroid())
-			}
-			continue
-		}
-		if kv.Key < 0 || kv.Key >= int64(len(centers)) {
-			return nil, nil, fmt.Errorf("core: KFNC key %d out of range", kv.Key)
-		}
-		if wp.Count > 0 {
-			out.centers[kv.Key] = wp.Centroid()
-			out.sizes[kv.Key] = wp.Count
-		}
-	}
-	return out, res, nil
-}
 
 // ---------------------------------------------------------------------------
 // TestClusters (paper Algorithms 3–4): reducer-side Anderson–Darling

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/mr"
 	"gmeansmr/internal/vec"
 )
@@ -24,76 +25,52 @@ func newTaskCtx(heap int64) *mr.TaskContext {
 	return &mr.TaskContext{}
 }
 
-func wp(coords ...float64) mr.Value {
-	return mr.OwnWeightedPointValue(vec.Vector(coords))
-}
-
-func TestKFNCReducerMergesBelowOffset(t *testing.T) {
-	r := &kfncReducer{seed: 1}
-	if err := r.Setup(newTaskCtx(0)); err != nil {
-		t.Fatal(err)
-	}
-	em := &collectEmitter{}
-	err := r.Reduce(newTaskCtx(0), 3, []mr.Value{wp(1, 2), wp(3, 4), wp(5, 6)}, em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(em.out) != 1 {
-		t.Fatalf("emitted %d pairs", len(em.out))
-	}
-	got := em.out[0].Value.(mr.WeightedPointValue)
-	if got.Count != 3 || !vec.ApproxEqual(got.Centroid(), vec.Vector{3, 4}, 1e-12) {
-		t.Errorf("merged = %+v", got)
-	}
-}
-
-func TestKFNCReducerKeepsTwoCandidatesAboveOffset(t *testing.T) {
-	r := &kfncReducer{seed: 1}
-	r.Setup(newTaskCtx(0))
-	em := &collectEmitter{}
-	values := []mr.Value{wp(1, 1), wp(2, 2), wp(3, 3), wp(4, 4), wp(5, 5)}
-	if err := r.Reduce(newTaskCtx(0), Offset+7, values, em); err != nil {
-		t.Fatal(err)
-	}
-	if len(em.out) != 2 {
-		t.Fatalf("kept %d candidates, want 2", len(em.out))
-	}
-	a := em.out[0].Value.(mr.WeightedPointValue)
-	b := em.out[1].Value.(mr.WeightedPointValue)
-	if vec.Equal(a.Sum, b.Sum) {
-		t.Error("candidate picks are not distinct")
-	}
-	// Fewer than two values pass through unchanged.
-	em = &collectEmitter{}
-	r.Reduce(newTaskCtx(0), Offset+7, []mr.Value{wp(9, 9)}, em)
-	if len(em.out) != 1 {
-		t.Errorf("single candidate emitted %d", len(em.out))
-	}
-	em = &collectEmitter{}
-	r.Reduce(newTaskCtx(0), Offset+7, nil, em)
-	if len(em.out) != 0 {
-		t.Errorf("empty group emitted %d", len(em.out))
-	}
-}
-
+// TestKFNCReducerDeterministicByKey: the reducer of the KFNC step places a
+// key's children from (seed, key) and the key's values alone, so the
+// candidates do not depend on which reduce task processes the group or on
+// what else it reduced before (the node-scaling invariant).
 func TestKFNCReducerDeterministicByKey(t *testing.T) {
-	// Same seed and key must pick the same candidates regardless of which
-	// reduce task processes the group (the node-scaling invariant).
-	values := []mr.Value{wp(1, 1), wp(2, 2), wp(3, 3), wp(4, 4), wp(5, 5), wp(6, 6)}
-	pick := func() []mr.KV {
-		r := &kfncReducer{seed: 42}
+	group := func(shift float64) []mr.Value {
+		a, b := newCovValue(2), newCovValue(2)
+		for _, p := range []vec.Vector{{0, 0}, {4, 1}, {8, 2}} {
+			a.add(vec.Vector{p[0] + shift, p[1]})
+		}
+		b.add(vec.Vector{2 + shift, 3})
+		b.add(vec.Vector{6 + shift, -1})
+		a.mirrorOuter()
+		b.mirrorOuter()
+		return []mr.Value{*a, *b}
+	}
+	reduce := func(keys []int64) []mr.KV {
+		r := &pcaReducer{seed: 42}
 		r.Setup(newTaskCtx(0))
 		em := &collectEmitter{}
-		r.Reduce(newTaskCtx(0), Offset+11, values, em)
+		for _, k := range keys {
+			if err := r.Reduce(newTaskCtx(0), k, group(float64(k)), em); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return em.out
 	}
-	a, b := pick(), pick()
-	for i := range a {
-		av := a[i].Value.(mr.WeightedPointValue)
-		bv := b[i].Value.(mr.WeightedPointValue)
-		if !vec.Equal(av.Sum, bv.Sum) {
-			t.Fatal("candidate picks differ across identical reduces")
+	alone := reduce([]int64{11})
+	shared := reduce([]int64{3, 11})
+	if len(alone) != 2 || len(shared) != 4 {
+		t.Fatalf("emitted %d and %d children, want 2 per key", len(alone), len(shared))
+	}
+	for i, kv := range alone {
+		other := shared[2+i]
+		if kv.Key != 11 || other.Key != 11 {
+			t.Fatalf("keys %d, %d, want 11", kv.Key, other.Key)
 		}
+		a, b := kv.Value.(mr.PointValue).Coords, other.Value.(mr.PointValue).Coords
+		for d := range a {
+			if math.Float64bits(a[d]) != math.Float64bits(b[d]) {
+				t.Fatalf("child %d differs across reduce tasks: %v vs %v", i, a, b)
+			}
+		}
+	}
+	if vec.Equal(alone[0].Value.(mr.PointValue).Coords, alone[1].Value.(mr.PointValue).Coords) {
+		t.Error("the two children coincide on a spread cluster")
 	}
 }
 
@@ -154,33 +131,6 @@ func TestFewReducerEmptyGroup(t *testing.T) {
 	}
 	if len(em.out) != 0 {
 		t.Error("empty group produced a decision")
-	}
-}
-
-func TestRetestWithFreshChildren(t *testing.T) {
-	a := &activeCluster{
-		parent:  vec.Vector{5, 5},
-		next1:   []vec.Vector{{1, 1}, {2, 2}},
-		next2:   []vec.Vector{{8, 8}, {9, 9}},
-		accepts: 1,
-	}
-	r := a.retestWithFreshChildren()
-	if r == nil {
-		t.Fatal("retest should be possible with 4 candidates")
-	}
-	if !vec.Equal(r.parent, a.parent) {
-		t.Error("parent changed")
-	}
-	if !vec.Equal(r.c1, vec.Vector{1, 1}) || !vec.Equal(r.c2, vec.Vector{9, 9}) {
-		t.Errorf("children = %v, %v", r.c1, r.c2)
-	}
-	if r.accepts != 1 {
-		t.Errorf("accepts = %d", r.accepts)
-	}
-	// Not enough candidates → nil.
-	b := &activeCluster{parent: vec.Vector{1}, next1: []vec.Vector{{2}}}
-	if b.retestWithFreshChildren() != nil {
-		t.Error("retest with one candidate should fail")
 	}
 }
 
@@ -289,6 +239,74 @@ func TestCovValueMerge(t *testing.T) {
 	a.merge(*b)
 	if a.Count != 3 || a.Sum[0] != 9 || a.Sum[1] != 12 {
 		t.Errorf("merged = %+v", a)
+	}
+}
+
+// TestCovValueTriangleMatchesFull: accumulating only the upper triangle of
+// Σx·xᵀ and mirroring it gives the full accumulation bit for bit, on random
+// points, on tied points and on signed zeros.
+func TestCovValueTriangleMatchesFull(t *testing.T) {
+	const d = 5
+	rng := rand.New(rand.NewSource(17))
+	var pts []vec.Vector
+	for i := 0; i < 200; i++ {
+		p := make(vec.Vector, d)
+		for j := range p {
+			p[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		pts = append(pts, p)
+	}
+	tied := vec.Vector{1.5, 1.5, -1.5, 1.5, 0.1}
+	for i := 0; i < 20; i++ {
+		pts = append(pts, vec.Clone(tied))
+	}
+	negZero := math.Copysign(0, -1)
+	pts = append(pts,
+		vec.Vector{negZero, 0, negZero, 3, -2},
+		vec.Vector{0, negZero, 1, negZero, negZero},
+		vec.Vector{negZero, negZero, negZero, negZero, negZero})
+
+	for _, set := range [][]vec.Vector{pts, pts[200:220], pts[220:]} {
+		full := make([]float64, d*d)
+		for _, p := range set {
+			for i := 0; i < d; i++ {
+				for j := 0; j < d; j++ {
+					full[i*d+j] += p[i] * p[j]
+				}
+			}
+		}
+		tri := newCovValue(d)
+		for _, p := range set {
+			tri.add(p)
+		}
+		tri.mirrorOuter()
+		for i := range full {
+			if math.Float64bits(tri.Outer[i]) != math.Float64bits(full[i]) {
+				t.Fatalf("%d points, Outer[%d] = %v (%x), full accumulation %v (%x)", len(set),
+					i, tri.Outer[i], math.Float64bits(tri.Outer[i]), full[i], math.Float64bits(full[i]))
+			}
+		}
+	}
+}
+
+// TestPCAMapperSkipsFrozenCenters: points still assign against every
+// center, but only clusters at index ≥ foundCount emit statistics.
+func TestPCAMapperSkipsFrozenCenters(t *testing.T) {
+	flat := []float64{0, 0, 0.5, 0.5, 10, 10, 10.5, 9.5, 20, 20}
+	cols := dfs.NewPointSplit(flat, 2, 0).Columns()
+	m := &pcaMapper{centers: []vec.Vector{{0, 0}, {10, 10}, {20, 20}}, foundCount: 1}
+	m.Setup(newTaskCtx(0))
+	if err := m.MapColumns(newTaskCtx(0), cols, nil); err != nil {
+		t.Fatal(err)
+	}
+	em := &collectEmitter{}
+	m.Close(newTaskCtx(0), em)
+	counts := map[int64]int64{}
+	for _, kv := range em.out {
+		counts[kv.Key] = kv.Value.(covValue).Count
+	}
+	if len(counts) != 2 || counts[1] != 2 || counts[2] != 1 {
+		t.Errorf("emitted counts %v, want {1:2 2:1} (center 0 is frozen)", counts)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"gmeansmr/internal/vec"
 )
 
-// This file implements the candidate-selection variant the paper sketches:
+// This file implements the candidate-selection job the paper sketches:
 // "In our implementation, the new centers are chosen randomly. More
 // sophisticated algorithms can be used to select the new points, but they
 // may require an additional MapReduce job." The additional job is built
@@ -20,30 +20,15 @@ import (
 // extracts the principal component by power iteration and emits the two
 // Hamerly–Elkan children c ± dir·√(2λ/π) — the deterministic placement of
 // the original sequential algorithm, at the price of one extra dataset
-// read per G-means round.
-
-// CandidatePolicy selects how next-round candidate centers are picked.
-type CandidatePolicy int
-
-// Candidate policies.
-const (
-	// CandidatesRandom keeps two random cluster points via the fused
-	// KMeansAndFindNewCenters job — the paper's implementation. Default.
-	CandidatesRandom CandidatePolicy = iota
-	// CandidatesPCA runs the additional covariance job and places
-	// children along each cluster's principal component.
-	CandidatesPCA
-)
-
-func (c CandidatePolicy) String() string {
-	if c == CandidatesPCA {
-		return "pca"
-	}
-	return "random"
-}
+// read per G-means round. Random children can both land in one true
+// sub-cluster and project a merged cluster orthogonally to its real
+// separation, so a cluster frozen on its first accept would stay merged;
+// principal children split along the direction of largest variance.
 
 // covValue accumulates the sufficient statistics of one cluster for mean
-// and covariance: Σx, Σx·xᵀ (dense row-major d×d) and the count.
+// and covariance: Σx, Σx·xᵀ (dense row-major d×d) and the count. add fills
+// only the upper triangle of Outer; mirrorOuter completes it before the
+// value leaves the mapper, so every value on the wire is the full matrix.
 type covValue struct {
 	Sum   vec.Vector
 	Outer []float64
@@ -57,16 +42,41 @@ func newCovValue(d int) *covValue {
 	return &covValue{Sum: make(vec.Vector, d), Outer: make([]float64, d*d)}
 }
 
+// add folds p into the statistics. Each Outer entry is its own
+// accumulator, so unrolling the row loop by four keeps every entry's sum
+// order: the result is the same bit for bit, with fewer bounds checks.
 func (v *covValue) add(p vec.Vector) {
 	d := len(p)
 	for i := 0; i < d; i++ {
 		v.Sum[i] += p[i]
-		row := v.Outer[i*d:]
-		for j := 0; j < d; j++ {
-			row[j] += p[i] * p[j]
+		pi, tail := p[i], p[i:]
+		row := v.Outer[i*d+i : i*d+d]
+		j := 0
+		for ; j+4 <= len(tail); j += 4 {
+			r, t := row[j:j+4:j+4], tail[j:j+4:j+4]
+			r[0] += pi * t[0]
+			r[1] += pi * t[1]
+			r[2] += pi * t[2]
+			r[3] += pi * t[3]
+		}
+		for ; j < len(tail); j++ {
+			row[j] += pi * tail[j]
 		}
 	}
 	v.Count++
+}
+
+// mirrorOuter copies the upper triangle of Outer into the lower one. IEEE
+// multiplication is commutative, so entry (j, i) of a full accumulation sums
+// the same products in the same order as entry (i, j): the mirrored matrix
+// equals it bit for bit.
+func (v *covValue) mirrorOuter() {
+	d := len(v.Sum)
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			v.Outer[j*d+i] = v.Outer[i*d+j]
+		}
+	}
 }
 
 func (v *covValue) merge(o covValue) {
@@ -82,11 +92,14 @@ func (v *covValue) merge(o covValue) {
 // pcaMapper assigns each point to its nearest center and accumulates the
 // per-cluster covariance statistics locally, emitting one value per
 // cluster in Close (in-mapper combining — a d×d accumulator per cluster is
-// tiny next to the split's points).
+// tiny next to the split's points). centers[0:foundCount] are frozen
+// centers: points still assign to them, but the driver never reads their
+// candidates, so their statistics are not accumulated.
 type pcaMapper struct {
-	centers []vec.Vector
-	acc     map[int]*covValue
-	batch   kmeansmr.BatchAssigner
+	centers    []vec.Vector
+	foundCount int
+	acc        map[int]*covValue
+	batch      kmeansmr.BatchAssigner
 }
 
 func (m *pcaMapper) Setup(*mr.TaskContext) error {
@@ -101,6 +114,9 @@ func (m *pcaMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 	idx := m.batch.Assign(m.centers, cols)
 	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.centers))*int64(n))
 	for j, best := range idx {
+		if int(best) < m.foundCount {
+			continue // frozen center (or best < 0)
+		}
 		a := m.acc[int(best)]
 		if a == nil {
 			a = newCovValue(cols.Dim())
@@ -113,6 +129,7 @@ func (m *pcaMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 
 func (m *pcaMapper) Close(_ *mr.TaskContext, emit mr.Emitter) error {
 	for c, a := range m.acc {
+		a.mirrorOuter()
 		emit.Emit(int64(c), *a)
 	}
 	return nil
@@ -207,9 +224,10 @@ func powerIteration(cov []float64, d, iters int, rng *rand.Rand) (vec.Vector, fl
 
 // runPCACandidates executes the additional candidate-selection job over
 // the given centers and returns two principal-component children per
-// center (entries may be nil for empty clusters).
-func runPCACandidates(cfg Config, centers []vec.Vector, round int) ([][]vec.Vector, *mr.Result, error) {
-	spec := pcaSpec(cfg, centers, round)
+// center (entries are nil for empty clusters and for the first foundCount
+// centers, which are frozen).
+func runPCACandidates(cfg Config, centers []vec.Vector, foundCount, round int) ([][]vec.Vector, *mr.Result, error) {
+	spec := pcaSpec(cfg, centers, foundCount, round)
 	parts, err := buildPCA(spec.Payload)
 	if err != nil {
 		return nil, nil, err

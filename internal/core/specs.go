@@ -18,7 +18,6 @@ import (
 
 // Job kind names registered by this package.
 const (
-	KindKFNC = "gmeans.kfnc"
 	KindTest = "gmeans.test"
 	KindPCA  = "gmeans.pca"
 )
@@ -41,32 +40,8 @@ func init() {
 			return covValue{Sum: d.Vec(), Outer: []float64(d.Vec()), Count: d.I64()}
 		},
 	})
-	mrdist.RegisterKind(KindKFNC, buildKFNC)
 	mrdist.RegisterKind(KindTest, buildTest)
 	mrdist.RegisterKind(KindPCA, buildPCA)
-}
-
-// kfncSpec encodes the KMeansAndFindNewCenters job: the candidate-pick
-// seed and the current centers.
-func kfncSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
-	e := new(mrdist.Encoder).Begin()
-	e.I64(cfg.Seed + int64(round))
-	kmeansmr.EncodeCenters(e, centers)
-	return &mr.JobSpec{Kind: KindKFNC, Payload: e.Bytes()}
-}
-
-func buildKFNC(payload []byte) (mrdist.JobParts, error) {
-	d := mrdist.NewDecoder(payload)
-	seed := d.I64()
-	centers := kmeansmr.DecodeCenters(d)
-	if err := d.Err(); err != nil {
-		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindKFNC, err)
-	}
-	return mrdist.JobParts{
-		NewPointMapper: func() mr.PointMapper { return &kfncMapper{centers: centers} },
-		NewCombiner:    func() mr.Reducer { return &kfncReducer{seed: seed} },
-		NewReducer:     func() mr.Reducer { return &kfncReducer{seed: seed} },
-	}, nil
 }
 
 // testSpec encodes a normality-test job: the strategy, the significance
@@ -112,10 +87,12 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 	}
 }
 
-// pcaSpec encodes the PCA candidate-selection job.
-func pcaSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
+// pcaSpec encodes the PCA candidate-selection job: the power-iteration
+// seed, the number of frozen centers leading the list (whose candidates
+// the driver never reads) and the centers.
+func pcaSpec(cfg Config, centers []vec.Vector, foundCount, round int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	e.I64(cfg.Seed + int64(round))
+	e.I64(cfg.Seed + int64(round)).U32(uint32(foundCount))
 	kmeansmr.EncodeCenters(e, centers)
 	return &mr.JobSpec{Kind: KindPCA, Payload: e.Bytes()}
 }
@@ -123,13 +100,14 @@ func pcaSpec(cfg Config, centers []vec.Vector, round int) *mr.JobSpec {
 func buildPCA(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
 	seed := d.I64()
+	foundCount := int(d.U32())
 	centers := kmeansmr.DecodeCenters(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindPCA, err)
 	}
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {
-			return &pcaMapper{centers: centers}
+			return &pcaMapper{centers: centers, foundCount: foundCount}
 		},
 		NewReducer: func() mr.Reducer { return &pcaReducer{seed: seed} },
 	}, nil

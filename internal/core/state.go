@@ -10,8 +10,8 @@ import (
 // the *parent* is the cluster's center from the previous iteration (what
 // TestClusters assigns points to), c1/c2 are the two candidate children
 // being refined in the current iteration, and next1/next2 hold the
-// candidate grandchildren that KMeansAndFindNewCenters picked for c1 and c2
-// — used only if the cluster fails the normality test and splits.
+// principal-component children the candidate job placed for c1 and c2 —
+// used only if the cluster fails the normality test and splits.
 type activeCluster struct {
 	parent vec.Vector
 	c1, c2 vec.Vector
@@ -19,39 +19,11 @@ type activeCluster struct {
 	// last k-means pass; their sum approximates the parent cluster size
 	// that drives the heap estimate of the strategy switch.
 	size1, size2 int64
-	// next1 and next2 are the ≤2 candidate centers picked for c1 and c2.
+	// next1 and next2 are the ≤2 candidate centers placed for c1 and c2.
 	next1, next2 []vec.Vector
-	// accepts counts consecutive Anderson–Darling accepts; the cluster is
-	// frozen only after Config.ConfirmRounds of them (each with freshly
-	// drawn candidate children, i.e. a fresh projection direction).
-	accepts int
 }
 
 func (a *activeCluster) parentSize() int64 { return a.size1 + a.size2 }
-
-// retestWithFreshChildren builds the next-round cluster for a
-// once-accepted parent: same parent center, but a freshly drawn candidate
-// pair so the next Anderson–Darling test projects along an independent
-// direction. The fresh pair comes from the candidates the
-// KMeansAndFindNewCenters job already picked for the two children — random
-// points of the parent's cluster — so no extra job is needed. Returns nil
-// when sampling produced fewer than two distinct candidates.
-func (a *activeCluster) retestWithFreshChildren() *activeCluster {
-	var cands []vec.Vector
-	cands = append(cands, a.next1...)
-	cands = append(cands, a.next2...)
-	if len(cands) < 2 {
-		return nil
-	}
-	// Prefer one candidate from each child's pool (first of next1, last of
-	// next2) for a direction spanning the whole cluster.
-	return &activeCluster{
-		parent:  a.parent,
-		c1:      cands[0],
-		c2:      cands[len(cands)-1],
-		accepts: a.accepts,
-	}
-}
 
 // splitVector is v = c1 − c2, "the direction that k-means believes is
 // important for clustering" (paper §2).
@@ -82,9 +54,10 @@ type IterationStats struct {
 	// Progress reports).
 	Duration time.Duration
 	// Phases breaks Duration down by round phase: "kmeans" (the plain
-	// refinement passes), "kfnc" (the last pass with candidate picking,
-	// or the PCA candidate job), "test" (the normality-test job). Always
-	// populated, even without a trace recorder attached.
+	// refinement passes), "kfnc" (the last pass plus the PCA candidate
+	// job, the paper's KMeansAndFindNewCenters step), "test" (the
+	// normality-test job). Always populated, even without a trace recorder
+	// attached.
 	Phases map[string]time.Duration
 }
 

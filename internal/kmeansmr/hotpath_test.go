@@ -33,7 +33,7 @@ func (m *emitAssignMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSpl
 		}
 		// The value wraps the cache's read-only point view without
 		// copying: reducers only accumulate into their own sums.
-		emit.Emit(int64(best), mr.OwnWeightedPointValue(cols.At(j)))
+		emit.Emit(int64(best), mr.WeightedPointValue{WeightedPoint: vec.WeightedPoint{Sum: cols.At(j), Count: 1}})
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"gmeansmr/internal/dfs"
+	"gmeansmr/internal/vec"
 )
 
 // testCluster returns a small deterministic-enough cluster for unit tests.
@@ -470,7 +471,7 @@ func TestValueByteSizes(t *testing.T) {
 	if (ADDecisionValue{}).ByteSize() != 17 {
 		t.Error("ADDecisionValue size")
 	}
-	if OwnWeightedPointValue([]float64{1, 2, 3}).ByteSize() != 40 {
+	if (WeightedPointValue{vec.WeightedPoint{Sum: []float64{1, 2, 3}, Count: 1}}).ByteSize() != 40 {
 		t.Error("WeightedPointValue size")
 	}
 }

@@ -90,16 +90,6 @@ type WeightedPointValue struct {
 	vec.WeightedPoint
 }
 
-// OwnWeightedPointValue wraps p without copying; the caller hands over
-// ownership and must not modify p afterwards. Mappers that parse a fresh
-// vector per input record use this to avoid one allocation per emitted
-// pair — the dominant allocation of every k-means job. Sharing the same
-// vector across several emitted values is safe because reducers only
-// accumulate *into* their own fresh accumulators.
-func OwnWeightedPointValue(p vec.Vector) WeightedPointValue {
-	return WeightedPointValue{vec.WeightedPoint{Sum: p, Count: 1}}
-}
-
 // ADDecisionValue carries one mapper-side Anderson–Darling outcome for the
 // TestFewClusters strategy: the corrected statistic and the sample size it
 // was computed on (so the reducer can weight or veto decisions).

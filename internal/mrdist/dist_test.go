@@ -280,14 +280,15 @@ func TestProcBackendMatchesLocalExactly(t *testing.T) {
 	sameCounters(t, "iterate", itL.Job.Counters, itP.Job.Counters)
 }
 
-// TestProcPCACandidatesMatchLocal pins the PCA candidate policy, whose
-// covariance job ships the app-registered covValue codec across the wire.
+// TestProcPCACandidatesMatchLocal pins G-means' PCA candidate job, whose
+// covariance statistics ship the app-registered covValue codec across the
+// wire.
 func TestProcPCACandidatesMatchLocal(t *testing.T) {
 	spec := dataset.Spec{K: 3, Dim: 2, N: 1500, MinSeparation: 16, Seed: 4}
 
 	run := func(runner mr.TaskRunner) *core.Result {
 		env, _ := gmeansEnv(t, spec, runner)
-		res, err := core.Run(core.Config{Env: env, Seed: 3, Candidates: core.CandidatesPCA})
+		res, err := core.Run(core.Config{Env: env, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,10 @@
 // the child-connecting vector.
 //
 // It serves two purposes: a correctness reference for the MapReduce
-// version (internal/core), which picks random children instead ("in our
-// implementation, the new centers are chosen randomly"), and a practical
-// in-memory k-finder for datasets that fit in RAM.
+// version (internal/core), which places the same principal-component
+// children through an extra MapReduce job but tests and splits every
+// cluster in parallel each round, and a practical in-memory k-finder for
+// datasets that fit in RAM.
 package seqgmeans
 
 import (
