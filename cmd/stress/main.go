@@ -496,12 +496,12 @@ func runCell(sc scenario, k jobKind, spec dataset.Spec, nodes int, seed int64, l
 
 // typedError reports whether err is one of the failure types the policy
 // layer is allowed to surface: a spent retry budget, an unavailable
-// backend, a caller abort, or a deterministic task error.
+// backend, a caller abort (the job context's own error), or a
+// deterministic task error.
 func typedError(err error) bool {
 	var te *mr.TaskError
 	return errors.Is(err, retry.ErrExhausted) ||
 		errors.Is(err, mrdist.ErrBackendUnavailable) ||
-		errors.Is(err, retry.ErrAborted) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, context.Canceled) ||
 		errors.As(err, &te)

@@ -222,3 +222,55 @@ func TestPropSplitsDeliverEveryRecordOnce(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestVersionAndContents(t *testing.T) {
+	fs := New(16)
+	if v := fs.Version("/a"); v != 0 {
+		t.Fatalf("fresh path version = %d, want 0", v)
+	}
+	fs.Create("/a", []byte("hello\n"))
+	if v := fs.Version("/a"); v != 1 {
+		t.Fatalf("after create version = %d, want 1", v)
+	}
+	fs.Create("/a", []byte("world\n"))
+	if v := fs.Version("/a"); v != 2 {
+		t.Fatalf("after overwrite version = %d, want 2", v)
+	}
+	fs.Delete("/a")
+	if v := fs.Version("/a"); v != 3 {
+		t.Fatalf("after delete version = %d, want 3", v)
+	}
+	// Deleting a missing path stays a no-op, version included.
+	fs.Delete("/a")
+	if v := fs.Version("/a"); v != 3 {
+		t.Fatalf("after no-op delete version = %d, want 3", v)
+	}
+	// Re-creation keeps the counter strictly increasing.
+	fs.Create("/a", []byte("again\n"))
+	if v := fs.Version("/a"); v != 4 {
+		t.Fatalf("after re-create version = %d, want 4", v)
+	}
+
+	reads := fs.DatasetReads()
+	bytesRead := fs.BytesRead()
+	got, err := fs.Contents("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "again\n" {
+		t.Fatalf("Contents = %q", got)
+	}
+	// Contents is the replication-plane accessor: no scan accounting.
+	if fs.DatasetReads() != reads || fs.BytesRead() != bytesRead {
+		t.Fatal("Contents must not tick read accounting")
+	}
+	// The copy is private: mutating it must not corrupt the file.
+	got[0] = 'X'
+	back, _ := fs.Contents("/a")
+	if string(back) != "again\n" {
+		t.Fatal("Contents must return a copy")
+	}
+	if _, err := fs.Contents("/missing"); err == nil {
+		t.Fatal("Contents of a missing path must fail")
+	}
+}

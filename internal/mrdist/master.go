@@ -187,7 +187,8 @@ func NewProcRunner(opts Options) *ProcRunner {
 }
 
 // backoff draws a jittered delay for the given failure count; safe for
-// concurrent callers (wave loop and recovery share the seeded source).
+// concurrent callers (a recovery wave runs inside the reduce wave that
+// started it, and both draw from the seeded source).
 func (r *ProcRunner) backoff(failures int) time.Duration {
 	r.rngMu.Lock()
 	defer r.rngMu.Unlock()
@@ -644,13 +645,14 @@ func (r *ProcRunner) execReduceRPC(ctx context.Context, j *mr.Job, sh *procShuff
 	}
 }
 
-// recoverMapOutputs re-executes the map tasks whose winning outputs lived
-// on dead workers, installing new locations. Counters are NOT merged — the
+// recoverMapOutputs re-runs, as one map wave, the map tasks whose
+// winning outputs lived on dead workers, installing new locations; the
+// wave's policy (slots, deadlines, backoff, breakers, speculation,
+// elapsed budget) is every other wave's. Counters are NOT merged — the
 // first completion of each task already was, and re-merging would break
 // the bit-identical counter pin. Serialized; re-checks under the lock so
-// concurrent reduce failures converge on one recovery. Attempts follow
-// the retry policy: jittered backoff between tries, caller aborts honored,
-// typed exhaustion.
+// concurrent reduce failures converge on one recovery. Each lost output
+// counts as one task retry.
 func (r *ProcRunner) recoverMapOutputs(ctx context.Context, j *mr.Job, sh *procShuffle, numReducers int) error {
 	r.recoveryMu.Lock()
 	defer r.recoveryMu.Unlock()
@@ -663,112 +665,20 @@ func (r *ProcRunner) recoverMapOutputs(ctx context.Context, j *mr.Job, sh *procS
 		}
 	}
 	sh.mu.Unlock()
-	for _, t := range lost {
-		var last error
-		recovered := false
-		for attempt := 1; attempt <= r.policy.MaxAttempts && !recovered; attempt++ {
-			if ctx != nil && ctx.Err() != nil {
-				r.opts.Registry.Counter(MetricRetryAborts).Inc()
-				return fmt.Errorf("mr: job %q: %w", j.Name, ctx.Err())
+	r.opts.Registry.Counter(MetricTaskRetries).Add(int64(len(lost)))
+	return r.runWave(ctx, j, "map-recovery", lost, j.Cluster.MapSlotsPerNode, j.Cluster.Nodes,
+		func(ctx context.Context, taskID int, w *workerHandle) (func(), error) {
+			if _, err := r.execMapRPC(ctx, j, sh, taskID, numReducers, w); err != nil {
+				return nil, err
 			}
-			w := r.pickLive(t)
-			if w == nil {
-				if r.liveCount() == 0 {
-					return fmt.Errorf("mr: job %q: no live workers to recover map output %d: %w", j.Name, t, ErrBackendUnavailable)
-				}
-				// Alive but breaker-gated: wait out a cooldown slice.
-				last = fmt.Errorf("mr: job %q: no schedulable worker for map-output recovery %d", j.Name, t)
-				sleepCtx(ctx, r.backoff(attempt))
-				continue
-			}
-			r.opts.Registry.Counter(MetricTaskRetries).Inc()
-			attemptCtx, cancel := perTryContext(ctx, r.policy.PerTryTimeout)
-			_, err := r.execMapRPC(attemptCtx, j, sh, t, numReducers, w)
-			cancel()
-			if err != nil {
-				last = err
-				switch retry.Classify(ctx, err) {
-				case retry.CallerAbort:
-					r.opts.Registry.Counter(MetricRetryAborts).Inc()
-					cerr := err
-					if ctx != nil && ctx.Err() != nil {
-						cerr = ctx.Err()
-					}
-					return fmt.Errorf("mr: job %q: %w", j.Name, cerr)
-				case retry.TransientBlamed:
-					w.breaker.Failure()
-					sleepCtx(ctx, r.backoff(attempt))
-					continue
-				case retry.TransientBlameless:
-					sleepCtx(ctx, r.backoff(attempt))
-					continue
-				default:
-					return err
-				}
-			}
-			w.breaker.Success()
-			sh.setLocation(t, w.addr)
-			recovered = true
-		}
-		if !recovered {
-			r.opts.Registry.Counter(MetricRetryExhausted).Inc()
-			return retry.Exhausted(fmt.Sprintf("mr: job %q: could not recover map output %d", j.Name, t), last)
-		}
-	}
-	return nil
-}
-
-// perTryContext layers a per-attempt deadline under the caller's context.
-func perTryContext(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d <= 0 {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, d)
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case <-done:
-	case <-time.After(d):
-	}
+			return func() { sh.setLocation(taskID, w.addr) }, nil
+		})
 }
 
 func (r *ProcRunner) workerAt(addr string) *workerHandle {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.byAddr[addr]
-}
-
-// pickLive returns a schedulable worker, preferring the task's home node.
-// Schedulable means alive with a breaker willing to admit work; Allow is
-// checked last because a half-open breaker grants exactly one probe per
-// call and the grant must be used.
-func (r *ProcRunner) pickLive(taskID int) *workerHandle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.workers) == 0 {
-		return nil
-	}
-	if w := r.workers[taskID%len(r.workers)]; !w.dead.Load() && w.breaker.Allow() {
-		return w
-	}
-	for _, w := range r.workers {
-		if !w.dead.Load() && w.breaker.Allow() {
-			return w
-		}
-	}
-	return nil
 }
 
 // RunMapPhase implements mr.TaskRunner: one map task per split, scheduled
@@ -786,7 +696,7 @@ func (r *ProcRunner) RunMapPhase(ctx context.Context, j *mr.Job, splits []dfs.Sp
 	sh := shuffle.(*procShuffle)
 	sh.splits = splits
 
-	err := r.runWave(ctx, j, "map-task", len(splits), j.Cluster.MapSlotsPerNode, j.Cluster.Nodes,
+	err := r.runWave(ctx, j, "map-task", taskIDs(len(splits)), j.Cluster.MapSlotsPerNode, j.Cluster.Nodes,
 		func(ctx context.Context, taskID int, w *workerHandle) (func(), error) {
 			taskCounters, err := r.execMapRPC(ctx, j, sh, taskID, numReducers, w)
 			if err != nil {
@@ -814,7 +724,7 @@ func (r *ProcRunner) RunReducePhase(ctx context.Context, j *mr.Job, numReducers 
 	outputs := make([][]mr.KV, numReducers)
 	var outMu sync.Mutex
 
-	err := r.runWave(ctx, j, "reduce-task", numReducers, j.Cluster.ReduceSlotsPerNode, j.Cluster.Nodes,
+	err := r.runWave(ctx, j, "reduce-task", taskIDs(numReducers), j.Cluster.ReduceSlotsPerNode, j.Cluster.Nodes,
 		func(tryCtx context.Context, p int, w *workerHandle) (func(), error) {
 			out, taskCounters, err := r.execReduceRPC(tryCtx, j, sh, p, numReducers, w)
 			if ff, ok := err.(fetchFailError); ok {
@@ -869,18 +779,29 @@ func (r *ProcRunner) freeJob(jobID string) {
 	}
 }
 
+// taskIDs returns 0..n-1, the task ids of a whole phase.
+func taskIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 // waveEvent is one task completion (or failure) arriving at the wave
-// loop, or a backoff timer returning a task to the pending queue.
+// loop, or a backoff timer returning a task to the pending queue. i is
+// the task's position in the wave, not its id.
 type waveEvent struct {
-	taskID  int
+	i       int
 	w       *workerHandle
 	apply   func()
 	err     error
-	requeue bool // backoff elapsed: taskID goes back to pending
+	requeue bool // backoff elapsed: task i goes back to pending
 }
 
-// runWave schedules n tasks over the fleet and blocks until all complete
-// or the wave fails. Guarantees:
+// runWave schedules the given tasks over the fleet and blocks until all
+// complete or the wave fails; exec and the task spans see each task's
+// id. Guarantees:
 //
 //   - slot discipline: at most slotsPerWorker tasks in flight per worker;
 //   - first-completion-wins: apply runs exactly once per task, so counters
@@ -902,7 +823,8 @@ type waveEvent struct {
 //     worker, at most once per task;
 //   - deterministic failures (task errors) fail the wave immediately,
 //     matching the local backend.
-func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n, slotsPerWorker, nodes int, exec func(ctx context.Context, taskID int, w *workerHandle) (func(), error)) error {
+func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, tasks []int, slotsPerWorker, nodes int, exec func(ctx context.Context, taskID int, w *workerHandle) (func(), error)) error {
+	n := len(tasks)
 	if n == 0 {
 		return nil
 	}
@@ -934,25 +856,25 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 	// arriving after an early error return just land in the buffer.
 	events := make(chan waveEvent, n*(2*r.policy.MaxAttempts+3)+16)
 
-	launch := func(taskID int, w *workerHandle) {
-		if running[taskID] == 0 {
-			startedAt[taskID] = time.Now()
+	launch := func(i int, w *workerHandle) {
+		if running[i] == 0 {
+			startedAt[i] = time.Now()
 		}
-		running[taskID]++
+		running[i]++
 		slots[w]++
 		inFlight++
 		reg.Counter(MetricTasksDispatched).Inc()
-		attempt := attempts[taskID]
+		attempt := attempts[i]
 		go func() {
 			span := j.Trace.StartSpan(spanName, "task").
-				SetTID(int64(taskID)).
+				SetTID(int64(tasks[i])).
 				SetArg("worker", w.id).
 				SetArg("attempt", attempt)
-			tryCtx, cancel := perTryContext(ctx, r.policy.PerTryTimeout)
-			apply, err := exec(tryCtx, taskID, w)
+			tryCtx, cancel := context.WithTimeout(ctx, r.policy.PerTryTimeout)
+			apply, err := exec(tryCtx, tasks[i], w)
 			cancel()
 			span.End()
-			events <- waveEvent{taskID: taskID, w: w, apply: apply, err: err}
+			events <- waveEvent{i: i, w: w, apply: apply, err: err}
 		}()
 	}
 
@@ -961,7 +883,7 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 	// worker with a free slot. Breaker Allow is evaluated last: a
 	// half-open breaker admits exactly one probe, and a granted probe is
 	// always dispatched.
-	pickWorker := func(taskID int) *workerHandle {
+	pickWorker := func(i int) *workerHandle {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		fleet := r.workers
@@ -971,7 +893,7 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 		if len(fleet) == 0 {
 			return nil
 		}
-		if w := fleet[taskID%len(fleet)]; !w.dead.Load() && slots[w] < slotsPerWorker && w.breaker.Allow() {
+		if w := fleet[tasks[i]%len(fleet)]; !w.dead.Load() && slots[w] < slotsPerWorker && w.breaker.Allow() {
 			return w
 		}
 		for _, w := range fleet {
@@ -1000,9 +922,9 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 			if w == nil {
 				break
 			}
-			t := pending[0]
+			i := pending[0]
 			pending = pending[1:]
-			launch(t, w)
+			launch(i, w)
 		}
 		if inFlight == 0 && waiting == 0 {
 			if len(pending) == 0 {
@@ -1025,10 +947,10 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 			}
 			// Tail of the wave: duplicate the oldest lone straggler.
 			best, bestAge := -1, r.opts.SpeculateAfter
-			for t := 0; t < n; t++ {
-				if !done[t] && running[t] == 1 && !speculated[t] {
-					if age := time.Since(startedAt[t]); age >= bestAge {
-						best, bestAge = t, age
+			for i := 0; i < n; i++ {
+				if !done[i] && running[i] == 1 && !speculated[i] {
+					if age := time.Since(startedAt[i]); age >= bestAge {
+						best, bestAge = i, age
 					}
 				}
 			}
@@ -1042,22 +964,22 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 		case ev := <-events:
 			if ev.requeue {
 				waiting--
-				if !done[ev.taskID] {
-					pending = append(pending, ev.taskID)
+				if !done[ev.i] {
+					pending = append(pending, ev.i)
 				}
 				break
 			}
 			inFlight--
 			slots[ev.w]--
-			running[ev.taskID]--
+			running[ev.i]--
 			switch {
-			case ev.err == nil && !done[ev.taskID]:
-				done[ev.taskID] = true
+			case ev.err == nil && !done[ev.i]:
+				done[ev.i] = true
 				doneCount++
 				reg.Counter(MetricTasksCompleted).Inc()
 				ev.w.breaker.Success()
 				ev.apply()
-			case ev.err == nil || done[ev.taskID]:
+			case ev.err == nil || done[ev.i]:
 				// Speculative loser (either outcome): drop silently.
 				if ev.err == nil {
 					ev.w.breaker.Success()
@@ -1078,23 +1000,23 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 					if class == retry.TransientBlamed {
 						ev.w.breaker.Failure()
 					}
-					attempts[ev.taskID]++
-					if attempts[ev.taskID] >= r.policy.MaxAttempts {
+					attempts[ev.i]++
+					if attempts[ev.i] >= r.policy.MaxAttempts {
 						reg.Counter(MetricRetryExhausted).Inc()
-						firstErr = retry.Exhausted(fmt.Sprintf("mr: job %q: task %d failed %d attempts", j.Name, ev.taskID, attempts[ev.taskID]), ev.err)
+						firstErr = retry.Exhausted(fmt.Sprintf("mr: job %q: task %d failed %d attempts", j.Name, tasks[ev.i], attempts[ev.i]), ev.err)
 						break
 					}
-					if running[ev.taskID] == 0 {
+					if running[ev.i] == 0 {
 						reg.Counter(MetricTaskRetries).Inc()
-						delay := r.backoff(attempts[ev.taskID])
+						delay := r.backoff(attempts[ev.i])
 						if delay <= 0 {
-							pending = append(pending, ev.taskID)
+							pending = append(pending, ev.i)
 						} else {
 							reg.Counter(MetricRetryBackoffs).Inc()
 							waiting++
-							tid := ev.taskID
+							i := ev.i
 							timers = append(timers, time.AfterFunc(delay, func() {
-								events <- waveEvent{taskID: tid, requeue: true}
+								events <- waveEvent{i: i, requeue: true}
 							}))
 						}
 					}
@@ -1112,8 +1034,8 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, n,
 			continue
 		}
 		inFlight--
-		if firstErr == nil && ev.err == nil && !done[ev.taskID] {
-			done[ev.taskID] = true
+		if firstErr == nil && ev.err == nil && !done[ev.i] {
+			done[ev.i] = true
 			doneCount++
 			reg.Counter(MetricTasksCompleted).Inc()
 			ev.apply()

@@ -1,14 +1,21 @@
 package mrdist_test
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"gmeansmr/internal/mr"
 	"gmeansmr/internal/mrdist"
+	"gmeansmr/internal/obs"
+	"gmeansmr/internal/retry"
 )
 
 // checkNoGoroutineLeak waits for the runner's goroutines (heartbeat,
@@ -110,4 +117,160 @@ poll:
 	runner.Close()
 
 	checkNoGoroutineLeak(t, before)
+}
+
+// roundTripFunc adapts a function to http.RoundTripper, the master-side
+// seam the tests below inject faults through.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// runWithin runs job and fails the test if it has not returned within d.
+func runWithin(t *testing.T, job *mr.Job, d time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := job.Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("job still running after %v", d)
+		return nil
+	}
+}
+
+// TestProcRecoveryHonoursElapsedBudget kills worker 0 at the first reduce
+// request and then holds every map task and split push until its
+// deadline, so the lost map outputs can never be rebuilt. Recovery runs
+// as a wave under the policy's elapsed budget: the job must fail typed
+// within seconds, however many attempts the policy would allow.
+func TestProcRecoveryHonoursElapsedBudget(t *testing.T) {
+	var (
+		runner *mrdist.ProcRunner
+		kill   sync.Once
+		stall  atomic.Bool
+	)
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		switch req.URL.Path {
+		case "/v1/task/reduce":
+			kill.Do(func() {
+				syscall.Kill(runner.WorkerPIDs()[0], syscall.SIGKILL)
+				stall.Store(true)
+			})
+		case "/v1/task/map", "/v1/fs/push":
+			if stall.Load() {
+				<-req.Context().Done()
+				return nil, req.Context().Err()
+			}
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	runner = mrdist.NewProcRunner(mrdist.Options{
+		Transport: transport,
+		Retry: retry.Policy{
+			MaxAttempts:   1000,
+			PerTryTimeout: 100 * time.Millisecond,
+			BaseBackoff:   10 * time.Millisecond,
+			MaxBackoff:    50 * time.Millisecond,
+			MaxElapsed:    time.Second,
+		},
+	})
+	defer runner.Close()
+
+	fs, _ := numbersFS(1200, 1<<10)
+	job := sumJob(fs, testCluster(3, 1, 1), runner, sumPayload{})
+	job.Trace = obs.NewTrace()
+	err := runWithin(t, job, 10*time.Second)
+	if !errors.Is(err, retry.ErrExhausted) {
+		t.Fatalf("err = %v, want retry.ErrExhausted", err)
+	}
+	if !stall.Load() {
+		t.Fatal("the job never reached its reduce wave")
+	}
+
+	// Recovery spans carry the ids of the map tasks worker 0 ran.
+	ranOn0 := make(map[int64]bool)
+	recovered := 0
+	for _, ev := range job.Trace.Events() {
+		if ev.Name == "map-task" && ev.Args["worker"] == 0 {
+			ranOn0[ev.TID] = true
+		}
+	}
+	for _, ev := range job.Trace.Events() {
+		if ev.Name == "map-recovery" {
+			recovered++
+			if !ranOn0[ev.TID] {
+				t.Errorf("map-recovery span for task %d, which worker 0 did not run", ev.TID)
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Error("no map-recovery span recorded")
+	}
+}
+
+// TestProcWaveExhaustsAttempts refuses every task RPC: each attempt is a
+// blamed transient, so the wave spends its attempt budget and fails typed.
+func TestProcWaveExhaustsAttempts(t *testing.T) {
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if strings.HasPrefix(req.URL.Path, "/v1/task/") {
+			return nil, errors.New("task RPC refused")
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	runner := mrdist.NewProcRunner(mrdist.Options{
+		Transport: transport,
+		Retry: retry.Policy{
+			MaxAttempts:     3,
+			BaseBackoff:     time.Millisecond,
+			MaxBackoff:      2 * time.Millisecond,
+			BreakerCooldown: 10 * time.Millisecond,
+		},
+	})
+	defer runner.Close()
+
+	fs, _ := numbersFS(500, 1<<10)
+	err := runWithin(t, sumJob(fs, testCluster(2, 1, 1), runner, sumPayload{}), 30*time.Second)
+	if !errors.Is(err, retry.ErrExhausted) {
+		t.Fatalf("err = %v, want retry.ErrExhausted", err)
+	}
+	if got := runner.Registry().Counter(mrdist.MetricRetryExhausted).Value(); got < 1 {
+		t.Errorf("exhausted metric = %d, want >= 1", got)
+	}
+}
+
+// TestProcWaveCallerAbort cancels the job context from inside the first
+// map-task RPC: the wave stops without retry, surfaces the caller's own
+// error rather than a spent budget, and blames no worker.
+func TestProcWaveCallerAbort(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.URL.Path == "/v1/task/map" {
+			cancel()
+			<-req.Context().Done()
+			return nil, req.Context().Err()
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	runner := mrdist.NewProcRunner(mrdist.Options{Transport: transport})
+	defer runner.Close()
+
+	fs, _ := numbersFS(500, 1<<10)
+	job := sumJob(fs, testCluster(2, 1, 1), runner, sumPayload{})
+	job.Ctx = ctx
+	err := runWithin(t, job, 30*time.Second)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, retry.ErrExhausted) {
+		t.Fatalf("err = %v, want context.Canceled and not retry.ErrExhausted", err)
+	}
+	reg := runner.Registry()
+	if got := reg.Counter(mrdist.MetricBreakerOpens).Value(); got != 0 {
+		t.Errorf("caller abort opened %d breakers", got)
+	}
+	if got := reg.Counter(mrdist.MetricRetryAborts).Value(); got < 1 {
+		t.Errorf("aborts metric = %d, want >= 1", got)
+	}
 }

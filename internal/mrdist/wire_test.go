@@ -252,10 +252,11 @@ func TestUnknownValueTagFails(t *testing.T) {
 	}
 }
 
-func TestRegisteredCodecRoundTrip(t *testing.T) {
-	// pairValueTest is an app value only this test knows about.
-	tag := byte(TagAppBase + 100)
-	RegisterValueCodec(tag, ValueCodec{
+// pairValueTest is an app value only TestRegisteredCodecRoundTrip knows
+// about. Its codec is registered from init, as RegisterValueCodec asks,
+// so the test can run more than once in one process.
+func init() {
+	RegisterValueCodec(TagAppBase+100, ValueCodec{
 		Encode: func(e *Encoder, v mr.Value) bool {
 			p, ok := v.(pairValueTest)
 			if !ok {
@@ -268,7 +269,9 @@ func TestRegisteredCodecRoundTrip(t *testing.T) {
 			return pairValueTest{A: d.I64(), B: d.I64()}
 		},
 	})
+}
 
+func TestRegisteredCodecRoundTrip(t *testing.T) {
 	want := pairValueTest{A: 5, B: -9}
 	e := new(Encoder).Begin()
 	if err := e.EncodeValue(want); err != nil {

@@ -1,7 +1,8 @@
 // Package retry is the single failure-handling policy of the distributed
 // backend: per-attempt deadlines, exponential backoff with full jitter, a
 // max-elapsed budget, and a per-peer circuit breaker. internal/mrdist owns
-// scheduling (which worker runs which task); this package owns *when a
+// scheduling (which worker runs which task) and runs every attempt in one
+// wave loop, map-output recovery included; this package owns *when a
 // failed operation may run again and what its failure means* — so every
 // RPC path classifies and paces failures the same way instead of each
 // call site inventing its own MaxAttempts/instant-requeue logic.
@@ -24,7 +25,6 @@ package retry
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 )
@@ -33,10 +33,6 @@ import (
 // and elapsed budgets were spent. Callers detect it with errors.Is; the
 // wrapped chain retains the last underlying failure.
 var ErrExhausted = errors.New("retry: budget exhausted")
-
-// ErrAborted marks an operation that stopped because its caller's context
-// was cancelled or deadlined — a caller decision, not a peer failure.
-var ErrAborted = errors.New("retry: aborted by caller")
 
 // Policy is one uniform retry/timeout/backoff configuration. The zero
 // value selects the defaults below via WithDefaults; fields are plain so
@@ -54,9 +50,9 @@ type Policy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the backoff ceiling. Default 1s.
 	MaxBackoff time.Duration
-	// MaxElapsed bounds the total time an operation may spend across all
-	// attempts and backoffs, measured from its first launch. Zero means
-	// no elapsed budget; the default is 2m.
+	// MaxElapsed bounds the total time one wave of tasks may spend across
+	// all attempts and backoffs, measured from the wave's start. Zero
+	// means no elapsed budget; the default is 2m.
 	MaxElapsed time.Duration
 	// BreakerThreshold is how many consecutive blamed failures open a
 	// peer's circuit breaker. Default 3.
@@ -131,19 +127,6 @@ func Transient(err error, blamePeer bool) error {
 	return transientError{err: err, blame: blamePeer}
 }
 
-// abortError wraps a caller-side cancellation.
-type abortError struct{ err error }
-
-func (e abortError) Error() string { return e.err.Error() }
-func (e abortError) Unwrap() error { return e.err }
-
-// Is lets errors.Is(err, ErrAborted) and errors.Is(err, ctx.Err()) both
-// hold on one abort error.
-func (e abortError) Is(target error) bool { return target == ErrAborted }
-
-// Abort marks err as a caller-side abort: non-retryable and blame-free.
-func Abort(err error) error { return abortError{err: err} }
-
 // Class is the retry classification of one failure.
 type Class int
 
@@ -166,7 +149,7 @@ const (
 // been cancelled or deadlined, any in-flight failure — including a
 // context error surfacing through the transport — is the caller's own
 // abort, regardless of how the error is marked. Without a caller abort,
-// explicit marks (Transient, Abort) decide; bare context errors from a
+// the Transient mark decides; bare context errors from a
 // per-attempt deadline count as blamed transients (a hung peer looks
 // exactly like a slow network, and both warrant suspicion).
 func Classify(ctx context.Context, err error) Class {
@@ -174,10 +157,6 @@ func Classify(ctx context.Context, err error) Class {
 		return Permanent
 	}
 	if ctx != nil && ctx.Err() != nil {
-		return CallerAbort
-	}
-	var ab abortError
-	if errors.As(err, &ab) {
 		return CallerAbort
 	}
 	var tr transientError
@@ -195,67 +174,25 @@ func Classify(ctx context.Context, err error) Class {
 	return Permanent
 }
 
-// Do runs op under the policy: per-attempt deadline, classification,
-// jittered backoff, attempt and elapsed budgets. op receives the
-// per-attempt context. Sequential call sites (input pushes, map-output
-// recovery) use Do; the task wave loop in mrdist implements the same
-// policy event-driven, because its retries move between workers.
-func (p Policy) Do(ctx context.Context, rng *rand.Rand, op func(ctx context.Context) error) error {
-	p = p.WithDefaults()
-	if ctx == nil {
-		ctx = context.Background()
+// exhaustedError carries the ErrExhausted sentinel over the last
+// underlying failure, which is nil when an elapsed budget ran out.
+type exhaustedError struct {
+	msg string
+	err error
+}
+
+func (e *exhaustedError) Error() string {
+	if e.err == nil {
+		return "retry: " + e.msg
 	}
-	start := time.Now()
-	var last error
-	for attempt := 1; ; attempt++ {
-		attemptCtx, cancel := context.WithTimeout(ctx, p.PerTryTimeout)
-		err := op(attemptCtx)
-		cancel()
-		if err == nil {
-			return nil
-		}
-		last = err
-		switch Classify(ctx, err) {
-		case CallerAbort:
-			cause := err
-			if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
-				cause = fmt.Errorf("%v (caller: %w)", err, cerr)
-			}
-			return Abort(&wrapped{msg: "aborted", sentinel: ErrAborted, err: cause})
-		case Permanent:
-			return err
-		}
-		if attempt >= p.MaxAttempts {
-			return &wrapped{msg: "attempts exhausted", sentinel: ErrExhausted, err: last}
-		}
-		delay := p.Backoff(attempt, rng)
-		if p.MaxElapsed > 0 && time.Since(start)+delay > p.MaxElapsed {
-			return &wrapped{msg: "elapsed budget exhausted", sentinel: ErrExhausted, err: last}
-		}
-		select {
-		case <-ctx.Done():
-			return Abort(&wrapped{msg: "aborted during backoff", sentinel: ErrAborted, err: ctx.Err()})
-		case <-time.After(delay):
-		}
-	}
+	return "retry: " + e.msg + ": " + e.err.Error()
 }
+func (e *exhaustedError) Unwrap() error        { return e.err }
+func (e *exhaustedError) Is(target error) bool { return target == ErrExhausted }
 
-// wrapped attaches a sentinel to an underlying error so both errors.Is
-// targets resolve.
-type wrapped struct {
-	msg      string
-	sentinel error
-	err      error
-}
-
-func (w *wrapped) Error() string { return "retry: " + w.msg + ": " + w.err.Error() }
-func (w *wrapped) Unwrap() error { return w.err }
-func (w *wrapped) Is(target error) bool {
-	return target == w.sentinel
-}
-
-// Exhausted wraps err with the ErrExhausted sentinel, for call sites that
-// implement their own attempt loop but must surface the same typed error.
+// Exhausted wraps err, the last failure or nil, with the ErrExhausted
+// sentinel. The mrdist wave loop, the one attempt loop, surfaces a spent
+// attempt or elapsed budget through it.
 func Exhausted(msg string, err error) error {
-	return &wrapped{msg: msg, sentinel: ErrExhausted, err: err}
+	return &exhaustedError{msg: msg, err: err}
 }

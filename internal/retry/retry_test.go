@@ -63,127 +63,12 @@ func TestClassify(t *testing.T) {
 		{"per-try deadline wrapped", bg, fmt.Errorf("Post: %w", context.DeadlineExceeded), TransientBlamed},
 		{"caller cancelled beats blame", cancelled, Transient(errors.New("x"), true), CallerAbort},
 		{"caller cancelled beats permanent", cancelled, errors.New("boom"), CallerAbort},
-		{"explicit abort", bg, Abort(context.Canceled), CallerAbort},
 		{"nil ctx", nil, Transient(errors.New("x"), false), TransientBlameless},
 	}
 	for _, tc := range cases {
 		if got := Classify(tc.ctx, tc.err); got != tc.want {
 			t.Errorf("%s: Classify = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-func TestAbortErrorIsChain(t *testing.T) {
-	err := Abort(fmt.Errorf("job: %w", context.Canceled))
-	if !errors.Is(err, ErrAborted) {
-		t.Error("abort does not match ErrAborted")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Error("abort lost the underlying context error")
-	}
-}
-
-func TestDoRetriesThenSucceeds(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
-	rng := rand.New(rand.NewSource(3))
-	calls := 0
-	err := p.Do(context.Background(), rng, func(ctx context.Context) error {
-		calls++
-		if calls < 3 {
-			return Transient(errors.New("flaky"), true)
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Do: err=%v calls=%d", err, calls)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	p := Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	rng := rand.New(rand.NewSource(3))
-	calls := 0
-	last := errors.New("still down")
-	err := p.Do(context.Background(), rng, func(ctx context.Context) error {
-		calls++
-		return Transient(last, true)
-	})
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	if !errors.Is(err, ErrExhausted) {
-		t.Errorf("err = %v, want ErrExhausted", err)
-	}
-	if !errors.Is(err, last) {
-		t.Errorf("exhausted error lost the last failure: %v", err)
-	}
-}
-
-func TestDoPermanentFailsImmediately(t *testing.T) {
-	p := Policy{MaxAttempts: 5}
-	rng := rand.New(rand.NewSource(3))
-	calls := 0
-	boom := errors.New("deterministic")
-	err := p.Do(context.Background(), rng, func(ctx context.Context) error {
-		calls++
-		return boom
-	})
-	if calls != 1 || !errors.Is(err, boom) {
-		t.Fatalf("permanent: calls=%d err=%v", calls, err)
-	}
-}
-
-func TestDoCallerAbort(t *testing.T) {
-	p := Policy{MaxAttempts: 10, BaseBackoff: time.Millisecond}
-	rng := rand.New(rand.NewSource(3))
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	err := p.Do(ctx, rng, func(context.Context) error {
-		calls++
-		cancel()
-		return Transient(errors.New("x"), true)
-	})
-	if calls != 1 {
-		t.Errorf("calls after caller abort = %d, want 1", calls)
-	}
-	if !errors.Is(err, ErrAborted) || !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want ErrAborted wrapping context.Canceled", err)
-	}
-	if errors.Is(err, ErrExhausted) {
-		t.Error("caller abort must not read as exhaustion")
-	}
-}
-
-func TestDoElapsedBudget(t *testing.T) {
-	p := Policy{
-		MaxAttempts: 1000,
-		BaseBackoff: 20 * time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-		MaxElapsed:  time.Nanosecond, // any backoff blows the budget
-	}
-	rng := rand.New(rand.NewSource(9))
-	err := p.Do(context.Background(), rng, func(context.Context) error {
-		return Transient(errors.New("x"), false)
-	})
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted via elapsed budget", err)
-	}
-}
-
-func TestDoPerTryTimeout(t *testing.T) {
-	p := Policy{MaxAttempts: 2, PerTryTimeout: 5 * time.Millisecond, BaseBackoff: time.Millisecond}
-	rng := rand.New(rand.NewSource(9))
-	calls := 0
-	err := p.Do(context.Background(), rng, func(ctx context.Context) error {
-		calls++
-		<-ctx.Done() // simulate a hung peer: blocked until per-try deadline
-		return ctx.Err()
-	})
-	if calls != 2 {
-		t.Errorf("hung op attempted %d times, want 2", calls)
-	}
-	if !errors.Is(err, ErrExhausted) {
-		t.Errorf("err = %v, want ErrExhausted (per-try timeouts are transient)", err)
 	}
 }
 
@@ -268,5 +153,9 @@ func TestExhaustedHelper(t *testing.T) {
 	err := Exhausted("task 3 failed 4 attempts", inner)
 	if !errors.Is(err, ErrExhausted) || !errors.Is(err, inner) {
 		t.Fatalf("Exhausted chain broken: %v", err)
+	}
+	// An elapsed budget can run out with no failed attempt to wrap.
+	if err := Exhausted("wave exceeded elapsed budget", nil); !errors.Is(err, ErrExhausted) || err.Error() != "retry: wave exceeded elapsed budget" {
+		t.Fatalf("Exhausted(nil) = %q", err)
 	}
 }
