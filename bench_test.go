@@ -362,9 +362,8 @@ func servingFixture(b *testing.B, k, dim int) (*serve.Server, []vec.Vector) {
 }
 
 // BenchmarkAssign measures single-query latency on the serving hot path,
-// across all cores the way a live server takes traffic. k=4 exercises the
-// brute-force linear scan (k <= serve.DefaultBruteForceMaxK); the larger
-// k values exercise kd-tree descent.
+// across all cores the way a live server takes traffic. Every singleton
+// takes the scalar scan, so k sets the scan's length.
 func BenchmarkAssign(b *testing.B) {
 	for _, k := range []int{4, 64, 256} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -18,7 +18,6 @@ import (
 	"gmeansmr/internal/mrdist"
 	"gmeansmr/internal/obs"
 	"gmeansmr/internal/seqgmeans"
-	"gmeansmr/internal/vec"
 	"gmeansmr/internal/xmeans"
 )
 
@@ -809,16 +808,7 @@ func (c *Clusterer) runSeqGMeans(ctx context.Context, src DataSource) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	centers := res.Centers
-	if c.cfg.mergeRadius == MergeAuto {
-		centers = core.MergeCloseCenters(centers, core.SuggestMergeRadius(centers))
-	} else if c.cfg.mergeRadius > 0 {
-		centers = core.MergeCloseCenters(centers, c.cfg.mergeRadius)
-	}
-	assignment := res.Assignment
-	if len(centers) != res.K {
-		assignment = lloyd.Assign(points, centers)
-	}
+	centers, assignment, wcss := c.mergeInMemory(points, res.Centers, res.Assignment, res.WCSS)
 	return &Result{
 		Algorithm:  AlgorithmSeqGMeans,
 		Centers:    centers,
@@ -826,7 +816,7 @@ func (c *Clusterer) runSeqGMeans(ctx context.Context, src DataSource) (*Result, 
 		Iterations: res.Tests,
 		Assignment: assignment,
 		Counters:   map[string]int64{CounterADTests: int64(res.Tests), "app.splits": int64(res.Splits)},
-		WCSS:       res.WCSS,
+		WCSS:       wcss,
 	}, nil
 }
 
@@ -848,16 +838,7 @@ func (c *Clusterer) runXMeans(ctx context.Context, src DataSource) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	centers := res.Centers
-	if c.cfg.mergeRadius == MergeAuto {
-		centers = core.MergeCloseCenters(centers, core.SuggestMergeRadius(centers))
-	} else if c.cfg.mergeRadius > 0 {
-		centers = core.MergeCloseCenters(centers, c.cfg.mergeRadius)
-	}
-	assignment := res.Assignment
-	if len(centers) != res.K {
-		assignment = lloyd.Assign(points, centers)
-	}
+	centers, assignment, wcss := c.mergeInMemory(points, res.Centers, res.Assignment, res.WCSS)
 	return &Result{
 		Algorithm:  AlgorithmXMeans,
 		Centers:    centers,
@@ -865,8 +846,25 @@ func (c *Clusterer) runXMeans(ctx context.Context, src DataSource) (*Result, err
 		Iterations: res.Rounds,
 		Assignment: assignment,
 		Counters:   map[string]int64{"app.structure.rounds": int64(res.Rounds)},
-		WCSS:       res.WCSS,
+		WCSS:       wcss,
 	}, nil
+}
+
+// mergeInMemory applies the configured merge (auto or explicit radius)
+// to an in-memory run's centers. When the merge changed k it re-assigns
+// the points and recomputes the WCSS over the merged centers.
+func (c *Clusterer) mergeInMemory(points, centers []Point, assignment []int, wcss float64) ([]Point, []int, float64) {
+	merged := centers
+	if c.cfg.mergeRadius == MergeAuto {
+		merged = core.MergeCloseCenters(centers, core.SuggestMergeRadius(centers))
+	} else if c.cfg.mergeRadius > 0 {
+		merged = core.MergeCloseCenters(centers, c.cfg.mergeRadius)
+	}
+	if len(merged) != len(centers) {
+		assignment = lloyd.Assign(points, merged)
+		wcss = lloyd.WCSS(points, merged, assignment)
+	}
+	return merged, assignment, wcss
 }
 
 // assignIfAvailable computes the nearest-center assignment when the
@@ -876,10 +874,5 @@ func assignIfAvailable(src DataSource, centers []Point) []int {
 	if !ok {
 		return nil
 	}
-	pts := mem.points()
-	assign := make([]int, len(pts))
-	for i, p := range pts {
-		assign[i], _ = vec.NearestIndex(p, centers)
-	}
-	return assign
+	return lloyd.Assign(mem.points(), centers)
 }

@@ -186,6 +186,54 @@ func TestSeqAlgorithmsCancellation(t *testing.T) {
 	}
 }
 
+// TestInMemoryMergeReassigns drives the in-memory algorithms through a
+// merge that lowers k: the merged result must re-assign every point to
+// its nearest merged center, not keep the pre-merge assignment, and
+// report the WCSS of the merged centers.
+func TestInMemoryMergeReassigns(t *testing.T) {
+	ds, err := GenerateDataset(DatasetSpec{K: 6, Dim: 2, N: 3000, MinSeparation: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{AlgorithmSeqGMeans, AlgorithmXMeans} {
+		t.Run(string(algo), func(t *testing.T) {
+			run := func(opts ...Option) *Result {
+				t.Helper()
+				c, err := New(append([]Option{WithAlgorithm(algo), WithSeed(2)}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.Run(context.Background(), FromPoints(ds.Points))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			if k := run().K; k != 6 {
+				t.Fatalf("unmerged k = %d, want 6", k)
+			}
+			res := run(WithMergeRadius(30))
+			if res.K != 4 || len(res.Centers) != 4 {
+				t.Fatalf("merged k = %d (%d centers), want 4", res.K, len(res.Centers))
+			}
+			if len(res.Assignment) != len(ds.Points) {
+				t.Fatalf("assignment length %d, want %d", len(res.Assignment), len(ds.Points))
+			}
+			wcss := 0.0
+			for i, p := range ds.Points {
+				want, d2 := vec.NearestIndex(p, res.Centers)
+				if res.Assignment[i] != want {
+					t.Fatalf("Assignment[%d] = %d, nearest merged center is %d", i, res.Assignment[i], want)
+				}
+				wcss += d2
+			}
+			if math.Abs(res.WCSS-wcss) > 1e-9*wcss {
+				t.Fatalf("WCSS = %g, merged centers give %g", res.WCSS, wcss)
+			}
+		})
+	}
+}
+
 // Regression: a multi-k sweep whose configured KMax exceeds the dataset's
 // point count must clamp the sweep to n instead of failing the seeding
 // ("dataset has only 3 points, need 8 centers").

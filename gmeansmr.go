@@ -46,7 +46,7 @@
 //	f.Close()
 //
 //	srv, _ := gmeansmr.NewServer(m, gmeansmr.ServerOptions{})
-//	a, _ := srv.Assign([]float64{1.5, 2.5}) // kd-tree nearest center
+//	a, _ := srv.Assign([]float64{1.5, 2.5}) // nearest center
 //	fmt.Println("cluster", a.Cluster, "at distance", a.Distance)
 //	http.ListenAndServe(":8080", srv)       // POST /v1/assign, /v1/assign/batch, ...
 //
@@ -159,9 +159,8 @@ func SaveModel(m *Model, w io.Writer) error { return m.Save(w) }
 // magic, format version and checksum.
 func LoadModel(r io.Reader) (*Model, error) { return model.Load(r) }
 
-// Server is the cluster-assignment HTTP server: kd-tree-accelerated
-// nearest-center queries over an immutable model snapshot that hot-swaps
-// atomically. It implements http.Handler; see the package example and
+// Server is the cluster-assignment HTTP server: nearest-center queries
+// over an immutable model snapshot that hot-swaps atomically. It implements http.Handler; see the package example and
 // cmd/serve.
 type Server = serve.Server
 

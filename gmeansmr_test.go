@@ -59,7 +59,7 @@ func TestClusterFacadeEndToEnd(t *testing.T) {
 
 // TestModelServeFacadeEndToEnd walks the full production path: train,
 // convert to a model, persist, reload, serve — and checks the served
-// (kd-tree) answers against brute-force nearest center.
+// answers against brute-force nearest center.
 func TestModelServeFacadeEndToEnd(t *testing.T) {
 	ds, err := GenerateDataset(DatasetSpec{K: 10, Dim: 3, N: 8000, MinSeparation: 20, Seed: 21})
 	if err != nil {

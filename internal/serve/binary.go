@@ -20,9 +20,8 @@ package serve
 // same typed JSON errors as the JSON path on failure — errors are not a
 // hot path.
 //
-// The decoded points feed the very same crossover-selected kernel path
-// as JSON requests, so the two framings are bit-identical by
-// construction (pinned by TestBinaryAssignMatchesJSON).
+// The decoded points feed the very same assign routines as JSON requests,
+// so the two framings are bit-identical by construction (pinned by TestBinaryAssignMatchesJSON).
 
 import (
 	"bytes"

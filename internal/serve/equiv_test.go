@@ -57,22 +57,23 @@ func decodeGMAB(body []byte) (int, []Assignment, error) {
 	return k, out, nil
 }
 
-// TestServePathEquivalence is the acceptance pin of this refactor: the
-// columnar batch kernel, per-point kd-tree descent, the linear scan,
-// coalesced singletons, and both wire framings must produce bit-identical
-// assignments — same cluster index, same distance bits — on the same
-// model. The (k, dim) grid places models in every crossover region, so
-// every batch path and every singleton path is exercised against the
-// scalar reference.
+// TestServePathEquivalence pins the two assign routines — the columnar
+// batch kernel and the scalar singleton scan — bit-identical to the
+// scalar reference (same cluster index, same distance bits) through every
+// entry point: programmatic and HTTP, singleton and batch, coalesced or
+// not, JSON and binary framing. The (k, dim) grid covers the default
+// serving shape, low-dim models with many centers, and high-dim models
+// with few centers.
 func TestServePathEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
 		k, dim int
 	}{
-		{"columnar-batch", 32, 16},          // default region: fused kernel
-		{"lowdim-batch", 200, 2},            // dim<=2, large k: kernel (tree serves singles)
-		{"brute-batch", 4, 32},              // dim>=32, k<=4: per-point scan
-		{"brute-single-tree-batch", 140, 2}, // tree single, columnar batch
+		{"columnar-batch", 32, 16},    // the serving benchmark's model
+		{"lowdim-batch", 200, 2},      // low dim, many centers
+		{"highdim-batch", 4, 32},      // high dim, few centers
+		{"lowdim-batch-k140", 140, 2}, // low dim, many centers, a second model
+		{"highdim-batch-d16", 4, 16},  // high dim, few centers, at d = 16
 		{"tiny", 1, 1},
 	}
 	for _, tc := range cases {
@@ -103,7 +104,7 @@ func TestServePathEquivalence(t *testing.T) {
 						t.Fatalf("coalesce=%v Assign(%d) = %+v, want %+v", coalesce, i, got, want[i])
 					}
 				}
-				// Programmatic batch path (crossover-selected kernel).
+				// Programmatic batch path (columnar kernel).
 				batch, err := s.AssignBatch(queries)
 				if err != nil {
 					t.Fatal(err)

@@ -4,46 +4,29 @@
 // the opposite regime — many small concurrent requests against a small
 // read-only center set.
 //
-// # The columnar assign path
+// # One path per request shape
 //
-// Every batch of queries — a client batch on /v1/assign/batch, or
-// concurrent singleton /v1/assign requests coalesced server-side (see
-// coalesce.go) — executes through the same fused columnar kernel the
-// training inner loop uses (vec.NearestBatch: dim-major, AVX-512/AVX2
-// point tiles on amd64). The active model publishes a kernel-ready
-// packed center set
+// A request's shape alone picks the routine that answers it. Every batch
+// — a client batch on /v1/assign/batch, or concurrent singleton
+// /v1/assign requests coalesced server-side (see coalesce.go) — runs
+// through the fused columnar kernel the training inner loop uses
+// (vec.CenterPack.NearestRows → vec.NearestBatch: dim-major, AVX-512/AVX2
+// point tiles on amd64). A singleton on the direct path, where a batch of
+// one gains nothing from SIMD, runs the scalar scan
+// (vec.CenterPack.Nearest → vec.NearestIndex). The two are bit-identical —
+// same distance bits, same lowest-index tie rule — and
+// TestServePathEquivalence pins that on every endpoint and framing.
+//
+// The active model publishes a kernel-ready packed center set
 // (vec.CenterPack via model.Pack) with per-request scratch pooling, so
 // the steady-state query path performs no allocation and no transpose
 // setup beyond the points themselves.
 //
-// # Crossover heuristic
-//
-// Three interchangeable paths can answer a query, all bit-identical
-// (same distance bits, same lowest-index tie rule — pinned by test):
-// the fused columnar kernel, per-point kd-tree descent, and a per-point
-// linear scan. Which one wins was measured on this repository's kernels
-// (BenchmarkAssignCrossover, 2.1 GHz Xeon, AVX-512; re-run it when
-// kernels change and update the constants below):
-//
-//   - Batches: the columnar kernel wins everywhere except one corner —
-//     dim ≥ BatchBruteMinDim with k ≤ BatchBruteMaxK, where the curse of
-//     dimensionality defeats kd-tree pruning AND the center set is too
-//     small for the kernel's tile setup to amortize, so a plain per-point
-//     scan wins. (Under the earlier 4-wide AVX2 kernel, per-point kd-tree
-//     descent also won batches at dim ≤ 2 with k > 128; the 8-wide
-//     AVX-512 tile erased that region — measured d=2, k=256: ~134
-//     ns/point columnar vs ~225 descending.)
-//   - Singletons (the direct, un-coalesced path; a batch of one gains
-//     nothing from SIMD): a linear scan wins up to DefaultBruteForceMaxK
-//     centers at any dimensionality, and beyond that kd-tree descent
-//     wins only below KDTreeMaxDim dimensions — above it, descent visits
-//     most leaves anyway and loses to the scan's locality.
-//
 // # Hot swap
 //
 // The active model lives behind an atomic.Pointer. Every request loads
-// the pointer once and works against that immutable snapshot (model +
-// packed centers + index built together), so a concurrent hot swap (POST
+// the pointer once and works against that immutable snapshot (model and
+// packed centers built together), so a concurrent hot swap (POST
 // /v1/model/reload) is invisible to in-flight requests: they finish on
 // the old model, new requests see the new one, and no lock is ever taken
 // on the query path.
@@ -76,37 +59,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gmeansmr/internal/kdtree"
 	"gmeansmr/internal/model"
 	"gmeansmr/internal/obs"
 	"gmeansmr/internal/vec"
-)
-
-// Crossover constants, measured by BenchmarkAssignCrossover (see the
-// package doc). Each marks the boundary at which the named fallback path
-// overtakes its alternative on the measurement machine; selections stay
-// within ~10% of the per-cell optimum across the measured (k, dim) grid.
-const (
-	// DefaultBruteForceMaxK is the center count at or below which a
-	// singleton query uses a linear scan instead of kd-tree descent.
-	// Measured: descent overhead beats the scan's locality up to k≈16
-	// at every dimensionality tried (the pre-measurement value, 8, was
-	// too low).
-	DefaultBruteForceMaxK = 16
-
-	// KDTreeMaxDim is the dimensionality above which kd-tree descent is
-	// never selected: measured, pruning collapses above ~4 dimensions
-	// and descent loses to a linear scan at every k.
-	KDTreeMaxDim = 4
-
-	// BatchBruteMinDim / BatchBruteMaxK bound the one corner where a
-	// per-point linear scan beats the columnar kernel on batches: high
-	// dimensionality with a tiny center set (measured: d=16, k=4 scans
-	// in ~49 ns/point vs ~66 through the kernel; d=32, k=4 in ~75 vs
-	// ~215 — the transpose cannot amortize over 4 centers). By d=16,
-	// k=8 the kernel is back in front.
-	BatchBruteMinDim = 16
-	BatchBruteMaxK   = 4
 )
 
 // DefaultMaxBatch caps the number of points in one batch request.
@@ -157,16 +112,13 @@ type Assignment struct {
 	Distance float64 `json:"distance"`
 }
 
-// assigner pairs an immutable model with the query structures derived
-// from it: the kernel-ready packed centers and, when the crossover
-// heuristic wants it, a kd-tree index. The triple swaps atomically as a
-// unit, so a request can never see an index built over a different model
-// than the one it reads centers from.
+// assigner pairs an immutable model with the kernel-ready packed centers
+// derived from it. The pair swaps atomically as a unit, so a request can
+// never see centers packed from a different model than the one it reads.
 type assigner struct {
 	m    *model.Model
 	pack *vec.CenterPack
-	tree *kdtree.Tree // non-nil iff singleton descent is selected for this model
-	gen  int64        // swap generation, 1-based
+	gen  int64 // swap generation, 1-based
 }
 
 // errNumericRange covers NaN coordinates and magnitudes whose squared
@@ -175,18 +127,11 @@ type assigner struct {
 // "cluster".
 var errNumericRange = errors.New("serve: point is outside the model's numeric range")
 
-// assign answers one singleton query on the direct (un-coalesced) path:
-// kd-tree descent when the model's (k, dim) sit in the measured descent
-// window, a linear scan otherwise. A batch of one gains nothing from the
-// columnar kernel, so it is never used here.
+// assign answers one singleton query on the direct (un-coalesced) path
+// with the scalar scan. A batch of one gains nothing from the columnar
+// kernel, so it is never used here.
 func (a *assigner) assign(p vec.Vector) (Assignment, error) {
-	var idx int
-	var d2 float64
-	if a.tree != nil {
-		idx, d2 = a.tree.Nearest(p)
-	} else {
-		idx, d2 = a.pack.Nearest(p)
-	}
+	idx, d2 := a.pack.Nearest(p)
 	if idx < 0 {
 		return Assignment{}, errNumericRange
 	}
@@ -194,34 +139,20 @@ func (a *assigner) assign(p vec.Vector) (Assignment, error) {
 }
 
 // assignInto assigns every point of a dim-validated batch through the
-// crossover-selected batch path, writing out[j] for each. Points with no
-// finite nearest center get Cluster -1 (Distance +Inf); it returns the
-// index of the first such point, or -1 when all points assigned. All
-// three paths are bit-identical (pinned by TestServePathEquivalence), so
-// the selection is invisible in the results.
+// columnar kernel, writing out[j] for each. Points with no finite nearest
+// center get Cluster -1 (Distance +Inf); it returns the index of the
+// first such point, or -1 when all points assigned.
 func (a *assigner) assignInto(points []vec.Vector, out []Assignment) int {
-	k, dim := a.m.K, a.m.Dim
 	firstBad := -1
-	switch {
-	case dim >= BatchBruteMinDim && k <= BatchBruteMaxK:
-		for j, p := range points {
-			i, d2 := a.pack.Nearest(p)
-			if i < 0 && firstBad < 0 {
-				firstBad = j
-			}
-			out[j] = Assignment{Cluster: i, Distance: math.Sqrt(d2)}
+	s := a.pack.GetScratch()
+	idx, dist := a.pack.NearestRows(points, s)
+	for j := range points {
+		if idx[j] < 0 && firstBad < 0 {
+			firstBad = j
 		}
-	default:
-		s := a.pack.GetScratch()
-		idx, dist := a.pack.NearestRows(points, s)
-		for j := range points {
-			if idx[j] < 0 && firstBad < 0 {
-				firstBad = j
-			}
-			out[j] = Assignment{Cluster: int(idx[j]), Distance: math.Sqrt(dist[j])}
-		}
-		a.pack.PutScratch(s)
+		out[j] = Assignment{Cluster: int(idx[j]), Distance: math.Sqrt(dist[j])}
 	}
+	a.pack.PutScratch(s)
 	return firstBad
 }
 
@@ -312,17 +243,13 @@ func New(m *model.Model, opts Options) (*Server, error) {
 // Swap atomically replaces the active model. In-flight requests finish on
 // the model they started with; requests that begin after Swap returns see
 // the new one. The model must not be mutated after being handed over.
-// The kernel-ready center pack — and the kd-tree, when the crossover
-// heuristic selects descent for this model's shape — are derived here,
-// once per swap, and published atomically with the model.
+// The kernel-ready center pack is derived here, once per swap, and
+// published atomically with the model.
 func (s *Server) Swap(m *model.Model) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
 	a := &assigner{m: m, pack: m.Pack()}
-	if m.K > DefaultBruteForceMaxK && m.Dim <= KDTreeMaxDim {
-		a.tree = kdtree.Build(a.pack.Centers())
-	}
 	s.swapMu.Lock()
 	s.gen++
 	a.gen = s.gen
@@ -371,8 +298,7 @@ func (s *Server) Assign(p vec.Vector) (Assignment, error) {
 
 // AssignBatch answers a batch of queries against one consistent model
 // snapshot: every point in the batch is assigned by the same model even if
-// a swap lands mid-batch, through the crossover-selected batch path
-// (columnar kernel in all but the measured fallback corners).
+// a swap lands mid-batch, through the columnar kernel.
 func (s *Server) AssignBatch(points []vec.Vector) ([]Assignment, error) {
 	return s.active.Load().assignBatch(points)
 }

@@ -59,10 +59,9 @@ func newServer(t testing.TB, m *model.Model, opts Options) *Server {
 	return s
 }
 
-// TestAssignMatchesBruteForce is the acceptance check: whatever path the
-// crossover heuristic selects — kd-tree descent at low dim, linear scan
-// elsewhere — must agree exactly with the reference scan, cluster id and
-// distance both. The (k, dim) grid spans every selection region.
+// TestAssignMatchesBruteForce is the acceptance check for the direct
+// singleton path: Assign must agree exactly with the reference scan,
+// cluster id and distance both, across a grid of (k, dim) shapes.
 func TestAssignMatchesBruteForce(t *testing.T) {
 	for _, dim := range []int{2, 3, 6, 32} {
 		for _, k := range []int{1, 3, 8, 16, 17, 50, 200} {
@@ -85,26 +84,6 @@ func TestAssignMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCrossoverTreeSelection pins the measured crossover heuristic's
-// structural half: descent structures are built exactly when (k, dim)
-// sit inside the measured descent window.
-func TestCrossoverTreeSelection(t *testing.T) {
-	s := newServer(t, randomModel(t, DefaultBruteForceMaxK, 3, 1), Options{})
-	if s.active.Load().tree != nil {
-		t.Error("k <= brute-force threshold built a kd-tree")
-	}
-	s = newServer(t, randomModel(t, DefaultBruteForceMaxK+1, 3, 1), Options{})
-	if s.active.Load().tree == nil {
-		t.Error("k above brute-force threshold (low dim) did not build a kd-tree")
-	}
-	// Above KDTreeMaxDim descent never wins (measured: pruning collapses),
-	// so no tree is built no matter how large k grows.
-	s = newServer(t, randomModel(t, 200, KDTreeMaxDim+1, 1), Options{})
-	if s.active.Load().tree != nil {
-		t.Error("high-dim model built a kd-tree; descent never wins above KDTreeMaxDim")
 	}
 }
 
@@ -325,7 +304,7 @@ func TestSwapRejectsInvalidModel(t *testing.T) {
 // TestHotSwapConsistency hammers the query path while another goroutine
 // flips between two models. Every single answer — and every answer within
 // one batch — must be exactly consistent with one of the two models; a torn
-// read (tree from one model, centers or distance from the other) would
+// read (cluster id from one model, center or distance from the other) would
 // break that.
 func TestHotSwapConsistency(t *testing.T) {
 	const k = 16

@@ -67,10 +67,6 @@ func (p *CenterPack) K() int { return p.k }
 // Dim returns the centers' dimensionality (0 when K is 0).
 func (p *CenterPack) Dim() int { return p.dim }
 
-// Centers returns the packed centers as row views into the pack's
-// backing array. Treat them as read-only.
-func (p *CenterPack) Centers() []Vector { return p.centers }
-
 // GetScratch returns a scratch from the pack's pool, allocating one the
 // first time. Return it with PutScratch when done; scratches grow to the
 // largest batch they have served and are reused across requests.
