@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/mr"
 	"gmeansmr/internal/vec"
@@ -307,6 +308,119 @@ func TestPCAMapperSkipsFrozenCenters(t *testing.T) {
 	}
 	if len(counts) != 2 || counts[1] != 2 || counts[2] != 1 {
 		t.Errorf("emitted counts %v, want {1:2 2:1} (center 0 is frozen)", counts)
+	}
+}
+
+// TestPCAMapperMatchesPerPointAdd: grouping a split's points by center
+// and folding them four at a time gives every cluster the Sum, Outer and
+// Count bits of adding its points one by one in input order. The split
+// has frozen centers listed first, unfrozen clusters of 0, 1, 3, 4, 5 and
+// 4m+3 points, rows no center is finite for (best < 0), and coordinates
+// over many magnitudes and with signed zeros, in shuffled order.
+func TestPCAMapperMatchesPerPointAdd(t *testing.T) {
+	const d = 6
+	sizes := []int{7, 2, 0, 1, 3, 4, 5, 4*9 + 3} // centers 0 and 1 are frozen
+	const foundCount = 2
+	rng := rand.New(rand.NewSource(23))
+	centers := make([]vec.Vector, len(sizes))
+	var pts []vec.Vector
+	negZero := math.Copysign(0, -1)
+	for c, size := range sizes {
+		centers[c] = make(vec.Vector, d)
+		centers[c][0] = 1000 * float64(c)
+		for k := 0; k < size; k++ {
+			p := vec.Clone(centers[c])
+			for j := range p {
+				p[j] += rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-3))
+			}
+			if k%3 == 1 {
+				p[1+k%(d-1)] = negZero
+			}
+			pts = append(pts, p)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		p := make(vec.Vector, d)
+		p[k] = math.Inf(1 - 2*(k%2))
+		pts = append(pts, p)
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+
+	flat := make([]float64, 0, len(pts)*d)
+	want := map[int64]*covValue{}
+	unassigned := 0
+	for _, p := range pts {
+		flat = append(flat, p...)
+		best, _ := vec.NearestIndex(p, centers)
+		if best < 0 {
+			unassigned++
+		}
+		if best < foundCount {
+			continue
+		}
+		if want[int64(best)] == nil {
+			want[int64(best)] = newCovValue(d)
+		}
+		want[int64(best)].add(p)
+	}
+	if unassigned != 3 {
+		t.Fatalf("%d rows without a nearest center, want the 3 infinite ones", unassigned)
+	}
+	m := &pcaMapper{centers: centers, foundCount: foundCount}
+	m.Setup(newTaskCtx(0))
+	if err := m.MapColumns(newTaskCtx(0), dfs.NewPointSplit(flat, d, 0).Columns(), nil); err != nil {
+		t.Fatal(err)
+	}
+	em := &collectEmitter{}
+	m.Close(newTaskCtx(0), em)
+	if len(em.out) != len(want) {
+		t.Fatalf("%d clusters emitted, want %d (the empty cluster and frozen ones emit nothing)", len(em.out), len(want))
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for _, kv := range em.out {
+		got, w := kv.Value.(covValue), want[kv.Key]
+		if w == nil {
+			t.Fatalf("cluster %d emitted, but no point is nearest to it", kv.Key)
+		}
+		w.mirrorOuter()
+		if got.Count != w.Count || got.Count != int64(sizes[kv.Key]) {
+			t.Errorf("cluster %d: Count %d, per-point add %d, generated %d", kv.Key, got.Count, w.Count, sizes[kv.Key])
+		}
+		if !same(got.Sum, w.Sum) || !same(got.Outer, w.Outer) {
+			t.Errorf("cluster %d (%d points): statistics differ from per-point add\nSum %v\nwant %v", kv.Key, got.Count, got.Sum, w.Sum)
+		}
+	}
+}
+
+// BenchmarkPCAMapColumns times one candidate-job map task: a 12,500 × 16
+// split (one split of the gmeans-local benchmark's data) against 32
+// centers, 8 of them frozen.
+func BenchmarkPCAMapColumns(b *testing.B) {
+	ds, err := dataset.Generate(dataset.Spec{K: 32, Dim: 16, N: 12_500, CenterRange: 100,
+		StdDev: 1, MinSeparation: 8, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	flat := make([]float64, 0, len(ds.Points)*16)
+	for _, p := range ds.Points {
+		flat = append(flat, p...)
+	}
+	cols := dfs.NewPointSplit(flat, 16, 0).Columns()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := &pcaMapper{centers: ds.Centers, foundCount: 8}
+		m.Setup(newTaskCtx(0))
+		if err := m.MapColumns(newTaskCtx(0), cols, nil); err != nil {
+			b.Fatal(err)
+		}
+		m.Close(newTaskCtx(0), &collectEmitter{})
 	}
 }
 

@@ -100,12 +100,15 @@ func (e *Encoder) Blob(b []byte) *Encoder {
 	return e
 }
 
-// Vec appends a u32 count followed by that many doubles.
+// Vec appends a u32 count followed by that many doubles, bit-exact as
+// F64 writes them, in one pass over the grown buffer.
 func (e *Encoder) Vec(v vec.Vector) *Encoder {
 	e.U32(uint32(len(v)))
-	e.buf = slices.Grow(e.buf, 8*len(v))
-	for _, x := range v {
-		e.F64(x)
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:off+8*len(v)]
+	b := e.buf[off:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return e
 }
@@ -231,9 +234,10 @@ func (d *Decoder) Vec() vec.Vector {
 		d.fail("truncated vector")
 		return nil
 	}
+	b := d.take(8 * n)
 	v := make(vec.Vector, n)
 	for i := range v {
-		v[i] = d.F64()
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return v
 }

@@ -1,8 +1,15 @@
 package mrdist
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gmeansmr/internal/mr"
@@ -305,3 +312,44 @@ func (pairValueTest) ByteSize() int { return 16 }
 type unknownValueTest struct{}
 
 func (unknownValueTest) ByteSize() int { return 0 }
+
+// TestReadPushBodyPresize: a body as long as its Content-Length is read into
+// one buffer sized from the header; a header claiming far more than
+// arrives allocates at most maxPushPresize; and a push whose body ends
+// before its Content-Length still fails with 400, as with io.ReadAll.
+func TestReadPushBodyPresize(t *testing.T) {
+	body := bytes.Repeat([]byte{7}, 100_000)
+	b, err := readPushBody(bytes.NewReader(body), int64(len(body)))
+	if err != nil || !bytes.Equal(b, body) {
+		t.Fatalf("exact body: %d bytes, err %v", len(b), err)
+	}
+	if cap(b) != len(body)+bytes.MinRead {
+		t.Errorf("exact body: cap %d, want the declared %d plus %d: the buffer grew", cap(b), len(body), bytes.MinRead)
+	}
+
+	b, err = readPushBody(strings.NewReader("GMWR"), 1<<40)
+	if err != nil || string(b) != "GMWR" {
+		t.Fatalf("lying header: %q, err %v", b, err)
+	}
+	if cap(b) > maxPushPresize+bytes.MinRead {
+		t.Errorf("lying header: cap %d, want at most %d", cap(b), maxPushPresize+bytes.MinRead)
+	}
+
+	srv := httptest.NewServer(NewWorker().Handler())
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/fs/push HTTP/1.1\r\nHost: worker\r\nContent-Length: 1000\r\n\r\nGMWR")
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("short push body: HTTP %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+}

@@ -4,12 +4,16 @@
 // correction used by Hamerly & Elkan ("Learning the k in k-means", NIPS
 // 2003), which is the test the reproduced paper runs inside its
 // TestClusters / TestFewClusters MapReduce jobs.
+//
+// The test sorts its sample with a radix sort on the float bits, a byte
+// per pass. It gives sort.Float64s's order, NaNs first, and A² is the
+// same to the bit as with the comparison sort
+// (TestAndersonDarlingMatchesOracle).
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrSampleTooSmall is returned by tests that cannot produce a reliable
@@ -134,23 +138,96 @@ type ADResult struct {
 // AndersonDarling computes the A² statistic of xs against the standard
 // normal distribution. The input must already be normalized (zero mean,
 // unit variance); use ADTestNormalized or ADTest for the full pipeline.
-// The input is sorted in place.
+// The input is sorted in place, NaNs first, as sort.Float64s orders it.
+//
+// Each value's clamped CDF f is evaluated once into an array; the sum
+// then adds (2i+1)·(log f_i + log(1−f_{n−1−i})) in index order, the same
+// terms in the same order as evaluating both CDFs inside the loop, so A²
+// is the same to the bit.
 func AndersonDarling(xs []float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	sort.Float64s(xs)
+	sortFloats(xs)
 	fn := float64(n)
-	var s float64
+	f := make([]float64, n)
 	for i, x := range xs {
 		// Clamp CDF values away from {0,1} so the logs stay finite for
 		// extreme outliers; the clamp is far below any decision boundary.
-		fi := clamp(NormalCDF(x), 1e-300, 1-1e-15)
-		fj := clamp(NormalCDF(xs[n-1-i]), 1e-300, 1-1e-15)
-		s += (2*float64(i+1) - 1) * (math.Log(fi) + math.Log(1-fj))
+		f[i] = clamp(NormalCDF(x), 1e-300, 1-1e-15)
+	}
+	var s float64
+	for i, fi := range f {
+		s += (2*float64(i+1) - 1) * (math.Log(fi) + math.Log(1-f[n-1-i]))
 	}
 	return -fn - s/fn
+}
+
+// sortFloats sorts xs ascending with NaNs first, the order sort.Float64s
+// gives up to the placement of equal values (ties, ±0 and NaN payloads),
+// which no caller can tell apart in A². It is an LSD radix sort, one byte
+// per pass, on keys that order like the floats: the sign bit set for
+// non-negative values, all bits flipped for negative ones.
+func sortFloats(xs []float64) {
+	keys := make([]uint64, 2*len(xs))
+	src, dst := keys[:0], keys[len(xs):]
+	nans := 0
+	for _, x := range xs {
+		if x != x {
+			xs[nans] = x
+			nans++
+			continue
+		}
+		b := math.Float64bits(x)
+		if b>>63 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		src = append(src, b)
+	}
+	dst = dst[:len(src)]
+	if len(src) == 0 {
+		return // all NaN
+	}
+	var counts [8][256]int
+	for _, k := range src {
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	for p := range counts {
+		c := &counts[p]
+		if c[byte(src[0]>>(8*p))] == len(src) {
+			continue // every key has the same byte here
+		}
+		off := 0
+		for i, m := range c {
+			c[i] = off
+			off += m
+		}
+		shift := uint(8 * p)
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for i, k := range src {
+		if k>>63 != 0 {
+			k &^= 1 << 63
+		} else {
+			k = ^k
+		}
+		xs[nans+i] = math.Float64frombits(k)
+	}
 }
 
 // A2Star applies the Hamerly–Elkan finite-sample correction

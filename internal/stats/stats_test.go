@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -313,5 +316,92 @@ func TestPropQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// --- bit identity against the comparison-sort formulation ----------------
+
+// andersonDarlingOracle is the direct formulation of A²: comparison sort,
+// then both clamped CDFs and both logs evaluated inside the loop.
+// AndersonDarling must return the same bits.
+func andersonDarlingOracle(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	fn := float64(n)
+	var s float64
+	for i, x := range xs {
+		fi := clamp(NormalCDF(x), 1e-300, 1-1e-15)
+		fj := clamp(NormalCDF(xs[n-1-i]), 1e-300, 1-1e-15)
+		s += (2*float64(i+1) - 1) * (math.Log(fi) + math.Log(1-fj))
+	}
+	return -fn - s/fn
+}
+
+// hostileKind is a family of samples: Gaussian values with one in three
+// drawn from pool instead, or, with all set, every value from pool.
+type hostileKind struct {
+	name string
+	pool []float64
+	all  bool
+}
+
+func (k hostileKind) sample(n int, seed int64) []float64 {
+	r := rand.New(rand.NewSource(seed))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = r.NormFloat64()
+		if len(k.pool) > 0 && (k.all || r.Intn(3) == 0) {
+			xs[i] = k.pool[r.Intn(len(k.pool))]
+		}
+	}
+	return xs
+}
+
+// TestAndersonDarlingMatchesOracle: on hostile samples of every size class
+// (below the test's minimum, small and mid-sized, and the benchmark's
+// final cluster size) AndersonDarling returns the oracle's A² bit for bit,
+// and leaves the sample sorted as sort.Float64s does: NaNs first, and
+// equal to the oracle's order up to ties, ±0 and NaN payloads.
+func TestAndersonDarlingMatchesOracle(t *testing.T) {
+	zeros := []float64{0, math.Copysign(0, -1)}
+	inf := []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64}
+	denormal := []float64{math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1050, -0x1p-1060, 0x1p-1022}
+	nan := []float64{math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000123)}
+	ties := []float64{-1, 0, 1, 2.5}
+	kinds := []hostileKind{
+		{"gauss", nil, false},
+		{"ties", ties, true},
+		{"zeros", zeros, false},
+		{"all-zeros", zeros, true},
+		{"inf", inf, false},
+		{"denormal", denormal, false},
+		{"nan", nan, false},
+		{"all-nan", nan, true},
+		{"mixed", slices.Concat(ties, zeros, inf, denormal, nan), false},
+	}
+	sizes := []int{0, 1, 2, 7, 19, 200, 1023, 1024, 1025, 6250}
+	for _, n := range sizes {
+		for _, kind := range kinds {
+			for seed := int64(1); seed <= 3; seed++ {
+				xs := kind.sample(n, seed)
+				want := append([]float64(nil), xs...)
+				wantA2 := andersonDarlingOracle(want)
+				got := append([]float64(nil), xs...)
+				gotA2 := AndersonDarling(got)
+				name := fmt.Sprintf("%s n=%d seed=%d", kind.name, n, seed)
+				if math.Float64bits(gotA2) != math.Float64bits(wantA2) {
+					t.Fatalf("%s: A² = %v (%#x), oracle %v (%#x)", name,
+						gotA2, math.Float64bits(gotA2), wantA2, math.Float64bits(wantA2))
+				}
+				for i := range want {
+					if math.IsNaN(want[i]) != math.IsNaN(got[i]) || (!math.IsNaN(want[i]) && want[i] != got[i]) {
+						t.Fatalf("%s: sorted[%d] = %v, sort.Float64s has %v", name, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
