@@ -504,7 +504,8 @@ func BenchmarkColdScan(b *testing.B) {
 // d=16 point stream into the DFS as text, then the driver's first scan
 // (SampleUpTo), which is the first pass to need the staged points. The
 // stream is generated once and replayed from memory, so the timing holds
-// only formatting, writing and the first scan.
+// only measuring each record's text length, keeping the points and the
+// first scan.
 func BenchmarkStage(b *testing.B) {
 	spec := dataset.Spec{K: 16, Dim: 16, N: 200_000, CenterRange: 100,
 		StdDev: 1, MinSeparation: 8, Seed: 89}

@@ -35,11 +35,11 @@ var (
 // Clusters already marked found emit nothing.
 //
 // parents[0:foundCount] are final centers; parents[foundCount+i] is the
-// parent of active cluster i, whose split vector is vectors[i].
+// parent of active cluster i, whose split vector is axes[i].
 type testMapper struct {
 	parents    []vec.Vector
 	foundCount int
-	vectors    []vec.Vector
+	axes       []vec.Axis
 	batch      kmeansmr.BatchAssigner
 }
 
@@ -56,7 +56,7 @@ func (m *testMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, em
 		}
 		i := int(best) - m.foundCount
 		projections++
-		emit.Emit(int64(i), mr.Float64Value(vec.Project(cols.At(j), m.vectors[i])))
+		emit.Emit(int64(i), mr.Float64Value(m.axes[i].Project(cols.At(j))))
 	}
 	ctx.Count(counterIDProjections, projections)
 	return nil
@@ -114,7 +114,7 @@ func (r *testReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 type fewMapper struct {
 	parents    []vec.Vector
 	foundCount int
-	vectors    []vec.Vector
+	axes       []vec.Axis
 	alpha      float64
 
 	lists map[int][]float64
@@ -144,7 +144,7 @@ func (m *fewMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 		if err := ctx.ReserveHeap(8); err != nil {
 			return err
 		}
-		m.lists[i] = append(m.lists[i], vec.Project(cols.At(j), m.vectors[i]))
+		m.lists[i] = append(m.lists[i], m.axes[i].Project(cols.At(j)))
 		projections++
 	}
 	ctx.Count(counterIDProjections, projections)

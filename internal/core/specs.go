@@ -66,11 +66,16 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindTest, err)
 	}
+	// Each split vector's norm once per job, not once per projected point.
+	axes := make([]vec.Axis, len(vectors))
+	for i, v := range vectors {
+		axes[i] = vec.NewAxis(v)
+	}
 	switch strategy {
 	case StrategyReducer:
 		return mrdist.JobParts{
 			NewPointMapper: func() mr.PointMapper {
-				return &testMapper{parents: parents, foundCount: foundCount, vectors: vectors}
+				return &testMapper{parents: parents, foundCount: foundCount, axes: axes}
 			},
 			NewReducer: func() mr.Reducer { return &testReducer{alpha: alpha} },
 		}, nil
@@ -78,7 +83,7 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 		return mrdist.JobParts{
 			NewPointMapper: func() mr.PointMapper {
 				return &fewMapper{parents: parents, foundCount: foundCount,
-					vectors: vectors, alpha: alpha}
+					axes: axes, alpha: alpha}
 			},
 			NewReducer: func() mr.Reducer { return &fewReducer{} },
 		}, nil

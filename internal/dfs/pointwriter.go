@@ -2,25 +2,26 @@ package dfs
 
 // Written-from-points text files.
 //
-// Staging a dataset means formatting every coordinate as text, and the
-// first scan of the staged file then parses every coordinate back. Both
+// Staging a dataset as text would mean formatting every coordinate, and
+// the first scan of the staged file parsing every coordinate back. Both
 // passes are CPU the paper's cost model never charges for: it counts
-// dataset reads and text bytes. PointWriter removes the second pass and
-// parallelizes the first. It formats points into the engine's text
-// records one chunk at a time, on up to GOMAXPROCS goroutines while the
-// caller keeps appending, but keeps only each record's length: the
-// committed file holds the float64 points it was written from, the byte
-// offset at which each record starts and the text's total size, never
-// the text. OpenSplitPoints serves a split of such a file by slicing
-// those points under recordIter's ownership rule, and Contents formats
-// the text again when a test asks for it.
+// dataset reads and text bytes. PointWriter does neither. It measures
+// each point's text record, one chunk of points at a time on up to
+// GOMAXPROCS goroutines while the caller keeps appending, with
+// pointtext.RecordLen, which computes the length of strconv's shortest
+// 'g' formatting without writing a digit. The committed file holds the
+// float64 points it was written from, the byte offset at which each
+// record starts and the text's total size, never the text.
+// OpenSplitPoints serves a split of such a file by slicing those points
+// under recordIter's ownership rule, and Contents formats the text when
+// a test asks for it.
 //
 // The points are exactly the ones a parse of the text would produce:
 // strconv's shortest 'g' formatting round-trips every float64 through
 // strconv.ParseFloat, and the writer stores NaN in the single form
 // ParseFloat("NaN") returns. The offsets and size are those of
 // FormatPoint(p)+"\n" per point, so every counter of the I/O model is
-// unchanged.
+// that of the text file.
 
 import (
 	"fmt"
@@ -32,9 +33,9 @@ import (
 	"gmeansmr/internal/pointtext"
 )
 
-// chunkCoords sizes a formatting chunk: about 32k coordinates, or ~0.5 MB
-// of text, which amortizes a goroutine start and keeps the bytes still
-// being formatted when the input ends to a few chunks.
+// chunkCoords sizes a measuring chunk: about 32k coordinates, or ~0.5 MB
+// of text, which amortizes a goroutine start and keeps the points still
+// being measured when the input ends to a few chunks.
 const chunkCoords = 1 << 15
 
 // writtenPoints are the points a text file was written from: point i
@@ -89,7 +90,7 @@ type PointWriter struct {
 	fs    *FS
 	path  string
 	dim   int
-	chunk int // points per formatting chunk
+	chunk int // points per measuring chunk
 
 	flat   []float64 // every appended point
 	queued int       // points handed to a chunk so far
@@ -97,29 +98,25 @@ type PointWriter struct {
 	size   int64   // text bytes of the retired chunks
 	starts []int64 // start offset of each record in the text
 
-	inFlight []*textChunk // chunks being formatted, oldest first
-	spare    []*textChunk // retired chunks whose buffers can be reused
+	inFlight []*textChunk // chunks being measured, oldest first
 	workers  int
 }
 
-// textChunk is one run of consecutive points measured on its own
-// goroutine: each record is formatted into a reused scratch buffer only
-// to learn its length.
+// textChunk is one run of consecutive points whose text records are
+// measured on their own goroutine with pointtext.RecordLen.
 type textChunk struct {
-	pts     []float64
-	dim     int
-	scratch []byte
-	starts  []int // record start offsets within the chunk's text
-	size    int   // text bytes of the chunk
-	done    chan struct{}
+	pts    []float64
+	dim    int
+	starts []int // record start offsets within the chunk's text
+	size   int   // text bytes of the chunk
+	done   chan struct{}
 }
 
-func (c *textChunk) format() {
-	c.starts, c.size = c.starts[:0], 0
+func (c *textChunk) measure() {
+	c.starts = make([]int, 0, len(c.pts)/c.dim)
 	for i := 0; i < len(c.pts); i += c.dim {
 		c.starts = append(c.starts, c.size)
-		c.scratch = pointtext.AppendRecord(c.scratch[:0], c.pts[i:i+c.dim])
-		c.size += len(c.scratch) + 1 // the record and its '\n'
+		c.size += pointtext.RecordLen(c.pts[i:i+c.dim]) + 1 // the record and its '\n'
 	}
 	close(c.done)
 }
@@ -157,8 +154,8 @@ func (w *PointWriter) Append(p []float64) {
 }
 
 // submit hands the points appended since the last submit to a new
-// formatting goroutine. With workers chunks already in flight it first
-// retires the oldest, so formatting keeps pace with appending.
+// measuring goroutine. With workers chunks already in flight it first
+// retires the oldest, so measuring keeps pace with appending.
 func (w *PointWriter) submit() {
 	n := len(w.flat) / w.dim
 	if w.queued == n {
@@ -167,25 +164,19 @@ func (w *PointWriter) submit() {
 	for len(w.inFlight) >= w.workers {
 		w.retire()
 	}
-	var c *textChunk
-	if k := len(w.spare); k > 0 {
-		c, w.spare = w.spare[k-1], w.spare[:k-1]
-	} else {
-		c = &textChunk{dim: w.dim}
-	}
 	// The slice views points that are never written again: a later
 	// append either writes past them or moves w.flat to a new array.
-	c.pts = w.flat[w.queued*w.dim : n*w.dim]
-	c.done = make(chan struct{})
+	c := &textChunk{pts: w.flat[w.queued*w.dim : n*w.dim], dim: w.dim, done: make(chan struct{})}
 	w.queued = n
 	w.inFlight = append(w.inFlight, c)
-	go c.format()
+	go c.measure()
 }
 
 // retire waits for the oldest in-flight chunk and appends its record
 // offsets and size to the file's.
 func (w *PointWriter) retire() {
 	c := w.inFlight[0]
+	w.inFlight[0] = nil // a retired chunk must not pin an outgrown points array
 	w.inFlight = w.inFlight[1:]
 	<-c.done
 	w.starts = grow(w.starts, len(c.starts))
@@ -193,8 +184,6 @@ func (w *PointWriter) retire() {
 		w.starts = append(w.starts, w.size+int64(s))
 	}
 	w.size += int64(c.size)
-	c.pts = nil // a spare chunk must not pin an outgrown points array
-	w.spare = append(w.spare, c)
 }
 
 // grow returns s with room for n more elements, at least doubling its

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -182,6 +183,52 @@ func TestPointWriterMatchesColdParse(t *testing.T) {
 				}
 				assertSplitsMatch(t, written, cold, fresh, dim)
 			})
+		}
+	}
+}
+
+// TestPointWriterOffsetsMatchContents checks the measured layout against
+// the text itself: on hostile coordinates, and on the values where a
+// shortest-digit length is easiest to get wrong, every kept record start
+// is the offset of a line of Contents and the kept size is its length.
+func TestPointWriterOffsetsMatchContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	edges := []float64{
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), 1e-5, 1e-4, 999999, 1e6,
+		1e21, 1e22, 1e23, 1 << 53, 1<<53 + 2, 9007199254740993, 0.1, 1.0 / 3,
+		math.Nextafter(1e-5, 0), math.Nextafter(1e6, 0), math.Nextafter(100, 200),
+		math.Float64frombits(0xfff8_0000_0000_0001),
+	}
+	for _, dim := range []int{1, 3, 16} {
+		pts := hostilePoints(rng, 300, dim)
+		for i := range pts {
+			if i%3 == 0 {
+				pts[i][rng.Intn(dim)] = edges[rng.Intn(len(edges))]
+			}
+		}
+		fs := New(1 << 10)
+		writePoints(fs, "/p", dim, 7, pts)
+		text, err := fs.Contents("/p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(text, formatReference(pts)) {
+			t.Fatalf("dim=%d: Contents differs from the reference formatting", dim)
+		}
+		fs.mu.RLock()
+		f := fs.files["/p"]
+		fs.mu.RUnlock()
+		if f.size != int64(len(text)) {
+			t.Fatalf("dim=%d: kept size %d, text %d bytes", dim, f.size, len(text))
+		}
+		var want []int64
+		for off := 0; off < len(text); {
+			want = append(want, int64(off))
+			off += bytes.IndexByte(text[off:], '\n') + 1
+		}
+		if !slices.Equal(f.points.starts, want) {
+			t.Fatalf("dim=%d: kept record starts differ from the line offsets of Contents", dim)
 		}
 	}
 }

@@ -480,7 +480,8 @@ func (e fetchFailError) Error() string {
 	return fmt.Sprintf("mrdist: shuffle fetch from %s failed", e.addr)
 }
 
-// postWire POSTs a GMWR body under ctx and returns the response body.
+// postWire POSTs a GMWR body under ctx and returns the response body,
+// read into one buffer sized from its Content-Length (see readBody).
 // Failures are pre-marked for retry.Classify: transport and body-read
 // errors and 5xx responses are transient with the peer blamed (the final
 // say on caller-side cancellation belongs to Classify against the *job*
@@ -497,7 +498,7 @@ func postWire(ctx context.Context, c *http.Client, addr, path string, body []byt
 		return nil, retry.Transient(err, true)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, retry.Transient(err, true)
 	}

@@ -3,6 +3,7 @@ package mrdist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"gmeansmr/internal/mr"
+	"gmeansmr/internal/retry"
 	"gmeansmr/internal/vec"
 )
 
@@ -315,11 +317,11 @@ func (unknownValueTest) ByteSize() int { return 0 }
 
 // TestReadPushBodyPresize: a body as long as its Content-Length is read into
 // one buffer sized from the header; a header claiming far more than
-// arrives allocates at most maxPushPresize; and a push whose body ends
+// arrives allocates at most maxBodyPresize; and a push whose body ends
 // before its Content-Length still fails with 400, as with io.ReadAll.
 func TestReadPushBodyPresize(t *testing.T) {
 	body := bytes.Repeat([]byte{7}, 100_000)
-	b, err := readPushBody(bytes.NewReader(body), int64(len(body)))
+	b, err := readBody(bytes.NewReader(body), int64(len(body)))
 	if err != nil || !bytes.Equal(b, body) {
 		t.Fatalf("exact body: %d bytes, err %v", len(b), err)
 	}
@@ -327,12 +329,12 @@ func TestReadPushBodyPresize(t *testing.T) {
 		t.Errorf("exact body: cap %d, want the declared %d plus %d: the buffer grew", cap(b), len(body), bytes.MinRead)
 	}
 
-	b, err = readPushBody(strings.NewReader("GMWR"), 1<<40)
+	b, err = readBody(strings.NewReader("GMWR"), 1<<40)
 	if err != nil || string(b) != "GMWR" {
 		t.Fatalf("lying header: %q, err %v", b, err)
 	}
-	if cap(b) > maxPushPresize+bytes.MinRead {
-		t.Errorf("lying header: cap %d, want at most %d", cap(b), maxPushPresize+bytes.MinRead)
+	if cap(b) > maxBodyPresize+bytes.MinRead {
+		t.Errorf("lying header: cap %d, want at most %d", cap(b), maxBodyPresize+bytes.MinRead)
 	}
 
 	srv := httptest.NewServer(NewWorker().Handler())
@@ -351,5 +353,49 @@ func TestReadPushBodyPresize(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("short push body: HTTP %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+}
+
+// TestReplyDeclaresContentLength: a reply larger than net/http's 2 KB
+// response buffer still travels under its Content-Length, not chunked;
+// postWire reads it into one buffer of that size; and a reply cut short
+// of its declared length fails as a transient blamed on the worker.
+func TestReplyDeclaresContentLength(t *testing.T) {
+	payload := bytes.Repeat([]byte{3}, 100_000)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		reply(rw, new(Encoder).Begin().U8(statusOK).Blob(payload))
+	}))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL, "application/x-gmwr", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.ContentLength <= int64(len(payload)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("reply: Content-Length %d, Transfer-Encoding %v", resp.ContentLength, resp.TransferEncoding)
+	}
+	b, err := postWire(context.Background(), srv.Client(), srv.Listener.Addr().String(), "/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(b)
+	if d.U8() != statusOK || !bytes.Equal(d.Blob(), payload) || d.Err() != nil {
+		t.Fatalf("postWire returned a different reply: %d bytes, %v", len(b), d.Err())
+	}
+	if int64(len(b)) != resp.ContentLength || cap(b) != len(b)+bytes.MinRead {
+		t.Errorf("postWire read %d bytes into cap %d, want one buffer of %d plus %d",
+			len(b), cap(b), resp.ContentLength, bytes.MinRead)
+	}
+
+	short := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		rw.Header().Set("Content-Length", "1000")
+		rw.Write([]byte("GMWR"))
+		rw.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer short.Close()
+	_, err = postWire(context.Background(), short.Client(), short.Listener.Addr().String(), "/", nil)
+	if c := retry.Classify(context.Background(), err); c != retry.TransientBlamed {
+		t.Fatalf("short reply: %v classified %d, want a blamed transient", err, c)
 	}
 }

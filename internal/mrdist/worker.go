@@ -161,32 +161,41 @@ func (w *Worker) handlePing(rw http.ResponseWriter, _ *http.Request) {
 	io.WriteString(rw, "ok")
 }
 
-// maxPushPresize caps the buffer readPushBody allocates from a declared
+// maxBodyPresize caps the buffer readBody allocates from a declared
 // Content-Length before any body byte arrives. It bounds what one
 // connection that has sent only its headers can pin. 4 MiB holds a
 // 12,500-point split up to d = 40 (the benchmark's pushes are 12,500 × 16
 // points, 1.6 MB); a longer body grows the buffer as it arrives.
-const maxPushPresize = 4 << 20
+const maxBodyPresize = 4 << 20
 
-// readPushBody reads a whole push body. The buffer starts at the declared
-// length (capped at maxPushPresize) plus bytes.MinRead, so a body as long
-// as its header says is read into one allocation, without the copies of
-// growing it from io.ReadAll's 512 bytes. A body shorter than its header
-// fails with the reader's error, as with io.ReadAll.
-func readPushBody(r io.Reader, declared int64) ([]byte, error) {
+// readBody reads a whole GMWR request or reply body. The buffer starts at
+// the declared length (capped at maxBodyPresize) plus bytes.MinRead, so a
+// body as long as its header says is read into one allocation, without
+// the copies of growing it from io.ReadAll's 512 bytes. A body shorter
+// than its header fails with the reader's error, as with io.ReadAll.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
 	size := int64(bytes.MinRead)
 	if declared > 0 {
-		size += min(declared, maxPushPresize)
+		size += min(declared, maxBodyPresize)
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, size))
 	_, err := buf.ReadFrom(r)
 	return buf.Bytes(), err
 }
 
+// reply writes a whole GMWR reply under its Content-Length. Without the
+// header, net/http sends any reply larger than its 2 KB buffer chunked,
+// and the reader cannot size its buffer up front.
+func reply(rw http.ResponseWriter, e *Encoder) {
+	b := e.Bytes()
+	rw.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	rw.Write(b)
+}
+
 // handlePush installs one split's points, and drops the splits of older
 // versions of the same file.
 func (w *Worker) handlePush(rw http.ResponseWriter, req *http.Request) {
-	body, err := readPushBody(req.Body, req.ContentLength)
+	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -214,7 +223,7 @@ func (w *Worker) handlePush(rw http.ResponseWriter, req *http.Request) {
 	}
 	w.splits[key] = ps
 	w.mu.Unlock()
-	rw.Write(new(Encoder).Begin().U8(statusOK).Bytes())
+	reply(rw, new(Encoder).Begin().U8(statusOK))
 }
 
 // taskRequest is the decoded common prefix of map and reduce requests.
@@ -294,7 +303,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 	if w.slowMS > 0 {
 		time.Sleep(time.Duration(w.slowMS) * time.Millisecond)
 	}
-	body, err := io.ReadAll(req.Body)
+	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -315,7 +324,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 	w.mu.Unlock()
 	if ps == nil || ps.Dim() != tr.pointDim {
 		e.U8(statusStale)
-		rw.Write(e.Bytes())
+		reply(rw, &e)
 		return
 	}
 
@@ -328,7 +337,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 	runs, err := j.ExecMapTask(taskID, ps, tr.numReducers, mr.DefaultPartitioner, counters)
 	if err != nil {
 		writeTaskErr(&e, err)
-		rw.Write(e.Bytes())
+		reply(rw, &e)
 		return
 	}
 
@@ -339,7 +348,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 
 	e.U8(statusOK)
 	e.Counters(counters)
-	rw.Write(e.Bytes())
+	reply(rw, &e)
 }
 
 func (w *Worker) jobState(jobID string) *jobState {
@@ -356,7 +365,7 @@ func (w *Worker) jobState(jobID string) *jobState {
 // handleShuffle serves the runs of one partition for the requested map
 // tasks, in request order.
 func (w *Worker) handleShuffle(rw http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(req.Body)
+	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -393,14 +402,14 @@ func (w *Worker) handleShuffle(rw http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	rw.Write(e.Bytes())
+	reply(rw, &e)
 }
 
 // handleReduce pulls this partition's runs from the listed map-output
 // locations (itself included), merges and reduces them, and returns the
 // output with the task's counters.
 func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(req.Body)
+	body, err := readBody(req.Body, req.ContentLength)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -451,7 +460,7 @@ func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
 			js.mu.Unlock()
 			if !ok {
 				e.U8(statusFetchFail).Str(addr)
-				rw.Write(e.Bytes())
+				reply(rw, &e)
 				return
 			}
 			continue
@@ -459,7 +468,7 @@ func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
 		got, err := w.fetchShuffle(req.Context(), addr, tr.jobID, p, ids)
 		if err != nil {
 			e.U8(statusFetchFail).Str(addr)
-			rw.Write(e.Bytes())
+			reply(rw, &e)
 			return
 		}
 		for i, t := range ids {
@@ -476,7 +485,7 @@ func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
 	out, err := j.ExecReduceTask(p, counters, runs)
 	if err != nil {
 		writeTaskErr(&e, err)
-		rw.Write(e.Bytes())
+		reply(rw, &e)
 		return
 	}
 	e.U8(statusOK)
@@ -485,7 +494,7 @@ func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	e.Counters(counters)
-	rw.Write(e.Bytes())
+	reply(rw, &e)
 }
 
 // fetchShuffle pulls the runs of partition p for the given map tasks from

@@ -1,10 +1,12 @@
-// Package pointtext is the single tokenizer and formatter for the
-// repository's point record format: one point per line, space- or
+// Package pointtext is the single tokenizer, formatter and measurer for
+// the repository's point record format: one point per line, space- or
 // tab-separated float64 coordinates, repeated separators tolerated. Both
 // the dataset package (text parsing, FormatPoint) and the dfs package
 // (the decoded-split cache, PointWriter) consume it — dataset imports
 // dfs, so this leaf package is what lets the two share one implementation
-// instead of keeping hand-synchronized copies.
+// instead of keeping hand-synchronized copies. AppendRecord defines a
+// record's text; RecordLen returns its length without formatting it,
+// which is all staging needs, and the tests hold the two equal.
 package pointtext
 
 import (

@@ -123,10 +123,10 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 		c1, c2 = split.Centers[0], split.Centers[1]
 
 		// 2–6. Project on v = c1−c2, normalize, Anderson–Darling.
-		v := vec.Sub(c1, c2)
+		v := vec.NewAxis(vec.Sub(c1, c2))
 		projections := make([]float64, len(sub))
 		for i, p := range sub {
-			projections[i] = vec.Project(p, v)
+			projections[i] = v.Project(p)
 		}
 		res.Tests++
 		ad, err := stats.ADTest(projections, cfg.Alpha, 8)

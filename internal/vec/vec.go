@@ -223,6 +223,27 @@ func Project(p, d Vector) float64 {
 	return Dot(p, d) / n
 }
 
+// Axis is a projection direction with its norm computed once, for
+// projecting many points onto the same d: Axis.Project(p) is
+// bit-identical to Project(p, d), without recomputing |d| per point.
+type Axis struct {
+	d    Vector
+	norm float64
+}
+
+// NewAxis returns the axis along d. It keeps d, which must not change
+// while the axis is in use.
+func NewAxis(d Vector) Axis { return Axis{d: d, norm: Norm(d)} }
+
+// Project returns <p, d> / |d|, or 0 when d is the zero vector.
+func (a Axis) Project(p Vector) float64 {
+	assertSameDim(p, a.d)
+	if a.norm == 0 {
+		return 0
+	}
+	return Dot(p, a.d) / a.norm
+}
+
 // NearestIndex returns the index of the center nearest to p under squared
 // Euclidean distance, together with that squared distance. Ties resolve to
 // the lowest index, which keeps the assignment deterministic. It returns

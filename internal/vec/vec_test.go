@@ -148,6 +148,33 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// TestAxisProjectMatchesProject pins Axis.Project, the per-point form the
+// normality tests use, to Project bit for bit, zero direction included.
+func TestAxisProjectMatchesProject(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, dim := range []int{1, 2, 3, 7, 16, 64} {
+		for trial := 0; trial < 50; trial++ {
+			d := make(Vector, dim)
+			if trial > 0 { // trial 0 keeps the zero direction
+				for i := range d {
+					d[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6))
+				}
+			}
+			axis := NewAxis(d)
+			for k := 0; k < 20; k++ {
+				p := make(Vector, dim)
+				for i := range p {
+					p[i] = rng.NormFloat64()*50 + float64(rng.Intn(100))
+				}
+				got, want := axis.Project(p), Project(p, d)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dim %d: Axis.Project = %v, Project = %v", dim, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestNearestIndex(t *testing.T) {
 	centers := []Vector{{0, 0}, {10, 0}, {5, 5}}
 	idx, d2 := NearestIndex(Vector{9, 1}, centers)
