@@ -3,14 +3,13 @@ package gmeansmr
 // One benchmark per table and figure of the paper's evaluation (§5), plus
 // ablation benchmarks for the design decisions DESIGN.md calls out. The
 // paper-shape metrics (discovered k, iterations, distance computations,
-// shuffle bytes, heap frontier) are emitted via b.ReportMetric so
+// shuffle bytes, projections per test) are emitted via b.ReportMetric so
 // `go test -bench` output doubles as a miniature reproduction report;
 // EXPERIMENTS.md records the full-scale numbers.
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -69,32 +68,22 @@ func BenchmarkFig1CenterEvolution(b *testing.B) {
 	}
 }
 
-// --- Figure 2: reducer heap frontier of TestClusters ------------------------
+// --- Figure 2: projections reaching the TestClusters reducer ---------------
 
-func BenchmarkFig2HeapModel(b *testing.B) {
-	const n = 4000
+// BenchmarkFig2SampleBound runs one G-means round on a single cluster eight
+// times the test's sample size and reports the projections its one
+// reducer receives: about the sample size, not n.
+func BenchmarkFig2SampleBound(b *testing.B) {
+	const n = 32_768
 	spec := dataset.Spec{K: 1, Dim: 2, N: n, StdDev: 3, Seed: 3}
 	for i := 0; i < b.N; i++ {
-		// Just below the 64 B/point frontier the job must die with heap
-		// exhaustion; at the frontier it must pass.
-		for _, tc := range []struct {
-			heap int64
-			ok   bool
-		}{
-			{int64(n)*core.HeapBytesPerPoint - 1, false},
-			{int64(n) * core.HeapBytesPerPoint, true},
-		} {
-			env, _ := benchEnv(b, spec, benchCluster().WithTaskHeap(tc.heap))
-			_, err := core.Run(core.Config{Env: env, Seed: 1,
-				ForceStrategy: core.StrategyReducer, MaxIterations: 1})
-			if tc.ok && err != nil {
-				b.Fatalf("heap %d: unexpected error %v", tc.heap, err)
-			}
-			if !tc.ok && !errors.Is(err, mr.ErrHeapSpace) {
-				b.Fatalf("heap %d: expected heap-space failure, got %v", tc.heap, err)
-			}
+		env, _ := benchEnv(b, spec, benchCluster())
+		res, err := core.Run(core.Config{Env: env, Seed: 1, MaxIterations: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(core.HeapBytesPerPoint, "bytes/point")
+		c := res.Counters.Snapshot()
+		b.ReportMetric(float64(c[core.CounterProjections])/float64(c[core.CounterADTests]), "projections/test")
 	}
 }
 
@@ -259,8 +248,7 @@ func BenchmarkTable4NodeScaling(b *testing.B) {
 				Input: "/data/points.txt", Dim: spec.Dim}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(core.Config{Env: env, Seed: 20,
-					ForceStrategy: core.StrategyFewClusters})
+				res, err := core.Run(core.Config{Env: env, Seed: 20})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,25 +259,6 @@ func BenchmarkTable4NodeScaling(b *testing.B) {
 }
 
 // --- Ablations ---------------------------------------------------------------
-
-// BenchmarkAblationStrategy compares the two normality-test strategies the
-// hybrid switch chooses between.
-func BenchmarkAblationStrategy(b *testing.B) {
-	spec := dataset.Spec{K: 16, Dim: 10, N: 20_000, CenterRange: 100,
-		StdDev: 1, MinSeparation: 8, Seed: 29}
-	for _, strat := range []core.TestStrategy{core.StrategyFewClusters, core.StrategyReducer} {
-		b.Run(string(strat), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env, _ := benchEnv(b, spec, benchCluster())
-				res, err := core.Run(core.Config{Env: env, Seed: 30, ForceStrategy: strat})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.K), "k_found")
-			}
-		})
-	}
-}
 
 // BenchmarkAblationMerge measures the paper's proposed post-processing
 // (merge close centers) against the raw over-estimated center set.

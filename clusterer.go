@@ -91,8 +91,9 @@ type Progress struct {
 	// Active is the number of clusters still under test (MR and sequential
 	// G-means; zero elsewhere).
 	Active int
-	// Strategy names the phase: the normality-test job for MR G-means
-	// (TestClusters / TestFewClusters), the algorithm name otherwise.
+	// Strategy names the phase: for MR G-means "TestClusters" for a
+	// tested round, "capped" for a round that hit WithMaxK and "merge" for
+	// the closing merge; the algorithm name otherwise.
 	Strategy string
 	// Counters snapshots the engine's cumulative cost accounting at event
 	// time (MR algorithms only; nil elsewhere).
@@ -145,7 +146,6 @@ type config struct {
 	mergeRadius float64
 	seed        int64
 	splitSize   int
-	strategy    core.TestStrategy
 	kMin        int
 	kMax        int
 	kStep       int
@@ -275,20 +275,6 @@ func WithSplitSize(bytes int) Option {
 			return
 		}
 		c.splitSize = bytes
-	}
-}
-
-// WithTestStrategy pins the MR G-means normality-test strategy
-// ("TestClusters" or "TestFewClusters") instead of the paper's hybrid
-// switch rule.
-func WithTestStrategy(s string) Option {
-	return func(c *config) {
-		switch core.TestStrategy(s) {
-		case "", core.StrategyReducer, core.StrategyFewClusters:
-			c.strategy = core.TestStrategy(s)
-		default:
-			c.setErr(fmt.Errorf("gmeansmr: unknown test strategy %q", s))
-		}
 	}
 }
 
@@ -624,7 +610,6 @@ func (c *Clusterer) gmeansMR(ctx context.Context, st *staged, src DataSource, tr
 		Alpha:         c.cfg.alpha,
 		MaxK:          c.cfg.maxK,
 		MaxIterations: c.cfg.maxIter,
-		ForceStrategy: c.cfg.strategy,
 		Seed:          c.cfg.seed,
 	}
 	if c.cfg.mergeRadius > 0 {

@@ -379,7 +379,6 @@ func TestOptionValidation(t *testing.T) {
 		{WithKRange(3, 2, 1)},
 		{WithKRange(0, 5, 1)},
 		{WithCriterion("vibes")},
-		{WithTestStrategy("TestAllClusters")},
 		{WithSplitSize(-1)},
 		{WithMultiKIterations(0)},
 	}

@@ -70,7 +70,6 @@ func main() {
 		split    = flag.Int("split", 1<<20, "simulated DFS split size in bytes (0 = auto)")
 		centers  = flag.String("centers", "", "optional file receiving the final centers")
 		verbose  = flag.Bool("v", false, "stream per-round progress")
-		strategy = flag.String("strategy", "", "pin the test strategy: TestClusters or TestFewClusters")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 		tracing  = flag.String("trace", "", "write a Chrome-trace file of the run's spans here")
 		debug    = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060)")
@@ -116,9 +115,6 @@ func main() {
 			r = gmeansmr.MergeAuto
 		}
 		opts = append(opts, gmeansmr.WithMergeRadius(r))
-	}
-	if *strategy != "" {
-		opts = append(opts, gmeansmr.WithTestStrategy(*strategy))
 	}
 	if *verbose {
 		opts = append(opts, gmeansmr.WithProgress(func(p gmeansmr.Progress) {

@@ -13,28 +13,29 @@ import (
 // TestGMeansColumnarMatchesRowMajor pins the whole G-means trajectory to
 // golden digests (invariants.Digest over the final centers and every
 // counter of the run): every job of every round — the k-means passes, the
-// PCA candidate job and both normality-test strategies. The columnar
-// mappers were pinned to the per-point row-major path while both existed;
-// the digests are the same on amd64 and under GOARCH=386.
+// PCA candidate job and the normality test, on every projection of small
+// clusters ("pca-candidates") and on a bounded sample of large ones
+// ("reducer"). The columnar mappers were pinned to the per-point row-major
+// path while both existed; the digests are the same on amd64 and under
+// GOARCH=386.
 func TestGMeansColumnarMatchesRowMajor(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		cfg    Config
+		n      int
 		digest string
 	}{
-		{"few-clusters", Config{ForceStrategy: StrategyFewClusters}, "1d0a8db11c84a00edbf61fdb"},
-		{"reducer", Config{ForceStrategy: StrategyReducer}, "0a66b3868b2287a4daa94f28"},
-		{"pca-candidates", Config{}, "1d0a8db11c84a00edbf61fdb"},
+		{"reducer", 16 * testSampleSize, "88088898f4c9ef3d49263c0a"},
+		{"pca-candidates", 2400, "0a66b3868b2287a4daa94f28"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ds, err := dataset.Generate(dataset.Spec{K: 3, Dim: 16, N: 2400,
+			ds, err := dataset.Generate(dataset.Spec{K: 3, Dim: 16, N: tc.n,
 				CenterRange: 100, StdDev: 1, MinSeparation: 20, Seed: 93})
 			if err != nil {
 				t.Fatal(err)
 			}
 			fs := dfs.New(24 << 10)
 			ds.WriteToDFS(fs, "/p.txt")
-			cfg := tc.cfg
+			var cfg Config
 			cfg.Env = kmeansmr.Env{
 				FS: fs,
 				Cluster: mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,

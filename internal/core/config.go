@@ -5,15 +5,24 @@
 //	PCA candidates    place 2 next-round candidates per center along its
 //	                  cluster's principal component (Hamerly & Elkan)
 //	TestClusters      project each cluster on the vector joining its two
-//	                  candidates and Anderson–Darling test the
-//	                  projections (or TestFewClusters: test in the mapper
-//	                  while k is small)
+//	                  candidates and Anderson–Darling test a bounded,
+//	                  deterministic sample of the projections in the
+//	                  reducer
 //
 // — splitting every cluster whose projections fail the normality test and
 // freezing it on its first accept, until every cluster looks Gaussian. The
 // last k-means pass plus the candidate job is the step the paper fuses into
 // KMeansAndFindNewCenters with random candidates; the principal-component
 // children are the "additional MapReduce job" it mentions.
+//
+// The paper chooses between two test jobs: TestFewClusters (Algorithm 5)
+// tests split-local samples in the mappers while k is small, and
+// TestClusters (Algorithms 3–4) tests all of a cluster's projections in
+// one reducer, heap permitting. This package runs one job instead: the
+// reducer-side test on about testSampleSize projections per cluster. The
+// mapper-side verdict depends on the split size (small splits freeze the
+// whole mixture in round 1), and the sample bounds the reducer's memory,
+// the only reason for the switch.
 package core
 
 import (
@@ -22,15 +31,10 @@ import (
 	"gmeansmr/internal/kmeansmr"
 )
 
-// HeapBytesPerPoint is the reducer-memory model measured by the paper's
-// first experiment (Figure 2): "Linear regression shows our reducer
-// requires approximatively 64 Bytes (8 doubles) per point."
-const HeapBytesPerPoint = 64
-
 // DefaultMinTestSamples is the minimum projection-sample size for an
-// Anderson–Darling decision in either test job. The paper: "a minimum size
-// of 8 is considered to be sufficient. In our implementation we use a
-// threshold of 20, to stay on the safe side."
+// Anderson–Darling decision. The paper: "a minimum size of 8 is considered
+// to be sufficient. In our implementation we use a threshold of 20, to stay
+// on the safe side."
 const DefaultMinTestSamples = 20
 
 // The paper's fixed choices for the G-means loop, which starts from one
@@ -43,19 +47,25 @@ const (
 	// minTestableSize marks clusters smaller than this as final without
 	// testing: they cannot produce a reliable split decision.
 	minTestableSize = 2 * DefaultMinTestSamples
+	// testSampleSize is the expected number of projections the test job
+	// ships to the reducer of a cluster; smaller clusters ship every
+	// projection. It bounds the reducer's memory and keeps the test from
+	// rejecting tiny deviations from normality at large n, the
+	// over-splitting Hamerly & Elkan warn about.
+	testSampleSize = 4096
 )
 
-// TestStrategy names which normality-test job an iteration used.
+// TestStrategy labels what a round did with its clusters under test.
 type TestStrategy string
 
 // Strategies.
 const (
-	// StrategyFewClusters tests inside the mapper on split-local samples
-	// (the paper's Algorithm 5), used while k is small.
-	StrategyFewClusters TestStrategy = "TestFewClusters"
-	// StrategyReducer tests inside the reducer on all projections of a
-	// cluster (the paper's Algorithms 3–4).
+	// StrategyReducer tests inside the reducer on a sample of each
+	// cluster's projections (the paper's Algorithms 3–4).
 	StrategyReducer TestStrategy = "TestClusters"
+	// StrategyCapped labels a round that finalized every cluster under
+	// test without testing it, because splitting would pass MaxK.
+	StrategyCapped TestStrategy = "capped"
 	// StrategyMerge labels the Progress event of the post-processing
 	// merge round (MergeCloseCenters); it is not a normality test and
 	// never appears in Result.PerIteration.
@@ -75,15 +85,12 @@ type Config struct {
 	MaxIterations int
 	// MaxK stops splitting once this many centers exist (0 = unlimited).
 	MaxK int
-	// ForceStrategy, when non-empty, pins the test strategy instead of the
-	// paper's hybrid switch rule. Used by ablation benchmarks.
-	ForceStrategy TestStrategy
 	// MergeRadius, when positive, enables the post-processing step the
 	// paper leaves as future work: centers closer than this are merged
 	// after the loop terminates.
 	MergeRadius float64
-	// Seed drives initial-center picking and the start vectors of the
-	// candidate job's power iterations.
+	// Seed drives initial-center picking, the start vectors of the
+	// candidate job's power iterations and the test job's sample.
 	Seed int64
 	// Progress, when non-nil, is invoked after every G-means round with the
 	// round's diagnostics and a snapshot of the run's cumulative counters.

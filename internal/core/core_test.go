@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -10,6 +9,8 @@ import (
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/lloyd"
 	"gmeansmr/internal/mr"
+	"gmeansmr/internal/obs"
+	"gmeansmr/internal/stats"
 	"gmeansmr/internal/vec"
 )
 
@@ -178,6 +179,47 @@ func TestRunFindsEveryTrueCluster(t *testing.T) {
 	}
 }
 
+// TestRunIndependentOfSplitSize: the verdict of the normality test must
+// not depend on how the input is cut into splits. With a mapper-side test
+// on split-local samples, 32 well-separated clusters collapsed to k = 1
+// once splits held fewer than ~100 points. Under -short only seed 1 runs.
+func TestRunIndependentOfSplitSize(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		ds, err := dataset.Generate(dataset.Spec{K: 32, Dim: 16, N: 16000, StdDev: 1,
+			MinSeparation: 8, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var truth float64
+		for i, p := range ds.Points {
+			truth += vec.Dist(p, ds.Centers[ds.Labels[i]])
+		}
+		for _, split := range []int{0, 32 << 10, 16 << 10, 6 << 10} {
+			fs := dfs.New(split)
+			ds.WriteToDFS(fs, "/data/points.txt")
+			env := kmeansmr.Env{FS: fs, Cluster: mr.DefaultCluster().WithNodes(2),
+				Input: "/data/points.txt", Dim: 16}
+			res, err := Run(Config{Env: env, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got float64
+			for _, p := range ds.Points {
+				_, d2 := vec.NearestIndex(p, res.Centers)
+				got += math.Sqrt(d2)
+			}
+			if ratio := got / truth; res.K != 32 || ratio > 1.25 {
+				t.Errorf("seed %d, split size %d: k=%d, mean distance %.3f× the true centers'",
+					seed, split, res.K, ratio)
+			}
+		}
+	}
+}
+
 func TestRunCentersAreNearCentroids(t *testing.T) {
 	// Invariant: every final center should be close to the centroid of the
 	// points assigned to it (it was produced by a k-means pass).
@@ -228,71 +270,6 @@ func TestRunMaxIterationsCap(t *testing.T) {
 	}
 	if res.K < 1 {
 		t.Error("no centers despite cap")
-	}
-}
-
-func TestRunForcedStrategies(t *testing.T) {
-	for _, strat := range []TestStrategy{StrategyFewClusters, StrategyReducer} {
-		env, _ := newEnv(t, dataset.Spec{K: 4, Dim: 2, N: 6000, MinSeparation: 20, Seed: 10}, 128<<10, smallCluster())
-		res, err := Run(Config{Env: env, Seed: 5, ForceStrategy: strat})
-		if err != nil {
-			t.Fatalf("strategy %s: %v", strat, err)
-		}
-		if res.K < 4 || res.K > 8 {
-			t.Errorf("strategy %s found k=%d, want [4,8]", strat, res.K)
-		}
-		for _, it := range res.PerIteration {
-			if it.Strategy != strat && it.Strategy != "capped" {
-				t.Errorf("iteration used %s, forced %s", it.Strategy, strat)
-			}
-		}
-	}
-}
-
-func TestStrategySwitchRule(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	cfg.Cluster = smallCluster() // reduce capacity = 8, plannable heap = 0.66×64MB
-	const bigCluster = 100_000   // per-split samples stay decidable with 10 splits
-	// Few clusters: stays mapper-side.
-	if got := chooseStrategy(cfg, 2, 1000, bigCluster, 10); got != StrategyFewClusters {
-		t.Errorf("2 clusters: %s", got)
-	}
-	// Many clusters, heap fits: switches to reducer-side.
-	if got := chooseStrategy(cfg, 10, 1000, bigCluster, 10); got != StrategyReducer {
-		t.Errorf("10 clusters, small heap: %s", got)
-	}
-	// Many clusters but biggest cluster would blow the plannable heap:
-	// stays mapper-side.
-	if got := chooseStrategy(cfg, 10, cfg.Cluster.PlannableHeap()+1, bigCluster, 10); got != StrategyFewClusters {
-		t.Errorf("10 clusters, huge heap: %s", got)
-	}
-	// Small-data correctness guard: the smallest cluster cannot give every
-	// mapper a decidable sample, so the reducer-side test takes over even
-	// below the capacity threshold.
-	if got := chooseStrategy(cfg, 2, 1000, 100, 10); got != StrategyReducer {
-		t.Errorf("undersampled clusters: %s", got)
-	}
-	// ... unless the heap cannot take it.
-	if got := chooseStrategy(cfg, 2, cfg.Cluster.PlannableHeap()+1, 100, 10); got != StrategyFewClusters {
-		t.Errorf("undersampled clusters, huge heap: %s", got)
-	}
-	// Forced pin wins.
-	cfg.ForceStrategy = StrategyReducer
-	if got := chooseStrategy(cfg, 1, 1, bigCluster, 10); got != StrategyReducer {
-		t.Errorf("forced: %s", got)
-	}
-}
-
-// TestReducerStrategyHeapFailure reproduces the paper's Figure 2 failure
-// mode: a reducer-side test on a single huge cluster with a tiny task heap
-// dies with the engine's Java-heap-space error.
-func TestReducerStrategyHeapFailure(t *testing.T) {
-	cl := smallCluster()
-	cl.TaskHeapBytes = 32 << 10 // 32 KB ⇒ capacity for ~512 points at 64 B/pt
-	env, _ := newEnv(t, dataset.Spec{K: 2, Dim: 2, N: 4000, MinSeparation: 40, Seed: 11}, 64<<10, cl)
-	_, err := Run(Config{Env: env, Seed: 6, ForceStrategy: StrategyReducer})
-	if !errors.Is(err, mr.ErrHeapSpace) {
-		t.Fatalf("err = %v, want ErrHeapSpace", err)
 	}
 }
 
@@ -374,6 +351,50 @@ func TestRunPerIterationSnapshots(t *testing.T) {
 	last := res.PerIteration[len(res.PerIteration)-1]
 	if last.FoundAfter != res.KBeforeMerge {
 		t.Errorf("last FoundAfter = %d, want %d", last.FoundAfter, res.KBeforeMerge)
+	}
+}
+
+// TestRunTestSpanExplainsVerdicts: every test phase's span carries one
+// record per cluster under test — its size, the sample the reducer
+// tested, A*², the critical value and the verdict — and the verdicts
+// agree with the round's split count. The first round samples a cluster
+// larger than the test's sample size.
+func TestRunTestSpanExplainsVerdicts(t *testing.T) {
+	env, _ := newEnv(t, dataset.Spec{K: 4, Dim: 2, N: 4 * testSampleSize, MinSeparation: 20, Seed: 14}, 64<<10, smallCluster())
+	env.Trace = obs.NewTrace()
+	res, err := Run(Config{Env: env, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans [][]testVerdict
+	for _, ev := range env.Trace.Events() {
+		if ev.Name == "test" && ev.Cat == "round-phase" {
+			spans = append(spans, ev.Args["clusters"].([]testVerdict))
+		}
+	}
+	if len(spans) != len(res.PerIteration) {
+		t.Fatalf("%d test spans for %d rounds", len(spans), len(res.PerIteration))
+	}
+	critical := stats.CriticalValue(0.0001)
+	for r, it := range res.PerIteration {
+		if len(spans[r]) != it.ActiveBefore {
+			t.Fatalf("round %d: %d verdict records for %d clusters under test", r+1, len(spans[r]), it.ActiveBefore)
+		}
+		splits := 0
+		for _, v := range spans[r] {
+			if v.Critical != critical || v.Normal != (v.A2Star <= critical) || v.Sample > v.N+v.N/8 {
+				t.Errorf("round %d: inconsistent verdict %+v (critical %v)", r+1, v, critical)
+			}
+			if !v.Normal {
+				splits++
+			}
+		}
+		if splits != it.SplitCount {
+			t.Errorf("round %d: %d rejecting records, %d splits", r+1, splits, it.SplitCount)
+		}
+	}
+	if first := spans[0][0]; first.N <= testSampleSize || first.Sample >= first.N/2 {
+		t.Errorf("round 1 tested %d of %d projections, want a sample of about %d", first.Sample, first.N, testSampleSize)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/mr"
+	"gmeansmr/internal/stats"
 	"gmeansmr/internal/vec"
 )
 
@@ -35,7 +36,7 @@ type Result struct {
 //	while not ClusteringCompleted:
 //	    KMeans                     (kmeansPasses passes)
 //	    PCA candidates             (two principal children per center)
-//	    TestClusters               (hybrid strategy)
+//	    TestClusters               (a bounded sample per cluster)
 //
 // The last k-means pass and the candidate job together form the step the
 // paper calls KMeansAndFindNewCenters.
@@ -63,16 +64,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	initSpan := trace.StartSpan("init", "phase")
 	active, err := pickInitialCenters(cfg)
-	if err != nil {
-		initSpan.End()
-		return nil, err
-	}
-	splits, err := cfg.FS.Splits(cfg.Input)
 	initSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	numSplits := len(splits)
 	var found []vec.Vector
 
 	for round := 1; round <= cfg.MaxIterations && len(active) > 0; round++ {
@@ -134,10 +129,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			for _, a := range testable {
 				found = append(found, a.parent)
 			}
-			roundSpan.SetArg("strategy", "capped").End()
 			res.PerIteration = append(res.PerIteration, IterationStats{
 				Iteration:    round,
-				Strategy:     "capped",
+				Strategy:     StrategyCapped,
 				ActiveBefore: len(testable),
 				FoundAfter:   len(found),
 				Centers:      vec.CloneAll(found),
@@ -145,44 +139,36 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				Phases:       phases,
 			})
 			notifyProgress(cfg, res)
+			roundSpan.SetArg("strategy", string(StrategyCapped)).End()
 			active = nil
 			break
 		}
 
-		// --- Strategy switch (paper §3.2). ---
-		var maxClusterSize, minClusterSize int64
-		for i, a := range testable {
-			s := a.parentSize()
-			if s > maxClusterSize {
-				maxClusterSize = s
-			}
-			if i == 0 || s < minClusterSize {
-				minClusterSize = s
-			}
-		}
-		estHeap := maxClusterSize * HeapBytesPerPoint
-		strategy := chooseStrategy(cfg, len(testable), estHeap, minClusterSize, numSplits)
-
-		// --- TestClusters / TestFewClusters. ---
+		// --- TestClusters. ---
 		parents := make([]vec.Vector, 0, len(found)+len(testable))
 		parents = append(parents, found...)
 		vectors := make([]vec.Vector, len(testable))
+		sizes := make([]int64, len(testable))
 		for i, a := range testable {
 			parents = append(parents, a.parent)
 			vectors[i] = a.splitVector()
+			sizes[i] = a.parentSize()
 		}
 		var outcomes []TestOutcome
 		if len(testable) > 0 {
-			testSpan := trace.StartSpan("test", "round-phase").SetArg("strategy", string(strategy))
+			testSpan := trace.StartSpan("test", "round-phase").SetArg("strategy", string(StrategyReducer))
 			phaseStart = time.Now()
 			var testRes *mr.Result
-			outcomes, testRes, err = runTest(cfg, strategy, parents, len(found), vectors, round)
+			outcomes, testRes, err = runTest(cfg, parents, len(found), vectors, sizes, round)
 			if err != nil {
 				testSpan.End()
 				roundSpan.End()
 				return nil, err
 			}
 			phases["test"] = time.Since(phaseStart)
+			if trace.Enabled() {
+				testSpan.SetArg("clusters", verdicts(cfg.Alpha, sizes, outcomes))
+			}
 			testSpan.End()
 			testRes.Counters.MergeInto(res.Counters)
 		}
@@ -221,24 +207,25 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		active = next
 
-		roundSpan.SetArg("strategy", string(strategy)).
+		// The round's bookkeeping — the center snapshot and the Progress
+		// callback — stays inside the round span, so the run's phase spans
+		// keep explaining its wall time.
+		res.PerIteration = append(res.PerIteration, IterationStats{
+			Iteration:    round,
+			Strategy:     StrategyReducer,
+			ActiveBefore: len(testable),
+			SplitCount:   splits,
+			FoundAfter:   len(found),
+			Centers:      snapshotCenters(found, active),
+			Duration:     time.Since(roundStart),
+			Phases:       phases,
+		})
+		notifyProgress(cfg, res)
+		roundSpan.SetArg("strategy", string(StrategyReducer)).
 			SetArg("active", len(testable)).
 			SetArg("splits", splits).
 			SetArg("found", len(found)).
 			End()
-		res.PerIteration = append(res.PerIteration, IterationStats{
-			Iteration:      round,
-			Strategy:       strategy,
-			ActiveBefore:   len(testable),
-			SplitCount:     splits,
-			FoundAfter:     len(found),
-			Centers:        snapshotCenters(found, active),
-			MaxClusterSize: maxClusterSize,
-			EstimatedHeap:  estHeap,
-			Duration:       time.Since(roundStart),
-			Phases:         phases,
-		})
-		notifyProgress(cfg, res)
 	}
 
 	// Any clusters still active when MaxIterations ran out keep their
@@ -252,7 +239,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		mergeStart := time.Now()
 		mergeSpan := trace.StartSpan("merge", "phase")
 		found = MergeCloseCenters(found, cfg.MergeRadius)
-		mergeSpan.SetArg("before", res.KBeforeMerge).SetArg("after", len(found)).End()
 		// The merge is a round of its own to observers: one Progress event
 		// with StrategyMerge, per-round Duration semantics, and the merged
 		// center set. It is not appended to PerIteration — PerIteration
@@ -266,6 +252,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				Duration:   time.Since(mergeStart),
 			}, res.Counters.Snapshot())
 		}
+		mergeSpan.SetArg("before", res.KBeforeMerge).SetArg("after", len(found)).End()
 	}
 	res.Centers = found
 	res.K = len(found)
@@ -351,32 +338,28 @@ func lastPassWithCandidates(cfg Config, centers []vec.Vector, foundCount, round 
 	return &kfncOutput{centers: itRes.Centers, sizes: itRes.Sizes, candidates: cands}, nil
 }
 
-// chooseStrategy implements the paper's hybrid rule: "first use the
-// TestFewClusters strategy, and switch to the other strategy only when ...
-// the number of clusters to test is larger than the total reduce capacity,
-// and the estimated maximum amount of required heap memory is less than
-// 66% of the heap memory of the JVM."
-//
-// One correctness guard extends the rule. The paper concedes the
-// mapper-side test "only delivers correct results if the number of samples
-// for each subset is sufficient, which we can suppose is verified for low
-// values of k" — a safe supposition at 10M points per 64MB split, but not
-// in general. When the smallest cluster under test cannot hand every
-// mapper a decidable sample (expected split-local sample below
-// DefaultMinTestSamples), the reducer-side test is used instead, heap permitting:
-// accepting a cluster on an undecidable sample would freeze it forever.
-func chooseStrategy(cfg Config, numToTest int, estHeap, minClusterSize int64, numSplits int) TestStrategy {
-	if cfg.ForceStrategy != "" {
-		return cfg.ForceStrategy
+// testVerdict is one cluster's normality verdict as the test phase's span
+// records it: the cluster's size n, the sample the reducer tested, the
+// corrected statistic, the critical value it was compared against, and
+// the verdict that kept or split the cluster.
+type testVerdict struct {
+	N        int64   `json:"n"`
+	Sample   int64   `json:"sample"`
+	A2Star   float64 `json:"a2star"`
+	Critical float64 `json:"critical"`
+	Normal   bool    `json:"normal"`
+}
+
+// verdicts builds the test span's per-cluster records, one per cluster
+// under test.
+func verdicts(alpha float64, sizes []int64, outcomes []TestOutcome) []testVerdict {
+	critical := stats.CriticalValue(alpha)
+	out := make([]testVerdict, len(outcomes))
+	for i, o := range outcomes {
+		out[i] = testVerdict{N: sizes[i], Sample: o.N, A2Star: o.A2Star, Critical: critical,
+			Normal: o.Normal || !o.Decided}
 	}
-	heapFits := estHeap <= cfg.Cluster.PlannableHeap()
-	if numToTest > cfg.Cluster.ReduceCapacity() && heapFits {
-		return StrategyReducer
-	}
-	if numSplits > 0 && minClusterSize/int64(numSplits) < DefaultMinTestSamples && heapFits {
-		return StrategyReducer
-	}
-	return StrategyFewClusters
+	return out
 }
 
 func snapshotCenters(found []vec.Vector, active []*activeCluster) []vec.Vector {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/kmeansmr"
@@ -26,20 +27,28 @@ var (
 )
 
 // ---------------------------------------------------------------------------
-// TestClusters (paper Algorithms 3–4): reducer-side Anderson–Darling
+// TestClusters (paper Algorithms 3–4): reducer-side Anderson–Darling on a
+// bounded sample
 // ---------------------------------------------------------------------------
 
 // testMapper assigns each point to its cluster (a center of the *previous*
-// iteration) in one batched kernel call, then projects it on the vector
-// joining the cluster's two current candidate centers, in input order.
-// Clusters already marked found emit nothing.
+// iteration) in one batched kernel call, then projects the sampled points
+// on the vector joining the cluster's two current candidate centers, in
+// input order. Clusters already marked found emit nothing.
 //
 // parents[0:foundCount] are final centers; parents[foundCount+i] is the
-// parent of active cluster i, whose split vector is axes[i].
+// parent of active cluster i, whose split vector is axes[i]. Record j of
+// map task t belongs to active cluster i's sample when
+// sampleHash(keys[i] ^ t<<32 ^ j) ≤ thresholds[i]: the choice depends on
+// the payload, the task id and the record's index in its split alone, so
+// every backend, retry and speculative copy of a task emits the same
+// records.
 type testMapper struct {
 	parents    []vec.Vector
 	foundCount int
 	axes       []vec.Axis
+	keys       []uint64
+	thresholds []uint64
 	batch      kmeansmr.BatchAssigner
 }
 
@@ -49,12 +58,16 @@ func (m *testMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, em
 	n := cols.Len()
 	idx := m.batch.Assign(m.parents, cols)
 	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.parents))*int64(n))
+	task := uint64(ctx.TaskID) << 32
 	var projections int64
 	for j, best := range idx {
 		if int(best) < m.foundCount {
 			continue // cluster already accepted as Gaussian (or best < 0)
 		}
 		i := int(best) - m.foundCount
+		if sampleHash(m.keys[i]^task^uint64(j)) > m.thresholds[i] {
+			continue // not in cluster i's sample
+		}
 		projections++
 		emit.Emit(int64(i), mr.Float64Value(m.axes[i].Project(cols.At(j))))
 	}
@@ -64,10 +77,35 @@ func (m *testMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, em
 
 func (m *testMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 
-// testReducer normalizes the projections of one cluster and runs the
-// Anderson–Darling test (paper Algorithm 4). It reserves heap per the
-// paper's measured 64 B/point model, so undersized task heaps fail exactly
-// like the paper's "Java heap space" crashes (Figure 2).
+// sampleHash is the splitmix64 finalizer (Steele, Lea & Flood, "Fast
+// splittable pseudorandom number generators", OOPSLA 2014): a bijection
+// whose outputs on distinct inputs are close to independent and uniform.
+func sampleHash(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// sampleKey mixes the run seed, the round and the active-cluster index
+// into the per-cluster key a record's (task, index) pair is hashed with.
+func sampleKey(seed int64, round, cluster int) uint64 {
+	return sampleHash(sampleHash(uint64(seed)) ^ uint64(round)<<32 ^ uint64(cluster))
+}
+
+// sampleThreshold returns the largest hash a record of a cluster of n
+// points may have to be sampled: rate min(1, testSampleSize/n) of the
+// 64-bit hash range, so math.MaxUint64 takes every record.
+func sampleThreshold(n int64) uint64 {
+	if n <= testSampleSize {
+		return math.MaxUint64
+	}
+	return uint64(math.Ldexp(float64(testSampleSize)/float64(n), 64))
+}
+
+// testReducer normalizes the sampled projections of one cluster and runs
+// the Anderson–Darling test (paper Algorithm 4). The sample bounds its
+// memory to about testSampleSize projections per cluster.
 type testReducer struct {
 	alpha float64
 }
@@ -75,12 +113,6 @@ type testReducer struct {
 func (r *testReducer) Setup(*mr.TaskContext) error { return nil }
 
 func (r *testReducer) Reduce(ctx *mr.TaskContext, key int64, values []mr.Value, emit mr.Emitter) error {
-	heap := int64(len(values)) * HeapBytesPerPoint
-	if err := ctx.ReserveHeap(heap); err != nil {
-		return err
-	}
-	defer ctx.ReleaseHeap(heap)
-
 	projections := make([]float64, 0, len(values))
 	for _, v := range values {
 		f, ok := v.(mr.Float64Value)
@@ -102,115 +134,18 @@ func (r *testReducer) Reduce(ctx *mr.TaskContext, key int64, values []mr.Value, 
 
 func (r *testReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 
-// ---------------------------------------------------------------------------
-// TestFewClusters (paper Algorithm 5): mapper-side Anderson–Darling
-// ---------------------------------------------------------------------------
-
-// fewMapper buffers the projections of every cluster it sees in its split
-// and tests them locally in Close, emitting one A*² decision per cluster —
-// "the test for normality is directly performed by the mapper, thus on
-// subsets of data", which keeps reduce-phase parallelism from bounding the
-// job while k is small.
-type fewMapper struct {
-	parents    []vec.Vector
-	foundCount int
-	axes       []vec.Axis
-	alpha      float64
-
-	lists map[int][]float64
-	batch kmeansmr.BatchAssigner
-}
-
-func (m *fewMapper) Setup(*mr.TaskContext) error {
-	m.lists = make(map[int][]float64)
-	return nil
-}
-
-// MapColumns batches the cluster lookup; the projection buffering runs
-// per point in input order.
-func (m *fewMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
-	n := cols.Len()
-	idx := m.batch.Assign(m.parents, cols)
-	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.parents))*int64(n))
-	var projections int64
-	for j, best := range idx {
-		if int(best) < m.foundCount {
-			continue // cluster already accepted as Gaussian (or best < 0)
-		}
-		i := int(best) - m.foundCount
-		// One double per buffered projection: the mapper-side memory
-		// footprint is O(split size / dimension), the bound the paper
-		// relies on.
-		if err := ctx.ReserveHeap(8); err != nil {
-			return err
-		}
-		m.lists[i] = append(m.lists[i], m.axes[i].Project(cols.At(j)))
-		projections++
-	}
-	ctx.Count(counterIDProjections, projections)
-	return nil
-}
-
-func (m *fewMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
-	for i, projections := range m.lists {
-		if len(projections) < DefaultMinTestSamples {
-			// "There is a risk that the number of points in some clusters
-			// is smaller than the threshold. The mapper is then not able to
-			// compute a decision."
-			continue
-		}
-		ctx.Count(counterIDADTests, 1)
-		res, err := stats.ADTest(projections, m.alpha, DefaultMinTestSamples)
-		if err != nil {
-			continue
-		}
-		emit.Emit(int64(i), mr.ADDecisionValue{A2Star: res.A2Star, N: int64(res.N), Normal: res.Normal})
-	}
-	return nil
-}
-
-// fewReducer combines the mapper decisions of one cluster: "their task is
-// only to combine the decisions taken by mappers". The cluster is Gaussian
-// when mappers holding at least half of its tested samples accept — a
-// majority vote weighted by sample size.
-type fewReducer struct{}
-
-func (r *fewReducer) Setup(*mr.TaskContext) error { return nil }
-
-func (r *fewReducer) Reduce(_ *mr.TaskContext, key int64, values []mr.Value, emit mr.Emitter) error {
-	var normalN, totalN int64
-	var wsum float64
-	for _, v := range values {
-		d, ok := v.(mr.ADDecisionValue)
-		if !ok {
-			return fmt.Errorf("core: unexpected decision value %T", v)
-		}
-		totalN += d.N
-		wsum += d.A2Star * float64(d.N)
-		if d.Normal {
-			normalN += d.N
-		}
-	}
-	if totalN == 0 {
-		return nil
-	}
-	emit.Emit(key, mr.ADDecisionValue{A2Star: wsum / float64(totalN), N: totalN, Normal: normalN*2 >= totalN})
-	return nil
-}
-
-func (r *fewReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
-
-// runTest runs the selected normality-test job and returns one outcome per
-// active cluster (indexed like the active slice); clusters with no decision
-// come back Decided=false.
-func runTest(cfg Config, strategy TestStrategy, parents []vec.Vector, foundCount int, vectors []vec.Vector, round int) ([]TestOutcome, *mr.Result, error) {
+// runTest runs the normality-test job and returns one outcome per active
+// cluster (indexed like the active slice); clusters with no decision come
+// back Decided=false. sizes[i] is active cluster i's point count at the
+// last k-means pass, which sets its sampling rate.
+func runTest(cfg Config, parents []vec.Vector, foundCount int, vectors []vec.Vector, sizes []int64, round int) ([]TestOutcome, *mr.Result, error) {
 	numActive := len(vectors)
-	spec := testSpec(cfg, strategy, parents, foundCount, vectors)
+	spec := testSpec(cfg, parents, foundCount, vectors, sizes, round)
 	parts, err := buildTest(spec.Payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	job := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-%s-round-%d", strategy, round), spec))
+	job := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-%s-round-%d", StrategyReducer, round), spec))
 	// "The number of reduce tasks is still equal to k": one partition per
 	// cluster under test.
 	job.NumReducers = numActive

@@ -75,63 +75,77 @@ func TestKFNCReducerDeterministicByKey(t *testing.T) {
 	}
 }
 
-func TestFewReducerMajorityWeightedBySampleSize(t *testing.T) {
-	// One big rejecting mapper outweighs two small accepting ones.
-	values := []mr.Value{
-		mr.ADDecisionValue{N: 500, Normal: false},
-		mr.ADDecisionValue{N: 30, Normal: true},
-		mr.ADDecisionValue{N: 30, Normal: true},
+// TestTestMapperSamplesLargeClusters: the test job ships about
+// testSampleSize projections of a cluster much larger than that, every
+// projection of a cluster at most that large, and re-running a map task
+// emits the same records bit for bit.
+func TestTestMapperSamplesLargeClusters(t *testing.T) {
+	const tasks, bigPerSplit, smallPerSplit = 10, 4000, 300
+	rng := rand.New(rand.NewSource(5))
+	splits := make([]*dfs.ColumnarSplit, tasks)
+	for s := range splits {
+		var flat []float64
+		for j := 0; j < bigPerSplit+smallPerSplit; j++ {
+			// Interleave the clusters so the sample's record indices mix.
+			x := rng.NormFloat64()
+			if j%((bigPerSplit+smallPerSplit)/smallPerSplit) == 0 {
+				x += 100
+			}
+			flat = append(flat, x, rng.NormFloat64())
+		}
+		splits[s] = dfs.NewPointSplit(flat, 2, 0).Columns()
 	}
-	r := &fewReducer{}
-	em := &collectEmitter{}
-	if err := r.Reduce(newTaskCtx(0), 0, values, em); err != nil {
+	sizes := make([]int64, 2)
+	parents := []vec.Vector{{0, 0}, {100, 0}}
+	for _, cols := range splits {
+		for j := 0; j < cols.Len(); j++ {
+			best, _ := vec.NearestIndex(cols.At(j), parents)
+			sizes[best]++
+		}
+	}
+	if sizes[0] <= 4*testSampleSize || sizes[1] > testSampleSize {
+		t.Fatalf("cluster sizes %v: want one ≫ %d and one ≤ it", sizes, testSampleSize)
+	}
+	spec := testSpec(Config{Alpha: 0.0001, Seed: 3}, parents, 0,
+		[]vec.Vector{{1, 0}, {1, 0}}, sizes, 2)
+	parts, err := buildTest(spec.Payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if em.out[0].Value.(mr.ADDecisionValue).Normal {
-		t.Error("sample-size weighting ignored")
-	}
-}
-
-// TestFewReducerVotePolicies checks the one vote policy left, the
-// sample-size-weighted majority: a rejecting minority is outvoted, an exact
-// tie accepts, and N and the sample-weighted A*² mean cover every decision.
-func TestFewReducerVotePolicies(t *testing.T) {
-	r := &fewReducer{}
-	for _, c := range []struct {
-		values []mr.Value
-		normal bool
-		n      int64
-		a2     float64
-	}{
-		{[]mr.Value{
-			mr.ADDecisionValue{A2Star: 0.5, N: 100, Normal: true},
-			mr.ADDecisionValue{A2Star: 2.5, N: 40, Normal: false},
-			mr.ADDecisionValue{A2Star: 0.6, N: 80, Normal: true},
-		}, true, 220, (0.5*100 + 2.5*40 + 0.6*80) / 220},
-		{[]mr.Value{
-			mr.ADDecisionValue{A2Star: 3, N: 50, Normal: false},
-			mr.ADDecisionValue{A2Star: 1, N: 50, Normal: true},
-		}, true, 100, 2},
-	} {
+	mapTask := func(task int) []mr.KV {
+		m := parts.NewPointMapper()
+		ctx := &mr.TaskContext{TaskID: task}
+		m.Setup(ctx)
 		em := &collectEmitter{}
-		if err := r.Reduce(newTaskCtx(0), 0, c.values, em); err != nil {
+		if err := m.MapColumns(ctx, splits[task], em); err != nil {
 			t.Fatal(err)
 		}
-		d := em.out[0].Value.(mr.ADDecisionValue)
-		if d.Normal != c.normal || d.N != c.n || math.Abs(d.A2Star-c.a2) > 1e-12 {
-			t.Errorf("decision = %+v, want normal=%v N=%d A2*=%v", d, c.normal, c.n, c.a2)
+		m.Close(ctx, em)
+		return em.out
+	}
+	got := make([]int64, 2)
+	for task := range splits {
+		out := mapTask(task)
+		for _, kv := range out {
+			got[kv.Key]++
+		}
+		again := mapTask(task)
+		if len(again) != len(out) {
+			t.Fatalf("task %d emitted %d records, then %d", task, len(out), len(again))
+		}
+		for i := range out {
+			a, b := out[i].Value.(mr.Float64Value), again[i].Value.(mr.Float64Value)
+			if out[i].Key != again[i].Key || math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+				t.Fatalf("task %d record %d: %v then %v", task, i, out[i], again[i])
+			}
 		}
 	}
-}
-
-func TestFewReducerEmptyGroup(t *testing.T) {
-	r := &fewReducer{}
-	em := &collectEmitter{}
-	if err := r.Reduce(newTaskCtx(0), 0, nil, em); err != nil {
-		t.Fatal(err)
+	if tol := 5 * math.Sqrt(testSampleSize); math.Abs(float64(got[0]-testSampleSize)) > tol {
+		t.Errorf("cluster of %d points: reducer gets %d projections, want %d ± %.0f",
+			sizes[0], got[0], testSampleSize, tol)
 	}
-	if len(em.out) != 0 {
-		t.Error("empty group produced a decision")
+	if got[1] != sizes[1] {
+		t.Errorf("cluster of %d points: reducer gets %d projections, want every one", sizes[1], got[1])
 	}
 }
 
@@ -178,27 +192,6 @@ func TestWriteBackDistributesKFNCOutput(t *testing.T) {
 	}
 	if len(a.next1) != 1 || len(a.next2) != 2 {
 		t.Errorf("candidates = %v, %v", a.next1, a.next2)
-	}
-}
-
-func TestVotePolicyRandomizedNeverPanics(t *testing.T) {
-	// Fuzz the vote reducer with random decision sets.
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		n := r.Intn(6)
-		values := make([]mr.Value, n)
-		for i := range values {
-			values[i] = mr.ADDecisionValue{
-				A2Star: r.Float64() * 3,
-				N:      int64(r.Intn(500)),
-				Normal: r.Intn(2) == 0,
-			}
-		}
-		red := &fewReducer{}
-		em := &collectEmitter{}
-		if err := red.Reduce(newTaskCtx(0), int64(trial), values, em); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -44,13 +44,17 @@ func init() {
 	mrdist.RegisterKind(KindPCA, buildPCA)
 }
 
-// testSpec encodes a normality-test job: the strategy, the significance
-// level, and the per-cluster geometry (parents plus the split vector
-// of each active cluster).
-func testSpec(cfg Config, strategy TestStrategy, parents []vec.Vector, foundCount int, vectors []vec.Vector) *mr.JobSpec {
+// testSpec encodes the normality-test job: the significance level, the
+// sample's seed and round, the per-cluster sampling thresholds, and the
+// per-cluster geometry (parents plus the split vector of each active
+// cluster).
+func testSpec(cfg Config, parents []vec.Vector, foundCount int, vectors []vec.Vector, sizes []int64, round int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	e.Str(string(strategy))
-	e.F64(cfg.Alpha).U32(uint32(foundCount))
+	e.F64(cfg.Alpha).I64(cfg.Seed).U32(uint32(round)).U32(uint32(foundCount))
+	e.U32(uint32(len(sizes)))
+	for _, n := range sizes {
+		e.I64(int64(sampleThreshold(n)))
+	}
 	kmeansmr.EncodeCenters(e, parents)
 	kmeansmr.EncodeCenters(e, vectors)
 	return &mr.JobSpec{Kind: KindTest, Payload: e.Bytes()}
@@ -58,38 +62,39 @@ func testSpec(cfg Config, strategy TestStrategy, parents []vec.Vector, foundCoun
 
 func buildTest(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	strategy := TestStrategy(d.Str())
 	alpha := d.F64()
+	seed := d.I64()
+	round := int(d.U32())
 	foundCount := int(d.U32())
+	n := int(d.U32())
+	thresholds := make([]uint64, 0, min(n, 1<<16))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		thresholds = append(thresholds, uint64(d.I64()))
+	}
 	parents := kmeansmr.DecodeCenters(d)
 	vectors := kmeansmr.DecodeCenters(d)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindTest, err)
 	}
-	// Each split vector's norm once per job, not once per projected point.
+	if len(thresholds) != len(vectors) || len(parents) != foundCount+len(vectors) {
+		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %d thresholds, %d parents for %d found and %d split vectors",
+			KindTest, len(thresholds), len(parents), foundCount, len(vectors))
+	}
+	// Each split vector's norm and each cluster's sample key once per job,
+	// not once per point.
 	axes := make([]vec.Axis, len(vectors))
+	keys := make([]uint64, len(vectors))
 	for i, v := range vectors {
 		axes[i] = vec.NewAxis(v)
+		keys[i] = sampleKey(seed, round, i)
 	}
-	switch strategy {
-	case StrategyReducer:
-		return mrdist.JobParts{
-			NewPointMapper: func() mr.PointMapper {
-				return &testMapper{parents: parents, foundCount: foundCount, axes: axes}
-			},
-			NewReducer: func() mr.Reducer { return &testReducer{alpha: alpha} },
-		}, nil
-	case StrategyFewClusters:
-		return mrdist.JobParts{
-			NewPointMapper: func() mr.PointMapper {
-				return &fewMapper{parents: parents, foundCount: foundCount,
-					axes: axes, alpha: alpha}
-			},
-			NewReducer: func() mr.Reducer { return &fewReducer{} },
-		}, nil
-	default:
-		return mrdist.JobParts{}, fmt.Errorf("core: unknown test strategy %q in %s payload", strategy, KindTest)
-	}
+	return mrdist.JobParts{
+		NewPointMapper: func() mr.PointMapper {
+			return &testMapper{parents: parents, foundCount: foundCount, axes: axes,
+				keys: keys, thresholds: thresholds}
+		},
+		NewReducer: func() mr.Reducer { return &testReducer{alpha: alpha} },
+	}, nil
 }
 
 // pcaSpec encodes the PCA candidate-selection job: the power-iteration

@@ -17,7 +17,7 @@ type activeCluster struct {
 	c1, c2 vec.Vector
 	// size1 and size2 are the point counts assigned to c1 and c2 at the
 	// last k-means pass; their sum approximates the parent cluster size
-	// that drives the heap estimate of the strategy switch.
+	// that sets the test job's sampling rate.
 	size1, size2 int64
 	// next1 and next2 are the ≤2 candidate centers placed for c1 and c2.
 	next1, next2 []vec.Vector
@@ -33,7 +33,8 @@ func (a *activeCluster) splitVector() vec.Vector { return vec.Sub(a.c1, a.c2) }
 // paper's Figure 1 (evolution of centers across iterations).
 type IterationStats struct {
 	Iteration int
-	// Strategy is the normality-test job the round used.
+	// Strategy labels the round: StrategyReducer for a tested round,
+	// StrategyCapped for one that hit MaxK.
 	Strategy TestStrategy
 	// ActiveBefore is the number of clusters under test this round.
 	ActiveBefore int
@@ -44,11 +45,6 @@ type IterationStats struct {
 	// Centers snapshots every center alive at the end of the round (final
 	// + candidate children), for plotting.
 	Centers []vec.Vector
-	// MaxClusterSize is the size estimate of the largest cluster under
-	// test, the input of the heap-based strategy switch.
-	MaxClusterSize int64
-	// EstimatedHeap is MaxClusterSize × HeapBytesPerPoint.
-	EstimatedHeap int64
 	// Duration is the wall time of this round alone — never a cumulative
 	// total across rounds (the same per-round semantics multi-k-means
 	// Progress reports).
@@ -64,10 +60,11 @@ type IterationStats struct {
 // TestOutcome reports one cluster's Anderson–Darling verdict to callers
 // that want per-cluster diagnostics.
 type TestOutcome struct {
-	// A2Star is the corrected statistic (sample-size-weighted mean of the
-	// per-mapper statistics under TestFewClusters).
+	// A2Star is the corrected statistic of the cluster's sample.
 	A2Star float64
-	// N is the number of projections that contributed.
+	// N is the number of sampled projections the reducer tested: every
+	// projection of a cluster of at most testSampleSize points, about
+	// testSampleSize of a larger one.
 	N int64
 	// Normal is the combined verdict.
 	Normal bool

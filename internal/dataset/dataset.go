@@ -109,8 +109,8 @@ func Generate(spec Spec) (*Dataset, error) {
 		points[i] = p
 		labels[i] = c
 	}
-	// Shuffle so splits don't align with clusters; mapper-side tests in
-	// TestFewClusters assume splits sample all clusters.
+	// Shuffle so splits don't align with clusters: every split then holds
+	// points of many clusters, as in the paper's datasets.
 	rng.Shuffle(spec.N, func(i, j int) {
 		points[i], points[j] = points[j], points[i]
 		labels[i], labels[j] = labels[j], labels[i]

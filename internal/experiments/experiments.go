@@ -7,8 +7,9 @@
 // the defaults here use 10⁴–10⁵ points on the simulated engine so the full
 // suite completes in minutes. The *shapes* the paper reports (linear vs
 // quadratic growth in k, the ≈1.5× over-estimation, the ≈10% WCSS win, the
-// node-scaling curve, the 64 B/point heap frontier) are size-independent;
-// EXPERIMENTS.md records paper-vs-measured numbers side by side.
+// node-scaling curve, the bounded reducer input of Figure 2) are
+// size-independent; EXPERIMENTS.md records paper-vs-measured numbers side
+// by side.
 package experiments
 
 import (

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,20 +47,37 @@ func TestFig1Report(t *testing.T) {
 	}
 }
 
+// TestFig2ReportAndFrontier: the reducer receives every projection of a
+// cluster up to the test's sample size, and about that many — not n —
+// beyond it.
 func TestFig2ReportAndFrontier(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Fig2(smallOpts(&buf, 0.15)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "FAILED (heap space)") {
-		t.Error("fig2 never hit the heap frontier")
+	const sample = 4096
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			continue
+		}
+		n, err1 := strconv.Atoi(f[0])
+		got, err2 := strconv.Atoi(f[1])
+		if err1 != nil || err2 != nil {
+			continue
+		}
+		rows++
+		switch {
+		case n <= sample && got != n:
+			t.Errorf("n=%d: %d projections reach the reducer, want all of them", n, got)
+		case n >= 4*sample && math.Abs(float64(got-sample)) > 5*math.Sqrt(sample):
+			t.Errorf("n=%d: %d projections reach the reducer, want %d ± %.0f", n, got, sample, 5*math.Sqrt(sample))
+		}
 	}
-	if !strings.Contains(out, "succeeded") {
-		t.Error("fig2 never succeeded")
-	}
-	if !strings.Contains(out, "64.0 bytes per point") {
-		t.Errorf("fig2 regression did not recover the 64 B/point model:\n%s", out)
+	if rows != 6 {
+		t.Errorf("fig2 printed %d rows, want 6:\n%s", rows, out)
 	}
 }
 

@@ -1,99 +1,53 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"gmeansmr/internal/core"
 	"gmeansmr/internal/dataset"
-	"gmeansmr/internal/mr"
 )
 
-// Fig2 reproduces the paper's Figure 2: the amount of reducer heap the
-// TestClusters step needs as a function of the number of points a single
-// reducer receives. The paper sweeps dataset sizes against JVM heap sizes,
-// observes which jobs die with "Java heap space", and fits the frontier —
-// obtaining ≈64 bytes/point.
+// Fig2 revisits the paper's Figure 2: the reducer heap the TestClusters
+// step needs as a function of the number of points a single reducer
+// receives. The paper fits ≈64 bytes per point to the dataset sizes at
+// which its reducers died with "Java heap space", and switches between
+// its two normality-test jobs by that model.
 //
-// Here the sweep is run against the engine's heap-accounting model: a
-// single-cluster dataset funnels every projection into one reducer, and the
-// task heap varies per run. The reported frontier must match the model's
-// 64 B/point exactly, which validates that the engine reproduces the
-// paper's failure mechanics.
+// Here the test job ships a bounded, deterministic sample of each
+// cluster's projections, so a reducer's input stops growing with n. The
+// sweep runs one G-means round on single-cluster datasets, funnelling the
+// cluster's whole sample into one reducer, and reports the projections
+// that reach it against n, next to the heap the paper's model charges a
+// reducer that receives every projection. The sizes are not scaled: the
+// sweep has to cross the sample size to show the bound.
 func Fig2(opts Options) error {
 	opts = opts.withDefaults()
-	fmt.Fprintf(opts.Out, "\n=== Figure 2: reducer heap required by TestClusters ===\n")
+	fmt.Fprintf(opts.Out, "\n=== Figure 2: projections reaching the TestClusters reducer ===\n")
 
-	pointCounts := []int{
-		opts.scaled(2_000), opts.scaled(4_000), opts.scaled(6_000),
-		opts.scaled(8_000), opts.scaled(12_000), opts.scaled(16_000),
-	}
-	rows := [][]string{}
-	var csvRows [][]string
-	// For each dataset size, bisect the heap frontier across a fixed grid,
-	// like the paper's manual sweep.
-	type frontier struct {
-		n       int
-		minHeap int64
-	}
-	var frontiers []frontier
-	for _, n := range pointCounts {
+	var rows, csvRows [][]string
+	var maxPer int64
+	for _, n := range []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15} {
 		spec := dataset.Spec{K: 1, Dim: 2, N: n, StdDev: 3, Seed: opts.Seed + int64(n)}
-		grid := heapGrid(n)
-		minSuccess := int64(-1)
-		for _, heap := range grid {
-			cluster := paperCluster().WithTaskHeap(heap)
-			env, _, err := buildEnv(spec, cluster, 0)
-			if err != nil {
-				return err
-			}
-			_, err = core.Run(core.Config{
-				Env: env, Seed: opts.Seed,
-				ForceStrategy: core.StrategyReducer,
-				MaxIterations: 1,
-			})
-			status := "succeeded"
-			switch {
-			case err == nil:
-			case errors.Is(err, mr.ErrHeapSpace):
-				status = "FAILED (heap space)"
-			default:
-				return err
-			}
-			if err == nil && minSuccess < 0 {
-				minSuccess = heap
-			}
-			rows = append(rows, []string{fmtI(int64(n)), fmtI(heap / 1024), status})
-			csvRows = append(csvRows, []string{fmtI(int64(n)), fmtI(heap),
-				map[bool]string{true: "1", false: "0"}[err == nil]})
+		env, _, err := buildEnv(spec, paperCluster(), 0)
+		if err != nil {
+			return err
 		}
-		if minSuccess > 0 {
-			frontiers = append(frontiers, frontier{n: n, minHeap: minSuccess})
+		res, err := core.Run(core.Config{Env: env, Seed: opts.Seed, MaxIterations: 1})
+		if err != nil {
+			return err
 		}
+		counters := res.Counters.Snapshot()
+		projections, tests := counters[core.CounterProjections], counters[core.CounterADTests]
+		if tests != 1 {
+			return fmt.Errorf("fig2: n=%d ran %d Anderson–Darling tests, want 1", n, tests)
+		}
+		maxPer = max(maxPer, projections)
+		paperHeap := int64(n) * 64
+		rows = append(rows, []string{fmtI(int64(n)), fmtI(projections), fmtI(paperHeap / 1024)})
+		csvRows = append(csvRows, []string{fmtI(int64(n)), fmtI(projections), fmtI(paperHeap)})
 	}
-	fmt.Fprint(opts.Out, table([]string{"points/reducer", "task heap (KB)", "job outcome"}, rows))
-
-	// Linear regression of the success frontier: heap = slope×points + b.
-	if len(frontiers) >= 2 {
-		var sx, sy, sxx, sxy float64
-		for _, f := range frontiers {
-			x, y := float64(f.n), float64(f.minHeap)
-			sx += x
-			sy += y
-			sxx += x * x
-			sxy += x * y
-		}
-		m := float64(len(frontiers))
-		slope := (m*sxy - sx*sy) / (m*sxx - sx*sx)
-		fmt.Fprintf(opts.Out, "\nRegression of the success frontier: ≈ %.1f bytes per point\n", slope)
-		fmt.Fprintf(opts.Out, "Paper's measured value: ≈ 64 bytes per point (engine model: %d)\n",
-			core.HeapBytesPerPoint)
-	}
-	return writeCSV(opts, "fig2_heap", []string{"points", "heap_bytes", "succeeded"}, csvRows)
-}
-
-// heapGrid returns heap sizes bracketing the 64 B/point frontier for n.
-func heapGrid(n int) []int64 {
-	need := int64(n) * core.HeapBytesPerPoint
-	return []int64{need / 2, need * 3 / 4, need - 1, need, need * 3 / 2, need * 2}
+	fmt.Fprint(opts.Out, table([]string{"points in cluster", "projections to reducer", "paper model heap (KB)"}, rows))
+	fmt.Fprintf(opts.Out, "\nThe reducer's input levels off: at most %d projections reach it, where\n", maxPer)
+	fmt.Fprintf(opts.Out, "the paper's reducer held all n of them at ≈ 64 bytes per point.\n")
+	return writeCSV(opts, "fig2_sample", []string{"points", "projections", "paper_heap_bytes"}, csvRows)
 }

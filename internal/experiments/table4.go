@@ -27,9 +27,10 @@ func Table4(opts Options) error {
 	}
 	nodeCounts := []int{4, 8, 12}
 	// One fixed split size for every run: enough splits (≈96) to keep all
-	// 24 slots of the 12-node cluster busy. Holding the data layout, the
-	// seed and the test strategy constant makes the three runs execute the
-	// exact same algorithm — only the available parallelism changes, which
+	// 24 slots of the 12-node cluster busy. Holding the data layout and
+	// the seed constant makes the three runs execute the exact same
+	// algorithm — the test job's sample depends on neither the node count
+	// nor the schedule — so only the available parallelism changes, which
 	// is what the paper's experiment isolates.
 	splitSize := spec.N * spec.Dim * 18 / 96
 	if splitSize < 4<<10 {
@@ -45,10 +46,7 @@ func Table4(opts Options) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.Run(core.Config{
-			Env: env, Seed: opts.Seed + 11,
-			ForceStrategy: core.StrategyFewClusters,
-		})
+		res, err := core.Run(core.Config{Env: env, Seed: opts.Seed + 11})
 		if err != nil {
 			return err
 		}

@@ -32,9 +32,9 @@ type Reducer interface {
 // inside emitted values — since the backing arrays are immutable.
 //
 // One fresh instance is created per map task (via the job's
-// PointMapperFactory), so instances may keep per-task state — the
-// TestFewClusters strategy depends on this to buffer projections in the
-// mapper and flush decisions in Close, exactly like Hadoop's
+// PointMapperFactory), so instances may keep per-task state — the PCA
+// candidate job depends on this to accumulate per-cluster statistics in
+// the mapper and flush them in Close, exactly like Hadoop's
 // Mapper.cleanup.
 type PointMapper interface {
 	// Setup runs once before the task's split.

@@ -28,8 +28,7 @@ type Cluster struct {
 	// MaxHeapUsage is the fraction of TaskHeapBytes the *scheduler* is
 	// willing to plan for; the paper uses 0.66 to keep the JVM out of
 	// GC-thrash territory. It does not limit what a task may actually
-	// reserve — it informs planning decisions such as the G-means strategy
-	// switch.
+	// reserve; PlannableHeap reports the planned share.
 	MaxHeapUsage float64
 }
 
@@ -67,9 +66,7 @@ func (c Cluster) Validate() error {
 // MapCapacity is the total number of concurrent map tasks.
 func (c Cluster) MapCapacity() int { return c.Nodes * c.MapSlotsPerNode }
 
-// ReduceCapacity is the total number of concurrent reduce tasks. The
-// G-means strategy switch compares the number of clusters to test against
-// this value.
+// ReduceCapacity is the total number of concurrent reduce tasks.
 func (c Cluster) ReduceCapacity() int { return c.Nodes * c.ReduceSlotsPerNode }
 
 // PlannableHeap is the heap the scheduler budgets per task:

@@ -90,9 +90,8 @@ type WeightedPointValue struct {
 	vec.WeightedPoint
 }
 
-// ADDecisionValue carries one mapper-side Anderson–Darling outcome for the
-// TestFewClusters strategy: the corrected statistic and the sample size it
-// was computed on (so the reducer can weight or veto decisions).
+// ADDecisionValue carries one Anderson–Darling outcome: the corrected
+// statistic, the sample size it was computed on and the verdict.
 type ADDecisionValue struct {
 	A2Star float64
 	N      int64

@@ -280,6 +280,46 @@ func TestProcBackendMatchesLocalExactly(t *testing.T) {
 	sameCounters(t, "iterate", itL.Job.Counters, itP.Job.Counters)
 }
 
+// TestProcSampledTestMatchesLocal pins the normality test's sample across
+// the process boundary: with clusters several times the test's
+// 4,096-projection sample, every map task picks its records from the
+// payload, its task id and the record indices alone, so the proc
+// trajectory equals the local one bit for bit.
+func TestProcSampledTestMatchesLocal(t *testing.T) {
+	spec := dataset.Spec{K: 2, Dim: 3, N: 3 * 2 * 4096, MinSeparation: 16, Seed: 12}
+
+	run := func(runner mr.TaskRunner) (*core.Result, []int64) {
+		env, _ := gmeansEnv(t, spec, runner)
+		var projections []int64
+		res, err := core.Run(core.Config{Env: env, Seed: 8,
+			Progress: func(_ core.IterationStats, c map[string]int64) {
+				projections = append(projections, c[core.CounterProjections])
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, projections
+	}
+
+	local, localProj := run(nil)
+	runner := mrdist.NewProcRunner(mrdist.Options{})
+	defer runner.Close()
+	proc, procProj := run(runner)
+
+	// Round 1 tests the whole dataset as one cluster: the sample, not N.
+	if len(localProj) == 0 || localProj[0] > int64(spec.N)/2 {
+		t.Fatalf("round 1 shipped %v projections of %d points: the test did not sample", localProj, spec.N)
+	}
+	if !reflect.DeepEqual(localProj, procProj) {
+		t.Errorf("cumulative projections by round: local %v, proc %v", localProj, procProj)
+	}
+	if local.K != proc.K || local.Iterations != proc.Iterations {
+		t.Errorf("k/iterations: local %d/%d, proc %d/%d", local.K, local.Iterations, proc.K, proc.Iterations)
+	}
+	sameCenters(t, "gmeans", local.Centers, proc.Centers)
+	sameCounters(t, "gmeans", local.Counters, proc.Counters)
+}
+
 // TestProcPCACandidatesMatchLocal pins G-means' PCA candidate job, whose
 // covariance statistics ship the app-registered covValue codec across the
 // wire.

@@ -31,7 +31,7 @@ import (
 // length-prefixed with u32.
 const (
 	wireMagic   = "GMWR"
-	wireVersion = 5
+	wireVersion = 6
 )
 
 var errWire = errors.New("mrdist: malformed wire message")

@@ -3,7 +3,7 @@
 // and the Anderson–Darling test of normality with the small-sample
 // correction used by Hamerly & Elkan ("Learning the k in k-means", NIPS
 // 2003), which is the test the reproduced paper runs inside its
-// TestClusters / TestFewClusters MapReduce jobs.
+// TestClusters MapReduce job.
 //
 // The test sorts its sample with a radix sort on the float bits, a byte
 // per pass. It gives sort.Float64s's order, NaNs first, and A² is the
