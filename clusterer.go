@@ -105,9 +105,10 @@ type Progress struct {
 	// round), so durations from different algorithms chart comparably.
 	Duration time.Duration
 	// Phases breaks Duration down by round phase (MR G-means only):
-	// "kmeans" (the first k-means pass), "kfnc" (the last k-means pass
-	// plus the PCA candidate job, the paper's KMeansAndFindNewCenters
-	// step) and "test" (the normality test); nil elsewhere.
+	// "kmeans" (the first k-means pass), "kfnc" (the last k-means pass,
+	// which also places the principal children: the paper's
+	// KMeansAndFindNewCenters step) and "test" (the normality test); nil
+	// elsewhere.
 	Phases map[string]time.Duration
 }
 

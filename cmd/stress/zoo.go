@@ -233,11 +233,11 @@ func checkKernel(points [][]float64, centers []vec.Vector) []invariants.Violatio
 	return nil
 }
 
-// runCorePCA drives the core engine directly — its principal-component
-// candidate job is the path most sensitive to degenerate geometry
-// (collinear, d=1, point-mass clusters) — and asserts the DFS
-// read-conservation law and the batch kernel's agreement with the scalar
-// one on top of the result invariants.
+// runCorePCA drives the core engine directly — the principal-component
+// children its last k-means pass places are the path most sensitive to
+// degenerate geometry (collinear, d=1, point-mass clusters) — and asserts
+// the DFS read-conservation law and the batch kernel's agreement with the
+// scalar one on top of the result invariants.
 func runCorePCA(c zoo.Cell, seed int64) ([]invariants.Violation, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), zooCellTimeout)
 	defer cancel()

@@ -1,19 +1,20 @@
 // Package core implements the paper's contribution: G-means on MapReduce
-// (Algorithm 1 of the paper). The driver chains four jobs per iteration —
+// (Algorithm 1 of the paper). The driver chains three jobs per iteration —
 //
-//	KMeans            refine the current candidate centers (two passes)
-//	PCA candidates    place 2 next-round candidates per center along its
-//	                  cluster's principal component (Hamerly & Elkan)
-//	TestClusters      project each cluster on the vector joining its two
-//	                  candidates and Anderson–Darling test a bounded,
-//	                  deterministic sample of the projections in the
-//	                  reducer
+//	KMeans                   refine the current candidate centers
+//	KMeansAndFindNewCenters  the last refinement pass, which also places
+//	                         2 next-round candidates per center along its
+//	                         cluster's principal component (Hamerly & Elkan)
+//	TestClusters             project each cluster on the vector joining its
+//	                         two candidates and Anderson–Darling test a
+//	                         bounded, deterministic sample of the
+//	                         projections in the reducer
 //
 // — splitting every cluster whose projections fail the normality test and
 // freezing it on its first accept, until every cluster looks Gaussian. The
-// last k-means pass plus the candidate job is the step the paper fuses into
-// KMeansAndFindNewCenters with random candidates; the principal-component
-// children are the "additional MapReduce job" it mentions.
+// paper picks the candidates at random in KMeansAndFindNewCenters; the
+// principal-component children need each cluster's scatter, which the
+// same pass gathers, so they cost no extra dataset read.
 //
 // The paper chooses between two test jobs: TestFewClusters (Algorithm 5)
 // tests split-local samples in the mappers while k is small, and
@@ -41,7 +42,7 @@ const DefaultMinTestSamples = 20
 // cluster.
 const (
 	// kmeansPasses is the number of refinement passes per G-means round,
-	// including the last pass before candidate placement: "we found
+	// including the last pass, which also places the candidates: "we found
 	// experimentally that only two k-means iterations are sufficient".
 	kmeansPasses = 2
 	// minTestableSize marks clusters smaller than this as final without
@@ -89,8 +90,8 @@ type Config struct {
 	// paper leaves as future work: centers closer than this are merged
 	// after the loop terminates.
 	MergeRadius float64
-	// Seed drives initial-center picking, the start vectors of the
-	// candidate job's power iterations and the test job's sample.
+	// Seed drives initial-center picking, the start vectors of the last
+	// k-means pass's power iterations and the test job's sample.
 	Seed int64
 	// Progress, when non-nil, is invoked after every G-means round with the
 	// round's diagnostics and a snapshot of the run's cumulative counters.

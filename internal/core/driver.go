@@ -34,12 +34,12 @@ type Result struct {
 //
 //	PickInitialCenters
 //	while not ClusteringCompleted:
-//	    KMeans                     (kmeansPasses passes)
-//	    PCA candidates             (two principal children per center)
+//	    KMeans                     (kmeansPasses − 1 passes)
+//	    KMeansAndFindNewCenters    (the last pass, which also places two
+//	                                principal children per center)
 //	    TestClusters               (a bounded sample per cluster)
 //
-// The last k-means pass and the candidate job together form the step the
-// paper calls KMeansAndFindNewCenters.
+// Three jobs per round, as in the paper.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -96,10 +96,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		phases["kmeans"] = time.Since(phaseStart)
 		kmSpan.End()
 
-		// --- Last k-means pass + candidate picking. ---
+		// --- KMeansAndFindNewCenters: last pass + principal children. ---
 		kfncSpan := trace.StartSpan("kfnc", "round-phase")
 		phaseStart = time.Now()
-		kfnc, err := lastPassWithCandidates(cfg, centers, len(found), round, res.Counters)
+		kfnc, err := lastPass(cfg, centers, len(found), round, res.Counters)
 		if err != nil {
 			kfncSpan.End()
 			roundSpan.End()
@@ -195,9 +195,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				switch {
 				case child.size == 0:
 					// Empty child: nothing to represent.
-				case child.size < minTestableSize || len(child.cands) < 2:
-					// Too small to test, or the refined center lost every
-					// point before the candidate job: nothing to split.
+				case child.size < minTestableSize:
+					// Too small to test: nothing to split.
 					found = append(found, child.center)
 				default:
 					next = append(next, &activeCluster{parent: child.center,
@@ -318,24 +317,6 @@ func writeBack(found []vec.Vector, active []*activeCluster, kfnc *kfncOutput) {
 		a.next1 = kfnc.candidates[f+2*i]
 		a.next2 = kfnc.candidates[f+2*i+1]
 	}
-}
-
-// lastPassWithCandidates runs the round's final refinement pass, then the
-// PCA candidate job on the refined centers: the paper's
-// KMeansAndFindNewCenters step, paying the one extra dataset read the
-// paper names for better-placed children.
-func lastPassWithCandidates(cfg Config, centers []vec.Vector, foundCount, round int, counters *mr.Counters) (*kfncOutput, error) {
-	itRes, err := kmeansmr.Iterate(cfg.Env, centers)
-	if err != nil {
-		return nil, err
-	}
-	itRes.Job.Counters.MergeInto(counters)
-	cands, jobRes, err := runPCACandidates(cfg, itRes.Centers, foundCount, round)
-	if err != nil {
-		return nil, err
-	}
-	jobRes.Counters.MergeInto(counters)
-	return &kfncOutput{centers: itRes.Centers, sizes: itRes.Sizes, candidates: cands}, nil
 }
 
 // testVerdict is one cluster's normality verdict as the test phase's span

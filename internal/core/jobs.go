@@ -18,12 +18,17 @@ const (
 	CounterADTests = "app.ad.tests"
 	// CounterProjections counts point projections computed by test jobs.
 	CounterProjections = "app.projections"
+	// CounterCovUpdates counts the covariance work of the last k-means
+	// pass: d(d+1)/2 scatter entries per point of an unfrozen cluster, the
+	// d² term the distance counter does not see.
+	CounterCovUpdates = "app.cov_updates"
 )
 
 // Interned forms for the per-record/per-test ticks below.
 var (
 	counterIDADTests     = mr.InternCounter(CounterADTests)
 	counterIDProjections = mr.InternCounter(CounterProjections)
+	counterIDCovUpdates  = mr.InternCounter(CounterCovUpdates)
 )
 
 // ---------------------------------------------------------------------------

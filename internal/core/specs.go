@@ -18,11 +18,11 @@ import (
 
 // Job kind names registered by this package.
 const (
-	KindTest = "gmeans.test"
-	KindPCA  = "gmeans.pca"
+	KindTest     = "gmeans.test"
+	KindLastPass = "gmeans.lastpass"
 )
 
-// TagCovValue is the wire tag of the PCA candidate job's covariance
+// TagCovValue is the wire tag of the last k-means pass's per-cluster
 // statistics.
 const TagCovValue = mrdist.TagAppBase + 1 // 17
 
@@ -33,15 +33,15 @@ func init() {
 			if !ok {
 				return false
 			}
-			e.Vec(cv.Sum).Vec(vec.Vector(cv.Outer)).I64(cv.Count)
+			e.Vec(cv.Sum).I64(cv.Count).Vec(cv.Scatter)
 			return true
 		},
 		Decode: func(d *mrdist.Decoder) mr.Value {
-			return covValue{Sum: d.Vec(), Outer: []float64(d.Vec()), Count: d.I64()}
+			return covValue{WeightedPoint: vec.WeightedPoint{Sum: d.Vec(), Count: d.I64()}, Scatter: d.Vec()}
 		},
 	})
 	mrdist.RegisterKind(KindTest, buildTest)
-	mrdist.RegisterKind(KindPCA, buildPCA)
+	mrdist.RegisterKind(KindLastPass, buildLastPass)
 }
 
 // testSpec encodes the normality-test job: the significance level, the
@@ -97,28 +97,35 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 	}, nil
 }
 
-// pcaSpec encodes the PCA candidate-selection job: the power-iteration
-// seed, the number of frozen centers leading the list (whose candidates
-// the driver never reads) and the centers.
-func pcaSpec(cfg Config, centers []vec.Vector, foundCount, round int) *mr.JobSpec {
+// lastPassSpec encodes the round's last k-means pass: the
+// power-iteration seed, the number of frozen centers leading the list
+// (whose children the driver never reads) and the pass's input centers.
+func lastPassSpec(cfg Config, centers []vec.Vector, foundCount, round int) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
 	e.I64(cfg.Seed + int64(round)).U32(uint32(foundCount))
 	kmeansmr.EncodeCenters(e, centers)
-	return &mr.JobSpec{Kind: KindPCA, Payload: e.Bytes()}
+	return &mr.JobSpec{Kind: KindLastPass, Payload: e.Bytes()}
 }
 
-func buildPCA(payload []byte) (mrdist.JobParts, error) {
+func buildLastPass(payload []byte) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
 	seed := d.I64()
 	foundCount := int(d.U32())
 	centers := kmeansmr.DecodeCenters(d)
 	if err := d.Err(); err != nil {
-		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindPCA, err)
+		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindLastPass, err)
+	}
+	for _, c := range centers {
+		if len(c) != len(centers[0]) {
+			return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: centers of %d and %d dimensions", KindLastPass, len(centers[0]), len(c))
+		}
 	}
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {
-			return &pcaMapper{centers: centers, foundCount: foundCount}
+			return &kfncMapper{centers: centers, foundCount: foundCount}
 		},
-		NewReducer: func() mr.Reducer { return &pcaReducer{seed: seed} },
+		NewReducer: func() mr.Reducer {
+			return &kfncReducer{centers: centers, foundCount: foundCount, seed: seed}
+		},
 	}, nil
 }

@@ -10,8 +10,8 @@ import (
 // the *parent* is the cluster's center from the previous iteration (what
 // TestClusters assigns points to), c1/c2 are the two candidate children
 // being refined in the current iteration, and next1/next2 hold the
-// principal-component children the candidate job placed for c1 and c2 —
-// used only if the cluster fails the normality test and splits.
+// principal-component children the last k-means pass placed for c1 and
+// c2 — used only if the cluster fails the normality test and splits.
 type activeCluster struct {
 	parent vec.Vector
 	c1, c2 vec.Vector
@@ -50,10 +50,10 @@ type IterationStats struct {
 	// Progress reports).
 	Duration time.Duration
 	// Phases breaks Duration down by round phase: "kmeans" (the plain
-	// refinement passes), "kfnc" (the last pass plus the PCA candidate
-	// job, the paper's KMeansAndFindNewCenters step), "test" (the
-	// normality-test job). Always populated, even without a trace recorder
-	// attached.
+	// refinement pass), "kfnc" (the last pass, which also places the
+	// principal children: the paper's KMeansAndFindNewCenters step) and
+	// "test" (the normality-test job). Always populated, even without a
+	// trace recorder attached.
 	Phases map[string]time.Duration
 }
 

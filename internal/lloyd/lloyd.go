@@ -217,11 +217,22 @@ func AverageDistance(points []vec.Vector, centers []vec.Vector, assign []int) fl
 	return s / float64(len(points))
 }
 
-// Assign computes the nearest-center assignment for points.
+// Assign computes the nearest-center assignment for points through the
+// fused batch kernel (vec.CenterPack.NearestRows transposes the points
+// tile by tile). Each entry is the index vec.NearestIndex returns for the
+// point, including -1 when there are no centers or every distance is
+// non-finite.
 func Assign(points []vec.Vector, centers []vec.Vector) []int {
 	out := make([]int, len(points))
-	for i, p := range points {
-		out[i], _ = vec.NearestIndex(p, centers)
+	if len(centers) == 0 {
+		for i := range out {
+			out[i] = -1
+		}
+		return out
+	}
+	idx, _ := vec.PackCenters(centers).NearestRows(points, nil)
+	for i, c := range idx {
+		out[i] = int(c)
 	}
 	return out
 }

@@ -247,3 +247,59 @@ func TestPropCentersAreCentroids(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAssignMatchesNearestIndex: the batched assignment gives every point
+// the index a per-point vec.NearestIndex scan gives it — on exact ties
+// (the lower index wins), signed zeros, coordinates whose squares
+// overflow so that every distance is +Inf (-1) or only some are, point
+// counts off the kernel's tile and SIMD widths, and no centers at all.
+func TestAssignMatchesNearestIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	negZero := math.Copysign(0, -1)
+	for _, dim := range []int{1, 3, 16, 17} {
+		centers := make([]vec.Vector, 5)
+		for c := range centers {
+			centers[c] = make(vec.Vector, dim)
+			for j := range centers[c] {
+				centers[c][j] = float64(rng.Intn(5))
+			}
+		}
+		centers[3] = vec.Clone(centers[1]) // a duplicate center ties exactly
+		centers[4][0] = 1e200              // overflows against ordinary points
+		var points []vec.Vector
+		for i := 0; i < 517; i++ {
+			p := make(vec.Vector, dim)
+			for j := range p {
+				switch rng.Intn(6) {
+				case 0:
+					p[j] = negZero
+				case 1:
+					p[j] = float64(rng.Intn(5)) // ties between centers on a grid
+				default:
+					p[j] = rng.NormFloat64() * 3
+				}
+			}
+			switch i % 50 {
+			case 7:
+				p[0] = -1e200 // every distance overflows
+			case 8:
+				p[0] = 1e200 // only the far center is finite
+			}
+			points = append(points, p)
+		}
+		got := Assign(points, centers)
+		for i, p := range points {
+			if want, _ := vec.NearestIndex(p, centers); got[i] != want {
+				t.Fatalf("dim %d point %d %v: Assign %d, NearestIndex %d", dim, i, p, got[i], want)
+			}
+		}
+		if got[7] != -1 || got[8] != 4 {
+			t.Errorf("dim %d: overflowing points assigned %d and %d, want -1 and 4", dim, got[7], got[8])
+		}
+		for i, c := range Assign(points[:3], nil) {
+			if c != -1 {
+				t.Errorf("no centers: point %d assigned %d", i, c)
+			}
+		}
+	}
+}

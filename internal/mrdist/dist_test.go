@@ -320,9 +320,11 @@ func TestProcSampledTestMatchesLocal(t *testing.T) {
 	sameCounters(t, "gmeans", local.Counters, proc.Counters)
 }
 
-// TestProcPCACandidatesMatchLocal pins G-means' PCA candidate job, whose
-// covariance statistics ship the app-registered covValue codec across the
-// wire.
+// TestProcPCACandidatesMatchLocal pins G-means' principal-component
+// candidates, which the last k-means pass (the gmeans.lastpass kind)
+// places: its per-cluster Σx, count and scatter ship the app-registered
+// covValue codec across the wire, and its reducer output mixes weighted
+// points with the children.
 func TestProcPCACandidatesMatchLocal(t *testing.T) {
 	spec := dataset.Spec{K: 3, Dim: 2, N: 1500, MinSeparation: 16, Seed: 4}
 
@@ -344,8 +346,11 @@ func TestProcPCACandidatesMatchLocal(t *testing.T) {
 		t.Errorf("local k=%d iters=%d, proc k=%d iters=%d",
 			local.K, local.Iterations, proc.K, proc.Iterations)
 	}
-	sameCenters(t, "pca", local.Centers, proc.Centers)
-	sameCounters(t, "pca", local.Counters, proc.Counters)
+	if local.Counters.Get(core.CounterCovUpdates) == 0 {
+		t.Error("no covariance updates: the last pass placed no children")
+	}
+	sameCenters(t, "lastpass", local.Centers, proc.Centers)
+	sameCounters(t, "lastpass", local.Counters, proc.Counters)
 }
 
 // TestProcMultiKMatchesLocal pins the multi-k baseline and its evaluation

@@ -236,6 +236,23 @@ type taskRequest struct {
 	numReducers int
 }
 
+// maxReducers bounds a task request's reducer count: a map task
+// allocates one run per reducer before it looks at a record.
+const maxReducers = 1 << 16
+
+// validate rejects a task request that decodes but describes no job a
+// worker can run: an invalid cluster, a non-positive point dim, or a
+// reducer count outside [1, maxReducers].
+func (tr *taskRequest) validate() error {
+	if err := tr.cluster.Validate(); err != nil {
+		return err
+	}
+	if tr.pointDim <= 0 || tr.numReducers <= 0 || tr.numReducers > maxReducers {
+		return fmt.Errorf("mrdist: task request with point dim %d and %d reducers", tr.pointDim, tr.numReducers)
+	}
+	return nil
+}
+
 func decodeTaskRequest(d *Decoder) taskRequest {
 	return taskRequest{
 		jobID: d.Str(),
@@ -313,6 +330,10 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 	taskID := int(d.U32())
 	key := decodeSplitKey(d)
 	if err := d.Err(); err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := tr.validate(); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -425,6 +446,10 @@ func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
 		locs = append(locs, d.Str())
 	}
 	if err := d.Err(); err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := tr.validate(); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}

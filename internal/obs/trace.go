@@ -18,7 +18,7 @@ const maxTraceEvents = 1 << 19
 // of wall time with optional key/value arguments (record counts, byte
 // volumes, counter snapshots).
 type SpanEvent struct {
-	// Name labels the span ("map-task", "round-3", "job:gmeans-pca-candidates-...").
+	// Name labels the span ("map-task", "round-3", "job:gmeans-lastpass-round-2").
 	Name string `json:"name"`
 	// Cat groups spans for filtering: "phase" for the driver's sequential
 	// run segments, "round-phase" for within-round segments, "mr" for
