@@ -48,8 +48,7 @@ func benchEnv(b *testing.B, spec dataset.Spec, cluster mr.Cluster) (kmeansmr.Env
 }
 
 func benchCluster() mr.Cluster {
-	return mr.Cluster{Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-		TaskHeapBytes: 256 << 20, MaxHeapUsage: 0.66}
+	return mr.DefaultCluster()
 }
 
 // --- Figure 1: center evolution on 10 clusters in R² ------------------------

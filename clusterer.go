@@ -113,7 +113,7 @@ type Progress struct {
 }
 
 // Result.Counters keys for the cost quantities of the paper's model.
-// Further engine counters (combine/reduce records, heap peaks, ...) appear
+// Further engine counters (combine/reduce records, shuffle bytes, ...) appear
 // under their internal names; these four are the ones callers typically
 // read.
 const (
@@ -154,7 +154,6 @@ type config struct {
 	criterion   Criterion
 	progress    func(Progress)
 	traceW      io.Writer
-	traceJSONW  io.Writer
 	observer    *obs.Registry
 
 	err error // first option error, surfaced by New
@@ -339,19 +338,6 @@ func WithTrace(w io.Writer) Option {
 	}
 }
 
-// WithTraceJSON is WithTrace in the JSON event-log format (absolute
-// timestamps, one object per span) for programmatic consumers. Both
-// options may be set; one recorder feeds both writers.
-func WithTraceJSON(w io.Writer) Option {
-	return func(c *config) {
-		if w == nil {
-			c.setErr(fmt.Errorf("gmeansmr: WithTraceJSON requires a non-nil writer"))
-			return
-		}
-		c.traceJSONW = w
-	}
-}
-
 // WithObserver registers a metrics registry the run ticks: per-round and
 // per-phase latency histograms, round counters, an active-clusters gauge.
 // The same registry can back a /metrics endpoint (see Registry and
@@ -437,7 +423,7 @@ func (c *Clusterer) Run(ctx context.Context, src DataSource) (*Result, error) {
 	// reusable); it only exists when a trace writer asked for it, so
 	// untraced runs thread a nil *Trace whose spans cost a pointer test.
 	var tr *obs.Trace
-	if c.cfg.traceW != nil || c.cfg.traceJSONW != nil {
+	if c.cfg.traceW != nil {
 		tr = obs.NewTrace()
 	}
 	runSpan := tr.StartSpan("clusterer-run", "run").SetArg("algorithm", string(c.cfg.algorithm))
@@ -478,22 +464,15 @@ func (c *Clusterer) withFallback(ctx context.Context, src DataSource, tr *obs.Tr
 	return run(ctx, src, tr, BackendLocal)
 }
 
-// writeTrace exports the run's spans to the configured writers. Traces
-// are written even for failed runs — a trace of the phases that did run
-// is exactly what diagnosing the failure needs.
+// writeTrace exports the run's spans to the configured writer. Traces are
+// written even for failed runs — a trace of the phases that did run is
+// exactly what diagnosing the failure needs.
 func (c *Clusterer) writeTrace(tr *obs.Trace) error {
 	if tr == nil {
 		return nil
 	}
-	if c.cfg.traceW != nil {
-		if err := tr.WriteChromeTrace(c.cfg.traceW); err != nil {
-			return fmt.Errorf("gmeansmr: writing trace: %w", err)
-		}
-	}
-	if c.cfg.traceJSONW != nil {
-		if err := tr.WriteJSON(c.cfg.traceJSONW); err != nil {
-			return fmt.Errorf("gmeansmr: writing trace event log: %w", err)
-		}
+	if err := tr.WriteChromeTrace(c.cfg.traceW); err != nil {
+		return fmt.Errorf("gmeansmr: writing trace: %w", err)
 	}
 	return nil
 }

@@ -363,13 +363,7 @@ func stageEnv(spec dataset.Spec, nodes int, runner mr.TaskRunner) (kmeansmr.Env,
 	}
 	fs := dfs.New(16 << 10)
 	ds.WriteToDFS(fs, "/data/points.txt")
-	cluster := mr.Cluster{
-		Nodes:              nodes,
-		MapSlotsPerNode:    2,
-		ReduceSlotsPerNode: 2,
-		TaskHeapBytes:      64 << 20,
-		MaxHeapUsage:       0.66,
-	}
+	cluster := mr.DefaultCluster().WithNodes(nodes)
 	return kmeansmr.Env{
 		FS:      fs,
 		Cluster: cluster,

@@ -198,8 +198,7 @@ func stageZoo(c zoo.Cell, seed int64) (kmeansmr.Env, *dfs.FS) {
 		w.WriteString("\n")
 	}
 	w.Close()
-	cluster := mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-		TaskHeapBytes: 64 << 20, MaxHeapUsage: 0.66}
+	cluster := mr.DefaultCluster().WithNodes(2)
 	return kmeansmr.Env{FS: fs, Cluster: cluster, Input: "/zoo/points.txt", Dim: c.Dim}, fs
 }
 

@@ -45,11 +45,10 @@ func TestGMeansColumnarMatchesRowMajor(t *testing.T) {
 			ds.WriteToDFS(fs, "/p.txt")
 			var cfg Config
 			cfg.Env = kmeansmr.Env{
-				FS: fs,
-				Cluster: mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-					TaskHeapBytes: 64 << 20, MaxHeapUsage: 0.66},
-				Input: "/p.txt",
-				Dim:   16,
+				FS:      fs,
+				Cluster: mr.DefaultCluster().WithNodes(2),
+				Input:   "/p.txt",
+				Dim:     16,
 			}
 			cfg.Seed = 94
 			cfg.MaxIterations = 6

@@ -27,8 +27,7 @@ func newEnv(t *testing.T, spec dataset.Spec, splitSize int, cluster mr.Cluster) 
 }
 
 func smallCluster() mr.Cluster {
-	return mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-		TaskHeapBytes: 64 << 20, MaxHeapUsage: 0.66}
+	return mr.DefaultCluster().WithNodes(2)
 }
 
 func TestRunDiscoversApproximateK(t *testing.T) {

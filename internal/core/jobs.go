@@ -7,6 +7,7 @@ import (
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/mr"
+	"gmeansmr/internal/mrdist"
 	"gmeansmr/internal/stats"
 	"gmeansmr/internal/vec"
 )
@@ -146,11 +147,10 @@ func (r *testReducer) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 func runTest(cfg Config, parents []vec.Vector, foundCount int, vectors []vec.Vector, sizes []int64, round int) ([]TestOutcome, *mr.Result, error) {
 	numActive := len(vectors)
 	spec := testSpec(cfg, parents, foundCount, vectors, sizes, round)
-	parts, err := buildTest(spec.Payload)
+	job, err := mrdist.Build(cfg.Env.Job(fmt.Sprintf("gmeans-%s-round-%d", StrategyReducer, round), spec))
 	if err != nil {
 		return nil, nil, err
 	}
-	job := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-%s-round-%d", StrategyReducer, round), spec))
 	// "The number of reduce tasks is still equal to k": one partition per
 	// cluster under test.
 	job.NumReducers = numActive

@@ -19,12 +19,6 @@ func (e *collectEmitter) Emit(key int64, v mr.Value) {
 	e.out = append(e.out, mr.KV{Key: key, Value: v})
 }
 
-func newTaskCtx(heap int64) *mr.TaskContext {
-	// The zero TaskContext works for unit tests; only heap-related tests
-	// need a real budget, which the engine normally installs.
-	return &mr.TaskContext{}
-}
-
 // TestTestMapperSamplesLargeClusters: the test job ships about
 // testSampleSize projections of a cluster much larger than that, every
 // projection of a cluster at most that large, and re-running a map task
@@ -58,7 +52,7 @@ func TestTestMapperSamplesLargeClusters(t *testing.T) {
 	}
 	spec := testSpec(Config{Alpha: 0.0001, Seed: 3}, parents, 0,
 		[]vec.Vector{{1, 0}, {1, 0}}, sizes, 2)
-	parts, err := buildTest(spec.Payload)
+	parts, err := buildTest(spec.Payload, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/mr"
+	"gmeansmr/internal/mrdist"
 	"gmeansmr/internal/vec"
 )
 
@@ -112,9 +113,6 @@ func (m *kfncMapper) Setup(*mr.TaskContext) error {
 // products in input order, as a per-point fold would.
 func (m *kfncMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n, d := cols.Len(), cols.Dim()
-	if len(m.centers) > 0 && len(m.centers[0]) != d {
-		return fmt.Errorf("core: %d-dimensional centers for %d-dimensional points", len(m.centers[0]), d)
-	}
 	idx := m.batch.Assign(m.centers, cols)
 	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.centers))*int64(n))
 	ctx.Count(kmeansmr.CounterIDPoints, int64(n))
@@ -277,12 +275,11 @@ func powerIteration(cov []float64, d, iters int, rng *rand.Rand) (vec.Vector, fl
 // distance count equal kmeansmr.Iterate's on the same centers, bit for
 // bit.
 func lastPass(cfg Config, centers []vec.Vector, foundCount, round int, counters *mr.Counters) (*kfncOutput, error) {
-	spec := lastPassSpec(cfg, centers, foundCount, round)
-	parts, err := buildLastPass(spec.Payload)
+	job, err := mrdist.Build(cfg.Env.Job(fmt.Sprintf("gmeans-lastpass-round-%d", round), lastPassSpec(cfg, centers, foundCount, round)))
 	if err != nil {
 		return nil, err
 	}
-	res, err := parts.Install(cfg.Env.Job(fmt.Sprintf("gmeans-lastpass-round-%d", round), spec)).Run()
+	res, err := job.Run()
 	if err != nil {
 		return nil, err
 	}

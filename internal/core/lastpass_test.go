@@ -269,10 +269,10 @@ func TestKFNCReducerDeterministicByKey(t *testing.T) {
 	}
 	reduce := func(keys []int64) []mr.KV {
 		r := &kfncReducer{centers: centers, seed: 42}
-		r.Setup(newTaskCtx(0))
+		r.Setup(&mr.TaskContext{})
 		em := &collectEmitter{}
 		for _, k := range keys {
-			if err := r.Reduce(newTaskCtx(0), k, group(float64(k)), em); err != nil {
+			if err := r.Reduce(&mr.TaskContext{}, k, group(float64(k)), em); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -406,12 +406,12 @@ func TestKFNCMapperSkipsFrozenCenters(t *testing.T) {
 	flat := []float64{0, 0, 0.5, 0.5, 10, 10, 10.5, 9.5, 20, 20}
 	cols := dfs.NewPointSplit(flat, 2, 0).Columns()
 	m := &kfncMapper{centers: []vec.Vector{{0, 0}, {10, 10}, {20, 20}}, foundCount: 1}
-	m.Setup(newTaskCtx(0))
-	if err := m.MapColumns(newTaskCtx(0), cols, nil); err != nil {
+	m.Setup(&mr.TaskContext{})
+	if err := m.MapColumns(&mr.TaskContext{}, cols, nil); err != nil {
 		t.Fatal(err)
 	}
 	em := &collectEmitter{}
-	m.Close(newTaskCtx(0), em)
+	m.Close(&mr.TaskContext{}, em)
 	counts := map[int64]int64{}
 	for _, kv := range em.out {
 		cv := kv.Value.(covValue)
@@ -464,12 +464,12 @@ func TestKFNCMapperMatchesPerPointAdd(t *testing.T) {
 		members[int64(best)] = append(members[int64(best)], p)
 	}
 	m := &kfncMapper{centers: centers, foundCount: foundCount}
-	m.Setup(newTaskCtx(0))
-	if err := m.MapColumns(newTaskCtx(0), dfs.NewPointSplit(flat, d, 0).Columns(), nil); err != nil {
+	m.Setup(&mr.TaskContext{})
+	if err := m.MapColumns(&mr.TaskContext{}, dfs.NewPointSplit(flat, d, 0).Columns(), nil); err != nil {
 		t.Fatal(err)
 	}
 	em := &collectEmitter{}
-	m.Close(newTaskCtx(0), em)
+	m.Close(&mr.TaskContext{}, em)
 	if len(em.out) != len(members) {
 		t.Fatalf("%d clusters emitted, want %d (the empty cluster emits nothing)", len(em.out), len(members))
 	}
@@ -493,8 +493,8 @@ func TestKFNCMapperMatchesPerPointAdd(t *testing.T) {
 	inf := make([]float64, d)
 	inf[2] = math.Inf(-1)
 	m = &kfncMapper{centers: centers, foundCount: foundCount}
-	m.Setup(newTaskCtx(0))
-	err := m.MapColumns(newTaskCtx(0), dfs.NewPointSplit(append(flat[:d:d], inf...), d, 0).Columns(), nil)
+	m.Setup(&mr.TaskContext{})
+	err := m.MapColumns(&mr.TaskContext{}, dfs.NewPointSplit(append(flat[:d:d], inf...), d, 0).Columns(), nil)
 	if err == nil || !strings.Contains(err.Error(), "no nearest center") {
 		t.Errorf("a row with no finite distance: error %v", err)
 	}
@@ -517,11 +517,11 @@ func BenchmarkKFNCMapColumns(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := &kfncMapper{centers: ds.Centers, foundCount: 8}
-		m.Setup(newTaskCtx(0))
-		if err := m.MapColumns(newTaskCtx(0), cols, nil); err != nil {
+		m.Setup(&mr.TaskContext{})
+		if err := m.MapColumns(&mr.TaskContext{}, cols, nil); err != nil {
 			b.Fatal(err)
 		}
-		m.Close(newTaskCtx(0), &collectEmitter{})
+		m.Close(&mr.TaskContext{}, &collectEmitter{})
 	}
 }
 

@@ -60,7 +60,7 @@ func testSpec(cfg Config, parents []vec.Vector, foundCount int, vectors []vec.Ve
 	return &mr.JobSpec{Kind: KindTest, Payload: e.Bytes()}
 }
 
-func buildTest(payload []byte) (mrdist.JobParts, error) {
+func buildTest(payload []byte, dim int) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
 	alpha := d.F64()
 	seed := d.I64()
@@ -71,8 +71,8 @@ func buildTest(payload []byte) (mrdist.JobParts, error) {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		thresholds = append(thresholds, uint64(d.I64()))
 	}
-	parents := kmeansmr.DecodeCenters(d)
-	vectors := kmeansmr.DecodeCenters(d)
+	parents := kmeansmr.DecodeCenters(d, dim)
+	vectors := kmeansmr.DecodeCenters(d, dim)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindTest, err)
 	}
@@ -107,18 +107,13 @@ func lastPassSpec(cfg Config, centers []vec.Vector, foundCount, round int) *mr.J
 	return &mr.JobSpec{Kind: KindLastPass, Payload: e.Bytes()}
 }
 
-func buildLastPass(payload []byte) (mrdist.JobParts, error) {
+func buildLastPass(payload []byte, dim int) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
 	seed := d.I64()
 	foundCount := int(d.U32())
-	centers := kmeansmr.DecodeCenters(d)
+	centers := kmeansmr.DecodeCenters(d, dim)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindLastPass, err)
-	}
-	for _, c := range centers {
-		if len(c) != len(centers[0]) {
-			return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: centers of %d and %d dimensions", KindLastPass, len(centers[0]), len(c))
-		}
 	}
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {

@@ -92,17 +92,6 @@ func RunAll(opts Options) error {
 	return nil
 }
 
-// paperCluster is the simulated counterpart of the paper's 4-node testbed.
-func paperCluster() mr.Cluster {
-	return mr.Cluster{
-		Nodes:              4,
-		MapSlotsPerNode:    2,
-		ReduceSlotsPerNode: 2,
-		TaskHeapBytes:      256 << 20,
-		MaxHeapUsage:       0.66,
-	}
-}
-
 // buildEnv materializes a mixture dataset into a fresh DFS and returns the
 // job environment. splitSize of 0 selects ~32 map splits for the dataset.
 func buildEnv(spec dataset.Spec, cluster mr.Cluster, splitSize int) (kmeansmr.Env, *dataset.Dataset, error) {

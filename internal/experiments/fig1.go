@@ -5,6 +5,7 @@ import (
 
 	"gmeansmr/internal/core"
 	"gmeansmr/internal/dataset"
+	"gmeansmr/internal/mr"
 )
 
 // Fig1 reproduces the paper's Figure 1: "Evolution of centers positioned
@@ -18,7 +19,7 @@ func Fig1(opts Options) error {
 		CenterRange: 100, StdDev: 2, MinSeparation: 18,
 		Seed: opts.Seed + 1,
 	}
-	env, ds, err := buildEnv(spec, paperCluster(), 0)
+	env, ds, err := buildEnv(spec, mr.DefaultCluster(), 0)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"gmeansmr/internal/core"
 	"gmeansmr/internal/dataset"
+	"gmeansmr/internal/mr"
 )
 
 // Fig2 revisits the paper's Figure 2: the reducer heap the TestClusters
@@ -28,7 +29,7 @@ func Fig2(opts Options) error {
 	var maxPer int64
 	for _, n := range []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15} {
 		spec := dataset.Spec{K: 1, Dim: 2, N: n, StdDev: 3, Seed: opts.Seed + int64(n)}
-		env, _, err := buildEnv(spec, paperCluster(), 0)
+		env, _, err := buildEnv(spec, mr.DefaultCluster(), 0)
 		if err != nil {
 			return err
 		}

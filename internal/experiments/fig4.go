@@ -7,6 +7,7 @@ import (
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/lloyd"
+	"gmeansmr/internal/mr"
 )
 
 // Fig4 reproduces the paper's Figure 4: on a 10-cluster 2-D dataset,
@@ -21,7 +22,7 @@ func Fig4(opts Options) error {
 		CenterRange: 100, StdDev: 2, MinSeparation: 18,
 		Seed: opts.Seed + 4,
 	}
-	env, ds, err := buildEnv(spec, paperCluster(), 0)
+	env, ds, err := buildEnv(spec, mr.DefaultCluster(), 0)
 	if err != nil {
 		return err
 	}

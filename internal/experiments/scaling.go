@@ -10,6 +10,7 @@ import (
 	"gmeansmr/internal/core"
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/kmeansmr"
+	"gmeansmr/internal/mr"
 )
 
 // The scaling suite turns the paper's shape claims into a machine-checkable
@@ -71,7 +72,7 @@ func RunScaling(opts Options) (*ScalingReport, error) {
 		for _, k := range scalingKs {
 			spec := dataset.Spec{K: k, Dim: 8, N: opts.scaled(20_000),
 				CenterRange: 100, StdDev: 1, MinSeparation: 8, Seed: opts.Seed + int64(k)}
-			env, _, err := buildEnv(spec, paperCluster(), 0)
+			env, _, err := buildEnv(spec, mr.DefaultCluster(), 0)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +95,7 @@ func RunScaling(opts Options) (*ScalingReport, error) {
 		for _, n := range scalingNs {
 			spec := dataset.Spec{K: 8, Dim: 8, N: opts.scaled(n),
 				CenterRange: 100, StdDev: 1, MinSeparation: 8, Seed: opts.Seed + int64(n)}
-			env, _, err := buildEnv(spec, paperCluster(), 0)
+			env, _, err := buildEnv(spec, mr.DefaultCluster(), 0)
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +119,7 @@ func RunScaling(opts Options) (*ScalingReport, error) {
 		for _, kmax := range scalingKs {
 			spec := dataset.Spec{K: 8, Dim: 8, N: opts.scaled(8_000),
 				CenterRange: 100, StdDev: 1, MinSeparation: 8, Seed: opts.Seed + 17}
-			env, _, err := buildEnv(spec, paperCluster(), 0)
+			env, _, err := buildEnv(spec, mr.DefaultCluster(), 0)
 			if err != nil {
 				return nil, err
 			}
@@ -143,7 +144,7 @@ func RunScaling(opts Options) (*ScalingReport, error) {
 		for _, nodes := range scalingNodes {
 			spec := dataset.Spec{K: 8, Dim: 8, N: opts.scaled(40_000),
 				CenterRange: 100, StdDev: 1, MinSeparation: 8, Seed: opts.Seed + 29}
-			cluster := paperCluster()
+			cluster := mr.DefaultCluster()
 			cluster.Nodes = nodes
 			env, _, err := buildEnv(spec, cluster, 0)
 			if err != nil {

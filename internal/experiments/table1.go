@@ -7,6 +7,7 @@ import (
 	"gmeansmr/internal/core"
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/kmeansmr"
+	"gmeansmr/internal/mr"
 )
 
 // table1Ks are the true cluster counts of the scaled d-series datasets
@@ -36,7 +37,7 @@ func runTable1(opts Options) ([]table1Row, error) {
 			CenterRange: 100, StdDev: 1, MinSeparation: 8,
 			Seed: opts.Seed + int64(k),
 		}
-		env, _, err := buildEnv(spec, paperCluster(), 0)
+		env, _, err := buildEnv(spec, mr.DefaultCluster(), 0)
 		if err != nil {
 			return nil, err
 		}

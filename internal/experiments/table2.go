@@ -6,6 +6,7 @@ import (
 
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/kmeansmr"
+	"gmeansmr/internal/mr"
 )
 
 // table2Ks are the k_max values of the scaled multi-k-means runs (the
@@ -29,7 +30,7 @@ func runTable2(opts Options) ([]table2Row, error) {
 			CenterRange: 100, StdDev: 1, MinSeparation: 8,
 			Seed: opts.Seed + int64(k),
 		}
-		env, _, err := buildEnv(spec, paperCluster(), 0)
+		env, _, err := buildEnv(spec, mr.DefaultCluster(), 0)
 		if err != nil {
 			return nil, err
 		}

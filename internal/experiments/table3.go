@@ -7,6 +7,7 @@ import (
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/kmeansmr"
 	"gmeansmr/internal/lloyd"
+	"gmeansmr/internal/mr"
 )
 
 // Table3 reproduces the paper's Table 3: clustering quality of G-means vs
@@ -35,7 +36,7 @@ func Table3(opts Options) error {
 			CenterRange: 100, StdDev: 1, MinSeparation: 8,
 			Seed: opts.Seed + int64(k)*3,
 		}
-		env, ds, err := buildEnv(spec, paperCluster(), 0)
+		env, ds, err := buildEnv(spec, mr.DefaultCluster(), 0)
 		if err != nil {
 			return err
 		}

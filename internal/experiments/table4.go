@@ -5,6 +5,7 @@ import (
 
 	"gmeansmr/internal/core"
 	"gmeansmr/internal/dataset"
+	"gmeansmr/internal/mr"
 )
 
 // Table4 reproduces the paper's Table 4 / Figure 5: the running time of MR
@@ -41,7 +42,7 @@ func Table4(opts Options) error {
 	var xs, ys []float64
 	var base float64
 	for _, nodes := range nodeCounts {
-		cluster := paperCluster().WithNodes(nodes)
+		cluster := mr.DefaultCluster().WithNodes(nodes)
 		env, _, err := buildEnv(spec, cluster, splitSize)
 		if err != nil {
 			return err

@@ -36,8 +36,7 @@ func columnarEquivEnv(t *testing.T) (Env, *dataset.Dataset) {
 	}
 	fs := dfs.New(16 << 10) // many splits, boundaries inside records
 	ds.WriteToDFS(fs, "/p.txt")
-	cluster := mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-		TaskHeapBytes: 64 << 20, MaxHeapUsage: 0.66}
+	cluster := mr.DefaultCluster().WithNodes(2)
 	return Env{FS: fs, Cluster: cluster, Input: "/p.txt", Dim: 17}, ds
 }
 

@@ -136,8 +136,7 @@ func TestIterateConcurrentEnvs(t *testing.T) {
 	fs := dfs.New(4 << 10)
 	ds.WriteToDFS(fs, "/data/a.txt")
 	ds.WriteToDFS(fs, "/data/b.txt")
-	cluster := mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-		TaskHeapBytes: 64 << 20, MaxHeapUsage: 0.66}
+	cluster := mr.DefaultCluster().WithNodes(2)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {

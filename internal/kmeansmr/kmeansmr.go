@@ -20,6 +20,7 @@ import (
 
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/mr"
+	"gmeansmr/internal/mrdist"
 	"gmeansmr/internal/obs"
 	"gmeansmr/internal/vec"
 )
@@ -236,12 +237,10 @@ func Iterate(env Env, centers []vec.Vector) (*IterationResult, error) {
 	if len(centers) == 0 {
 		return nil, fmt.Errorf("kmeansmr: no centers to refine")
 	}
-	spec := assignSpec(centers)
-	parts, err := buildAssign(spec.Payload)
+	job, err := mrdist.Build(env.Job("kmeans", assignSpec(centers)))
 	if err != nil {
 		return nil, err
 	}
-	job := parts.Install(env.Job("kmeans", spec))
 	res, err := job.Run()
 	if err != nil {
 		return nil, err

@@ -23,11 +23,10 @@ func testEnv(t *testing.T, spec dataset.Spec, splitSize int) (Env, *dataset.Data
 	fs := dfs.New(splitSize)
 	ds.WriteToDFS(fs, "/data/points.txt")
 	env := Env{
-		FS: fs,
-		Cluster: mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-			TaskHeapBytes: 64 << 20, MaxHeapUsage: 0.66},
-		Input: "/data/points.txt",
-		Dim:   spec.Dim,
+		FS:      fs,
+		Cluster: mr.DefaultCluster().WithNodes(2),
+		Input:   "/data/points.txt",
+		Dim:     spec.Dim,
 	}
 	return env, ds
 }

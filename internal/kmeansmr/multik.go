@@ -10,6 +10,7 @@ import (
 	"gmeansmr/internal/dfs"
 	"gmeansmr/internal/lloyd"
 	"gmeansmr/internal/mr"
+	"gmeansmr/internal/mrdist"
 	"gmeansmr/internal/vec"
 )
 
@@ -194,13 +195,12 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		}
 		itStart := time.Now()
 		itSpan := cfg.Env.Trace.StartSpan(fmt.Sprintf("iter-%d", it+1), "phase")
-		spec := multikSpec(centerSets, ks)
-		parts, err := buildMultiK(spec.Payload)
+		job, err := mrdist.Build(cfg.Env.Job(fmt.Sprintf("multi-k-means-iter-%d", it), multikSpec(centerSets, ks)))
 		if err != nil {
 			itSpan.End()
 			return nil, err
 		}
-		jr, err := parts.Install(cfg.Env.Job(fmt.Sprintf("multi-k-means-iter-%d", it), spec)).Run()
+		jr, err := job.Run()
 		if err != nil {
 			itSpan.End()
 			return nil, err
@@ -359,12 +359,11 @@ func Evaluate(cfg MultiConfig, res *MultiResult) error {
 	sort.Ints(ks)
 	evalSpan := cfg.Env.Trace.StartSpan("evaluate", "phase")
 	defer evalSpan.End()
-	spec := evalSpec(res.CentersByK, ks)
-	parts, err := buildEval(spec.Payload)
+	job, err := mrdist.Build(cfg.Env.Job("multi-k-means-evaluate", evalSpec(res.CentersByK, ks)))
 	if err != nil {
 		return err
 	}
-	jr, err := parts.Install(cfg.Env.Job("multi-k-means-evaluate", spec)).Run()
+	jr, err := job.Run()
 	if err != nil {
 		return err
 	}

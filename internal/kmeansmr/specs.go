@@ -57,15 +57,16 @@ func EncodeCenters(e *mrdist.Encoder, centers []vec.Vector) {
 	}
 }
 
-// DecodeCenters reads a center list written by EncodeCenters.
-func DecodeCenters(d *mrdist.Decoder) []vec.Vector {
+// DecodeCenters reads a center list written by EncodeCenters, failing the
+// decoder on any center whose dim is not dim, the job's point dim.
+func DecodeCenters(d *mrdist.Decoder, dim int) []vec.Vector {
 	n := int(d.U32())
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
 	centers := make([]vec.Vector, 0, min(n, 1<<16))
-	for i := 0; i < n; i++ {
-		centers = append(centers, d.Vec())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		centers = append(centers, d.VecDim(dim))
 	}
 	return centers
 }
@@ -77,9 +78,9 @@ func assignSpec(centers []vec.Vector) *mr.JobSpec {
 	return &mr.JobSpec{Kind: KindAssign, Payload: e.Bytes()}
 }
 
-func buildAssign(payload []byte) (mrdist.JobParts, error) {
+func buildAssign(payload []byte, dim int) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	centers := DecodeCenters(d)
+	centers := DecodeCenters(d, dim)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindAssign, err)
 	}
@@ -100,7 +101,7 @@ func encodeCenterSets(e *mrdist.Encoder, centerSets map[int][]vec.Vector, ks []i
 	}
 }
 
-func decodeCenterSets(d *mrdist.Decoder) (map[int][]vec.Vector, []int) {
+func decodeCenterSets(d *mrdist.Decoder, dim int) (map[int][]vec.Vector, []int) {
 	n := int(d.U32())
 	if d.Err() != nil {
 		return nil, nil
@@ -109,7 +110,7 @@ func decodeCenterSets(d *mrdist.Decoder) (map[int][]vec.Vector, []int) {
 	ks := make([]int, 0, min(n, 1<<16))
 	for i := 0; i < n; i++ {
 		k := int(d.U32())
-		sets[k] = DecodeCenters(d)
+		sets[k] = DecodeCenters(d, dim)
 		if d.Err() != nil {
 			return nil, nil
 		}
@@ -125,9 +126,9 @@ func multikSpec(centerSets map[int][]vec.Vector, ks []int) *mr.JobSpec {
 	return &mr.JobSpec{Kind: KindMultiK, Payload: e.Bytes()}
 }
 
-func buildMultiK(payload []byte) (mrdist.JobParts, error) {
+func buildMultiK(payload []byte, dim int) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	sets, ks := decodeCenterSets(d)
+	sets, ks := decodeCenterSets(d, dim)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindMultiK, err)
 	}
@@ -147,9 +148,9 @@ func evalSpec(centerSets map[int][]vec.Vector, ks []int) *mr.JobSpec {
 	return &mr.JobSpec{Kind: KindEval, Payload: e.Bytes()}
 }
 
-func buildEval(payload []byte) (mrdist.JobParts, error) {
+func buildEval(payload []byte, dim int) (mrdist.JobParts, error) {
 	d := mrdist.NewDecoder(payload)
-	sets, ks := decodeCenterSets(d)
+	sets, ks := decodeCenterSets(d, dim)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindEval, err)
 	}

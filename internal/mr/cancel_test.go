@@ -93,7 +93,7 @@ func cancelJob(t *testing.T, ctx context.Context, mapSlots, reduceSlots int) *Jo
 	return &Job{
 		Name:        "cancel",
 		FS:          fs,
-		Cluster:     Cluster{Nodes: 1, MapSlotsPerNode: mapSlots, ReduceSlotsPerNode: reduceSlots, TaskHeapBytes: 1 << 20, MaxHeapUsage: 1},
+		Cluster:     Cluster{Nodes: 1, MapSlotsPerNode: mapSlots, ReduceSlotsPerNode: reduceSlots},
 		Input:       []string{"/in"},
 		PointDim:    1,
 		NumReducers: 4 * reduceSlots,

@@ -1,15 +1,8 @@
 package mr
 
 import (
-	"errors"
 	"fmt"
 )
-
-// ErrHeapSpace is the engine's equivalent of the JVM's
-// OutOfMemoryError("Java heap space"): a task reserved more memory than its
-// heap budget. The paper's Figure 2 charts exactly this failure boundary
-// for the TestClusters reducer.
-var ErrHeapSpace = errors.New("mr: Java heap space")
 
 // TaskKind distinguishes map from reduce tasks in contexts and errors.
 type TaskKind string
@@ -21,12 +14,11 @@ const (
 )
 
 // TaskContext is handed to every mapper/combiner/reducer callback. It
-// carries task identity, the job's counters, and the task's heap budget.
+// carries task identity and the job's counters.
 type TaskContext struct {
 	JobName string
 	Kind    TaskKind
 	TaskID  int
-	NodeID  int
 
 	counters *Counters
 	// local buffers counter increments for the lifetime of the task and is
@@ -37,10 +29,6 @@ type TaskContext struct {
 	// add, no string hashing (see InternCounter).
 	local        []int64
 	localTouched []bool
-
-	heapBudget int64
-	heapUsed   int64
-	heapPeak   int64
 }
 
 // Count increments the job counter interned as id by delta. Increments
@@ -79,37 +67,6 @@ func (c *TaskContext) flushCounters() {
 	c.local, c.localTouched = nil, nil
 }
 
-// HeapUsed returns the bytes currently reserved by the task.
-func (c *TaskContext) HeapUsed() int64 { return c.heapUsed }
-
-// HeapPeak returns the highest reservation the task reached.
-func (c *TaskContext) HeapPeak() int64 { return c.heapPeak }
-
-// ReserveHeap models allocating n bytes of task heap. It returns a
-// TaskError wrapping ErrHeapSpace when the reservation would exceed the
-// budget; the engine fails the whole job on that error, as Hadoop fails a
-// job whose task dies with OutOfMemoryError (after retries, which the
-// simulation does not need — the failure is deterministic).
-func (c *TaskContext) ReserveHeap(n int64) error {
-	if c.heapUsed+n > c.heapBudget {
-		return &TaskError{Job: c.JobName, Kind: c.Kind, TaskID: c.TaskID, Err: ErrHeapSpace}
-	}
-	c.heapUsed += n
-	if c.heapUsed > c.heapPeak {
-		c.heapPeak = c.heapUsed
-	}
-	return nil
-}
-
-// ReleaseHeap models freeing n bytes of task heap (e.g. a reducer dropping
-// one group's value list before the next group).
-func (c *TaskContext) ReleaseHeap(n int64) {
-	c.heapUsed -= n
-	if c.heapUsed < 0 {
-		c.heapUsed = 0
-	}
-}
-
 // TaskError wraps a failure of a specific task with its identity.
 type TaskError struct {
 	Job    string
@@ -123,5 +80,5 @@ func (e *TaskError) Error() string {
 	return fmt.Sprintf("mr: job %q %s task %d: %v", e.Job, e.Kind, e.TaskID, e.Err)
 }
 
-// Unwrap exposes the underlying cause (e.g. ErrHeapSpace).
+// Unwrap exposes the underlying cause.
 func (e *TaskError) Unwrap() error { return e.Err }

@@ -42,7 +42,7 @@ func ExampleJob_Run() {
 	job := &mr.Job{
 		Name:           "sum-per-key",
 		FS:             fs,
-		Cluster:        mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, TaskHeapBytes: 1 << 20, MaxHeapUsage: 1},
+		Cluster:        mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1},
 		Input:          []string{"/in"},
 		PointDim:       2,
 		NewPointMapper: func() mr.PointMapper { return keyValueMapper{} },

@@ -103,9 +103,8 @@ func (e *emitter) Emit(key int64, value Value) {
 
 // Run executes the job to completion and returns its result, or the first
 // task error encountered. A failing task fails the job, matching Hadoop's
-// behaviour for deterministic task errors such as heap exhaustion. When
-// j.Ctx is cancelled the job stops scheduling tasks and returns an error
-// wrapping ctx.Err().
+// behaviour for deterministic task errors. When j.Ctx is cancelled the job
+// stops scheduling tasks and returns an error wrapping ctx.Err().
 func (j *Job) Run() (*Result, error) {
 	if err := j.validate(); err != nil {
 		return nil, err
@@ -229,12 +228,10 @@ func jobErr(name string, err error) error {
 // merge at most one completion's counters.
 func (j *Job) ExecMapTask(taskID int, ps *dfs.PointSplit, numReducers int, partition Partitioner, counters *Counters) ([][]KV, error) {
 	ctx := &TaskContext{
-		JobName:    j.Name,
-		Kind:       MapTask,
-		TaskID:     taskID,
-		NodeID:     taskID % j.Cluster.Nodes,
-		counters:   counters,
-		heapBudget: j.Cluster.TaskHeapBytes,
+		JobName:  j.Name,
+		Kind:     MapTask,
+		TaskID:   taskID,
+		counters: counters,
 	}
 	em := &emitter{}
 	taskSpan := j.Trace.StartSpan("map-task", "task").SetTID(int64(taskID))
@@ -344,12 +341,10 @@ func (j *Job) combineRun(ctx *TaskContext, taskID int, run []KV, counters *Count
 // at completion.
 func (j *Job) ExecReduceTask(p int, counters *Counters, runs [][]KV) ([]KV, error) {
 	ctx := &TaskContext{
-		JobName:    j.Name,
-		Kind:       ReduceTask,
-		TaskID:     p,
-		NodeID:     p % j.Cluster.Nodes,
-		counters:   counters,
-		heapBudget: j.Cluster.TaskHeapBytes,
+		JobName:  j.Name,
+		Kind:     ReduceTask,
+		TaskID:   p,
+		counters: counters,
 	}
 	// Merge the per-task key-sorted runs with a k-way heap merge — Hadoop's
 	// merge phase proper, O(n log r) instead of re-sorting the

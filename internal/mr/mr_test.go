@@ -3,7 +3,6 @@ package mr
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -17,7 +16,7 @@ import (
 
 // testCluster returns a small deterministic-enough cluster for unit tests.
 func testCluster() Cluster {
-	return Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2, TaskHeapBytes: 1 << 20, MaxHeapUsage: 0.66}
+	return DefaultCluster().WithNodes(2)
 }
 
 // columnsMapper adapts a plain function to PointMapper for test jobs
@@ -211,49 +210,6 @@ func TestMapperErrorFailsJob(t *testing.T) {
 	}
 }
 
-func TestReducerHeapExhaustionFailsJob(t *testing.T) {
-	fs := dfs.New(0)
-	writeTokens(fs, "/in", []int{5, 5, 5, 5, 5, 5, 5, 5})
-	job := wordCountJob(fs, "/in", false)
-	job.Cluster.TaskHeapBytes = 100
-	job.NewReducer = func() Reducer {
-		return ReducerFunc(func(ctx *TaskContext, key int64, values []Value, emit Emitter) error {
-			// Model 64 bytes per value, like the paper's TestClusters
-			// reducer: 8 values × 64 B = 512 B > 100 B budget.
-			return ctx.ReserveHeap(int64(len(values)) * 64)
-		})
-	}
-	_, err := job.Run()
-	if !errors.Is(err, ErrHeapSpace) {
-		t.Fatalf("err = %v, want ErrHeapSpace", err)
-	}
-	var te *TaskError
-	if !errors.As(err, &te) || te.Kind != ReduceTask {
-		t.Errorf("heap failure should come from a reduce task: %v", err)
-	}
-}
-
-func TestHeapReserveRelease(t *testing.T) {
-	ctx := &TaskContext{heapBudget: 100, counters: NewCounters()}
-	if err := ctx.ReserveHeap(60); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.ReserveHeap(60); !errors.Is(err, ErrHeapSpace) {
-		t.Fatalf("over-budget reserve: err = %v", err)
-	}
-	ctx.ReleaseHeap(30)
-	if err := ctx.ReserveHeap(60); err != nil {
-		t.Fatalf("reserve after release: %v", err)
-	}
-	if ctx.HeapPeak() != 90 {
-		t.Errorf("HeapPeak = %d, want 90", ctx.HeapPeak())
-	}
-	ctx.ReleaseHeap(1000)
-	if ctx.HeapUsed() != 0 {
-		t.Errorf("HeapUsed after big release = %d, want 0", ctx.HeapUsed())
-	}
-}
-
 func TestNumReducersControlsPartitions(t *testing.T) {
 	fs := dfs.New(0)
 	writeTokens(fs, "/in", []int{0, 1, 2, 3, 4, 5, 6, 7})
@@ -392,26 +348,14 @@ func TestClusterValidateAndDerived(t *testing.T) {
 	if c.ReduceCapacity() != c.Nodes*c.ReduceSlotsPerNode {
 		t.Error("ReduceCapacity mismatch")
 	}
-	if c.PlannableHeap() != int64(float64(c.TaskHeapBytes)*c.MaxHeapUsage) {
-		t.Error("PlannableHeap mismatch")
-	}
 	if c2 := c.WithNodes(12); c2.Nodes != 12 || c.Nodes != 4 {
 		t.Error("WithNodes should copy")
 	}
-	if c2 := c.WithTaskHeap(42); c2.TaskHeapBytes != 42 || c.TaskHeapBytes == 42 {
-		t.Error("WithTaskHeap should copy")
-	}
 	for _, bad := range []Cluster{
-		{Nodes: 0, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, TaskHeapBytes: 1, MaxHeapUsage: 0.5},
-		{Nodes: 1, MapSlotsPerNode: 0, ReduceSlotsPerNode: 1, TaskHeapBytes: 1, MaxHeapUsage: 0.5},
-		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 0, TaskHeapBytes: 1, MaxHeapUsage: 0.5},
-		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, TaskHeapBytes: 0, MaxHeapUsage: 0.5},
-		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, TaskHeapBytes: 1, MaxHeapUsage: 1.5},
-		// Non-finite heap fractions: NaN fails both halves of a naive
-		// `<= 0 || > 1` range check, so it used to slip through.
-		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, TaskHeapBytes: 1, MaxHeapUsage: math.NaN()},
-		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, TaskHeapBytes: 1, MaxHeapUsage: math.Inf(1)},
-		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, TaskHeapBytes: 1, MaxHeapUsage: math.Inf(-1)},
+		{Nodes: 0, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1},
+		{Nodes: 1, MapSlotsPerNode: 0, ReduceSlotsPerNode: 1},
+		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 0},
+		{Nodes: -1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid cluster accepted: %+v", bad)

@@ -53,7 +53,7 @@ func pointPathJob(fs *dfs.FS, dim int) *Job {
 	return &Job{
 		Name:           "point-sum",
 		FS:             fs,
-		Cluster:        Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, TaskHeapBytes: 1 << 20, MaxHeapUsage: 1},
+		Cluster:        Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1},
 		Input:          []string{"/pts"},
 		PointDim:       dim,
 		NewPointMapper: func() PointMapper { return &sumPointMapper{} },

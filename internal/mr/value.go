@@ -8,8 +8,6 @@
 //   - a simulated cluster: N nodes × map/reduce slots, enforced by bounded
 //     worker pools, so node-scaling experiments (paper Table 4 / Fig. 5)
 //     exercise real parallelism;
-//   - per-task heap budgets with a "Java heap space"-equivalent failure
-//     mode, which reproduces the reducer-memory experiment (paper Fig. 2);
 //   - counters, the standard Hadoop mechanism jobs use to ship small
 //     aggregates (cluster sizes, test decisions) back to the driver.
 //

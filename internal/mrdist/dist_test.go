@@ -42,40 +42,38 @@ func TestMain(m *testing.M) {
 // kindSum groups the integers of a text input by v mod 5 and sums each
 // group. The payload carries two fault-injection knobs: sleepMS paces map
 // tasks so a wave is reliably in flight when a test kills a worker, and
-// heapBytes makes the reducer reserve that much task heap, driving the
-// engine's ErrHeapSpace path across the process boundary.
+// failReduce makes every reducer return sumReduceErr, a deterministic task
+// failure that must cross the process boundary intact.
 const kindSum = "mrdist.sumtest"
 
 const sumKeys = 5
 
+const sumReduceErr = "sumtest: reducer refuses its group"
+
 type sumPayload struct {
-	sleepMS   int
-	heapBytes int64
+	sleepMS    int
+	failReduce bool
 }
 
 func sumSpec(p sumPayload) *mr.JobSpec {
 	e := new(mrdist.Encoder).Begin()
-	e.U32(uint32(p.sleepMS)).I64(p.heapBytes)
+	e.U32(uint32(p.sleepMS)).Bool(p.failReduce)
 	return &mr.JobSpec{Kind: kindSum, Payload: e.Bytes()}
 }
 
 func init() {
-	mrdist.RegisterKind(kindSum, func(payload []byte) (mrdist.JobParts, error) {
+	mrdist.RegisterKind(kindSum, func(payload []byte, _ int) (mrdist.JobParts, error) {
 		d := mrdist.NewDecoder(payload)
-		p := sumPayload{sleepMS: int(d.U32()), heapBytes: d.I64()}
+		p := sumPayload{sleepMS: int(d.U32()), failReduce: d.Bool()}
 		if err := d.Err(); err != nil {
 			return mrdist.JobParts{}, err
 		}
-		return sumParts(p), nil
+		return mrdist.JobParts{
+			NewPointMapper: func() mr.PointMapper { return &sumMapper{sleepMS: p.sleepMS} },
+			NewCombiner:    func() mr.Reducer { return sumReducer{} },
+			NewReducer:     func() mr.Reducer { return sumReducer{fail: p.failReduce} },
+		}, nil
 	})
-}
-
-func sumParts(p sumPayload) mrdist.JobParts {
-	return mrdist.JobParts{
-		NewPointMapper: func() mr.PointMapper { return &sumMapper{sleepMS: p.sleepMS} },
-		NewCombiner:    func() mr.Reducer { return sumReducer{} },
-		NewReducer:     func() mr.Reducer { return sumReducer{heapBytes: p.heapBytes} },
-	}
 }
 
 type sumMapper struct {
@@ -102,17 +100,14 @@ func (m *sumMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emi
 func (m *sumMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 
 type sumReducer struct {
-	heapBytes int64
+	fail bool
 }
 
 func (sumReducer) Setup(*mr.TaskContext) error { return nil }
 
 func (r sumReducer) Reduce(ctx *mr.TaskContext, key int64, values []mr.Value, emit mr.Emitter) error {
-	if r.heapBytes > 0 {
-		if err := ctx.ReserveHeap(r.heapBytes); err != nil {
-			return err
-		}
-		defer ctx.ReleaseHeap(r.heapBytes)
+	if r.fail {
+		return errors.New(sumReduceErr)
 	}
 	var sum int64
 	for _, v := range values {
@@ -143,7 +138,7 @@ func numbersFS(n, splitSize int) (*dfs.FS, map[int64]int64) {
 }
 
 func sumJob(fs *dfs.FS, cluster mr.Cluster, runner mr.TaskRunner, p sumPayload) *mr.Job {
-	return sumParts(p).Install(&mr.Job{
+	j, err := mrdist.Build(&mr.Job{
 		Name:     "dist-sum",
 		FS:       fs,
 		Cluster:  cluster,
@@ -152,6 +147,10 @@ func sumJob(fs *dfs.FS, cluster mr.Cluster, runner mr.TaskRunner, p sumPayload) 
 		Runner:   runner,
 		Spec:     sumSpec(p),
 	})
+	if err != nil {
+		panic(err) // every sumPayload encodes a payload its builder decodes
+	}
+	return j
 }
 
 func checkSums(t *testing.T, res *mr.Result, want map[int64]int64) {
@@ -170,13 +169,7 @@ func checkSums(t *testing.T, res *mr.Result, want map[int64]int64) {
 }
 
 func testCluster(nodes, mapSlots, reduceSlots int) mr.Cluster {
-	return mr.Cluster{
-		Nodes:              nodes,
-		MapSlotsPerNode:    mapSlots,
-		ReduceSlotsPerNode: reduceSlots,
-		TaskHeapBytes:      64 << 20,
-		MaxHeapUsage:       0.66,
-	}
+	return mr.Cluster{Nodes: nodes, MapSlotsPerNode: mapSlots, ReduceSlotsPerNode: reduceSlots}
 }
 
 // ---- equivalence pins --------------------------------------------------
@@ -390,7 +383,7 @@ func TestProcMultiKMatchesLocal(t *testing.T) {
 	sameCounters(t, "multik", local.Counters, proc.Counters)
 }
 
-// ---- plain job equivalence, heap-error identity ------------------------
+// ---- plain job equivalence, task-error identity ------------------------
 
 func TestProcSumJobMatchesLocal(t *testing.T) {
 	cluster := testCluster(2, 2, 2)
@@ -421,22 +414,27 @@ func TestProcSumJobMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestProcHeapErrorIdentity checks that a worker-side ErrHeapSpace failure
-// crosses the wire as the same sentinel with its task identity, and is not
-// retried (the failure is deterministic, as in the local engine).
-func TestProcHeapErrorIdentity(t *testing.T) {
+// TestProcTaskErrorIdentity checks that a worker-side reducer error
+// crosses the wire as the *mr.TaskError the local backend returns, with
+// its task kind and message, and is not retried (the failure is
+// deterministic, as in the local engine).
+func TestProcTaskErrorIdentity(t *testing.T) {
 	cluster := testCluster(2, 2, 2)
-	cluster.TaskHeapBytes = 1 << 20
+	fail := sumPayload{failReduce: true}
+
+	fsL, _ := numbersFS(500, 1<<10)
+	_, localErr := sumJob(fsL, cluster, nil, fail).Run()
+	var local *mr.TaskError
+	if !errors.As(localErr, &local) || local.Kind != mr.ReduceTask || local.Err.Error() != sumReduceErr {
+		t.Fatalf("local error = %v, want a reduce TaskError saying %q", localErr, sumReduceErr)
+	}
 
 	runner := mrdist.NewProcRunner(mrdist.Options{})
 	defer runner.Close()
 	fs, _ := numbersFS(500, 1<<10)
-	_, err := sumJob(fs, cluster, runner, sumPayload{heapBytes: 16 << 20}).Run()
+	_, err := sumJob(fs, cluster, runner, fail).Run()
 	if err == nil {
-		t.Fatal("job with over-budget reducer heap succeeded")
-	}
-	if !errors.Is(err, mr.ErrHeapSpace) {
-		t.Fatalf("error does not unwrap to ErrHeapSpace: %v", err)
+		t.Fatal("job with a failing reducer succeeded")
 	}
 	var te *mr.TaskError
 	if !errors.As(err, &te) {
@@ -444,6 +442,9 @@ func TestProcHeapErrorIdentity(t *testing.T) {
 	}
 	if te.Kind != mr.ReduceTask {
 		t.Errorf("failing task kind = %q, want reduce", te.Kind)
+	}
+	if te.Err.Error() != local.Err.Error() {
+		t.Errorf("proc message %q, local %q", te.Err.Error(), local.Err.Error())
 	}
 	if got := runner.Registry().Counter(mrdist.MetricTaskRetries).Value(); got != 0 {
 		t.Errorf("deterministic task error was retried %d times", got)
@@ -664,10 +665,9 @@ func sumMapFrame() []byte {
 	e := new(mrdist.Encoder).Begin()
 	spec := sumSpec(sumPayload{})
 	e.Str("job-1").Str("dist-sum").Str(spec.Kind).Blob(spec.Payload)
-	e.U32(1).U32(1).U32(1)   // cluster: nodes, map slots, reduce slots
-	e.I64(64 << 20).F64(.66) // task heap, max usage
-	e.U32(1).U32(2)          // point dim, reducers
-	e.U32(0)                 // task id
+	e.U32(1).U32(1).U32(1) // cluster: nodes, map slots, reduce slots
+	e.U32(1).U32(2)        // point dim, reducers
+	e.U32(0)               // task id
 	sumSplitKey(e)
 	return e.Bytes()
 }

@@ -5,7 +5,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"gmeansmr/internal/dfs"
+	"gmeansmr/internal/mr"
 )
 
 // blockedTransport fails every outbound request instantly, so fuzzed
@@ -29,12 +33,11 @@ func fuzzWorker() *Worker {
 
 // fuzzTaskPrefix encodes the common taskRequest prefix with an
 // unregistered kind: deep enough to drive every decode path, while
-// buildParts rejects execution (fuzz inputs must not run real tasks).
+// Build rejects execution (fuzz inputs must not run real tasks).
 func fuzzTaskPrefix(e *Encoder) {
 	e.Str("job-1").Str("fuzz").Str("fuzz.nokind").Blob([]byte{1, 2, 3})
-	e.U32(2).U32(2).U32(2)   // cluster: nodes, map slots, reduce slots
-	e.I64(64 << 20).F64(.66) // task heap, max usage
-	e.U32(2).U32(2)          // point dim, reducers
+	e.U32(2).U32(2).U32(2) // cluster: nodes, map slots, reduce slots
+	e.U32(2).U32(2)        // point dim, reducers
 }
 
 func fuzzMapFrame() []byte {
@@ -68,28 +71,55 @@ func fuzzReduceFrame() []byte {
 	return e.Bytes()
 }
 
-// fuzzLastPassFrame is a map-task request of G-means' last k-means pass
-// (the gmeans.lastpass kind) on the pushed split: a found count of 1 and
-// two centers of the split's dim. Unlike the frames above it names a
-// registered kind — this test binary links internal/core through the
-// package's external tests — so the corpus drives a real payload decoder
-// and mapper.
-func fuzzLastPassFrame() []byte { return lastPassMapFrame(2, 2) }
-
-// lastPassMapFrame is fuzzLastPassFrame with the given node and reducer
-// counts.
-func lastPassMapFrame(nodes, reducers uint32) []byte {
-	payload := new(Encoder).Begin()
-	payload.I64(3).U32(1) // power-iteration seed, found count
-	payload.U32(2).Vec([]float64{1, 2}).Vec([]float64{3, 4})
+// kindMapFrame is a map-task request for task 0 of spec's job on the
+// pushed split (dim 2) with the given node and reducer counts. Unlike the
+// frames above it names a registered kind — this test binary links
+// internal/core and internal/kmeansmr through the package's external
+// tests — so the corpus drives real payload decoders and mappers.
+func kindMapFrame(spec mr.JobSpec, nodes, reducers uint32) []byte {
 	e := new(Encoder).Begin()
-	e.Str("job-1").Str("fuzz").Str("gmeans.lastpass").Blob(payload.Bytes())
+	e.Str("job-1").Str("fuzz").Str(spec.Kind).Blob(spec.Payload)
 	e.U32(nodes).U32(2).U32(2) // cluster: nodes, map slots, reduce slots
-	e.I64(64 << 20).F64(.66)   // task heap, max usage
 	e.U32(2).U32(reducers)     // point dim, reducers
 	e.U32(0)                   // task id
 	fuzzSplitKey(e)
 	return e.Bytes()
+}
+
+// kindSpecs returns one spec of each registered point-job kind whose
+// vectors have the given dim, hand-encoded in each kind's payload layout
+// (docs/wire.md). At dim 2 every one builds for the pushed split; at any
+// other dim every one must fail its build. The test kind keeps its
+// parents at dim 2, so only its split vector is off.
+func kindSpecs(dim int) []mr.JobSpec {
+	v := func(x float64) []float64 {
+		c := make([]float64, dim)
+		for i := range c {
+			c[i] = x + float64(i)
+		}
+		return c
+	}
+	payload := func(enc func(e *Encoder)) []byte {
+		e := new(Encoder).Begin()
+		enc(e)
+		return e.Bytes()
+	}
+	sets := payload(func(e *Encoder) { e.U32(1).U32(2).U32(2).Vec(v(1)).Vec(v(3)) }) // k = 2
+	return []mr.JobSpec{
+		{Kind: "kmeans.assign", Payload: payload(func(e *Encoder) { e.U32(2).Vec(v(1)).Vec(v(3)) })},
+		{Kind: "kmeans.multik", Payload: sets},
+		{Kind: "kmeans.eval", Payload: sets},
+		{Kind: "gmeans.test", Payload: payload(func(e *Encoder) {
+			e.F64(.0001).I64(3).U32(1).U32(0) // alpha, seed, round, found count
+			e.U32(1).I64(-1)                  // one sampling threshold: every point
+			e.U32(1).Vec([]float64{1, 2})     // parents
+			e.U32(1).Vec(v(1))                // split vectors
+		})},
+		{Kind: "gmeans.lastpass", Payload: payload(func(e *Encoder) {
+			e.I64(3).U32(1) // power-iteration seed, found count
+			e.U32(2).Vec(v(1)).Vec(v(3))
+		})},
+	}
 }
 
 // TestFuzzLastPassFrameRuns checks that the corpus's gmeans.lastpass frame
@@ -103,14 +133,80 @@ func TestFuzzLastPassFrameRuns(t *testing.T) {
 		fuzzWorker().Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/task/map", bytes.NewReader(frame)))
 		return rr
 	}
-	rr := post(fuzzLastPassFrame())
+	lastPass := kindSpecs(2)[4]
+	rr := post(kindMapFrame(lastPass, 2, 2))
 	if st := NewDecoder(rr.Body.Bytes()).U8(); rr.Code != http.StatusOK || st != statusOK {
 		t.Fatalf("HTTP %d, status %d: %s", rr.Code, st, rr.Body.String())
 	}
 	for _, c := range []struct{ nodes, reducers uint32 }{{0, 2}, {2, 0}, {2, maxReducers + 1}} {
-		if rr := post(lastPassMapFrame(c.nodes, c.reducers)); rr.Code != http.StatusBadRequest {
+		if rr := post(kindMapFrame(lastPass, c.nodes, c.reducers)); rr.Code != http.StatusBadRequest {
 			t.Errorf("%d nodes, %d reducers: HTTP %d, want 400", c.nodes, c.reducers, rr.Code)
 		}
+	}
+}
+
+// TestMismatchedDimFailsTyped checks the one dim check every kind shares.
+// A map frame whose vectors have another dim than its job answers 400
+// through Worker.Handler, where the same frame at the job's dim runs.
+// Build rejects the spec with a *BuildError on the master, where both
+// backends build their jobs. And a worker handed the frame anyway fails
+// the proc job with a *BuildError carrying the same cause, on the first
+// attempt: no retry, no breaker opened.
+func TestMismatchedDimFailsTyped(t *testing.T) {
+	fs := dfs.New(0)
+	fs.Create("/pts.txt", []byte("1 2\n3 4\n5 6\n"))
+	runner := NewProcRunner(Options{})
+	defer runner.Close()
+	reg := runner.Registry()
+	newJob := func(spec mr.JobSpec, runner mr.TaskRunner) *mr.Job {
+		return &mr.Job{Name: "dim-" + spec.Kind, FS: fs, Cluster: mr.DefaultCluster().WithNodes(2),
+			Input: []string{"/pts.txt"}, PointDim: 2, Runner: runner, Spec: &spec}
+	}
+	good := kindSpecs(2)
+	for i, bad := range kindSpecs(3) {
+		t.Run(bad.Kind, func(t *testing.T) {
+			for _, c := range []struct {
+				spec mr.JobSpec
+				code int
+			}{{good[i], http.StatusOK}, {bad, http.StatusBadRequest}} {
+				rr := httptest.NewRecorder()
+				fuzzWorker().Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/task/map", bytes.NewReader(kindMapFrame(c.spec, 2, 2))))
+				if rr.Code != c.code || (c.code == http.StatusOK && NewDecoder(rr.Body.Bytes()).U8() != statusOK) {
+					t.Fatalf("HTTP %d, want %d: %s", rr.Code, c.code, rr.Body.String())
+				}
+			}
+
+			var local *BuildError
+			for _, r := range []mr.TaskRunner{nil, runner} {
+				_, err := Build(newJob(bad, r))
+				var be *BuildError
+				if !errors.As(err, &be) || be.Kind != bad.Kind {
+					t.Fatalf("runner %T: Build error = %v, want a *BuildError of kind %s", r, err, bad.Kind)
+				}
+				local = be
+			}
+
+			j, err := Build(newJob(good[i], runner))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Spec = &bad
+			dispatched := reg.Counter(MetricTasksDispatched).Value()
+			_, err = j.Run()
+			var be *BuildError
+			if !errors.As(err, &be) || be.Kind != bad.Kind || !strings.Contains(err.Error(), local.Err.Error()) {
+				t.Fatalf("proc error = %v, want a *BuildError saying %q", err, local.Err)
+			}
+			if n := reg.Counter(MetricTasksDispatched).Value() - dispatched; n != 1 {
+				t.Errorf("%d map tasks dispatched for one split", n)
+			}
+		})
+	}
+	if n := reg.Counter(MetricTaskRetries).Value(); n != 0 {
+		t.Errorf("%d retries of a frame no worker can build", n)
+	}
+	if n := reg.Counter(MetricBreakerOpens).Value(); n != 0 {
+		t.Errorf("%d breakers opened on healthy workers", n)
 	}
 }
 
@@ -144,8 +240,14 @@ func FuzzWorkerEndpoints(f *testing.F) {
 	f.Add(0, []byte(nil))
 	f.Add(0, []byte("GMW"))
 	f.Add(1, []byte("XXXX\x01rest"))
-	f.Add(2, []byte("GMWR\x08rest"))
-	addFrame(0, fuzzLastPassFrame())
+	f.Add(2, []byte("GMWR\x07rest")) // the retired version
+	// A map frame of every kind at the split's dim, and one whose vectors
+	// have another dim, so the fuzzer mutates every kind's dim fields.
+	for _, dim := range []int{2, 3} {
+		for _, spec := range kindSpecs(dim) {
+			addFrame(0, kindMapFrame(spec, 2, 2))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, which int, data []byte) {
 		if len(data) > 1<<16 {

@@ -452,12 +452,6 @@ type procShuffle struct {
 // NumMapTasks implements mr.ShuffleStore.
 func (s *procShuffle) NumMapTasks() int { return len(s.loc) }
 
-func (s *procShuffle) location(t int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loc[t]
-}
-
 func (s *procShuffle) setLocation(t int, addr string) {
 	s.mu.Lock()
 	s.loc[t] = addr
@@ -512,6 +506,18 @@ func postWire(ctx context.Context, c *http.Client, addr, path string, body []byt
 	return b, nil
 }
 
+// refused types a task request a worker answered with a non-5xx error,
+// the only failure postWire leaves unmarked. The master encodes its
+// requests from a validated job, so the worker cannot build or run that
+// job: a *BuildError, as Build returns on the master, and the job's
+// fault, not the worker's.
+func refused(j *mr.Job, err error) error {
+	if retry.Classify(nil, err) != retry.Permanent {
+		return err
+	}
+	return &BuildError{Job: j.Name, Kind: j.Spec.Kind, Err: err}
+}
+
 // pushSplit ships the points of key's split to w unless w already holds
 // them. They come from the master's decode cache through
 // dfs.ReplicaSplit, which ticks no read accounting, so the paper's cost
@@ -561,7 +567,7 @@ func (r *ProcRunner) execMapRPC(ctx context.Context, j *mr.Job, sh *procShuffle,
 	encodeSplitKey(&e, key)
 	body, err := postWire(ctx, r.client, w.addr, "/v1/task/map", e.Bytes())
 	if err != nil {
-		return nil, err
+		return nil, refused(j, err)
 	}
 	d := NewDecoder(body)
 	switch st := d.U8(); st {
@@ -588,23 +594,17 @@ func (r *ProcRunner) execMapRPC(ctx context.Context, j *mr.Job, sh *procShuffle,
 	}
 }
 
-// decodeTaskErr reconstructs a deterministic task failure, restoring the
-// mr.ErrHeapSpace sentinel so errors.Is-based callers (the Fig. 2 heap
-// experiment) behave identically across backends. A frame that will not
-// decode is a corrupt reply and retryable instead.
+// decodeTaskErr reconstructs a deterministic task failure as the
+// *mr.TaskError the local backend returns, with the cause's message. A
+// frame that will not decode is a corrupt reply and retryable instead.
 func decodeTaskErr(d *Decoder, jobName, addr string) error {
 	kind := mr.TaskKind(d.Str())
 	taskID := int(d.U32())
-	heap := d.Bool()
 	msg := d.Str()
 	if err := d.Err(); err != nil {
 		return retry.Transient(fmt.Errorf("mrdist: corrupt task-error frame from %s: %w", addr, err), true)
 	}
-	inner := error(mr.ErrHeapSpace)
-	if !heap {
-		inner = fmt.Errorf("%s", msg)
-	}
-	return &mr.TaskError{Job: jobName, Kind: kind, TaskID: taskID, Err: inner}
+	return &mr.TaskError{Job: jobName, Kind: kind, TaskID: taskID, Err: errors.New(msg)}
 }
 
 // execReduceRPC runs one reduce task on w against the current map-output
@@ -622,7 +622,7 @@ func (r *ProcRunner) execReduceRPC(ctx context.Context, j *mr.Job, sh *procShuff
 	}
 	body, err := postWire(ctx, r.client, w.addr, "/v1/task/reduce", e.Bytes())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, refused(j, err)
 	}
 	d := NewDecoder(body)
 	switch st := d.U8(); st {
@@ -879,11 +879,10 @@ func (r *ProcRunner) runWave(ctx context.Context, j *mr.Job, spanName string, ta
 		}()
 	}
 
-	// pickWorker prefers the task's home node (taskID mod nodes, the same
-	// placement rule TaskContext.NodeID encodes), then any schedulable
-	// worker with a free slot. Breaker Allow is evaluated last: a
-	// half-open breaker admits exactly one probe, and a granted probe is
-	// always dispatched.
+	// pickWorker prefers the task's home node (taskID mod nodes), then any
+	// schedulable worker with a free slot. Breaker Allow is evaluated
+	// last: a half-open breaker admits exactly one probe, and a granted
+	// probe is always dispatched.
 	pickWorker := func(i int) *workerHandle {
 		r.mu.Lock()
 		defer r.mu.Unlock()

@@ -31,7 +31,7 @@ import (
 // length-prefixed with u32.
 const (
 	wireMagic   = "GMWR"
-	wireVersion = 7
+	wireVersion = 8
 )
 
 var errWire = errors.New("mrdist: malformed wire message")
@@ -238,6 +238,18 @@ func (d *Decoder) Vec() vec.Vector {
 	v := make(vec.Vector, n)
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return v
+}
+
+// VecDim reads a Vec and fails the decoder unless it holds exactly dim
+// doubles: the one check that keeps a payload's vectors at its job's
+// point dim.
+func (d *Decoder) VecDim(dim int) vec.Vector {
+	v := d.Vec()
+	if d.err == nil && len(v) != dim {
+		d.fail(fmt.Sprintf("vector of dim %d in a job of dim %d", len(v), dim))
+		return nil
 	}
 	return v
 }

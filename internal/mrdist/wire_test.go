@@ -26,7 +26,7 @@ func TestDecoderEnvelope(t *testing.T) {
 		{"empty", nil},
 		{"short", []byte("GMW")},
 		{"bad magic", []byte("XXXX\x01rest")},
-		{"bad version", []byte("GMWR\x08rest")},
+		{"bad version", []byte("GMWR\x07rest")},
 	}
 	for _, tc := range cases {
 		if err := NewDecoder(tc.body).Err(); err == nil {

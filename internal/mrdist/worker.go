@@ -262,8 +262,6 @@ func decodeTaskRequest(d *Decoder) taskRequest {
 			Nodes:              int(d.U32()),
 			MapSlotsPerNode:    int(d.U32()),
 			ReduceSlotsPerNode: int(d.U32()),
-			TaskHeapBytes:      d.I64(),
-			MaxHeapUsage:       d.F64(),
 		},
 		pointDim:    int(d.U32()),
 		numReducers: int(d.U32()),
@@ -273,43 +271,34 @@ func decodeTaskRequest(d *Decoder) taskRequest {
 func encodeTaskRequest(e *Encoder, jobID string, j *mr.Job, numReducers int) {
 	e.Str(jobID).Str(j.Name).Str(j.Spec.Kind).Blob(j.Spec.Payload)
 	e.U32(uint32(j.Cluster.Nodes)).U32(uint32(j.Cluster.MapSlotsPerNode)).U32(uint32(j.Cluster.ReduceSlotsPerNode))
-	e.I64(j.Cluster.TaskHeapBytes).F64(j.Cluster.MaxHeapUsage)
 	e.U32(uint32(j.PointDim)).U32(uint32(numReducers))
 }
 
-// job reconstructs the executable mr.Job for a task request. The
-// factories come from the spec's registered kind, so the
-// mapper/combiner/reducer behaviour is identical to the driver's.
+// job reconstructs the executable mr.Job for a task request through
+// Build, so the mapper/combiner/reducer behaviour is identical to the
+// driver's. A request whose job does not build answers 400.
 func (tr *taskRequest) job() (*mr.Job, error) {
-	parts, err := buildParts(&tr.spec)
-	if err != nil {
-		return nil, err
-	}
-	return parts.Install(&mr.Job{
+	return Build(&mr.Job{
 		Name:     tr.name,
 		Cluster:  tr.cluster,
 		PointDim: tr.pointDim,
-	}), nil
+		Spec:     &tr.spec,
+	})
 }
 
-// writeTaskErr encodes a deterministic task failure. ErrHeapSpace loses
-// identity across process boundaries, so it travels as a flag and the
-// master reconstructs the sentinel.
+// writeTaskErr encodes a deterministic task failure: the task's kind and
+// id, and its cause's message.
 func writeTaskErr(e *Encoder, err error) {
 	kind, taskID := "", uint32(0)
-	heap := false
 	msg := err.Error()
 	if te, ok := err.(*mr.TaskError); ok {
 		kind = string(te.Kind)
 		taskID = uint32(te.TaskID)
-		heap = te.Err == mr.ErrHeapSpace
-		if heap {
-			msg = ""
-		} else if te.Err != nil {
+		if te.Err != nil {
 			msg = te.Err.Error()
 		}
 	}
-	e.U8(statusTaskErr).Str(kind).U32(taskID).Bool(heap).Str(msg)
+	e.U8(statusTaskErr).Str(kind).U32(taskID).Str(msg)
 }
 
 // handleMap executes one map task on a pushed split and retains its
@@ -351,7 +340,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, req *http.Request) {
 
 	j, err := tr.job()
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
 	counters := mr.NewCounters()
@@ -503,7 +492,7 @@ func (w *Worker) handleReduce(rw http.ResponseWriter, req *http.Request) {
 
 	j, err := tr.job()
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
 	counters := mr.NewCounters()

@@ -226,26 +226,45 @@ func TestTraceChromeExport(t *testing.T) {
 	}
 }
 
-func TestTraceJSONExportAndReset(t *testing.T) {
+// TestTraceDroppedExportAndReset checks that spans ended over the
+// recording cap are counted, not recorded, that the Chrome export reports
+// the count as otherData.dropped, and that Reset clears both.
+func TestTraceDroppedExportAndReset(t *testing.T) {
+	export := func(tr *Trace) (events int, dropped int64) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+			OtherData   *struct {
+				Dropped int64 `json:"dropped"`
+			} `json:"otherData"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil || out.OtherData == nil {
+			t.Fatalf("chrome trace without otherData (%v): %s", err, buf.Bytes())
+		}
+		return len(out.TraceEvents), out.OtherData.Dropped
+	}
+
 	tr := NewTrace()
-	tr.StartSpan("a", "phase").End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	// A zeroed slice one short of the cap stands in for recorded spans
+	// (its pages are never touched), so the cap is reached cheaply.
+	tr.events = make([]SpanEvent, maxTraceEvents-1)
+	tr.StartSpan("last", "phase").End()
+	tr.StartSpan("over", "phase").End()
+	tr.StartSpan("over", "phase").End()
+	if n := len(tr.events); n != maxTraceEvents || tr.events[n-1].Name != "last" {
+		t.Fatalf("%d spans recorded, last %q: want the cap, ending with \"last\"", n, tr.events[n-1].Name)
 	}
-	var out struct {
-		Start  time.Time   `json:"start"`
-		Events []SpanEvent `json:"events"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("event log is not valid JSON: %v", err)
-	}
-	if len(out.Events) != 1 || out.Events[0].Name != "a" {
-		t.Fatalf("unexpected event log: %+v", out)
+	tr.events = tr.events[maxTraceEvents-1:] // export only the real span
+	if n, dropped := export(tr); n != 1 || dropped != 2 {
+		t.Errorf("export: %d spans, %d dropped; want 1 and 2", n, dropped)
 	}
 	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Error("Reset left events behind")
+	if n, dropped := export(tr); n != 0 || dropped != 0 {
+		t.Errorf("after Reset: %d spans, %d dropped; want 0 and 0", n, dropped)
 	}
 }
 

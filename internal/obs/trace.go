@@ -9,9 +9,9 @@ import (
 )
 
 // maxTraceEvents bounds a trace's memory: a span ended beyond the cap is
-// counted in Dropped instead of recorded. At ~100 events per MapReduce
-// job the cap covers thousands of jobs; a week-long streaming run cannot
-// OOM the recorder.
+// counted instead of recorded, and the Chrome export reports the count as
+// otherData.dropped. At ~100 events per MapReduce job the cap covers
+// thousands of jobs; a week-long streaming run cannot OOM the recorder.
 const maxTraceEvents = 1 << 19
 
 // SpanEvent is one completed span of a trace: a named, categorized slice
@@ -19,20 +19,20 @@ const maxTraceEvents = 1 << 19
 // volumes, counter snapshots).
 type SpanEvent struct {
 	// Name labels the span ("map-task", "round-3", "job:gmeans-lastpass-round-2").
-	Name string `json:"name"`
+	Name string
 	// Cat groups spans for filtering: "phase" for the driver's sequential
 	// run segments, "round-phase" for within-round segments, "mr" for
 	// engine phases, "task" for per-task spans, "job" for whole jobs.
-	Cat string `json:"cat"`
+	Cat string
 	// TID is the lane the span renders on in chrome://tracing — the map or
 	// reduce task id for task spans, 0 for driver spans.
-	TID int64 `json:"tid"`
+	TID int64
 	// Start is the span's wall-clock start.
-	Start time.Time `json:"start"`
+	Start time.Time
 	// Dur is the span's wall duration.
-	Dur time.Duration `json:"dur_ns"`
+	Dur time.Duration
 	// Args carries span attributes (throughput, counters, strategy names).
-	Args map[string]any `json:"args,omitempty"`
+	Args map[string]any
 }
 
 // Trace records spans for one run. Safe for concurrent use; every method
@@ -84,16 +84,6 @@ func (t *Trace) Events() []SpanEvent {
 	out := make([]SpanEvent, len(t.events))
 	copy(out, t.events)
 	return out
-}
-
-// Dropped returns the number of spans discarded over the recording cap.
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Reset discards every recorded span, keeping the backing storage — the
@@ -155,24 +145,6 @@ func (s *Span) End() {
 	})
 }
 
-// WriteJSON writes the trace as a JSON event log: an object holding the
-// trace start time and every span with absolute timestamps — the format
-// for programmatic consumers (CI artifacts, the stress harness).
-func (t *Trace) WriteJSON(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := struct {
-		Start   time.Time   `json:"start"`
-		Dropped int64       `json:"dropped,omitempty"`
-		Events  []SpanEvent `json:"events"`
-	}{Start: t.start, Dropped: t.dropped, Events: t.events}
-	t.mu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
 // chromeEvent is one complete ("ph":"X") event of the Chrome trace-event
 // format; timestamps and durations are in microseconds.
 type chromeEvent struct {
@@ -188,13 +160,14 @@ type chromeEvent struct {
 
 // WriteChromeTrace writes the trace in the Chrome trace-event format:
 // load the file in chrome://tracing or https://ui.perfetto.dev to see the
-// run's phases and tasks on a timeline.
+// run's phases and tasks on a timeline. The top-level otherData object
+// carries the number of spans dropped over the recording cap.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	start := t.start
+	start, dropped := t.start, t.dropped
 	events := make([]chromeEvent, len(t.events))
 	for i, ev := range t.events {
 		events[i] = chromeEvent{
@@ -212,7 +185,11 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	out := struct {
 		TraceEvents     []chromeEvent `json:"traceEvents"`
 		DisplayTimeUnit string        `json:"displayTimeUnit"`
+		OtherData       struct {
+			Dropped int64 `json:"dropped"`
+		} `json:"otherData"`
 	}{TraceEvents: events, DisplayTimeUnit: "ms"}
+	out.OtherData.Dropped = dropped
 	data, err := json.Marshal(out)
 	if err != nil {
 		return fmt.Errorf("obs: encoding chrome trace: %w", err)

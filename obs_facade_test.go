@@ -28,8 +28,8 @@ type chromeTraceFile struct {
 // run's wall time within 5%.
 func TestWithTracePhaseSpansSumToWallTime(t *testing.T) {
 	ds := mixturePoints(t, 4, 4, 4000, 3)
-	var chrome, eventLog bytes.Buffer
-	c, err := New(WithSeed(3), WithTrace(&chrome), WithTraceJSON(&eventLog))
+	var chrome bytes.Buffer
+	c, err := New(WithSeed(3), WithTrace(&chrome))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +84,6 @@ func TestWithTracePhaseSpansSumToWallTime(t *testing.T) {
 	if phaseSum < 0.95*runDur || phaseSum > 1.05*runDur {
 		t.Errorf("phase spans sum to %.0f µs, run wall is %.0f µs (ratio %.3f, want within 5%%)",
 			phaseSum, runDur, phaseSum/runDur)
-	}
-
-	// The JSON event log must parse and agree on the span count.
-	var log struct {
-		Events []struct {
-			Name string `json:"name"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(eventLog.Bytes(), &log); err != nil {
-		t.Fatalf("WithTraceJSON output is not valid JSON: %v", err)
-	}
-	if len(log.Events) != len(out.TraceEvents) {
-		t.Errorf("event log has %d spans, chrome trace has %d", len(log.Events), len(out.TraceEvents))
 	}
 }
 
