@@ -591,9 +591,7 @@ func (c *Clusterer) gmeansMR(ctx context.Context, st *staged, src DataSource, tr
 		MaxK:          c.cfg.maxK,
 		MaxIterations: c.cfg.maxIter,
 		Seed:          c.cfg.seed,
-	}
-	if c.cfg.mergeRadius > 0 {
-		cfg.MergeRadius = c.cfg.mergeRadius
+		MergeRadius:   c.cfg.mergeRadius,
 	}
 	if c.cfg.progress != nil || c.cfg.observer != nil {
 		reg := c.cfg.observer // nil-safe: handles no-op without a registry
@@ -628,27 +626,12 @@ func (c *Clusterer) gmeansMR(ctx context.Context, st *staged, src DataSource, tr
 	finSpan := tr.StartSpan("finalize", "phase")
 	counters := res.Counters.Snapshot()
 	counters[CounterDatasetReads] = st.env.FS.DatasetReads()
-	centers := res.Centers
-	if c.cfg.mergeRadius == MergeAuto {
-		// The auto-radius merge runs here rather than in core (the radius
-		// derives from the discovered centers); report it as the same
-		// merge round an explicit radius gets from the driver.
-		mergeStart := time.Now()
-		centers = core.MergeCloseCenters(centers, core.SuggestMergeRadius(centers))
-		c.cfg.emit(Progress{
-			Round:    res.Iterations + 1,
-			K:        len(centers),
-			Strategy: string(core.StrategyMerge),
-			Counters: counters,
-			Duration: time.Since(mergeStart),
-		})
-	}
 	out := &Result{
 		Algorithm:  AlgorithmGMeansMR,
-		Centers:    centers,
-		K:          len(centers),
+		Centers:    res.Centers,
+		K:          res.K,
 		Iterations: res.Iterations,
-		Assignment: assignIfAvailable(src, centers),
+		Assignment: assignIfAvailable(src, res.Centers),
 		Counters:   counters,
 	}
 	finSpan.End()
@@ -819,12 +802,7 @@ func (c *Clusterer) runXMeans(ctx context.Context, src DataSource) (*Result, err
 // to an in-memory run's centers. When the merge changed k it re-assigns
 // the points and recomputes the WCSS over the merged centers.
 func (c *Clusterer) mergeInMemory(points, centers []Point, assignment []int, wcss float64) ([]Point, []int, float64) {
-	merged := centers
-	if c.cfg.mergeRadius == MergeAuto {
-		merged = core.MergeCloseCenters(centers, core.SuggestMergeRadius(centers))
-	} else if c.cfg.mergeRadius > 0 {
-		merged = core.MergeCloseCenters(centers, c.cfg.mergeRadius)
-	}
+	merged := core.MergeCenters(centers, c.cfg.mergeRadius)
 	if len(merged) != len(centers) {
 		assignment = lloyd.Assign(points, merged)
 		wcss = lloyd.WCSS(points, merged, assignment)

@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"io"
 
+	"gmeansmr/internal/core"
 	"gmeansmr/internal/dataset"
 	"gmeansmr/internal/model"
 	"gmeansmr/internal/obs"
@@ -92,8 +93,9 @@ type Dataset = dataset.Dataset
 func GenerateDataset(spec DatasetSpec) (*Dataset, error) { return dataset.Generate(spec) }
 
 // MergeAuto asks a run to derive the merge radius from the discovered
-// centers (half the median nearest-neighbor distance).
-const MergeAuto = -1.0
+// centers: inside the largest gap of their minimum-spanning-tree edge
+// lengths, or no merge when there is no pronounced gap.
+const MergeAuto = core.MergeAuto
 
 // Result is the outcome of a clustering run, with one shape across all
 // selectable algorithms.

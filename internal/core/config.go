@@ -86,9 +86,9 @@ type Config struct {
 	MaxIterations int
 	// MaxK stops splitting once this many centers exist (0 = unlimited).
 	MaxK int
-	// MergeRadius, when positive, enables the post-processing step the
-	// paper leaves as future work: centers closer than this are merged
-	// after the loop terminates.
+	// MergeRadius, when positive or MergeAuto, enables the post-processing
+	// step the paper leaves as future work: centers closer than this are
+	// merged after the loop terminates (MergeCenters).
 	MergeRadius float64
 	// Seed drives initial-center picking, the start vectors of the last
 	// k-means pass's power iterations and the test job's sample.

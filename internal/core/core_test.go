@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"gmeansmr/internal/dataset"
@@ -287,6 +288,19 @@ func TestRunMergePostProcessing(t *testing.T) {
 	}
 	if merged.K > plain.K {
 		t.Errorf("merging increased k: %d > %d", merged.K, plain.K)
+	}
+
+	// MergeAuto resolves its radius from the discovered centers in the
+	// driver's merge step.
+	auto, err := Run(Config{Env: env, Seed: 7, MergeRadius: MergeAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.KBeforeMerge != plain.K {
+		t.Errorf("auto KBeforeMerge = %d, want %d", auto.KBeforeMerge, plain.K)
+	}
+	if want := MergeCenters(plain.Centers, MergeAuto); !reflect.DeepEqual(auto.Centers, want) {
+		t.Errorf("auto merge kept %d centers, want MergeCenters' %d", auto.K, len(want))
 	}
 }
 

@@ -234,10 +234,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res.KBeforeMerge = len(found)
-	if cfg.MergeRadius > 0 {
+	if cfg.MergeRadius > 0 || cfg.MergeRadius == MergeAuto {
 		mergeStart := time.Now()
 		mergeSpan := trace.StartSpan("merge", "phase")
-		found = MergeCloseCenters(found, cfg.MergeRadius)
+		found = MergeCenters(found, cfg.MergeRadius)
 		// The merge is a round of its own to observers: one Progress event
 		// with StrategyMerge, per-round Duration semantics, and the merged
 		// center set. It is not appended to PerIteration — PerIteration

@@ -25,13 +25,6 @@ const (
 	CounterCovUpdates = "app.cov_updates"
 )
 
-// Interned forms for the per-record/per-test ticks below.
-var (
-	counterIDADTests     = mr.InternCounter(CounterADTests)
-	counterIDProjections = mr.InternCounter(CounterProjections)
-	counterIDCovUpdates  = mr.InternCounter(CounterCovUpdates)
-)
-
 // ---------------------------------------------------------------------------
 // TestClusters (paper Algorithms 3–4): reducer-side Anderson–Darling on a
 // bounded sample
@@ -63,7 +56,7 @@ func (m *testMapper) Setup(*mr.TaskContext) error { return nil }
 func (m *testMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
 	n := cols.Len()
 	idx := m.batch.Assign(m.parents, cols)
-	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.parents))*int64(n))
+	ctx.Count(kmeansmr.CounterDistances, int64(len(m.parents))*int64(n))
 	task := uint64(ctx.TaskID) << 32
 	var projections int64
 	for j, best := range idx {
@@ -77,7 +70,7 @@ func (m *testMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, em
 		projections++
 		emit.Emit(int64(i), mr.Float64Value(m.axes[i].Project(cols.At(j))))
 	}
-	ctx.Count(counterIDProjections, projections)
+	ctx.Count(CounterProjections, projections)
 	return nil
 }
 
@@ -127,7 +120,7 @@ func (r *testReducer) Reduce(ctx *mr.TaskContext, key int64, values []mr.Value, 
 		}
 		projections = append(projections, float64(f))
 	}
-	ctx.Count(counterIDADTests, 1)
+	ctx.Count(CounterADTests, 1)
 	res, err := stats.ADTest(projections, r.alpha, DefaultMinTestSamples)
 	if err != nil {
 		// Not enough samples for a verdict: report "undecided accept".

@@ -114,8 +114,8 @@ func (m *kfncMapper) Setup(*mr.TaskContext) error {
 func (m *kfncMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n, d := cols.Len(), cols.Dim()
 	idx := m.batch.Assign(m.centers, cols)
-	ctx.Count(kmeansmr.CounterIDDistances, int64(len(m.centers))*int64(n))
-	ctx.Count(kmeansmr.CounterIDPoints, int64(n))
+	ctx.Count(kmeansmr.CounterDistances, int64(len(m.centers))*int64(n))
+	ctx.Count(kmeansmr.CounterPoints, int64(n))
 	for j, best := range idx {
 		if best < 0 {
 			return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
@@ -145,7 +145,7 @@ func (m *kfncMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 			end[c]++
 		}
 	}
-	ctx.Count(counterIDCovUpdates, int64(len(order))*int64(triangleLen(d)))
+	ctx.Count(CounterCovUpdates, int64(len(order))*int64(triangleLen(d)))
 	var y [4]vec.Vector
 	for k := range y {
 		y[k] = make(vec.Vector, d)

@@ -6,6 +6,20 @@ import (
 	"gmeansmr/internal/vec"
 )
 
+// MergeAuto, as a merge radius, derives the radius from the discovered
+// centers (SuggestMergeRadius).
+const MergeAuto = -1.0
+
+// MergeCenters applies the post-processing merge at radius r. MergeAuto
+// resolves the radius with SuggestMergeRadius; any other radius ≤ 0
+// merges nothing.
+func MergeCenters(centers []vec.Vector, r float64) []vec.Vector {
+	if r == MergeAuto {
+		r = SuggestMergeRadius(centers)
+	}
+	return MergeCloseCenters(centers, r)
+}
+
 // MergeCloseCenters implements the post-processing step the paper leaves
 // as future work: "the MapReduce version analyzes all clusters in parallel
 // and will thus try to double the number of centers at each iteration. As

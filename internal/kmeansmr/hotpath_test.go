@@ -25,8 +25,8 @@ func (m *emitAssignMapper) Setup(*mr.TaskContext) error { return nil }
 func (m *emitAssignMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
 	n := cols.Len()
 	idx := m.batch.Assign(m.centers, cols)
-	ctx.Count(CounterIDDistances, int64(len(m.centers))*int64(n))
-	ctx.Count(CounterIDPoints, int64(n))
+	ctx.Count(CounterDistances, int64(len(m.centers))*int64(n))
+	ctx.Count(CounterPoints, int64(n))
 	for j, best := range idx {
 		if best < 0 {
 			return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")

@@ -35,14 +35,6 @@ const (
 	CounterPoints = "app.points.processed"
 )
 
-// Interned forms of the counters above, so per-record mapper loops tick
-// them without string-map lookups (see mr.InternCounter). Exported because
-// package core's mappers tick the same counters.
-var (
-	CounterIDDistances = mr.InternCounter(CounterDistances)
-	CounterIDPoints    = mr.InternCounter(CounterPoints)
-)
-
 // Env bundles what every job in this repository needs: the file system,
 // the cluster to run on, the dataset location and its dimensionality.
 type Env struct {
@@ -183,8 +175,8 @@ func (m *assignMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 }
 
 func (m *assignMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
-	ctx.Count(CounterIDDistances, m.dists)
-	ctx.Count(CounterIDPoints, m.points)
+	ctx.Count(CounterDistances, m.dists)
+	ctx.Count(CounterPoints, m.points)
 	for i := range m.accs {
 		if m.accs[i].Count > 0 {
 			emit.Emit(int64(i), mr.WeightedPointValue{WeightedPoint: m.accs[i]})

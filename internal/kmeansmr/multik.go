@@ -142,8 +142,8 @@ func (m *multiMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 }
 
 func (m *multiMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
-	ctx.Count(CounterIDDistances, m.dists)
-	ctx.Count(CounterIDPoints, m.points)
+	ctx.Count(CounterDistances, m.dists)
+	ctx.Count(CounterPoints, m.points)
 	for _, k := range m.ks {
 		accs := m.accs[k]
 		for cid := range accs {
@@ -318,7 +318,7 @@ func (m *evalMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr
 }
 
 func (m *evalMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
-	ctx.Count(CounterIDDistances, m.dists)
+	ctx.Count(CounterDistances, m.dists)
 	for _, k := range m.ks {
 		emit.Emit(int64(k), *m.acc[k])
 	}

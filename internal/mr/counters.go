@@ -1,7 +1,9 @@
 package mr
 
 import (
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -20,152 +22,45 @@ const (
 	CounterReduceOutput       = "mr.reduce.output.records"
 )
 
-// CounterID is the interned form of a counter name: a small dense integer
-// that indexes the slice-backed counter stores. Hot paths (per-record
-// mapper loops, the spill/combine bookkeeping) tick counters by ID and
-// never hash a string; the string API remains for reporting and for call
-// sites that don't care.
-type CounterID int32
-
-// counterRegistry is the process-wide name ↔ ID intern table. IDs are
-// dense and never reused, so slice-backed stores can index by ID directly.
-var counterRegistry = struct {
-	sync.RWMutex
-	ids   map[string]CounterID
-	names []string
-}{ids: make(map[string]CounterID)}
-
-// InternCounter returns the stable CounterID for name, registering it on
-// first use. Packages intern their counter names once (package-level vars)
-// and tick by ID thereafter.
-func InternCounter(name string) CounterID {
-	counterRegistry.RLock()
-	id, ok := counterRegistry.ids[name]
-	counterRegistry.RUnlock()
-	if ok {
-		return id
-	}
-	counterRegistry.Lock()
-	defer counterRegistry.Unlock()
-	if id, ok := counterRegistry.ids[name]; ok {
-		return id
-	}
-	id = CounterID(len(counterRegistry.names))
-	counterRegistry.ids[name] = id
-	counterRegistry.names = append(counterRegistry.names, name)
-	return id
-}
-
-// CounterName returns the name interned as id, or "" for an unknown id.
-func CounterName(id CounterID) string {
-	counterRegistry.RLock()
-	defer counterRegistry.RUnlock()
-	if id < 0 || int(id) >= len(counterRegistry.names) {
-		return ""
-	}
-	return counterRegistry.names[id]
-}
-
-// Pre-interned IDs of the engine's own counters, used by the scheduler's
-// per-task bookkeeping.
-var (
-	idMapInputRecords    = InternCounter(CounterMapInputRecords)
-	idMapOutputRecords   = InternCounter(CounterMapOutputRecords)
-	idMapOutputBytes     = InternCounter(CounterMapOutputBytes)
-	idCombineInput       = InternCounter(CounterCombineInput)
-	idCombineOutput      = InternCounter(CounterCombineOutput)
-	idShuffleBytes       = InternCounter(CounterShuffleBytes)
-	idShuffleRecords     = InternCounter(CounterShuffleRecords)
-	idReduceInputGroups  = InternCounter(CounterReduceInputGroups)
-	idReduceInputRecords = InternCounter(CounterReduceInputRecords)
-	idReduceOutput       = InternCounter(CounterReduceOutput)
-)
-
 // Counters is a concurrency-safe counter set, the equivalent of Hadoop job
-// counters, stored as a slice indexed by CounterID. Tasks increment; the
-// driver reads the merged totals after the job completes. A counter is
-// reported (Snapshot, Names) once it has been added to, even with a zero
-// delta — matching Hadoop, where a counter exists from first touch.
+// counters, keyed by name. Tasks increment; the driver reads the merged
+// totals after the job completes. A counter is reported (Snapshot, Sorted)
+// once it has been added to, even with a zero delta — matching Hadoop,
+// where a counter exists from first touch.
 type Counters struct {
-	mu      sync.Mutex
-	vals    []int64
-	touched []bool
+	mu   sync.Mutex
+	vals map[string]int64
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{} }
-
-// grow extends the stores to cover id. Callers hold c.mu.
-func (c *Counters) grow(id CounterID) {
-	if int(id) < len(c.vals) {
-		return
-	}
-	vals := make([]int64, id+1)
-	copy(vals, c.vals)
-	c.vals = vals
-	touched := make([]bool, id+1)
-	copy(touched, c.touched)
-	c.touched = touched
-}
-
-// AddID increments the counter interned as id by delta.
-func (c *Counters) AddID(id CounterID, delta int64) {
-	if id < 0 {
-		return
-	}
-	c.mu.Lock()
-	c.grow(id)
-	c.vals[id] += delta
-	c.touched[id] = true
-	c.mu.Unlock()
-}
+func NewCounters() *Counters { return &Counters{vals: make(map[string]int64)} }
 
 // Add increments the named counter by delta.
 func (c *Counters) Add(name string, delta int64) {
-	c.AddID(InternCounter(name), delta)
-}
-
-// GetID returns the current value of the counter interned as id.
-func (c *Counters) GetID(id CounterID) int64 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id < 0 || int(id) >= len(c.vals) {
-		return 0
-	}
-	return c.vals[id]
+	c.vals[name] += delta
+	c.mu.Unlock()
 }
 
 // Get returns the current value of the named counter (0 when absent).
 func (c *Counters) Get(name string) int64 {
-	return c.GetID(InternCounter(name))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.vals[name]
 }
 
 // Snapshot returns a copy of all counters that have been added to.
 func (c *Counters) Snapshot() map[string]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.vals))
-	for id, v := range c.vals {
-		if c.touched[id] {
-			out[CounterName(CounterID(id))] = v
-		}
-	}
-	return out
+	return maps.Clone(c.vals)
 }
 
 // MergeInto adds every counter of c into dst. Used by drivers that
 // aggregate counters across the chained jobs of one algorithm run.
 func (c *Counters) MergeInto(dst *Counters) {
-	c.mu.Lock()
-	vals := make([]int64, len(c.vals))
-	copy(vals, c.vals)
-	touched := make([]bool, len(c.touched))
-	copy(touched, c.touched)
-	c.mu.Unlock()
-	for id, v := range vals {
-		if touched[id] {
-			dst.AddID(CounterID(id), v)
-		}
+	for name, v := range c.Snapshot() {
+		dst.Add(name, v)
 	}
 }
 
@@ -176,28 +71,15 @@ type CounterValue struct {
 }
 
 // Sorted returns every counter added to, sorted by name. This is the one
-// place counter ordering is decided: Names and every reporting call site
-// derive from it rather than re-sorting their own view.
+// place counter ordering is decided: every reporting call site derives
+// from it rather than re-sorting its own view.
 func (c *Counters) Sorted() []CounterValue {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]CounterValue, 0, len(c.vals))
-	for id, v := range c.vals {
-		if c.touched[id] {
-			out = append(out, CounterValue{Name: CounterName(CounterID(id)), Value: v})
-		}
+	for name, v := range c.vals {
+		out = append(out, CounterValue{Name: name, Value: v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Names returns the sorted names of every counter added to, for stable
-// reporting.
-func (c *Counters) Names() []string {
-	sorted := c.Sorted()
-	out := make([]string, len(sorted))
-	for i, cv := range sorted {
-		out[i] = cv.Name
-	}
+	slices.SortFunc(out, func(a, b CounterValue) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }

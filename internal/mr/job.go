@@ -249,9 +249,9 @@ func (j *Job) ExecMapTask(taskID int, ps *dfs.PointSplit, numReducers int, parti
 		SetArg("out_records", int64(len(em.buf))).
 		SetArg("out_bytes", outBytes).
 		End()
-	ctx.Count(idMapInputRecords, records)
-	ctx.Count(idMapOutputRecords, int64(len(em.buf)))
-	ctx.Count(idMapOutputBytes, outBytes)
+	ctx.Count(CounterMapInputRecords, records)
+	ctx.Count(CounterMapOutputRecords, int64(len(em.buf)))
+	ctx.Count(CounterMapOutputBytes, outBytes)
 
 	// Partition, sort, and (optionally) combine, as Hadoop does on spill.
 	spillSpan := j.Trace.StartSpan("spill", "task").SetTID(int64(taskID))
@@ -264,7 +264,7 @@ func (j *Job) ExecMapTask(taskID int, ps *dfs.PointSplit, numReducers int, parti
 	for p := range parts {
 		slices.SortStableFunc(parts[p], byKey)
 		if j.NewCombiner != nil && len(parts[p]) > 0 {
-			combined, err := j.combineRun(ctx, taskID, parts[p], counters)
+			combined, err := j.combineRun(ctx, taskID, parts[p])
 			if err != nil {
 				spillSpan.End()
 				return nil, err
@@ -278,8 +278,8 @@ func (j *Job) ExecMapTask(taskID int, ps *dfs.PointSplit, numReducers int, parti
 		}
 		spillRecords += shuffled
 		spillBytes += shuffledBytes
-		ctx.Count(idShuffleRecords, shuffled)
-		ctx.Count(idShuffleBytes, shuffledBytes)
+		ctx.Count(CounterShuffleRecords, shuffled)
+		ctx.Count(CounterShuffleBytes, shuffledBytes)
 	}
 	spillSpan.SetArg("records", spillRecords).SetArg("bytes", spillBytes).End()
 	ctx.flushCounters()
@@ -303,7 +303,7 @@ func (j *Job) mapSplit(ctx *TaskContext, ps *dfs.PointSplit, em Emitter) (int64,
 
 // combineRun applies the combiner to one sorted run and returns the
 // combiner's (re-sorted) output.
-func (j *Job) combineRun(ctx *TaskContext, taskID int, run []KV, counters *Counters) ([]KV, error) {
+func (j *Job) combineRun(ctx *TaskContext, taskID int, run []KV) ([]KV, error) {
 	combiner := j.NewCombiner()
 	if err := combiner.Setup(ctx); err != nil {
 		return nil, wrapTaskErr(j.Name, MapTask, taskID, err)
@@ -320,7 +320,6 @@ func (j *Job) combineRun(ctx *TaskContext, taskID int, run []KV, counters *Count
 		for _, kv := range run[i:jdx] {
 			values = append(values, kv.Value)
 		}
-		ctx.Count(idCombineInput, int64(len(values)))
 		if err := combiner.Reduce(ctx, k, values, out); err != nil {
 			return nil, wrapTaskErr(j.Name, MapTask, taskID, err)
 		}
@@ -329,7 +328,8 @@ func (j *Job) combineRun(ctx *TaskContext, taskID int, run []KV, counters *Count
 	if err := combiner.Close(ctx, out); err != nil {
 		return nil, wrapTaskErr(j.Name, MapTask, taskID, err)
 	}
-	ctx.Count(idCombineOutput, int64(len(out.buf)))
+	ctx.Count(CounterCombineInput, int64(len(run)))
+	ctx.Count(CounterCombineOutput, int64(len(out.buf)))
 	slices.SortStableFunc(out.buf, byKey)
 	return out.buf, nil
 }
@@ -390,9 +390,9 @@ func (j *Job) ExecReduceTask(p int, counters *Counters, runs [][]KV) ([]KV, erro
 		SetArg("records", records).
 		SetArg("out_records", int64(len(out.buf))).
 		End()
-	ctx.Count(idReduceInputGroups, groups)
-	ctx.Count(idReduceInputRecords, records)
-	ctx.Count(idReduceOutput, int64(len(out.buf)))
+	ctx.Count(CounterReduceInputGroups, groups)
+	ctx.Count(CounterReduceInputRecords, records)
+	ctx.Count(CounterReduceOutput, int64(len(out.buf)))
 	ctx.flushCounters()
 	return out.buf, nil
 }

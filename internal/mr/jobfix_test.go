@@ -3,6 +3,8 @@ package mr
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"gmeansmr/internal/dfs"
@@ -65,63 +67,90 @@ func TestDatasetReadNotTickedWhenCancelledBeforeWave(t *testing.T) {
 	}
 }
 
-// TestCounterInterning covers the ID-based hot path of the counter system:
-// interning is stable, ID and name APIs see the same cells, and a counter
-// touched with a zero delta still reports (Hadoop counters exist from
-// first touch).
-func TestCounterInterning(t *testing.T) {
-	idA := InternCounter("test.intern.a")
-	if again := InternCounter("test.intern.a"); again != idA {
-		t.Fatalf("interning not stable: %d vs %d", idA, again)
-	}
-	if name := CounterName(idA); name != "test.intern.a" {
-		t.Fatalf("CounterName = %q", name)
-	}
-	if name := CounterName(-1); name != "" {
-		t.Fatalf("CounterName(-1) = %q", name)
-	}
-
+// TestCountersByName covers the name-keyed counter store: adds to one
+// name accumulate, a counter touched with a zero delta still reports
+// (Hadoop counters exist from first touch), Get of an untouched name does
+// not invent it, and Sorted is name-ordered.
+func TestCountersByName(t *testing.T) {
 	c := NewCounters()
-	c.AddID(idA, 5)
-	c.Add("test.intern.a", 2)
-	if got := c.Get("test.intern.a"); got != 7 {
-		t.Errorf("mixed ID/name adds = %d, want 7", got)
-	}
-	if got := c.GetID(idA); got != 7 {
-		t.Errorf("GetID = %d, want 7", got)
+	c.Add("test.b", 5)
+	c.Add("test.b", 2)
+	if got := c.Get("test.b"); got != 7 {
+		t.Errorf("Get after two adds = %d, want 7", got)
 	}
 
-	// Zero-delta touch reports the counter.
-	idB := InternCounter("test.intern.b")
-	c.AddID(idB, 0)
-	snap := c.Snapshot()
-	if v, ok := snap["test.intern.b"]; !ok || v != 0 {
-		t.Errorf("zero-touched counter missing from snapshot: %v", snap)
+	c.Add("test.a", 0)
+	if v, ok := c.Snapshot()["test.a"]; !ok || v != 0 {
+		t.Errorf("zero-touched counter missing from snapshot: %v", c.Snapshot())
 	}
-	// Get of a never-touched counter neither reports nor invents it.
-	_ = c.Get("test.intern.never")
-	for _, name := range c.Names() {
-		if name == "test.intern.never" {
-			t.Error("Get materialized an untouched counter")
-		}
+
+	if got := c.Get("test.never"); got != 0 {
+		t.Errorf("Get of an untouched counter = %d, want 0", got)
+	}
+	want := []CounterValue{{Name: "test.a", Value: 0}, {Name: "test.b", Value: 7}}
+	if got := c.Sorted(); !slices.Equal(got, want) {
+		t.Errorf("Sorted = %v, want %v (Get must not list an untouched name)", got, want)
 	}
 }
 
-// TestTaskContextCountMatchesCounter: the buffered ID path must flush the
-// same totals the name path does.
-func TestTaskContextCountMatchesCounter(t *testing.T) {
-	id := InternCounter("test.ctx.count")
+// TestTaskContextCountBuffersUntilFlush: task ticks stay in the task's
+// buffer, invisible to the job, until the task flushes them once.
+func TestTaskContextCountBuffersUntilFlush(t *testing.T) {
 	counters := NewCounters()
 	ctx := &TaskContext{counters: counters}
 	for i := 0; i < 100; i++ {
-		ctx.Count(id, 2)
+		ctx.Count("test.ctx.count", 2)
 	}
-	ctx.Counter("test.ctx.count", 1)
-	if got := counters.Get("test.ctx.count"); got != 0 {
-		t.Fatalf("counters visible before flush: %d", got)
+	ctx.Count("test.ctx.zero", 0)
+	if got := counters.Sorted(); len(got) != 0 {
+		t.Fatalf("counters visible before flush: %v", got)
 	}
 	ctx.flushCounters()
-	if got := counters.Get("test.ctx.count"); got != 201 {
-		t.Fatalf("flushed %d, want 201", got)
+	want := []CounterValue{{Name: "test.ctx.count", Value: 200}, {Name: "test.ctx.zero", Value: 0}}
+	if got := counters.Sorted(); !slices.Equal(got, want) {
+		t.Fatalf("flushed %v, want %v", got, want)
+	}
+}
+
+// TestCombineCounters: the combiner's input counter equals the map output
+// records it was fed, and its output counter equals what it emitted, with
+// several keys per partition in every map task.
+func TestCombineCounters(t *testing.T) {
+	fs := dfs.New(16) // several map tasks
+	writeTokens(fs, "/in", []int{1, 2, 3, 1, 2, 1, 7, 7, 7, 7, 4, 4, 5, 6, 6, 9})
+	job := wordCountJob(fs, "/in", true)
+	job.NumReducers = 2
+	var runs, emits atomic.Int64
+	job.NewCombiner = func() Reducer {
+		runs.Add(1)
+		return ReducerFunc(func(ctx *TaskContext, key int64, values []Value, emit Emitter) error {
+			var sum int64
+			for _, v := range values {
+				sum += int64(v.(Int64Value))
+			}
+			emits.Add(1)
+			emit.Emit(key, Int64Value(sum))
+			return nil
+		})
+	}
+	res, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One emit per key group, so more emits than runs means some run held
+	// several keys.
+	if res.MapTasks < 2 || emits.Load() <= runs.Load() {
+		t.Fatalf("map tasks = %d, combiner runs = %d, key groups = %d; want several tasks and more groups than runs",
+			res.MapTasks, runs.Load(), emits.Load())
+	}
+	c := res.Counters
+	if in, out := c.Get(CounterCombineInput), c.Get(CounterMapOutputRecords); in != out || in != 16 {
+		t.Errorf("combine input records = %d, map output records = %d, want both 16", in, out)
+	}
+	if got := c.Get(CounterCombineOutput); got != emits.Load() {
+		t.Errorf("combine output records = %d, want the combiner's %d emits", got, emits.Load())
+	}
+	if got := c.Get(CounterShuffleRecords); got != emits.Load() {
+		t.Errorf("shuffle records = %d, want the combiner's %d emits", got, emits.Load())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -382,9 +381,8 @@ func TestCountersBasics(t *testing.T) {
 	if other.Get("a") != 6 || other.Get("b") != 1 {
 		t.Error("MergeInto wrong")
 	}
-	names := c.Names()
-	if !sort.StringsAreSorted(names) || len(names) != 2 {
-		t.Errorf("Names = %v", names)
+	if sorted := c.Sorted(); len(sorted) != 2 {
+		t.Errorf("Sorted = %v", sorted)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestJobTraceSpans(t *testing.T) {
 }
 
 // TestCountersSorted pins the single-sort-site contract: Sorted returns
-// name-ordered pairs and Names derives from it.
+// name-ordered pairs.
 func TestCountersSorted(t *testing.T) {
 	c := NewCounters()
 	c.Add("z.last", 3)
@@ -95,11 +95,5 @@ func TestCountersSorted(t *testing.T) {
 	}
 	if sorted[0].Name != "a.first" || sorted[0].Value != 1 {
 		t.Errorf("sorted[0] = %+v", sorted[0])
-	}
-	names := c.Names()
-	for i, cv := range sorted {
-		if names[i] != cv.Name {
-			t.Errorf("Names()[%d] = %q, want %q", i, names[i], cv.Name)
-		}
 	}
 }

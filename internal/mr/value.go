@@ -25,11 +25,10 @@
 // parsing happens at most once per (file, split) — the layer the batched
 // vec kernels plug into.
 //
-// Counter interning. Counters are addressed by name through a string API,
-// but per-record hot loops must not pay a map lookup per tick: intern the
-// name once with InternCounter and tick the returned dense ID through
-// TaskContext.Count. Interned IDs are process-global and stable for the
-// process lifetime.
+// Counters. Counters are keyed by name. A task ticks them through
+// TaskContext.Count once per task, partition or reduce group, never per
+// record; the ticks are buffered per task and merged into the job's
+// counters once, when the task completes.
 //
 // Determinism. For a fixed input layout and job configuration, output is
 // byte-for-byte deterministic regardless of goroutine scheduling: map

@@ -93,7 +93,7 @@ func (m *sumMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emi
 		v := int64(x)
 		emit.Emit(v%sumKeys, mr.Int64Value(v))
 	}
-	ctx.Counter("sumtest.records", int64(len(col)))
+	ctx.Count("sumtest.records", int64(len(col)))
 	return nil
 }
 

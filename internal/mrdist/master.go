@@ -87,9 +87,6 @@ type Options struct {
 	Transport http.RoundTripper
 	// HeartbeatInterval is the master→worker ping period. Default 500ms.
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many consecutive failed pings declare a
-	// worker dead. Default 3.
-	HeartbeatMisses int
 	// SpeculateAfter is how long the last lone task of a wave may run
 	// before the master launches a speculative duplicate on an idle
 	// worker (first completion wins). Default 2s; zero selects the
@@ -107,9 +104,6 @@ func (o Options) withDefaults() Options {
 	o.Retry = o.Retry.WithDefaults()
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if o.HeartbeatMisses <= 0 {
-		o.HeartbeatMisses = 3
 	}
 	if o.SpeculateAfter == 0 {
 		o.SpeculateAfter = 2 * time.Second
@@ -397,7 +391,11 @@ func (r *ProcRunner) liveCount() int {
 	return n
 }
 
-// heartbeat pings every worker; HeartbeatMisses consecutive failures mark
+// heartbeatMisses is how many consecutive failed pings declare a worker
+// dead.
+const heartbeatMisses = 3
+
+// heartbeat pings every worker; heartbeatMisses consecutive failures mark
 // it dead. Tasks in flight on a dead worker fail their RPCs and requeue.
 // The reaper declares the death of a worker whose process exited; the
 // heartbeat catches one that hangs. Breakers only gate scheduling.
@@ -429,7 +427,7 @@ func (r *ProcRunner) heartbeat() {
 				continue
 			}
 			misses[w]++
-			if misses[w] >= r.opts.HeartbeatMisses {
+			if misses[w] >= heartbeatMisses {
 				r.markDead(w)
 			}
 		}

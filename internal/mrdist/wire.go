@@ -389,10 +389,10 @@ func (d *Decoder) KVs() []mr.KV {
 }
 
 // Counters appends a task's counter deltas as name-sorted (string, i64)
-// pairs. Names, not interned IDs, cross the wire: interning is
-// process-local, so the master re-interns on merge. Zero-valued touched
-// counters are included — Hadoop counters exist from first touch, and the
-// merged set must list them for the equivalence pin to hold.
+// pairs, which the master adds into the job's counters by name.
+// Zero-valued touched counters are included — Hadoop counters exist from
+// first touch, and the merged set must list them for the equivalence pin
+// to hold.
 func (e *Encoder) Counters(c *mr.Counters) {
 	sorted := c.Sorted()
 	e.U32(uint32(len(sorted)))

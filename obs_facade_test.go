@@ -173,6 +173,10 @@ func TestProgressEventStreamCompleteness(t *testing.T) {
 			if got := reg.Counter("gmeans_rounds_total").Value(); got != int64(res.Iterations) {
 				t.Errorf("gmeans_rounds_total = %d, want %d", got, res.Iterations)
 			}
+			// The closing merge ticked its own counter, explicit or auto radius.
+			if got := reg.Counter("gmeans_merges_total").Value(); got != 1 {
+				t.Errorf("gmeans_merges_total = %d, want 1", got)
+			}
 			if reg.Histogram("gmeans_round_seconds", nil).Count() != int64(res.Iterations) {
 				t.Errorf("gmeans_round_seconds count = %d, want %d",
 					reg.Histogram("gmeans_round_seconds", nil).Count(), res.Iterations)
