@@ -533,3 +533,46 @@ func TestRunPCACandidates(t *testing.T) {
 		t.Errorf("dataset reads = %d, want %d (the children cost no read of their own)", got, wantReads)
 	}
 }
+
+// TestRunNoMergedTrueClusters replays the close mixtures on which two true
+// clusters ended up sharing one center: a child of an active cluster took
+// over a true cluster its parent's test never saw, the parent passed, and a
+// frozen neighbour absorbed the orphaned cluster. Each case is K = 32,
+// d = 10, n = 32,000, σ = 1, centers in [0, 30]¹⁰ at the given minimum
+// separation, cut into 192 KB splits over 4 nodes. A case passes when no
+// two true centers share their nearest found center and the mean distance
+// is at most 1.25× the true centers'.
+func TestRunNoMergedTrueClusters(t *testing.T) {
+	for _, tc := range []struct {
+		sep  float64
+		seed int64
+	}{
+		{8, 78}, {6, 28}, {6, 55}, {6, 67}, {6, 77}, {6, 99}, {6, 127},
+	} {
+		env, ds := newEnv(t, dataset.Spec{K: 32, Dim: 10, N: 32000, StdDev: 1, CenterRange: 30,
+			MinSeparation: tc.sep, Seed: 1000*int64(tc.sep) + tc.seed}, 192<<10, mr.DefaultCluster().WithNodes(4))
+		res, err := Run(Config{Env: env, Seed: tc.seed + 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := make(map[int]int, len(ds.Centers))
+		for i, truth := range ds.Centers {
+			c, _ := vec.NearestIndex(truth, res.Centers)
+			if j, ok := owner[c]; ok {
+				t.Errorf("separation %v seed %d: true clusters %d and %d share found center %d (k=%d)",
+					tc.sep, tc.seed, j, i, c, res.K)
+			}
+			owner[c] = i
+		}
+		var got, truth float64
+		for i, p := range ds.Points {
+			_, d2 := vec.NearestIndex(p, res.Centers)
+			got += math.Sqrt(d2)
+			truth += vec.Dist(p, ds.Centers[ds.Labels[i]])
+		}
+		if ratio := got / truth; ratio > 1.25 {
+			t.Errorf("separation %v seed %d: k=%d, mean distance %.3f× the true centers'",
+				tc.sep, tc.seed, res.K, ratio)
+		}
+	}
+}

@@ -177,7 +177,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		var next []*activeCluster
 		splits := 0
 		for i, a := range testable {
-			if outcomes[i].Normal || !outcomes[i].Decided {
+			if (outcomes[i].Normal || !outcomes[i].Decided) && !shortfall(outcomes[i], sizes[i]) {
 				// Gaussian (or no evidence against it): "keep the original
 				// center, and discard c1 and c2".
 				found = append(found, a.parent)
@@ -322,13 +322,15 @@ func writeBack(found []vec.Vector, active []*activeCluster, kfnc *kfncOutput) {
 // testVerdict is one cluster's normality verdict as the test phase's span
 // records it: the cluster's size n, the sample the reducer tested, the
 // corrected statistic, the critical value it was compared against, and
-// the verdict that kept or split the cluster.
+// the verdict. Shortfall marks a cluster whose sample fell short of what
+// its size promises: it splits even when Normal is true.
 type testVerdict struct {
-	N        int64   `json:"n"`
-	Sample   int64   `json:"sample"`
-	A2Star   float64 `json:"a2star"`
-	Critical float64 `json:"critical"`
-	Normal   bool    `json:"normal"`
+	N         int64   `json:"n"`
+	Sample    int64   `json:"sample"`
+	A2Star    float64 `json:"a2star"`
+	Critical  float64 `json:"critical"`
+	Normal    bool    `json:"normal"`
+	Shortfall bool    `json:"shortfall"`
 }
 
 // verdicts builds the test span's per-cluster records, one per cluster
@@ -338,9 +340,25 @@ func verdicts(alpha float64, sizes []int64, outcomes []TestOutcome) []testVerdic
 	out := make([]testVerdict, len(outcomes))
 	for i, o := range outcomes {
 		out[i] = testVerdict{N: sizes[i], Sample: o.N, A2Star: o.A2Star, Critical: critical,
-			Normal: o.Normal || !o.Decided}
+			Normal: o.Normal || !o.Decided, Shortfall: shortfall(o, sizes[i])}
 	}
 	return out
+}
+
+// minSampleShare is the share of its expected sample, min(size,
+// testSampleSize), below which a cluster's test is not taken as evidence
+// that the cluster is one Gaussian.
+const minSampleShare = 0.8
+
+// shortfall reports whether the test of a cluster of size points (the
+// points nearest its two children in the last pass) saw fewer than
+// minSampleShare of the projections it should have. The test samples the
+// parent's members, so a large shortfall means the children hold points
+// the parent's test never saw — a neighbouring true cluster one child took
+// over. Accepting the parent would discard that child, and a frozen
+// neighbour would absorb the orphaned cluster; the cluster splits instead.
+func shortfall(o TestOutcome, size int64) bool {
+	return float64(o.N) < minSampleShare*float64(min(size, testSampleSize))
 }
 
 func snapshotCenters(found []vec.Vector, active []*activeCluster) []vec.Vector {

@@ -96,12 +96,14 @@ type kfncMapper struct {
 	centers    []vec.Vector
 	foundCount int
 
-	accs  []covValue
-	batch kmeansmr.BatchAssigner
+	sums    *kmeansmr.CenterSums
+	scatter []covValue // of the unfrozen centers; only Scatter is used
+	batch   kmeansmr.BatchAssigner
 }
 
 func (m *kfncMapper) Setup(*mr.TaskContext) error {
-	m.accs = make([]covValue, len(m.centers))
+	m.sums = kmeansmr.NewCenterSums(m.centers)
+	m.scatter = make([]covValue, len(m.centers)-m.foundCount)
 	return nil
 }
 
@@ -116,11 +118,8 @@ func (m *kfncMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 	idx := m.batch.Assign(m.centers, cols)
 	ctx.Count(kmeansmr.CounterDistances, int64(len(m.centers))*int64(n))
 	ctx.Count(kmeansmr.CounterPoints, int64(n))
-	for j, best := range idx {
-		if best < 0 {
-			return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
-		}
-		m.accs[best].Merge(vec.WeightedPoint{Sum: cols.At(j), Count: 1})
+	if !m.sums.Fold(cols, idx) {
+		return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
 	}
 
 	live := len(m.centers) - m.foundCount
@@ -155,7 +154,7 @@ func (m *kfncMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 		if len(rows) == 0 {
 			continue
 		}
-		a, center := &m.accs[c+m.foundCount], m.centers[c+m.foundCount]
+		a, center := &m.scatter[c], m.centers[c+m.foundCount]
 		if a.Scatter == nil {
 			a.Scatter = make([]float64, triangleLen(d))
 		}
@@ -177,9 +176,13 @@ func (m *kfncMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 }
 
 func (m *kfncMapper) Close(_ *mr.TaskContext, emit mr.Emitter) error {
-	for i := range m.accs {
-		if m.accs[i].Count > 0 {
-			emit.Emit(int64(i), m.accs[i])
+	for i := 0; i < m.sums.Len(); i++ {
+		if wp, ok := m.sums.At(i); ok {
+			v := covValue{WeightedPoint: wp}
+			if i >= m.foundCount {
+				v.Scatter = m.scatter[i-m.foundCount].Scatter
+			}
+			emit.Emit(int64(i), v)
 		}
 	}
 	return nil

@@ -61,6 +61,12 @@ func (c *ColumnarSplit) Col(d int) []float64 {
 // without a gather.
 func (c *ColumnarSplit) At(i int) []float64 { return c.ps.At(i) }
 
+// Rows returns the row-major backing array of the split — point i at
+// Rows()[i*Dim():(i+1)*Dim()], the slices At serves — for kernels that
+// take a whole split of rows in one call. Callers must treat it as
+// read-only.
+func (c *ColumnarSplit) Rows() []float64 { return c.ps.flat }
+
 // Columns returns the dim-major view of the split, materializing it on
 // first call and serving the cached transpose afterwards. The coordinate
 // values are the identical float64 bits the row view holds. Safe for

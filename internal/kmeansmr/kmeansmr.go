@@ -133,27 +133,27 @@ func (e Env) Job(name string, spec *mr.JobSpec) *mr.Job {
 
 // assignMapper is the classical k-means mapper with in-mapper combining:
 // one fused batch-kernel call assigns every point of the split to its
-// nearest center, then each point folds into a per-center WeightedPoint
-// accumulator, and Close emits the ≤k non-empty partial sums. The
-// n-record emit stream of the textbook formulation never exists, so the
-// spill sort only ever sees ≤k keys per task. The accumulation order per
-// (task, center) is input-record order — exactly the order a spill
-// combiner would fold the same points in behind the textbook
-// one-pair-per-point mapper — which keeps the refined centers
+// nearest center, one vec.FoldRows call adds every point into its
+// center's running Σx and count, and Close emits the ≤k non-empty
+// partial sums. The n-record emit stream of the textbook formulation
+// never exists, so the spill sort only ever sees ≤k keys per task. The
+// accumulation order per (task, center) is input-record order — exactly
+// the order a spill combiner would fold the same points in behind the
+// textbook one-pair-per-point mapper — which keeps the refined centers
 // bit-identical between the two formulations
 // (TestIterateCachedMatchesLegacyExactly pins this). The distance counter
 // ticks the paper's modelled cost of k per point.
 type assignMapper struct {
 	centers []vec.Vector
 
-	accs   []vec.WeightedPoint
+	sums   *CenterSums
 	batch  BatchAssigner
 	dists  int64
 	points int64
 }
 
 func (m *assignMapper) Setup(*mr.TaskContext) error {
-	m.accs = make([]vec.WeightedPoint, len(m.centers))
+	m.sums = NewCenterSums(m.centers)
 	return nil
 }
 
@@ -162,14 +162,11 @@ func (m *assignMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 	idx := m.batch.Assign(m.centers, cols)
 	m.dists += int64(len(m.centers)) * int64(n)
 	m.points += int64(n)
-	for j, best := range idx {
-		if best < 0 {
-			// Every distance overflowed to +Inf (finite but astronomically
-			// large coordinates): fail the task with a diagnosis instead of
-			// indexing the accumulator with -1.
-			return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
-		}
-		m.accs[best].Merge(vec.WeightedPoint{Sum: cols.At(j), Count: 1})
+	if !m.sums.Fold(cols, idx) {
+		// Every distance overflowed to +Inf (finite but astronomically
+		// large coordinates): fail the task with a diagnosis instead of
+		// folding into center -1.
+		return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
 	}
 	return nil
 }
@@ -177,12 +174,56 @@ func (m *assignMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 func (m *assignMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	ctx.Count(CounterDistances, m.dists)
 	ctx.Count(CounterPoints, m.points)
-	for i := range m.accs {
-		if m.accs[i].Count > 0 {
-			emit.Emit(int64(i), mr.WeightedPointValue{WeightedPoint: m.accs[i]})
+	for i := 0; i < m.sums.Len(); i++ {
+		if wp, ok := m.sums.At(i); ok {
+			emit.Emit(int64(i), mr.WeightedPointValue{WeightedPoint: wp})
 		}
 	}
 	return nil
+}
+
+// CenterSums is a map task's running Σx and count per center, kept flat
+// (the sum of center i at sums[i*dim:(i+1)*dim]) so that one vec.FoldRows
+// call folds a whole split.
+type CenterSums struct {
+	dim    int
+	sums   []float64
+	counts []int64
+}
+
+// NewCenterSums returns empty sums for the given centers.
+func NewCenterSums(centers []vec.Vector) *CenterSums {
+	dim := 0
+	if len(centers) > 0 {
+		dim = len(centers[0])
+	}
+	return &CenterSums{dim: dim, sums: make([]float64, len(centers)*dim), counts: make([]int64, len(centers))}
+}
+
+// Fold adds every point of the split into the sum of its center idx[j],
+// in input order. It folds nothing and reports false when some point has
+// no nearest center (index -1: every distance was non-finite).
+func (s *CenterSums) Fold(cols *dfs.ColumnarSplit, idx []int32) bool {
+	for _, c := range idx {
+		if c < 0 {
+			return false
+		}
+	}
+	vec.FoldRows(s.sums, s.counts, cols.Rows(), s.dim, idx)
+	return true
+}
+
+// Len returns the number of centers.
+func (s *CenterSums) Len() int { return len(s.counts) }
+
+// At returns center i's partial sum, and false when no point was folded
+// into it. The sum is a copy: an emitted value the engine holds until its
+// reduce runs must not keep the task's whole flat array alive.
+func (s *CenterSums) At(i int) (vec.WeightedPoint, bool) {
+	if s.counts[i] == 0 {
+		return vec.WeightedPoint{}, false
+	}
+	return vec.WeightedPoint{Sum: vec.Clone(s.sums[i*s.dim : (i+1)*s.dim]), Count: s.counts[i]}, true
 }
 
 // MergeReducer merges WeightedPointValue partial sums; it serves as both

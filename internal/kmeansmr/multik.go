@@ -99,26 +99,27 @@ func (r *MultiResult) AvgIterationTime() time.Duration {
 
 // multiMapper is the paper's Algorithm 6 with in-mapper combining: for
 // every candidate k, one fused kernel call assigns the split's points
-// under that k's center set, and each point folds into the (k, centerID)
-// accumulator; Close emits the Σ_k k partial sums. The per-point work is
-// Σ_k k distance computations — the O(n·k²) term of the cost analysis,
-// which the distance counter ticks — but the shuffle and spill sort only
-// ever see Σ_k k records per task instead of n·|ks|. Per (k, center,
-// dimension) the accumulation runs in input-record order.
+// under that k's center set, and one vec.FoldRows call adds each point
+// into the (k, centerID) accumulator; Close emits the Σ_k k partial sums.
+// The per-point work is Σ_k k distance computations — the O(n·k²) term
+// of the cost analysis, which the distance counter ticks — but the
+// shuffle and spill sort only ever see Σ_k k records per task instead of
+// n·|ks|. Per (k, center, dimension) the accumulation runs in
+// input-record order.
 type multiMapper struct {
 	centerSets map[int][]vec.Vector
 	ks         []int
 
-	accs   map[int][]vec.WeightedPoint
+	sums   map[int]*CenterSums
 	batch  BatchAssigner
 	dists  int64
 	points int64
 }
 
 func (m *multiMapper) Setup(*mr.TaskContext) error {
-	m.accs = make(map[int][]vec.WeightedPoint, len(m.ks))
+	m.sums = make(map[int]*CenterSums, len(m.ks))
 	for _, k := range m.ks {
-		m.accs[k] = make([]vec.WeightedPoint, len(m.centerSets[k]))
+		m.sums[k] = NewCenterSums(m.centerSets[k])
 	}
 	return nil
 }
@@ -129,12 +130,8 @@ func (m *multiMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 		centers := m.centerSets[k]
 		idx := m.batch.Assign(centers, cols)
 		m.dists += int64(len(centers)) * int64(n)
-		accs := m.accs[k]
-		for j, best := range idx {
-			if best < 0 {
-				return fmt.Errorf("kmeansmr: point has no nearest center for k=%d (all distances non-finite)", k)
-			}
-			accs[best].Merge(vec.WeightedPoint{Sum: cols.At(j), Count: 1})
+		if !m.sums[k].Fold(cols, idx) {
+			return fmt.Errorf("kmeansmr: point has no nearest center for k=%d (all distances non-finite)", k)
 		}
 	}
 	m.points += int64(n)
@@ -145,10 +142,10 @@ func (m *multiMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	ctx.Count(CounterDistances, m.dists)
 	ctx.Count(CounterPoints, m.points)
 	for _, k := range m.ks {
-		accs := m.accs[k]
-		for cid := range accs {
-			if accs[cid].Count > 0 {
-				emit.Emit(int64(k)*KeyStride+int64(cid), mr.WeightedPointValue{WeightedPoint: accs[cid]})
+		s := m.sums[k]
+		for cid := 0; cid < s.Len(); cid++ {
+			if wp, ok := s.At(cid); ok {
+				emit.Emit(int64(k)*KeyStride+int64(cid), mr.WeightedPointValue{WeightedPoint: wp})
 			}
 		}
 	}

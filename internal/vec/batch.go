@@ -11,6 +11,19 @@ package vec
 // SIMD support (8-wide AVX-512 and 4-wide AVX2 paths on amd64, detected
 // at startup) and falling back to a portable Go loop elsewhere.
 //
+// Loop nest of the AVX-512 path: 8-point groups on the outside, with each
+// group's running best distance and index held in registers for the whole
+// center loop; blocks of four centers inside, with 16 accumulators (four
+// centers × Dist2's four lanes); per dimension one load of the point
+// column and four subtract/multiply/add triples against the block's
+// broadcast center coordinates. The centers are copied once per call into
+// the scratch, four interleaved per block, and a count that is not a
+// multiple of four is padded by repeating the last center. The four
+// distances of a block fold into the running best in center order, so the
+// fold is NearestIndex's sequential scan; a padded copy ties the last
+// real center bit for bit and therefore never wins. The AVX2 path instead
+// streams one center at a time over 256-point tiles.
+//
 // Bit-compatibility contract: every distance these kernels produce is
 // bit-identical to Dist2 on the same operands. Dist2 is unrolled over four
 // accumulator lanes combined as (s0+s1)+(s2+s3); the batch kernels keep the
@@ -25,6 +38,9 @@ package vec
 // +Inf when centers is empty or every distance is non-finite). The vec
 // tests pin this equivalence on both paths.
 //
+// FoldRows is the other half of an assignment pass: it adds every point
+// into its center's running Σx in input order, one call per split.
+//
 // Nothing here allocates per point: scratch lives in BatchScratch and is
 // reusable across calls.
 
@@ -34,9 +50,10 @@ import "math"
 // zero value is ready to use; kernels grow it on demand. A scratch must
 // not be shared by concurrent calls.
 type BatchScratch struct {
-	lanes []float64 // 4 lane arrays of n values each (portable path)
-	idxf  []float64 // best-index-as-float64 buffer (SIMD path blends doubles)
-	point []float64 // one gathered row for tail points
+	lanes  []float64 // 4 lane arrays of n values each (portable path)
+	idxf   []float64 // best-index-as-float64 buffer (AVX2 path blends doubles)
+	blocks []float64 // centers packed four per block (AVX-512 path)
+	point  []float64 // one gathered row for tail points
 }
 
 // lanesFor returns the four lane arrays sized for n points.
@@ -150,7 +167,7 @@ func Dist2Batch(center Vector, colflat []float64, n int, out []float64, s *Batch
 	}
 }
 
-// nearestTilePoints is the point-tile width of the SIMD path: tiles are
+// nearestTilePoints is the point-tile width of the AVX2 path: tiles are
 // sized so one tile's columns stay cache-resident while every center
 // streams over it, instead of every center re-streaming the whole split.
 const nearestTilePoints = 256
@@ -199,8 +216,8 @@ func NearestBatch(centers []Vector, colflat []float64, n int, idx []int32, dist 
 	}
 }
 
-// nearestBatchTail assigns the points the SIMD tile loop did not cover
-// (at most 3, when n is not a multiple of the SIMD width) by gathering
+// nearestBatchTail assigns the points the SIMD kernels did not cover
+// (at most 7, when n is not a multiple of the SIMD width) by gathering
 // each row and running the scalar kernel — bit-identical by construction.
 func nearestBatchTail(centers []Vector, colflat []float64, n, from int, idx []int32, dist []float64, s *BatchScratch) {
 	dim := len(centers[0])
@@ -211,6 +228,42 @@ func nearestBatchTail(centers []Vector, colflat []float64, n, from int, idx []in
 		}
 		bi, bd := NearestIndex(p, centers)
 		idx[j], dist[j] = int32(bi), bd
+	}
+}
+
+// FoldRows adds the row-major rows (row j at rows[j*dim:(j+1)*dim]) into
+// per-center running sums: for j in input order, row j is added into
+// sums[idx[j]*dim:(idx[j]+1)*dim] and counts[idx[j]] is incremented. The
+// sums are bit-identical to merging each row into a WeightedPoint whose
+// Sum started at zero — the same additions, the running sum as the first
+// operand, in the same order. It panics when an index is outside
+// [0, len(counts)), when sums cannot hold len(counts) rows or rows cannot
+// hold len(idx) rows, or when dim is not positive.
+func FoldRows(sums []float64, counts []int64, rows []float64, dim int, idx []int32) {
+	if dim <= 0 || len(sums) < len(counts)*dim || len(rows) < len(idx)*dim {
+		panic("vec: FoldRows buffers do not hold their rows")
+	}
+	k := uint32(len(counts))
+	for _, c := range idx {
+		if uint32(c) >= k {
+			panic("vec: FoldRows index out of range")
+		}
+	}
+	if foldRowsAccel(sums, counts, rows, dim, idx) {
+		return
+	}
+	foldRowsGo(sums, counts, rows, dim, idx)
+}
+
+// foldRowsGo is FoldRows' portable kernel: AddInPlace's loop, row by row.
+func foldRowsGo(sums []float64, counts []int64, rows []float64, dim int, idx []int32) {
+	for j, c := range idx {
+		s := sums[int(c)*dim : int(c)*dim+dim : int(c)*dim+dim]
+		r := rows[j*dim : j*dim+dim : j*dim+dim]
+		for i := range s {
+			s[i] += r[i]
+		}
+		counts[c]++
 	}
 }
 

@@ -166,14 +166,18 @@ func TestBatchShapePanics(t *testing.T) {
 	}
 }
 
-// benchNearest compares the scalar per-point assignment loop (what the
-// row-major mapper path does per split) against one fused batch call.
+// benchNearest compares the scalar per-point assignment loop against one
+// fused batch call. Both report ns/dist: nanoseconds per point-center
+// distance, the kernel layer's unit.
 func benchNearest(b *testing.B, n, dim, k int) {
 	rows, colflat := makeBatch(n, dim, 1)
 	centers := makeCenters(k, dim, 2)
 	idx := make([]int32, n)
 	dist := make([]float64, n)
 	var s BatchScratch
+	perDist := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(n)*float64(k)), "ns/dist")
+	}
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j, p := range rows {
@@ -181,22 +185,145 @@ func benchNearest(b *testing.B, n, dim, k int) {
 				idx[j], dist[j] = int32(bi), bd
 			}
 		}
+		perDist(b)
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			NearestBatch(centers, colflat, n, idx, dist, &s)
 		}
+		perDist(b)
 	})
 }
 
 func BenchmarkNearestBatch(b *testing.B) {
 	for _, tc := range []struct{ n, dim, k int }{
-		{8192, 16, 32}, {8192, 32, 32}, {8192, 10, 16}, {8192, 64, 32},
+		{8192, 16, 4}, {8192, 16, 32}, {8192, 16, 64},
+		{8192, 32, 32}, {8192, 10, 16}, {8192, 64, 32},
 	} {
 		b.Run(benchName(tc.n, tc.dim, tc.k), func(b *testing.B) { benchNearest(b, tc.n, tc.dim, tc.k) })
 	}
 }
 
+// BenchmarkFoldRows compares the per-point WeightedPoint.Merge loop the
+// assignment mappers used to run against one FoldRows call over the same
+// split and assignment, in ns/pt.
+func BenchmarkFoldRows(b *testing.B) {
+	const n, dim, k = 8192, 16, 32
+	_, colflat := makeBatch(n, dim, 1)
+	rows := make([]float64, n*dim)
+	for j := 0; j < n; j++ {
+		for d := 0; d < dim; d++ {
+			rows[j*dim+d] = colflat[d*n+j]
+		}
+	}
+	idx := make([]int32, n)
+	dist := make([]float64, n)
+	NearestBatch(makeCenters(k, dim, 2), colflat, n, idx, dist, nil)
+	perPoint := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/pt")
+	}
+	b.Run(benchName(n, dim, k)+"/merge", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			accs := make([]WeightedPoint, k)
+			for j, c := range idx {
+				accs[c].Merge(WeightedPoint{Sum: rows[j*dim : (j+1)*dim], Count: 1})
+			}
+		}
+		perPoint(b)
+	})
+	b.Run(benchName(n, dim, k)+"/fold", func(b *testing.B) {
+		sums := make([]float64, k*dim)
+		counts := make([]int64, k)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clear(sums)
+			clear(counts)
+			FoldRows(sums, counts, rows, dim, idx)
+		}
+		perPoint(b)
+	})
+}
+
 func benchName(n, dim, k int) string {
 	return fmt.Sprintf("n=%d/d=%d/k=%d", n, dim, k)
+}
+
+// TestFoldRowsMatchesMerge pins FoldRows — the dispatched kernel and the
+// portable loop — to a per-row WeightedPoint.Merge bit for bit, for every
+// dim from 1 to 20 (every tail of the 8-wide kernel), with repeated and
+// interleaved indices and coordinates that include −0, NaNs of several
+// payloads and signs, ±Inf and subnormals.
+func TestFoldRowsMatchesMerge(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0123),
+		math.Float64frombits(0xfff8_0000_0000_0456), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64, 2.2e-310,
+	}
+	rng := rand.New(rand.NewSource(9))
+	for dim := 1; dim <= 20; dim++ {
+		const n, k = 61, 5
+		rows := make([]float64, n*dim)
+		for i := range rows {
+			if rng.Intn(4) == 0 {
+				rows[i] = special[rng.Intn(len(special))]
+			} else {
+				rows[i] = rng.NormFloat64() * 1e3
+			}
+		}
+		idx := make([]int32, n)
+		for j := range idx {
+			switch {
+			case j < 20: // runs of one center
+				idx[j] = int32(j / 7)
+			case j < 40: // interleaved
+				idx[j] = int32(j % 3)
+			default:
+				idx[j] = int32(rng.Intn(k - 1)) // center k-1 stays empty
+			}
+		}
+		want := make([]WeightedPoint, k)
+		for j, c := range idx {
+			want[c].Merge(WeightedPoint{Sum: rows[j*dim : (j+1)*dim], Count: 1})
+		}
+		for name, fold := range map[string]func([]float64, []int64, []float64, int, []int32){
+			"FoldRows": FoldRows, "portable": foldRowsGo,
+		} {
+			sums := make([]float64, k*dim)
+			counts := make([]int64, k)
+			fold(sums, counts, rows, dim, idx)
+			for c := range want {
+				if counts[c] != want[c].Count {
+					t.Fatalf("%s dim %d center %d: count %d, Merge %d", name, dim, c, counts[c], want[c].Count)
+				}
+				for d := 0; d < dim; d++ {
+					w := 0.0
+					if want[c].Sum != nil {
+						w = want[c].Sum[d]
+					}
+					if g := sums[c*dim+d]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s dim %d center %d coordinate %d: %v (%#x), Merge %v (%#x)",
+							name, dim, c, d, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFoldRowsPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"negative index": func() { FoldRows(make([]float64, 2), make([]int64, 1), []float64{1, 2}, 2, []int32{-1}) },
+		"index past k":   func() { FoldRows(make([]float64, 2), make([]int64, 1), []float64{1, 2}, 2, []int32{1}) },
+		"short rows":     func() { FoldRows(make([]float64, 2), make([]int64, 1), []float64{1}, 2, []int32{0}) },
+		"short sums":     func() { FoldRows(make([]float64, 1), make([]int64, 1), []float64{1, 2}, 2, []int32{0}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
