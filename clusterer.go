@@ -493,9 +493,10 @@ type staged struct {
 const stagedPath = "/data/points.txt"
 
 // stage streams src into a fresh simulated DFS — validating dimensionality
-// and finiteness point by point — through a dfs.PointWriter, which formats
-// the text in parallel with reading and keeps the points for the file's
-// scans, and right-sizes the splits so every map slot gets a few tasks. backend
+// and finiteness point by point — through a dfs.PointWriter, which keeps
+// the points for the file's scans and, in parallel with reading, measures
+// each point's text record with pointtext.RecordLen without formatting it,
+// and right-sizes the splits so every map slot gets a few tasks. backend
 // selects the execution backend for this staging (normally the
 // configured one; the fallback path restages on BackendLocal).
 func (c *Clusterer) stage(ctx context.Context, src DataSource, tr *obs.Trace, backend Backend) (*staged, error) {

@@ -10,12 +10,16 @@
 //
 //	loadtest                          # default sweep, markdown to stdout
 //	loadtest -k 64 -dim 32 -dur 5s    # bigger model, longer cells
-//	loadtest -coalesce 200us          # micro-batch singleton assigns
 //
 // Point it at an already-running server to measure a real deployment
 // (the model shape is discovered from one probe assignment):
 //
 //	loadtest -addr http://10.0.0.7:8080 -dim 16
+//
+// Batch size 1 posts to /v1/assign, which the server answers with the
+// scalar scan; larger batches post to /v1/assign/batch and its columnar
+// kernel. The self-hosted server runs with default options: the request
+// shape alone picks the path, so there is nothing else to sweep.
 //
 // Each cell reports requests/s, points/s (the throughput number that
 // matters for batches), and p50/p95/p99 request latency.
@@ -50,16 +54,15 @@ func main() {
 	log.SetPrefix("loadtest: ")
 
 	var (
-		addr     = flag.String("addr", "", "measure this running server instead of self-hosting (e.g. http://localhost:8080)")
-		k        = flag.Int("k", 32, "self-hosted synthetic model: center count")
-		dim      = flag.Int("dim", 16, "point dimensionality (self-hosted model shape; required to match -addr's model)")
-		seed     = flag.Int64("seed", 1, "random seed for the model and query points")
-		coalesce = flag.Duration("coalesce", 0, "self-hosted server: coalesce window for /v1/assign (0 = off)")
-		dur      = flag.Duration("dur", 2*time.Second, "measured duration per cell")
-		warmup   = flag.Duration("warmup", 250*time.Millisecond, "unmeasured warmup per cell")
-		concs    = flag.String("conc", "1,8,32", "comma-separated client concurrency levels")
-		batches  = flag.String("batch", "1,64,1024", "comma-separated batch sizes (1 = singleton /v1/assign)")
-		modes    = flag.String("mode", "json,binary", "comma-separated framings to sweep: json, binary")
+		addr    = flag.String("addr", "", "measure this running server instead of self-hosting (e.g. http://localhost:8080)")
+		k       = flag.Int("k", 32, "self-hosted synthetic model: center count")
+		dim     = flag.Int("dim", 16, "point dimensionality (self-hosted model shape; required to match -addr's model)")
+		seed    = flag.Int64("seed", 1, "random seed for the model and query points")
+		dur     = flag.Duration("dur", 2*time.Second, "measured duration per cell")
+		warmup  = flag.Duration("warmup", 250*time.Millisecond, "unmeasured warmup per cell")
+		concs   = flag.String("conc", "1,8,32", "comma-separated client concurrency levels")
+		batches = flag.String("batch", "1,64,1024", "comma-separated batch sizes (1 = singleton /v1/assign)")
+		modes   = flag.String("mode", "json,binary", "comma-separated framings to sweep: json, binary")
 	)
 	flag.Parse()
 
@@ -80,11 +83,11 @@ func main() {
 
 	base := *addr
 	if base == "" {
-		base, err = selfHost(*k, *dim, *seed, *coalesce)
+		base, err = selfHost(*k, *dim, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("self-hosted server on %s (k=%d dim=%d coalesce=%v)", base, *k, *dim, *coalesce)
+		log.Printf("self-hosted server on %s (k=%d dim=%d)", base, *k, *dim)
 	}
 	base = strings.TrimSuffix(base, "/")
 
@@ -110,7 +113,7 @@ func main() {
 }
 
 // selfHost builds a synthetic model and serves it on a loopback port.
-func selfHost(k, dim int, seed int64, coalesce time.Duration) (string, error) {
+func selfHost(k, dim int, seed int64) (string, error) {
 	rng := rand.New(rand.NewSource(seed))
 	centers := make([]vec.Vector, k)
 	for i := range centers {
@@ -124,7 +127,7 @@ func selfHost(k, dim int, seed int64, coalesce time.Duration) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv, err := serve.New(m, serve.Options{CoalesceWindow: coalesce})
+	srv, err := serve.New(m, serve.Options{})
 	if err != nil {
 		return "", err
 	}

@@ -22,11 +22,10 @@
 //	curl -XPOST localhost:8080/v1/model/reload
 //	curl -XPOST localhost:8080/v1/assign -d '{"point":[1.5,2.5]}'
 //
-// Under high concurrent singleton load, -coalesce 200us gathers the
-// /v1/assign requests that arrive within each window into one columnar
-// kernel pass (see the serving notes in ARCHITECTURE.md):
-//
-//	serve -model model.gmm -coalesce 200us
+// A request's shape picks how it is answered: /v1/assign/batch runs the
+// columnar batch kernel, /v1/assign the scalar scan (see the serving
+// notes in ARCHITECTURE.md). Nothing about the serving path is tunable
+// beyond the reload source.
 package main
 
 import (
@@ -62,8 +61,6 @@ func main() {
 		savePath  = flag.String("save", "", "write the trained model snapshot here")
 		timeout   = flag.Duration("timeout", 0, "abort training after this long (0 = no limit)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060)")
-		coalesce  = flag.Duration("coalesce", 0, "coalesce concurrent /v1/assign requests into micro-batches over this window (e.g. 200us; 0 = off)")
-		coalMax   = flag.Int("coalesce-max", 0, "points per coalesced micro-batch before it flushes early (0 = default)")
 	)
 	flag.Parse()
 
@@ -75,13 +72,7 @@ func main() {
 	log.Printf("model ready: k=%d dim=%d (algorithm=%q iterations=%d)",
 		m.K, m.Dim, m.Meta.Algorithm, m.Meta.Iterations)
 
-	opts := gmeansmr.ServerOptions{
-		CoalesceWindow:   *coalesce,
-		CoalesceMaxBatch: *coalMax,
-	}
-	if *coalesce > 0 {
-		log.Printf("coalescing /v1/assign over %v windows", *coalesce)
-	}
+	var opts gmeansmr.ServerOptions
 	if reloadPath != "" {
 		opts.Loader = func() (*gmeansmr.Model, error) { return loadSnapshot(reloadPath) }
 		log.Printf("hot reload enabled from %s (POST /v1/model/reload)", reloadPath)

@@ -166,7 +166,9 @@ func LoadModel(r io.Reader) (*Model, error) { return model.Load(r) }
 // cmd/serve.
 type Server = serve.Server
 
-// ServerOptions configure NewServer; the zero value is serviceable.
+// ServerOptions configure NewServer: only the reload source (Loader), as
+// a request's shape alone picks how it is answered. The zero value is
+// serviceable.
 type ServerOptions = serve.Options
 
 // Assignment is one answered query: nearest center index plus Euclidean

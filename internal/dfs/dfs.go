@@ -33,7 +33,7 @@
 // the file it opened.
 //
 // Written-from-points files. A text file committed by PointWriter keeps
-// the float64 points it was formatted from, each record's start offset
+// the float64 points it was written from, each record's start offset
 // and the text's length, but not the text itself: its splits are sliced
 // from those points under the same ownership rule instead of parsed
 // (pointwriter.go), and Contents regenerates the text byte for byte. The
@@ -94,10 +94,11 @@ type FS struct {
 	// pointcache.go). Guarded by mu; invalidated on Create, Delete and
 	// SetSplitSize.
 	points map[string]*filePoints
-	// versions counts generations per path: every Create and Delete bumps
-	// the path's entry, and entries survive deletion (a re-created path must
-	// not repeat an old version). Replication layers cache split replicas
-	// per (path, version). Guarded by mu; lazily allocated.
+	// versions holds each path's generation: every Create and Delete
+	// gives the path a fresh value from versionClock, and entries survive
+	// deletion (a re-created path must not repeat an old version).
+	// Replication layers cache split replicas per (path, version).
+	// Guarded by mu; lazily allocated.
 	versions map[string]int64
 
 	bytesRead    atomic.Int64
@@ -112,10 +113,11 @@ type file struct {
 	// data holds the contents of a file written as raw bytes; it is nil
 	// for a file written from points, which keeps no text.
 	data []byte
-	// size is the file's length in bytes: len(data), or the length of the
-	// text a PointWriter formatted.
+	// size is the file's length in bytes: len(data), or, for a file
+	// written from points, the length of its text as a PointWriter
+	// measured it with pointtext.RecordLen (the text is never formatted).
 	size int64
-	// points are the points a PointWriter formatted the file from, or nil
+	// points are the points a PointWriter wrote the file from, or nil
 	// for a file written as raw bytes (pointwriter.go).
 	points *writtenPoints
 }
@@ -176,19 +178,26 @@ func (fs *FS) commit(path string, f *file) {
 	fs.bytesWritten.Add(f.size)
 }
 
-// bumpVersion advances path's generation counter; callers hold fs.mu.
+// versionClock issues generations to every FS in the process, so a
+// (path, version) pair names one content even across FSes: a runner that
+// caches replicas by that pair and is reused with a second FS holding
+// other points at the same path must not mistake them for the first's.
+var versionClock atomic.Int64
+
+// bumpVersion gives path a fresh generation; callers hold fs.mu.
 func (fs *FS) bumpVersion(path string) {
 	if fs.versions == nil {
 		fs.versions = make(map[string]int64)
 	}
-	fs.versions[path]++
+	fs.versions[path] = versionClock.Add(1)
 }
 
-// Version reports the generation counter of path: zero for a path never
-// created, and a strictly increasing value across every Create and Delete
-// of the path since this FS was constructed (deletion does not reset it).
-// Replication layers use it to decide whether a cached replica of a split
-// is current.
+// Version reports the generation of path: zero for a path never created,
+// and otherwise a value that strictly increases across every Create and
+// Delete of the path (deletion does not reset it) and that no other
+// content, in this FS or another FS of the process, ever carries at the
+// same path. Replication layers use it to decide whether a cached
+// replica of a split is current.
 func (fs *FS) Version(path string) int64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -196,10 +205,11 @@ func (fs *FS) Version(path string) int64 {
 }
 
 // Contents returns a copy of the file's bytes without touching any read
-// accounting. A file written from points has its text formatted again,
-// byte-identical to the text its PointWriter formatted. Dataset scans go
-// through OpenSplitPoints and replication through ReplicaSplit; Contents
-// is for tests that inspect a whole file.
+// accounting. A file written from points has its text formatted here,
+// byte-identical to FormatPoint's lines for its points, whose lengths its
+// PointWriter measured. Dataset scans go through OpenSplitPoints and
+// replication through ReplicaSplit; Contents is for tests that inspect a
+// whole file.
 func (fs *FS) Contents(path string) ([]byte, error) {
 	fs.mu.RLock()
 	f, ok := fs.files[path]

@@ -228,27 +228,38 @@ func TestVersionAndContents(t *testing.T) {
 	if v := fs.Version("/a"); v != 0 {
 		t.Fatalf("fresh path version = %d, want 0", v)
 	}
-	fs.Create("/a", []byte("hello\n"))
-	if v := fs.Version("/a"); v != 1 {
-		t.Fatalf("after create version = %d, want 1", v)
+	// Every Create and Delete of a path gives it a strictly greater
+	// version; a no-op delete leaves it alone.
+	var seen []int64
+	step := func(what string, op func(), wantBump bool) {
+		t.Helper()
+		before := fs.Version("/a")
+		op()
+		v := fs.Version("/a")
+		switch {
+		case wantBump && v <= before:
+			t.Fatalf("after %s version = %d, want > %d", what, v, before)
+		case !wantBump && v != before:
+			t.Fatalf("after %s version = %d, want %d", what, v, before)
+		}
+		if wantBump {
+			seen = append(seen, v)
+		}
 	}
-	fs.Create("/a", []byte("world\n"))
-	if v := fs.Version("/a"); v != 2 {
-		t.Fatalf("after overwrite version = %d, want 2", v)
-	}
-	fs.Delete("/a")
-	if v := fs.Version("/a"); v != 3 {
-		t.Fatalf("after delete version = %d, want 3", v)
-	}
-	// Deleting a missing path stays a no-op, version included.
-	fs.Delete("/a")
-	if v := fs.Version("/a"); v != 3 {
-		t.Fatalf("after no-op delete version = %d, want 3", v)
-	}
-	// Re-creation keeps the counter strictly increasing.
-	fs.Create("/a", []byte("again\n"))
-	if v := fs.Version("/a"); v != 4 {
-		t.Fatalf("after re-create version = %d, want 4", v)
+	step("create", func() { fs.Create("/a", []byte("hello\n")) }, true)
+	step("overwrite", func() { fs.Create("/a", []byte("world\n")) }, true)
+	step("delete", func() { fs.Delete("/a") }, true)
+	step("no-op delete", func() { fs.Delete("/a") }, false)
+	step("re-create", func() { fs.Create("/a", []byte("again\n")) }, true)
+
+	// Another FS never repeats a version this one gave the same path, so
+	// a replica cache keyed by (path, version) cannot confuse the two.
+	other := New(16)
+	other.Create("/a", []byte("other\n"))
+	for _, v := range seen {
+		if other.Version("/a") == v {
+			t.Fatalf("second FS reuses version %d of the first at the same path", v)
+		}
 	}
 
 	reads := fs.DatasetReads()

@@ -346,6 +346,40 @@ func TestProcPCACandidatesMatchLocal(t *testing.T) {
 	sameCounters(t, "lastpass", local.Counters, proc.Counters)
 }
 
+// TestProcRunnerReusedAcrossFileSystems runs two different mixtures,
+// each staged in its own DFS at the same path, through one ProcRunner.
+// The runner remembers which splits each worker holds by (path, version,
+// index); each proc run must still equal its local run, so the second
+// DFS's points must reach the workers instead of the first's.
+func TestProcRunnerReusedAcrossFileSystems(t *testing.T) {
+	specs := []dataset.Spec{
+		{K: 3, Dim: 2, N: 1500, MinSeparation: 16, Seed: 4},
+		{K: 6, Dim: 2, N: 1500, MinSeparation: 16, Seed: 9},
+	}
+	run := func(spec dataset.Spec, runner mr.TaskRunner) *core.Result {
+		env, _ := gmeansEnv(t, spec, runner)
+		res, err := core.Run(core.Config{Env: env, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	runner := mrdist.NewProcRunner(mrdist.Options{})
+	defer runner.Close()
+	for i, spec := range specs {
+		local := run(spec, nil)
+		proc := run(spec, runner)
+		what := fmt.Sprintf("mixture %d", i)
+		if local.K != proc.K || local.Iterations != proc.Iterations {
+			t.Fatalf("%s: local k=%d iters=%d, proc k=%d iters=%d",
+				what, local.K, local.Iterations, proc.K, proc.Iterations)
+		}
+		sameCenters(t, what, local.Centers, proc.Centers)
+		sameCounters(t, what, local.Counters, proc.Counters)
+	}
+}
+
 // TestProcMultiKMatchesLocal pins the multi-k baseline and its evaluation
 // job (the evalValue codec) across backends.
 func TestProcMultiKMatchesLocal(t *testing.T) {

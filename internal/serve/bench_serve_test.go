@@ -69,20 +69,16 @@ func BenchmarkAssignBatchColumnar(b *testing.B) {
 	})
 }
 
-// BenchmarkAssignCoalesced measures the micro-batching coalescer: one op
-// is a burst of 64 concurrent singleton queries, the overlap shape the
-// coalescer exists for. The inflight count is pinned (as in the
-// coalescer tests) so grouping is deterministic regardless of
-// GOMAXPROCS, and the window bounds each op — ns/op is therefore stable
-// enough for benchdiff to watch. The direct sub-benchmark is the same
-// burst without coalescing.
-func BenchmarkAssignCoalesced(b *testing.B) {
+// BenchmarkAssignConcurrent times a burst of 64 concurrent singleton
+// Assign calls: one op starts the 64 goroutines and waits for all of
+// them, so ns/op is the burst's wall time on the scalar singleton path.
+func BenchmarkAssignConcurrent(b *testing.B) {
 	const dim, k, burst = 16, 32, 64
 	m := randomModel(b, k, dim, 71)
 	queries := randomQueries(burst, dim, 79)
+	s := newServer(b, m, Options{})
 
-	run := func(b *testing.B, s *Server) {
-		b.Helper()
+	b.Run("burst-64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var wg sync.WaitGroup
@@ -98,16 +94,6 @@ func BenchmarkAssignCoalesced(b *testing.B) {
 			wg.Wait()
 		}
 		b.ReportMetric(burst, "points")
-	}
-
-	b.Run("direct-burst-64", func(b *testing.B) {
-		run(b, newServer(b, m, Options{}))
-	})
-	b.Run("coalesced-burst-64", func(b *testing.B) {
-		s := newServer(b, m, Options{CoalesceWindow: DefaultCoalesceWindow})
-		s.coal.inflight.Add(1)
-		defer s.coal.inflight.Add(-1)
-		run(b, s)
 	})
 }
 

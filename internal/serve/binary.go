@@ -16,9 +16,9 @@ package serve
 // begin with 'G''M''P''B', so sniffing is unambiguous and clients need
 // no content-type ceremony (though application/x-gmab is set on
 // responses). /v1/assign accepts exactly one frame; /v1/assign/batch up
-// to MaxBatch. Binary requests return binary answers on success and the
-// same typed JSON errors as the JSON path on failure — errors are not a
-// hot path.
+// to DefaultMaxBatch. Binary requests return binary answers on success
+// and the same typed JSON errors as the JSON path on failure — errors are
+// not a hot path.
 //
 // The decoded points feed the very same assign routines as JSON requests,
 // so the two framings are bit-identical by construction (pinned by TestBinaryAssignMatchesJSON).
@@ -160,13 +160,9 @@ func (s *Server) handleAssignBinary(w http.ResponseWriter, body []byte) {
 		httpError(w, http.StatusBadRequest, code, msg)
 		return
 	}
-	asg, a, err := s.assignSingle(a, points[0])
+	asg, err := a.assign(points[0])
 	if err != nil {
-		code := CodeNumericRange
-		if err == errSwapDimMismatch {
-			code = CodeDimMismatch
-		}
-		httpError(w, http.StatusBadRequest, code, err.Error())
+		httpError(w, http.StatusBadRequest, CodeNumericRange, err.Error())
 		return
 	}
 	writeAssignBinary(w, a.m.K, []Assignment{asg})
@@ -177,7 +173,7 @@ func (s *Server) handleAssignBinary(w http.ResponseWriter, body []byte) {
 func (s *Server) handleAssignBatchBinary(w http.ResponseWriter, body []byte) {
 	s.binReqs.Inc()
 	a := s.active.Load()
-	points, code, msg := decodeBinaryPoints(body, a.m.Dim, s.maxBatch)
+	points, code, msg := decodeBinaryPoints(body, a.m.Dim, DefaultMaxBatch)
 	if code != "" {
 		status := http.StatusBadRequest
 		if code == CodeTooLarge {

@@ -95,10 +95,13 @@ func TestBinaryAssignRejectsMalformed(t *testing.T) {
 		})
 	}
 
-	// Oversized binary batch: 413 with the typed code, mirroring JSON.
-	s2 := newServer(t, gridModel(t, 4, 0), Options{MaxBatch: 3})
-	big := encodeGMPB(randomQueries(4, 2, 1), 2)
-	rec, resp := postRaw(t, s2, "/v1/assign/batch", big)
+	// The batch-size boundary, mirroring JSON: DefaultMaxBatch frames are
+	// answered, one more is 413 with the typed code.
+	points := randomQueries(DefaultMaxBatch+1, 2, 1)
+	if rec, _ := postRaw(t, s, "/v1/assign/batch", encodeGMPB(points[:DefaultMaxBatch], 2)); rec.Code != http.StatusOK {
+		t.Fatalf("binary batch of DefaultMaxBatch points: status %d, want 200", rec.Code)
+	}
+	rec, resp := postRaw(t, s, "/v1/assign/batch", encodeGMPB(points, 2))
 	if rec.Code != http.StatusRequestEntityTooLarge || resp["code"] != CodeTooLarge {
 		t.Fatalf("oversized binary batch: %d %s", rec.Code, rec.Body)
 	}

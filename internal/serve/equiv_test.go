@@ -60,10 +60,9 @@ func decodeGMAB(body []byte) (int, []Assignment, error) {
 // TestServePathEquivalence pins the two assign routines — the columnar
 // batch kernel and the scalar singleton scan — bit-identical to the
 // scalar reference (same cluster index, same distance bits) through every
-// entry point: programmatic and HTTP, singleton and batch, coalesced or
-// not, JSON and binary framing. The (k, dim) grid covers the default
-// serving shape, low-dim models with many centers, and high-dim models
-// with few centers.
+// entry point: programmatic and HTTP, singleton and batch, JSON and
+// binary framing. The (k, dim) grid covers the default serving shape,
+// low-dim models with many centers, and high-dim models with few centers.
 func TestServePathEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -87,118 +86,111 @@ func TestServePathEquivalence(t *testing.T) {
 				want[i] = Assignment{Cluster: wi, Distance: math.Sqrt(wd)}
 			}
 
-			for _, coalesce := range []bool{false, true} {
-				opts := Options{}
-				if coalesce {
-					opts.CoalesceWindow = DefaultCoalesceWindow
-				}
-				s := newServer(t, m, opts)
+			s := newServer(t, m, Options{})
 
-				// Programmatic singleton path.
-				for i, q := range queries {
-					got, err := s.Assign(q)
+			// Programmatic singleton path.
+			for i, q := range queries {
+				got, err := s.Assign(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want[i] {
+					t.Fatalf("Assign(%d) = %+v, want %+v", i, got, want[i])
+				}
+			}
+			// Programmatic batch path (columnar kernel).
+			batch, err := s.AssignBatch(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range batch {
+				if batch[i] != want[i] {
+					t.Fatalf("AssignBatch[%d] = %+v, want %+v", i, batch[i], want[i])
+				}
+			}
+			// HTTP JSON batch.
+			body, _ := json.Marshal(batchRequest{Points: queries})
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign/batch", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("JSON batch status %d: %s", rec.Code, rec.Body)
+			}
+			var jr batchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
+				t.Fatal(err)
+			}
+			for i := range jr.Assignments {
+				if jr.Assignments[i] != want[i] {
+					t.Fatalf("JSON batch[%d] = %+v, want %+v", i, jr.Assignments[i], want[i])
+				}
+			}
+			// HTTP binary batch.
+			rec = httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign/batch",
+				bytes.NewReader(encodeGMPB(queries, tc.dim))))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("binary batch status %d: %s", rec.Code, rec.Body)
+			}
+			gotK, bin, err := decodeGMAB(rec.Body.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotK != tc.k || len(bin) != len(queries) {
+				t.Fatalf("binary batch k=%d n=%d, want k=%d n=%d",
+					gotK, len(bin), tc.k, len(queries))
+			}
+			for i := range bin {
+				if bin[i] != want[i] {
+					t.Fatalf("binary batch[%d] = %+v, want %+v", i, bin[i], want[i])
+				}
+			}
+			// HTTP singletons, JSON and binary, concurrently.
+			var wg sync.WaitGroup
+			errs := make(chan error, 2*len(queries))
+			for i, q := range queries {
+				wg.Add(1)
+				go func(i int, q vec.Vector) {
+					defer wg.Done()
+					jb, _ := json.Marshal(assignRequest{Point: q})
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign", bytes.NewReader(jb)))
+					if rec.Code != http.StatusOK {
+						errs <- fmt.Errorf("JSON single %d: status %d: %s", i, rec.Code, rec.Body)
+						return
+					}
+					var ar assignResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
+						errs <- err
+						return
+					}
+					if ar.Cluster != want[i].Cluster || ar.Distance != want[i].Distance {
+						errs <- fmt.Errorf("JSON single %d = (%d, %v), want %+v", i, ar.Cluster, ar.Distance, want[i])
+					}
+				}(i, q)
+				wg.Add(1)
+				go func(i int, q vec.Vector) {
+					defer wg.Done()
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign",
+						bytes.NewReader(encodeGMPB([]vec.Vector{q}, tc.dim))))
+					if rec.Code != http.StatusOK {
+						errs <- fmt.Errorf("binary single %d: status %d: %s", i, rec.Code, rec.Body)
+						return
+					}
+					_, asgs, err := decodeGMAB(rec.Body.Bytes())
 					if err != nil {
-						t.Fatal(err)
+						errs <- err
+						return
 					}
-					if got != want[i] {
-						t.Fatalf("coalesce=%v Assign(%d) = %+v, want %+v", coalesce, i, got, want[i])
+					if len(asgs) != 1 || asgs[0] != want[i] {
+						errs <- fmt.Errorf("binary single %d = %+v, want %+v", i, asgs, want[i])
 					}
-				}
-				// Programmatic batch path (columnar kernel).
-				batch, err := s.AssignBatch(queries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range batch {
-					if batch[i] != want[i] {
-						t.Fatalf("coalesce=%v AssignBatch[%d] = %+v, want %+v", coalesce, i, batch[i], want[i])
-					}
-				}
-				// HTTP JSON batch.
-				body, _ := json.Marshal(batchRequest{Points: queries})
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign/batch", bytes.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					t.Fatalf("coalesce=%v JSON batch status %d: %s", coalesce, rec.Code, rec.Body)
-				}
-				var jr batchResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
-					t.Fatal(err)
-				}
-				for i := range jr.Assignments {
-					if jr.Assignments[i] != want[i] {
-						t.Fatalf("coalesce=%v JSON batch[%d] = %+v, want %+v", coalesce, i, jr.Assignments[i], want[i])
-					}
-				}
-				// HTTP binary batch.
-				rec = httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign/batch",
-					bytes.NewReader(encodeGMPB(queries, tc.dim))))
-				if rec.Code != http.StatusOK {
-					t.Fatalf("coalesce=%v binary batch status %d: %s", coalesce, rec.Code, rec.Body)
-				}
-				gotK, bin, err := decodeGMAB(rec.Body.Bytes())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotK != tc.k || len(bin) != len(queries) {
-					t.Fatalf("coalesce=%v binary batch k=%d n=%d, want k=%d n=%d",
-						coalesce, gotK, len(bin), tc.k, len(queries))
-				}
-				for i := range bin {
-					if bin[i] != want[i] {
-						t.Fatalf("coalesce=%v binary batch[%d] = %+v, want %+v", coalesce, i, bin[i], want[i])
-					}
-				}
-				// HTTP singletons, JSON and binary, concurrently — under
-				// coalescing these run through grouped kernel calls.
-				var wg sync.WaitGroup
-				errs := make(chan error, 2*len(queries))
-				for i, q := range queries {
-					wg.Add(1)
-					go func(i int, q vec.Vector) {
-						defer wg.Done()
-						jb, _ := json.Marshal(assignRequest{Point: q})
-						rec := httptest.NewRecorder()
-						s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign", bytes.NewReader(jb)))
-						if rec.Code != http.StatusOK {
-							errs <- fmt.Errorf("JSON single %d: status %d: %s", i, rec.Code, rec.Body)
-							return
-						}
-						var ar assignResponse
-						if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
-							errs <- err
-							return
-						}
-						if ar.Cluster != want[i].Cluster || ar.Distance != want[i].Distance {
-							errs <- fmt.Errorf("JSON single %d = (%d, %v), want %+v", i, ar.Cluster, ar.Distance, want[i])
-						}
-					}(i, q)
-					wg.Add(1)
-					go func(i int, q vec.Vector) {
-						defer wg.Done()
-						rec := httptest.NewRecorder()
-						s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assign",
-							bytes.NewReader(encodeGMPB([]vec.Vector{q}, tc.dim))))
-						if rec.Code != http.StatusOK {
-							errs <- fmt.Errorf("binary single %d: status %d: %s", i, rec.Code, rec.Body)
-							return
-						}
-						_, asgs, err := decodeGMAB(rec.Body.Bytes())
-						if err != nil {
-							errs <- err
-							return
-						}
-						if len(asgs) != 1 || asgs[0] != want[i] {
-							errs <- fmt.Errorf("binary single %d = %+v, want %+v", i, asgs, want[i])
-						}
-					}(i, q)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					t.Fatal(err)
-				}
+				}(i, q)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -6,15 +6,15 @@
 //
 // # One path per request shape
 //
-// A request's shape alone picks the routine that answers it. Every batch
-// — a client batch on /v1/assign/batch, or concurrent singleton
-// /v1/assign requests coalesced server-side (see coalesce.go) — runs
+// A request's shape alone picks the routine that answers it, and there is
+// no option that changes the choice. Every batch on /v1/assign/batch runs
 // through the fused columnar kernel the training inner loop uses
 // (vec.CenterPack.NearestRows → vec.NearestBatch: dim-major, AVX-512/AVX2
-// point tiles on amd64). A singleton on the direct path, where a batch of
+// point tiles on amd64). Every singleton on /v1/assign, where a batch of
 // one gains nothing from SIMD, runs the scalar scan
-// (vec.CenterPack.Nearest → vec.NearestIndex). The two are bit-identical —
-// same distance bits, same lowest-index tie rule — and
+// (vec.CenterPack.Nearest → vec.NearestIndex) on the snapshot its handler
+// loaded; concurrent singletons are answered independently. The two are
+// bit-identical — same distance bits, same lowest-index tie rule — and
 // TestServePathEquivalence pins that on every endpoint and framing.
 //
 // The active model publishes a kernel-ready packed center set
@@ -91,18 +91,6 @@ type Options struct {
 	// pulls the replacement model from (typically: re-read the snapshot
 	// file a trainer overwrites). Without it reload requests fail.
 	Loader func() (*model.Model, error)
-	// MaxBatch overrides DefaultMaxBatch (<=0 = default).
-	MaxBatch int
-	// CoalesceWindow enables server-side micro-batching of concurrent
-	// singleton /v1/assign requests: a request that arrives while others
-	// are in flight waits up to this long for companions, then one fused
-	// kernel call answers the whole group. 0 disables coalescing; see
-	// coalesce.go for the latency/throughput trade.
-	CoalesceWindow time.Duration
-	// CoalesceMaxBatch caps one coalesced group (<=0 = default 256, the
-	// kernel's SIMD tile width); a full group flushes without waiting
-	// out the window.
-	CoalesceMaxBatch int
 }
 
 // Assignment is one point's answer: the nearest center's index and the
@@ -127,9 +115,8 @@ type assigner struct {
 // "cluster".
 var errNumericRange = errors.New("serve: point is outside the model's numeric range")
 
-// assign answers one singleton query on the direct (un-coalesced) path
-// with the scalar scan. A batch of one gains nothing from the columnar
-// kernel, so it is never used here.
+// assign answers one singleton query with the scalar scan. A batch of
+// one gains nothing from the columnar kernel, so it is never used here.
 func (a *assigner) assign(p vec.Vector) (Assignment, error) {
 	idx, d2 := a.pack.Nearest(p)
 	if idx < 0 {
@@ -185,47 +172,34 @@ type Server struct {
 	reloadMu sync.Mutex
 	gen      int64
 	loader   func() (*model.Model, error)
-	maxBatch int
-	coal     *coalescer // nil when coalescing is disabled
 	mux      *http.ServeMux
 
 	// Observability: the registry backs GET /metrics; the handles below
 	// are looked up once here so the query path ticks them lock-free.
-	reg         *obs.Registry
-	started     time.Time
-	assignHist  *obs.Histogram
-	batchHist   *obs.Histogram
-	inflight    *obs.Gauge
-	requests    *obs.Counter
-	swaps       *obs.Counter
-	coalesced   *obs.Counter // singleton requests answered via a coalesced kernel call
-	coalBatches *obs.Counter // coalesced kernel calls issued
-	binReqs     *obs.Counter // binary-framed assign requests
+	reg        *obs.Registry
+	started    time.Time
+	assignHist *obs.Histogram
+	batchHist  *obs.Histogram
+	inflight   *obs.Gauge
+	requests   *obs.Counter
+	swaps      *obs.Counter
+	binReqs    *obs.Counter // binary-framed assign requests
 }
 
 // New builds a Server over m. The model is retained and must not be
 // mutated afterwards; the serving layer treats it as immutable.
 func New(m *model.Model, opts Options) (*Server, error) {
 	s := &Server{
-		loader:   opts.Loader,
-		maxBatch: opts.MaxBatch,
-		reg:      obs.NewRegistry(),
-		started:  time.Now(),
+		loader:  opts.Loader,
+		reg:     obs.NewRegistry(),
+		started: time.Now(),
 	}
 	s.assignHist = s.reg.Histogram("serve_assign_seconds", nil)
 	s.batchHist = s.reg.Histogram("serve_assign_batch_seconds", nil)
 	s.inflight = s.reg.Gauge("serve_inflight_requests")
 	s.requests = s.reg.Counter("serve_requests_total")
 	s.swaps = s.reg.Counter("serve_model_swaps_total")
-	s.coalesced = s.reg.Counter("serve_coalesced_requests_total")
-	s.coalBatches = s.reg.Counter("serve_coalesced_batches_total")
 	s.binReqs = s.reg.Counter("serve_binary_requests_total")
-	if s.maxBatch <= 0 {
-		s.maxBatch = DefaultMaxBatch
-	}
-	if opts.CoalesceWindow > 0 {
-		s.coal = newCoalescer(s, opts.CoalesceWindow, opts.CoalesceMaxBatch)
-	}
 	if err := s.Swap(m); err != nil {
 		return nil, err
 	}
@@ -284,16 +258,14 @@ func (s *Server) Generation() int64 { return s.active.Load().gen }
 
 // Assign answers a single query against the active model: the nearest
 // center's index and the Euclidean distance to it. Like the HTTP
-// singleton endpoint, it rides the coalescer when Options.CoalesceWindow
-// enabled one (see coalesce.go), so concurrent callers share kernel
-// batches; on an idle server it always takes the direct path.
+// singleton endpoint, it runs the scalar scan on one model snapshot;
+// concurrent callers never wait for each other.
 func (s *Server) Assign(p vec.Vector) (Assignment, error) {
 	a := s.active.Load()
 	if len(p) != a.m.Dim {
 		return Assignment{}, fmt.Errorf("serve: point has %d dimensions, model wants %d", len(p), a.m.Dim)
 	}
-	asg, _, err := s.assignSingle(a, p)
-	return asg, err
+	return a.assign(p)
 }
 
 // AssignBatch answers a batch of queries against one consistent model
@@ -372,13 +344,9 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, code, msg)
 		return
 	}
-	asg, a, err := s.assignSingle(a, req.Point)
+	asg, err := a.assign(req.Point)
 	if err != nil {
-		code := CodeNumericRange
-		if err == errSwapDimMismatch {
-			code = CodeDimMismatch
-		}
-		httpError(w, http.StatusBadRequest, code, err.Error())
+		httpError(w, http.StatusBadRequest, CodeNumericRange, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, assignResponse{
@@ -386,22 +354,6 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		Center:   a.m.Centers[asg.Cluster],
 		Distance: asg.Distance,
 	})
-}
-
-// assignSingle routes one validated singleton query: through the
-// coalescer when it is enabled and other singletons are in flight,
-// directly otherwise. It returns the assigner that answered, which under
-// coalescing may be a newer snapshot than the caller loaded — the
-// response's center must come from the same snapshot as the cluster id.
-// The coalescer re-validates against its own snapshot, so a hot swap
-// between the caller's load and the kernel call can reject but never
-// misroute (see coalesce.go).
-func (s *Server) assignSingle(a *assigner, p vec.Vector) (Assignment, *assigner, error) {
-	if s.coal != nil {
-		return s.coal.assign(p)
-	}
-	asg, err := a.assign(p)
-	return asg, a, err
 }
 
 type batchRequest struct {
@@ -415,12 +367,12 @@ type batchResponse struct {
 
 // validateBatch maps a batch's shape problems to a typed error code
 // ("" = valid), covering the empty, oversized, zero-dim and ragged cases.
-func validateBatch(points []vec.Vector, dim, maxBatch int) (code, msg string) {
+func validateBatch(points []vec.Vector, dim int) (code, msg string) {
 	if len(points) == 0 {
 		return CodeEmptyBatch, "missing points"
 	}
-	if len(points) > maxBatch {
-		return CodeTooLarge, fmt.Sprintf("batch of %d points exceeds limit %d", len(points), maxBatch)
+	if len(points) > DefaultMaxBatch {
+		return CodeTooLarge, fmt.Sprintf("batch of %d points exceeds limit %d", len(points), DefaultMaxBatch)
 	}
 	for i, p := range points {
 		switch {
@@ -452,7 +404,7 @@ func (s *Server) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a := s.active.Load()
-	if code, msg := validateBatch(req.Points, a.m.Dim, s.maxBatch); code != "" {
+	if code, msg := validateBatch(req.Points, a.m.Dim); code != "" {
 		status := http.StatusBadRequest
 		if code == CodeTooLarge {
 			status = http.StatusRequestEntityTooLarge

@@ -249,11 +249,21 @@ func TestHTTPHandlers(t *testing.T) {
 	}
 }
 
+// TestHTTPBatchLimit pins the JSON batch-size boundary: DefaultMaxBatch
+// points are answered, one more is refused with 413 and the typed
+// too_large code. TestBinaryAssignRejectsMalformed pins the same
+// boundary for GMPB bodies.
 func TestHTTPBatchLimit(t *testing.T) {
-	s := newServer(t, gridModel(t, 4, 0), Options{MaxBatch: 2})
-	rec, _ := doJSON(t, s, "POST", "/v1/assign/batch", `{"points":[[1,0],[2,0],[3,0]]}`)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", rec.Code)
+	s := newServer(t, gridModel(t, 4, 0), Options{}) // dim 2
+	points := randomQueries(DefaultMaxBatch+1, 2, 1)
+	body, _ := json.Marshal(batchRequest{Points: points[:DefaultMaxBatch]})
+	if rec, _ := postRaw(t, s, "/v1/assign/batch", body); rec.Code != http.StatusOK {
+		t.Fatalf("batch of DefaultMaxBatch points: status %d, want 200", rec.Code)
+	}
+	body, _ = json.Marshal(batchRequest{Points: points})
+	rec, resp := postRaw(t, s, "/v1/assign/batch", body)
+	if rec.Code != http.StatusRequestEntityTooLarge || resp["code"] != CodeTooLarge {
+		t.Fatalf("batch of DefaultMaxBatch+1 points: %d %s, want 413 %s", rec.Code, rec.Body, CodeTooLarge)
 	}
 }
 

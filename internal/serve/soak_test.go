@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gmeansmr/internal/model"
 	"gmeansmr/internal/vec"
@@ -33,7 +32,7 @@ func TestAssignUnderReloadSoak(t *testing.T) {
 		}
 		return mA, nil
 	}
-	s := newServer(t, mA, Options{Loader: loader, CoalesceWindow: 200 * time.Microsecond})
+	s := newServer(t, mA, Options{Loader: loader})
 
 	probes := randomQueries(16, dim, 300)
 	type answer struct {

@@ -147,26 +147,6 @@ func accumulateLanes(center Vector, colflat []float64, n int, l0, l1, l2, l3 []f
 	}
 }
 
-// Dist2Batch writes Dist2(point j, center) into out[j] for each of the n
-// points stored dim-major in colflat (coordinate d of point j at
-// colflat[d*n+j]). Results are bit-identical to calling Dist2 per point.
-// It panics when colflat or out cannot hold n points of len(center)
-// coordinates. A nil scratch allocates a fresh one.
-func Dist2Batch(center Vector, colflat []float64, n int, out []float64, s *BatchScratch) {
-	checkBatchShape(len(center), colflat, n)
-	if len(out) < n {
-		panic("vec: Dist2Batch out slice too short")
-	}
-	if s == nil {
-		s = &BatchScratch{}
-	}
-	l0, l1, l2, l3 := s.lanesFor(n)
-	accumulateLanes(center, colflat, n, l0, l1, l2, l3)
-	for j := 0; j < n; j++ {
-		out[j] = (l0[j] + l1[j]) + (l2[j] + l3[j])
-	}
-}
-
 // nearestTilePoints is the point-tile width of the AVX2 path: tiles are
 // sized so one tile's columns stay cache-resident while every center
 // streams over it, instead of every center re-streaming the whole split.

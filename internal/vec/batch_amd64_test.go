@@ -17,8 +17,9 @@ import (
 // remainder of the four-center blocks (k = 1..9), every lane tail (dims
 // 1..20), duplicate centers at each position of a block and across blocks
 // (including the padded copies of the last center), and NaN and ±Inf
-// coordinates down to the all-non-finite -1/+Inf outcome. It logs the
-// paths it compared, so a run on hardware without AVX-512 says so.
+// coordinates down to the all-non-finite -1/+Inf outcome, each path
+// reusing one scratch for every batch. It logs the paths it compared, so
+// a run on hardware without AVX-512 says so.
 func TestNearestBatchPathsAgree(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no SIMD kernel on this machine")
@@ -31,6 +32,12 @@ func TestNearestBatchPathsAgree(t *testing.T) {
 	}
 	t.Logf("kernel paths compared: %s", strings.Join(paths, ", "))
 
+	// One scratch per path, reused by every call across shapes, so state
+	// left in a scratch by one batch must not leak into the next.
+	scratch := make(map[string]*BatchScratch, len(paths))
+	for _, path := range paths {
+		scratch[path] = &BatchScratch{}
+	}
 	agree := func(name string, centers []Vector, colflat []float64, n int) (idx []int32, dist []float64) {
 		t.Helper()
 		dim := len(colflat) / n
@@ -38,7 +45,7 @@ func TestNearestBatchPathsAgree(t *testing.T) {
 			useAVX2, useAVX512 = path != "portable", path == "avx512"
 			gi := make([]int32, n)
 			gd := make([]float64, n)
-			NearestBatch(centers, colflat, n, gi, gd, nil)
+			NearestBatch(centers, colflat, n, gi, gd, scratch[path])
 			p := make(Vector, dim)
 			for j := 0; j < n; j++ {
 				for d := range p {

@@ -37,31 +37,6 @@ func makeCenters(k, dim int, seed int64) []Vector {
 	return centers
 }
 
-// TestDist2BatchMatchesDist2 pins the bit-identity contract across the
-// dimension regimes the kernel special-cases: pure tail (dim<4), exact
-// unroll multiples, and unroll+tail.
-func TestDist2BatchMatchesDist2(t *testing.T) {
-	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 10, 15, 16, 17, 31, 32, 33, 40} {
-		rows, colflat := makeBatch(137, dim, int64(dim))
-		center := makeCenters(1, dim, int64(dim)+100)[0]
-		out := make([]float64, len(rows))
-		var s BatchScratch
-		Dist2Batch(center, colflat, len(rows), out, &s)
-		for j, p := range rows {
-			if want := Dist2(p, center); out[j] != want {
-				t.Fatalf("dim %d point %d: Dist2Batch %v, Dist2 %v", dim, j, out[j], want)
-			}
-		}
-		// Reused scratch must not leak state between calls.
-		Dist2Batch(center, colflat, len(rows), out, &s)
-		for j, p := range rows {
-			if want := Dist2(p, center); out[j] != want {
-				t.Fatalf("dim %d point %d after scratch reuse: got %v want %v", dim, j, out[j], want)
-			}
-		}
-	}
-}
-
 // TestNearestBatchMatchesNearestIndex pins index and distance bit-identity
 // against the scalar path on both sides of the early-exit threshold.
 func TestNearestBatchMatchesNearestIndex(t *testing.T) {
@@ -146,13 +121,13 @@ func TestNearestBatchDegenerate(t *testing.T) {
 func TestBatchShapePanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"short colflat": func() {
-			Dist2Batch(Vector{1, 2}, []float64{1, 2, 3}, 2, make([]float64, 2), nil)
-		},
-		"short out": func() {
-			Dist2Batch(Vector{1, 2}, []float64{1, 2, 3, 4}, 2, make([]float64, 1), nil)
+			NearestBatch([]Vector{{1, 2}}, []float64{1, 2, 3}, 2, make([]int32, 2), make([]float64, 2), nil)
 		},
 		"short idx": func() {
 			NearestBatch([]Vector{{1}}, []float64{1, 2}, 2, make([]int32, 1), make([]float64, 2), nil)
+		},
+		"short dist": func() {
+			NearestBatch([]Vector{{1}}, []float64{1, 2}, 2, make([]int32, 2), make([]float64, 1), nil)
 		},
 	} {
 		func() {

@@ -22,10 +22,10 @@
 //     (s0+s1)+(s2+s3).
 //   - Every other distance path reproduces those bits exactly: the
 //     early-exit scan (dist2Below) replicates the lane structure; the
-//     batch kernels (Dist2Batch, NearestBatch) keep one lane set per
-//     point, vectorizing across points, and use no fused multiply-add
-//     (FMA rounds once where mul-then-add rounds twice). The vec tests
-//     pin all of this.
+//     batch kernel (NearestBatch) keeps one lane set per point,
+//     vectorizing across points, and uses no fused multiply-add (FMA
+//     rounds once where mul-then-add rounds twice). The vec tests pin
+//     all of this.
 //   - Nearest-center selection is strictly-closer-wins everywhere, so
 //     ties resolve to the lowest center index on every path.
 //   - Across releases: the 4-lane unroll landed in PR 3; results differ
