@@ -113,7 +113,7 @@ type Progress struct {
 }
 
 // Result.Counters keys for the cost quantities of the paper's model.
-// Further engine counters (combine/reduce records, shuffle bytes, ...) appear
+// Further engine counters (reduce records, shuffle bytes, ...) appear
 // under their internal names; these four are the ones callers typically
 // read.
 const (

@@ -114,7 +114,7 @@ func (c Config) Validate() error {
 	if err := c.Env.Validate(); err != nil {
 		return err
 	}
-	if c.Alpha < 0 || c.Alpha >= 1 {
+	if !(c.Alpha >= 0 && c.Alpha < 1) { // NaN fails both comparisons
 		return fmt.Errorf("core: alpha must be in (0,1), got %g", c.Alpha)
 	}
 	return nil

@@ -306,11 +306,12 @@ func TestRunMergePostProcessing(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	env, _ := newEnv(t, dataset.Spec{K: 2, Dim: 2, N: 100, Seed: 12}, 0, smallCluster())
-	bad := Config{Env: env, Alpha: 2}
-	if _, err := Run(bad); err == nil {
-		t.Error("alpha=2 accepted")
+	for _, alpha := range []float64{2, -0.5, math.NaN()} {
+		if _, err := Run(Config{Env: env, Alpha: alpha}); err == nil {
+			t.Errorf("alpha=%g accepted", alpha)
+		}
 	}
-	bad = Config{Env: env}
+	bad := Config{Env: env}
 	bad.Dim = 0
 	if _, err := Run(bad); err == nil {
 		t.Error("dim=0 accepted")

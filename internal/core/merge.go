@@ -160,19 +160,3 @@ func sortFloats(xs []float64) {
 		}
 	}
 }
-
-func median(xs []float64) float64 {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	// Insertion sort: center counts are small.
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	m := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[m]
-	}
-	return 0.5 * (cp[m-1] + cp[m])
-}

@@ -80,6 +80,9 @@ func buildTest(payload []byte, dim int) (mrdist.JobParts, error) {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %d thresholds, %d parents for %d found and %d split vectors",
 			KindTest, len(thresholds), len(parents), foundCount, len(vectors))
 	}
+	if !(alpha > 0 && alpha < 1) { // NaN fails both comparisons
+		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: alpha %g outside (0, 1)", KindTest, alpha)
+	}
 	// Each split vector's norm and each cluster's sample key once per job,
 	// not once per point.
 	axes := make([]vec.Axis, len(vectors))
@@ -114,6 +117,9 @@ func buildLastPass(payload []byte, dim int) (mrdist.JobParts, error) {
 	centers := kmeansmr.DecodeCenters(d, dim)
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %w", KindLastPass, err)
+	}
+	if foundCount > len(centers) {
+		return mrdist.JobParts{}, fmt.Errorf("core: bad %s payload: %d found of %d centers", KindLastPass, foundCount, len(centers))
 	}
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {

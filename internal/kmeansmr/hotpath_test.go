@@ -1,7 +1,6 @@
 package kmeansmr
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -11,58 +10,48 @@ import (
 	"gmeansmr/internal/vec"
 )
 
-// emitAssignMapper is the textbook formulation of the k-means mapper: the
-// same batched assignment, but one (centerID, point) pair emitted per
-// point, leaving all combining to the job's combiner. It is the reference
-// assignMapper must match bit for bit.
-type emitAssignMapper struct {
-	centers []vec.Vector
-	batch   BatchAssigner
-}
-
-func (m *emitAssignMapper) Setup(*mr.TaskContext) error { return nil }
-
-func (m *emitAssignMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
-	n := cols.Len()
-	idx := m.batch.Assign(m.centers, cols)
-	ctx.Count(CounterDistances, int64(len(m.centers))*int64(n))
-	ctx.Count(CounterPoints, int64(n))
-	for j, best := range idx {
-		if best < 0 {
-			return fmt.Errorf("kmeansmr: point has no nearest center (all distances non-finite)")
-		}
-		// The value wraps the cache's read-only point view without
-		// copying: reducers only accumulate into their own sums.
-		emit.Emit(int64(best), mr.WeightedPointValue{WeightedPoint: vec.WeightedPoint{Sum: cols.At(j), Count: 1}})
-	}
-	return nil
-}
-
-func (m *emitAssignMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
-
-// iterateSpillCombined runs the emit-per-point formulation of one k-means
-// iteration — emitAssignMapper, one pair per point, all combining left to
-// the MergeReducer spill combiner — as the reference for in-mapper
-// combining.
-func iterateSpillCombined(t *testing.T, env Env, centers []vec.Vector) *mr.Result {
+// referenceIterate folds one k-means iteration the textbook way, outside
+// the engine: for each split in task order, the same batched assignment,
+// then every point merged into a fresh per-center vec.WeightedPoint in
+// input order; then the per-task sums merged in task-id order, the
+// reduce-side merge order. It returns the per-center totals and the
+// shuffle volume one record per non-empty (task, center) would cost.
+func referenceIterate(t *testing.T, env Env, centers []vec.Vector) (totals []vec.WeightedPoint, records, bytes int64) {
 	t.Helper()
-	job := env.Job("kmeans-spill-combined", nil)
-	job.NewPointMapper = func() mr.PointMapper { return &emitAssignMapper{centers: centers} }
-	job.NewCombiner = func() mr.Reducer { return MergeReducer{} }
-	job.NewReducer = func() mr.Reducer { return MergeReducer{} }
-	res, err := job.Run()
+	splits, err := env.FS.Splits(env.Input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	totals = make([]vec.WeightedPoint, len(centers))
+	var batch BatchAssigner
+	for _, sp := range splits {
+		ps, err := env.FS.OpenSplitPoints(sp, env.Dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := ps.Columns()
+		task := make([]vec.WeightedPoint, len(centers))
+		for j, best := range batch.Assign(centers, cols) {
+			task[best].Merge(vec.WeightedPoint{Sum: cols.At(j), Count: 1})
+		}
+		for c, wp := range task {
+			if wp.Count == 0 {
+				continue
+			}
+			totals[c].Merge(wp)
+			records++
+			bytes += int64(mr.WeightedPointValue{WeightedPoint: wp}.ByteSize()) + 8
+		}
+	}
+	return totals, records, bytes
 }
 
 // TestIterateCachedMatchesLegacyExactly is the contract of in-mapper
-// combining: folding points into per-center accumulators inside the
-// mapper must produce bit-identical centers, sizes and app.* counters to
-// emitting one pair per point and combining at spill time — same fold
-// order per (task, center), same reduce-side merge order — and the same
-// shuffle volume.
+// combining: folding a split's points into per-center sums with one
+// vec.FoldRows call must produce bit-identical centers and sizes to
+// merging one point at a time in input order per (task, center) and the
+// task sums in task-id order — and ship one record per non-empty (task,
+// center), the shuffle volume a spill combiner would have left.
 func TestIterateCachedMatchesLegacyExactly(t *testing.T) {
 	env, ds := testEnv(t, dataset.Spec{K: 6, Dim: 5, N: 3000, MinSeparation: 15, Seed: 21}, 8<<10)
 	initial := vec.CloneAll(ds.Centers)
@@ -74,30 +63,28 @@ func TestIterateCachedMatchesLegacyExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spill := iterateSpillCombined(t, env, initial)
-	sums := make(map[int64]vec.WeightedPoint)
-	for _, kv := range spill.Output {
-		sums[kv.Key] = kv.Value.(mr.WeightedPointValue).WeightedPoint
-	}
-	for c := range initial {
-		wp := sums[int64(c)]
+	totals, records, bytes := referenceIterate(t, env, initial)
+	for c, wp := range totals {
 		want := initial[c]
 		if wp.Count > 0 {
 			want = wp.Centroid()
 		}
 		if !vec.Equal(cached.Centers[c], want) {
-			t.Errorf("center %d: in-mapper %v != spill-combined %v", c, cached.Centers[c], want)
+			t.Errorf("center %d: in-mapper %v != reference %v", c, cached.Centers[c], want)
 		}
 		if cached.Sizes[c] != wp.Count {
-			t.Errorf("size %d: in-mapper %d != spill-combined %d", c, cached.Sizes[c], wp.Count)
+			t.Errorf("size %d: in-mapper %d != reference %d", c, cached.Sizes[c], wp.Count)
 		}
 	}
-	// The shuffle volume of the in-mapper-combined path must match the
-	// spill-combined path too: one record per non-empty (task, center)
-	// either way.
-	for _, counter := range []string{CounterDistances, CounterPoints, mr.CounterShuffleRecords, mr.CounterShuffleBytes} {
-		if a, b := cached.Job.Counters.Get(counter), spill.Counters.Get(counter); a != b {
-			t.Errorf("%s: in-mapper %d != spill-combined %d", counter, a, b)
+	n := int64(len(ds.Points))
+	for counter, want := range map[string]int64{
+		CounterDistances:         n * int64(len(initial)),
+		CounterPoints:            n,
+		mr.CounterShuffleRecords: records,
+		mr.CounterShuffleBytes:   bytes,
+	} {
+		if got := cached.Job.Counters.Get(counter); got != want {
+			t.Errorf("%s: in-mapper %d != reference %d", counter, got, want)
 		}
 	}
 }
@@ -160,7 +147,7 @@ func TestIterateConcurrentEnvs(t *testing.T) {
 	}
 }
 
-// TestRunMultiCachedMatchesLegacyShuffle pins the multi-k in-mapper
+// TestRunMultiShuffleBoundedByCenters pins the multi-k in-mapper
 // combining invariant the same way: per task and candidate k, at most one
 // record per center crosses the shuffle.
 func TestRunMultiShuffleBoundedByCenters(t *testing.T) {

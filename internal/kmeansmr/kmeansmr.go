@@ -2,15 +2,18 @@
 // by the paper's two contenders:
 //
 //   - the classical MR k-means iteration (mapper assigns each point to its
-//     nearest center and emits a partial sum; combiner and reducer merge
-//     partial sums into new centroids), used both standalone and inside the
-//     G-means loop;
+//     nearest center and sums the points per center; the reducer merges
+//     the partial sums into new centroids), used both standalone and
+//     inside the G-means loop;
 //   - multi-k-means (the paper's Algorithm 6): one job maintains center
 //     sets for *every* candidate k simultaneously, which is the paper's
 //     "fair" baseline for determining k and the source of its O(n·k²) cost.
 //
-// Both jobs use combiners, as the paper stresses ("a classical MapReduce
-// implementation of k-means with combiners").
+// The paper's baseline is "a classical MapReduce implementation of k-means
+// with combiners". Here every mapper combines in-mapper (Lin & Dyer,
+// Data-Intensive Text Processing with MapReduce, 2010, §3.1): it sums its
+// split per key and emits one partial sum per key, so the engine needs no
+// combine stage and the shuffle volume is what a combiner would leave.
 package kmeansmr
 
 import (
@@ -122,7 +125,7 @@ func (e Env) Job(name string, spec *mr.JobSpec) *mr.Job {
 		Name:     name,
 		FS:       e.FS,
 		Cluster:  e.Cluster,
-		Input:    []string{e.Input},
+		Input:    e.Input,
 		PointDim: e.Dim,
 		Ctx:      e.Ctx,
 		Trace:    e.Trace,
@@ -137,12 +140,12 @@ func (e Env) Job(name string, spec *mr.JobSpec) *mr.Job {
 // center's running Σx and count, and Close emits the ≤k non-empty
 // partial sums. The n-record emit stream of the textbook formulation
 // never exists, so the spill sort only ever sees ≤k keys per task. The
-// accumulation order per (task, center) is input-record order — exactly
-// the order a spill combiner would fold the same points in behind the
-// textbook one-pair-per-point mapper — which keeps the refined centers
-// bit-identical between the two formulations
-// (TestIterateCachedMatchesLegacyExactly pins this). The distance counter
-// ticks the paper's modelled cost of k per point.
+// accumulation order per (task, center) is input-record order — the order
+// a combiner would fold the same points in behind the textbook
+// one-pair-per-point mapper — which keeps the refined centers
+// bit-identical to that formulation (TestIterateCachedMatchesLegacyExactly
+// pins this against a point-at-a-time fold). The distance counter ticks
+// the paper's modelled cost of k per point.
 type assignMapper struct {
 	centers []vec.Vector
 
@@ -226,8 +229,8 @@ func (s *CenterSums) At(i int) (vec.WeightedPoint, bool) {
 	return vec.WeightedPoint{Sum: vec.Clone(s.sums[i*s.dim : (i+1)*s.dim]), Count: s.counts[i]}, true
 }
 
-// MergeReducer merges WeightedPointValue partial sums; it serves as both
-// combiner and reducer of the classical k-means job.
+// MergeReducer merges WeightedPointValue partial sums into one per key;
+// it is the reducer of the classical and the multi-k k-means jobs.
 type MergeReducer struct{}
 
 // Setup implements mr.Reducer.

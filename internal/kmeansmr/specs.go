@@ -10,7 +10,7 @@ import (
 
 // This file makes the package's jobs portable across process boundaries:
 // every job constructor encodes an mr.JobSpec naming a kind registered
-// here and builds its mapper/combiner/reducer factories from that spec's
+// here and builds its mapper and reducer factories from that spec's
 // payload through the builders below — the same builders a worker process
 // runs (internal/mrdist ships the spec; the worker re-executes the
 // master's binary, so the registrations exist on both sides). Payloads
@@ -86,7 +86,6 @@ func buildAssign(payload []byte, dim int) (mrdist.JobParts, error) {
 	}
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper { return &assignMapper{centers: centers} },
-		NewCombiner:    func() mr.Reducer { return MergeReducer{} },
 		NewReducer:     func() mr.Reducer { return MergeReducer{} },
 	}, nil
 }
@@ -136,8 +135,7 @@ func buildMultiK(payload []byte, dim int) (mrdist.JobParts, error) {
 		NewPointMapper: func() mr.PointMapper {
 			return &multiMapper{centerSets: sets, ks: ks}
 		},
-		NewCombiner: func() mr.Reducer { return MergeReducer{} },
-		NewReducer:  func() mr.Reducer { return MergeReducer{} },
+		NewReducer: func() mr.Reducer { return MergeReducer{} },
 	}, nil
 }
 
@@ -158,7 +156,6 @@ func buildEval(payload []byte, dim int) (mrdist.JobParts, error) {
 		NewPointMapper: func() mr.PointMapper {
 			return &evalMapper{centerSets: sets, ks: ks}
 		},
-		NewCombiner: func() mr.Reducer { return evalReducer{} },
-		NewReducer:  func() mr.Reducer { return evalReducer{} },
+		NewReducer: func() mr.Reducer { return evalReducer{} },
 	}, nil
 }

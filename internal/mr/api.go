@@ -2,15 +2,14 @@ package mr
 
 import "gmeansmr/internal/dfs"
 
-// Emitter receives key/value pairs from mappers, combiners and reducers.
+// Emitter receives key/value pairs from mappers and reducers.
 // Implementations are not safe for concurrent use; each task owns its own.
 type Emitter interface {
 	Emit(key int64, value Value)
 }
 
 // Reducer processes groups of values sharing a key. One fresh Reducer
-// instance is created per reduce task. The same interface doubles as the
-// combiner contract, as in Hadoop.
+// instance is created per reduce task.
 type Reducer interface {
 	// Setup runs once before the first group of the task.
 	Setup(ctx *TaskContext) error
@@ -49,7 +48,7 @@ type PointMapper interface {
 // PointMapperFactory builds one PointMapper per map task.
 type PointMapperFactory func() PointMapper
 
-// ReducerFactory builds one Reducer per reduce (or combine) task.
+// ReducerFactory builds one Reducer per reduce task.
 type ReducerFactory func() Reducer
 
 // Partitioner routes a key to one of numReducers partitions.

@@ -8,8 +8,8 @@ import (
 )
 
 // JobSpec is the portable description of a job's user code: a registered
-// kind name plus an opaque payload the kind's builder decodes into mapper,
-// combiner and reducer factories (see internal/mrdist). The in-process
+// kind name plus an opaque payload the kind's builder decodes into mapper
+// and reducer factories (see internal/mrdist). The in-process
 // LocalRunner never reads it — the factories on the Job itself are
 // authoritative — but a distributed runner ships the spec to worker
 // processes, which reconstruct the identical factories from it. A job
@@ -55,7 +55,7 @@ type TaskRunner interface {
 }
 
 // MemShuffle is the in-memory ShuffleStore of the local backend:
-// runs[p][t] holds the combined, key-sorted run produced for partition p
+// runs[p][t] holds the key-sorted run produced for partition p
 // by map task t. Slots are preallocated, so concurrent map tasks write
 // disjoint elements without locking; readers synchronize via the map
 // wave's completion.

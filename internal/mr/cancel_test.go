@@ -94,7 +94,7 @@ func cancelJob(t *testing.T, ctx context.Context, mapSlots, reduceSlots int) *Jo
 		Name:        "cancel",
 		FS:          fs,
 		Cluster:     Cluster{Nodes: 1, MapSlotsPerNode: mapSlots, ReduceSlotsPerNode: reduceSlots},
-		Input:       []string{"/in"},
+		Input:       "/in",
 		PointDim:    1,
 		NumReducers: 4 * reduceSlots,
 		Ctx:         ctx,

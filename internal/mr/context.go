@@ -13,7 +13,7 @@ const (
 	ReduceTask TaskKind = "reduce"
 )
 
-// TaskContext is handed to every mapper/combiner/reducer callback. It
+// TaskContext is handed to every mapper and reducer callback. It
 // carries task identity and the job's counters.
 type TaskContext struct {
 	JobName string

@@ -25,8 +25,8 @@ func (keyValueMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, emi
 func (keyValueMapper) Close(*mr.TaskContext, mr.Emitter) error { return nil }
 
 // ExampleJob_Run runs the classic first MapReduce job — sum values per
-// key — on the simulated cluster: one map task per DFS split, a combiner
-// folding each task's output, and a sort-shuffled reduce.
+// key — on the simulated cluster: one map task per DFS split and a
+// sort-shuffled reduce.
 func ExampleJob_Run() {
 	fs := dfs.New(16) // tiny splits: several map tasks even for this input
 	fs.Create("/in", []byte("1 10\n2 20\n1 5\n2 2\n1 1\n"))
@@ -43,10 +43,9 @@ func ExampleJob_Run() {
 		Name:           "sum-per-key",
 		FS:             fs,
 		Cluster:        mr.Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1},
-		Input:          []string{"/in"},
+		Input:          "/in",
 		PointDim:       2,
 		NewPointMapper: func() mr.PointMapper { return keyValueMapper{} },
-		NewCombiner:    func() mr.Reducer { return sum },
 		NewReducer:     func() mr.Reducer { return sum },
 	}
 	res, err := job.Run()

@@ -16,8 +16,8 @@ import (
 // makes the shuffle deterministic.
 func byKey(a, b KV) int { return cmp.Compare(a.Key, b.Key) }
 
-// Job describes one MapReduce job: where the input lives, how to map,
-// combine and reduce it, and which cluster executes it. Keys are routed by
+// Job describes one MapReduce job: where the input lives, how to map and
+// reduce it, and which cluster executes it. Keys are routed by
 // Hadoop's hash partitioner (DefaultPartitioner); a zero NumReducers
 // selects the cluster's reduce capacity.
 type Job struct {
@@ -25,19 +25,18 @@ type Job struct {
 	FS      *dfs.FS
 	Cluster Cluster
 
-	// Input is the list of DFS paths to read. Every file is divided into
-	// splits; one map task runs per split.
-	Input []string
+	// Input is the DFS path to read. The file is divided into splits; one
+	// map task runs per split.
+	Input string
 
 	// NewPointMapper builds each map task's mapper, which receives its
 	// split whole, as decoded dim-major columns served from the DFS
 	// decode cache.
 	NewPointMapper PointMapperFactory
-	// PointDim is the point dimensionality of the input files: every
+	// PointDim is the point dimensionality of the input file: every
 	// record must decode to exactly PointDim coordinates.
-	PointDim    int
-	NewCombiner ReducerFactory // optional; nil disables combining
-	NewReducer  ReducerFactory
+	PointDim   int
+	NewReducer ReducerFactory
 
 	// NumReducers is the number of reduce tasks (= output partitions).
 	// Zero selects the cluster's total reduce capacity, the common Hadoop
@@ -64,7 +63,7 @@ type Job struct {
 	// Spec so workers can reconstruct the job's user code.
 	Runner TaskRunner
 
-	// Spec is the portable description of the job's mapper/combiner/reducer
+	// Spec is the portable description of the job's mapper and reducer
 	// for backends that execute tasks in other processes. Optional; the
 	// local backend ignores it.
 	Spec *JobSpec
@@ -121,27 +120,19 @@ func (j *Job) Run() (*Result, error) {
 	start := time.Now()
 	counters := NewCounters()
 
-	var splits []dfs.Split
-	scanned := 0 // inputs the map wave will actually scan
-	for _, path := range j.Input {
-		ss, err := j.FS.Splits(path)
-		if err != nil {
-			return nil, fmt.Errorf("mr: job %q: %w", j.Name, err)
-		}
-		splits = append(splits, ss...)
-		if len(ss) > 0 {
-			scanned++
-		}
+	splits, err := j.FS.Splits(j.Input)
+	if err != nil {
+		return nil, fmt.Errorf("mr: job %q: %w", j.Name, err)
 	}
-	// Each job scans each of its non-empty inputs exactly once across its
-	// map wave; this is the paper's "dataset read" cost unit. An empty file
-	// yields no splits and therefore no scan, and a job cancelled before
-	// its map wave starts never reads anything — neither may tick the
-	// counter, or chained-job read totals drift from the paper's model.
+	// Each job scans its input exactly once across its map wave; this is
+	// the paper's "dataset read" cost unit. An empty file yields no splits
+	// and therefore no scan, and a job cancelled before its map wave
+	// starts never reads anything — neither may tick the counter, or
+	// chained-job read totals drift from the paper's model.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mr: job %q: %w", j.Name, err)
 	}
-	for i := 0; i < scanned; i++ {
+	if len(splits) > 0 {
 		j.FS.CountDatasetRead()
 	}
 
@@ -151,9 +142,9 @@ func (j *Job) Run() (*Result, error) {
 	}
 	// The runner owns the shuffle representation: in-memory runs for the
 	// local backend, run locations for distributed ones. shuffle[p][t] is
-	// always the combined, key-sorted run produced for partition p by map
-	// task t; indexing by task id keeps the merge order deterministic
-	// regardless of scheduling or placement.
+	// always the key-sorted run produced for partition p by map task t;
+	// indexing by task id keeps the merge order deterministic regardless
+	// of scheduling or placement.
 	shuffle := runner.NewShuffle(numReducers, len(splits))
 
 	jobSpan := j.Trace.StartSpan("job:"+j.Name, "job").
@@ -161,7 +152,7 @@ func (j *Job) Run() (*Result, error) {
 		SetArg("reduce_tasks", numReducers)
 
 	mapSpan := j.Trace.StartSpan("map", "mr")
-	err := runner.RunMapPhase(ctx, j, splits, numReducers, DefaultPartitioner, counters, shuffle)
+	err = runner.RunMapPhase(ctx, j, splits, numReducers, DefaultPartitioner, counters, shuffle)
 	mapSpan.End()
 	if err != nil {
 		return nil, err
@@ -199,7 +190,7 @@ func (j *Job) validate() error {
 	switch {
 	case j.FS == nil:
 		return fmt.Errorf("mr: job %q: nil FS", j.Name)
-	case len(j.Input) == 0:
+	case j.Input == "":
 		return fmt.Errorf("mr: job %q: no input", j.Name)
 	case j.NewPointMapper == nil:
 		return fmt.Errorf("mr: job %q: nil mapper factory", j.Name)
@@ -217,10 +208,10 @@ func jobErr(name string, err error) error {
 }
 
 // ExecMapTask maps one opened split and returns the per-partition,
-// key-sorted, combined runs. It is the unit of work every backend
-// executes — the local runner calls it on the split it opened with
-// OpenSplitPoints, a distributed worker on the split's points the master
-// shipped to it — and it is deterministic: the same points, job
+// key-sorted runs. It is the unit of work every backend executes — the
+// local runner calls it on the split it opened with OpenSplitPoints, a
+// distributed worker on the split's points the master shipped to it —
+// and it is deterministic: the same points, job
 // parameters and task id produce byte-identical runs and counter deltas
 // wherever it runs.
 // Counter deltas are buffered per task and flushed into counters once at
@@ -253,35 +244,21 @@ func (j *Job) ExecMapTask(taskID int, ps *dfs.PointSplit, numReducers int, parti
 	ctx.Count(CounterMapOutputRecords, int64(len(em.buf)))
 	ctx.Count(CounterMapOutputBytes, outBytes)
 
-	// Partition, sort, and (optionally) combine, as Hadoop does on spill.
+	// Partition and stable-sort, as Hadoop does on spill. There is no
+	// combine step: the jobs combine inside their mappers.
 	spillSpan := j.Trace.StartSpan("spill", "task").SetTID(int64(taskID))
 	parts := make([][]KV, numReducers)
 	for _, kv := range em.buf {
 		p := partition(kv.Key, numReducers)
 		parts[p] = append(parts[p], kv)
 	}
-	var spillRecords, spillBytes int64
 	for p := range parts {
 		slices.SortStableFunc(parts[p], byKey)
-		if j.NewCombiner != nil && len(parts[p]) > 0 {
-			combined, err := j.combineRun(ctx, taskID, parts[p])
-			if err != nil {
-				spillSpan.End()
-				return nil, err
-			}
-			parts[p] = combined
-		}
-		var shuffled, shuffledBytes int64
-		for _, kv := range parts[p] {
-			shuffled++
-			shuffledBytes += int64(kv.Value.ByteSize()) + 8
-		}
-		spillRecords += shuffled
-		spillBytes += shuffledBytes
-		ctx.Count(CounterShuffleRecords, shuffled)
-		ctx.Count(CounterShuffleBytes, shuffledBytes)
 	}
-	spillSpan.SetArg("records", spillRecords).SetArg("bytes", spillBytes).End()
+	// Every map output record is shuffled.
+	spillSpan.SetArg("records", int64(len(em.buf))).SetArg("bytes", outBytes).End()
+	ctx.Count(CounterShuffleRecords, int64(len(em.buf)))
+	ctx.Count(CounterShuffleBytes, outBytes)
 	ctx.flushCounters()
 	return parts, nil
 }
@@ -299,39 +276,6 @@ func (j *Job) mapSplit(ctx *TaskContext, ps *dfs.PointSplit, em Emitter) (int64,
 		return 0, err
 	}
 	return int64(ps.Len()), mapper.Close(ctx, em)
-}
-
-// combineRun applies the combiner to one sorted run and returns the
-// combiner's (re-sorted) output.
-func (j *Job) combineRun(ctx *TaskContext, taskID int, run []KV) ([]KV, error) {
-	combiner := j.NewCombiner()
-	if err := combiner.Setup(ctx); err != nil {
-		return nil, wrapTaskErr(j.Name, MapTask, taskID, err)
-	}
-	out := &emitter{}
-	i := 0
-	for i < len(run) {
-		k := run[i].Key
-		jdx := i
-		for jdx < len(run) && run[jdx].Key == k {
-			jdx++
-		}
-		values := make([]Value, 0, jdx-i)
-		for _, kv := range run[i:jdx] {
-			values = append(values, kv.Value)
-		}
-		if err := combiner.Reduce(ctx, k, values, out); err != nil {
-			return nil, wrapTaskErr(j.Name, MapTask, taskID, err)
-		}
-		i = jdx
-	}
-	if err := combiner.Close(ctx, out); err != nil {
-		return nil, wrapTaskErr(j.Name, MapTask, taskID, err)
-	}
-	ctx.Count(CounterCombineInput, int64(len(run)))
-	ctx.Count(CounterCombineOutput, int64(len(out.buf)))
-	slices.SortStableFunc(out.buf, byKey)
-	return out.buf, nil
 }
 
 // ExecReduceTask merges the runs of one partition, groups by key, and feeds

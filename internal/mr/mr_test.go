@@ -43,12 +43,12 @@ func countTokens(_ *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
 // wordCountJob builds the canonical MapReduce smoke test: tokens are
 // non-negative ints stored as 1-dim points; the job counts occurrences
 // per token.
-func wordCountJob(fs *dfs.FS, input string, combine bool) *Job {
-	j := &Job{
+func wordCountJob(fs *dfs.FS, input string) *Job {
+	return &Job{
 		Name:           "wordcount",
 		FS:             fs,
 		Cluster:        testCluster(),
-		Input:          []string{input},
+		Input:          input,
 		PointDim:       1,
 		NewPointMapper: func() PointMapper { return columnsMapper(countTokens) },
 		NewReducer: func() Reducer {
@@ -62,10 +62,6 @@ func wordCountJob(fs *dfs.FS, input string, combine bool) *Job {
 			})
 		},
 	}
-	if combine {
-		j.NewCombiner = j.NewReducer
-	}
-	return j
 }
 
 // writeTokens stores tokens as a 1-dim point file, one token per record.
@@ -90,7 +86,7 @@ func TestWordCountBasic(t *testing.T) {
 	fs := dfs.New(16) // tiny splits → many map tasks
 	tokens := []int{1, 2, 3, 1, 2, 1, 7, 7, 7, 7}
 	writeTokens(fs, "/in", tokens)
-	res, err := wordCountJob(fs, "/in", false).Run()
+	res, err := wordCountJob(fs, "/in").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,43 +105,10 @@ func TestWordCountBasic(t *testing.T) {
 	}
 }
 
-func TestWordCountWithCombinerSameAnswer(t *testing.T) {
-	fs := dfs.New(32)
-	r := rand.New(rand.NewSource(1))
-	tokens := make([]int, 500)
-	for i := range tokens {
-		tokens[i] = r.Intn(10)
-	}
-	writeTokens(fs, "/in", tokens)
-
-	plain, err := wordCountJob(fs, "/in", false).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := wordCountJob(fs, "/in", true).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := countsFromResult(plain), countsFromResult(combined)
-	if len(a) != len(b) {
-		t.Fatalf("different key counts: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("combiner changed count[%d]: %d vs %d", k, b[k], v)
-		}
-	}
-	// The combiner must reduce shuffle volume on a skewed token set.
-	if combined.Counters.Get(CounterShuffleRecords) >= plain.Counters.Get(CounterShuffleRecords) {
-		t.Errorf("combiner did not reduce shuffle records: %d vs %d",
-			combined.Counters.Get(CounterShuffleRecords), plain.Counters.Get(CounterShuffleRecords))
-	}
-}
-
 func TestEngineCounters(t *testing.T) {
 	fs := dfs.New(0)
 	writeTokens(fs, "/in", []int{1, 1, 2})
-	res, err := wordCountJob(fs, "/in", false).Run()
+	res, err := wordCountJob(fs, "/in").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +125,16 @@ func TestEngineCounters(t *testing.T) {
 	if got := c.Get(CounterReduceOutput); got != 2 {
 		t.Errorf("reduce output = %d, want 2", got)
 	}
+	if got := c.Get(CounterShuffleRecords); got != 3 {
+		t.Errorf("shuffle records = %d, want all 3 map output records", got)
+	}
 	if got := c.Get(CounterShuffleBytes); got != 3*16 {
 		t.Errorf("shuffle bytes = %d, want 48 (3 records × 8B key + 8B value)", got)
+	}
+	for _, name := range []string{CounterCombineInput, CounterCombineOutput} {
+		if _, ok := c.Snapshot()[name]; ok {
+			t.Errorf("%s ticked; the engine has no combine stage", name)
+		}
 	}
 }
 
@@ -171,7 +142,7 @@ func TestDatasetReadAccounting(t *testing.T) {
 	fs := dfs.New(0)
 	writeTokens(fs, "/in", []int{1, 2, 3})
 	fs.ResetCounters()
-	if _, err := wordCountJob(fs, "/in", false).Run(); err != nil {
+	if _, err := wordCountJob(fs, "/in").Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.DatasetReads(); got != 1 {
@@ -185,7 +156,7 @@ func TestMapperErrorFailsJob(t *testing.T) {
 	fs := dfs.New(0)
 	writeTokens(fs, "/in", []int{1})
 	fs.Create("/bad", []byte("not-a-number\n"))
-	failing := wordCountJob(fs, "/in", false)
+	failing := wordCountJob(fs, "/in")
 	failing.NewPointMapper = func() PointMapper {
 		return columnsMapper(func(*TaskContext, *dfs.ColumnarSplit, Emitter) error {
 			return errors.New("map boom")
@@ -193,7 +164,7 @@ func TestMapperErrorFailsJob(t *testing.T) {
 	}
 	for name, job := range map[string]*Job{
 		"mapper error": failing,
-		"bad record":   wordCountJob(fs, "/bad", false),
+		"bad record":   wordCountJob(fs, "/bad"),
 	} {
 		_, err := job.Run()
 		if err == nil {
@@ -212,7 +183,7 @@ func TestMapperErrorFailsJob(t *testing.T) {
 func TestNumReducersControlsPartitions(t *testing.T) {
 	fs := dfs.New(0)
 	writeTokens(fs, "/in", []int{0, 1, 2, 3, 4, 5, 6, 7})
-	job := wordCountJob(fs, "/in", false)
+	job := wordCountJob(fs, "/in")
 	job.NumReducers = 3
 	res, err := job.Run()
 	if err != nil {
@@ -243,7 +214,7 @@ func TestMapperSetupCloseLifecycle(t *testing.T) {
 		Name:     "lifecycle",
 		FS:       fs,
 		Cluster:  testCluster(),
-		Input:    []string{"/in"},
+		Input:    "/in",
 		PointDim: 2,
 		NewPointMapper: func() PointMapper {
 			return &lifecycleMapper{events: mu}
@@ -302,7 +273,7 @@ func (m *lifecycleMapper) Close(ctx *TaskContext, emit Emitter) error {
 func TestJobValidation(t *testing.T) {
 	fs := dfs.New(0)
 	fs.Create("/in", []byte("1\n"))
-	base := wordCountJob(fs, "/in", false)
+	base := wordCountJob(fs, "/in")
 
 	bad := *base
 	bad.FS = nil
@@ -310,7 +281,7 @@ func TestJobValidation(t *testing.T) {
 		t.Error("nil FS accepted")
 	}
 	bad = *base
-	bad.Input = nil
+	bad.Input = ""
 	if _, err := bad.Run(); err == nil {
 		t.Error("empty input accepted")
 	}
@@ -330,7 +301,7 @@ func TestJobValidation(t *testing.T) {
 		t.Error("zero-node cluster accepted")
 	}
 	bad = *base
-	bad.Input = []string{"/missing"}
+	bad.Input = "/missing"
 	if _, err := bad.Run(); err == nil {
 		t.Error("missing input accepted")
 	}
@@ -418,11 +389,12 @@ func TestValueByteSizes(t *testing.T) {
 	}
 }
 
-// TestPropShuffleExactlyOnce: for random token streams and random split
-// sizes, every emitted pair reaches exactly one reducer exactly once —
-// verified by comparing against a sequential count.
+// TestPropShuffleExactlyOnce: for random token streams, split sizes,
+// reducer counts and cluster shapes, every emitted pair reaches exactly
+// one reducer exactly once — verified by comparing against a sequential
+// count.
 func TestPropShuffleExactlyOnce(t *testing.T) {
-	f := func(seed int64, splitRaw, reducersRaw uint8) bool {
+	f := func(seed int64, splitRaw, reducersRaw, nodesRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(200)
 		tokens := make([]int, n)
@@ -433,8 +405,9 @@ func TestPropShuffleExactlyOnce(t *testing.T) {
 		}
 		fs := dfs.New(1 + int(splitRaw)%64)
 		writeTokens(fs, "/in", tokens)
-		job := wordCountJob(fs, "/in", r.Intn(2) == 0)
+		job := wordCountJob(fs, "/in")
 		job.NumReducers = 1 + int(reducersRaw)%8
+		job.Cluster.Nodes = 1 + int(nodesRaw)%6
 		res, err := job.Run()
 		if err != nil {
 			return false
@@ -455,43 +428,6 @@ func TestPropShuffleExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestPropCombinerTransparency: for an associative, commutative reduction
-// the combiner must never change job output, for any cluster shape.
-func TestPropCombinerTransparency(t *testing.T) {
-	f := func(seed int64, nodesRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		tokens := make([]int, 1+r.Intn(300))
-		for i := range tokens {
-			tokens[i] = r.Intn(15)
-		}
-		fs := dfs.New(1 + r.Intn(50))
-		writeTokens(fs, "/in", tokens)
-
-		mk := func(combine bool) map[int64]int64 {
-			job := wordCountJob(fs, "/in", combine)
-			job.Cluster.Nodes = 1 + int(nodesRaw)%6
-			res, err := job.Run()
-			if err != nil {
-				return nil
-			}
-			return countsFromResult(res)
-		}
-		a, b := mk(false), mk(true)
-		if a == nil || b == nil || len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if b[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestDeterministicOutputAcrossRuns guards the engine's deterministic
 // merge-order property, which the G-means candidate sampling relies on for
 // reproducible runs.
@@ -504,7 +440,7 @@ func TestDeterministicOutputAcrossRuns(t *testing.T) {
 	}
 	writeTokens(fs, "/in", tokens)
 	run := func() string {
-		res, err := wordCountJob(fs, "/in", true).Run()
+		res, err := wordCountJob(fs, "/in").Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,33 +458,6 @@ func TestDeterministicOutputAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestMultipleInputFiles(t *testing.T) {
-	fs := dfs.New(0)
-	writeTokens(fs, "/a", []int{1, 1, 2})
-	writeTokens(fs, "/b", []int{2, 3, 3})
-	job := wordCountJob(fs, "/a", false)
-	job.Input = []string{"/a", "/b"}
-	res, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := countsFromResult(res)
-	want := map[int64]int64{1: 2, 2: 2, 3: 2}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("count[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Two inputs ⇒ two dataset reads for this single job.
-	fs.ResetCounters()
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.DatasetReads(); got != 2 {
-		t.Errorf("DatasetReads = %d, want 2", got)
-	}
-}
-
 func TestNegativeKeysRouteAndGroup(t *testing.T) {
 	fs := dfs.New(0)
 	fs.Create("/in", []byte("0\n"))
@@ -556,7 +465,7 @@ func TestNegativeKeysRouteAndGroup(t *testing.T) {
 		Name:     "negkeys",
 		FS:       fs,
 		Cluster:  testCluster(),
-		Input:    []string{"/in"},
+		Input:    "/in",
 		PointDim: 1,
 		NewPointMapper: func() PointMapper {
 			return columnsMapper(func(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {
@@ -587,7 +496,7 @@ func TestNegativeKeysRouteAndGroup(t *testing.T) {
 func TestReducerErrorFailsJob(t *testing.T) {
 	fs := dfs.New(0)
 	writeTokens(fs, "/in", []int{1})
-	job := wordCountJob(fs, "/in", false)
+	job := wordCountJob(fs, "/in")
 	job.NewReducer = func() Reducer {
 		return ReducerFunc(func(ctx *TaskContext, key int64, values []Value, emit Emitter) error {
 			return errors.New("boom")
@@ -597,22 +506,6 @@ func TestReducerErrorFailsJob(t *testing.T) {
 	var te *TaskError
 	if !errors.As(err, &te) || te.Kind != ReduceTask {
 		t.Fatalf("err = %v, want reduce TaskError", err)
-	}
-}
-
-func TestCombinerErrorFailsJob(t *testing.T) {
-	fs := dfs.New(0)
-	writeTokens(fs, "/in", []int{1, 1})
-	job := wordCountJob(fs, "/in", false)
-	job.NewCombiner = func() Reducer {
-		return ReducerFunc(func(ctx *TaskContext, key int64, values []Value, emit Emitter) error {
-			return errors.New("combiner boom")
-		})
-	}
-	_, err := job.Run()
-	var te *TaskError
-	if !errors.As(err, &te) || te.Kind != MapTask {
-		t.Fatalf("combiner failures surface as map-task errors, got %v", err)
 	}
 }
 
@@ -626,7 +519,7 @@ func TestOffsetKeysSurviveShuffle(t *testing.T) {
 		Name:     "offset",
 		FS:       fs,
 		Cluster:  testCluster(),
-		Input:    []string{"/in"},
+		Input:    "/in",
 		PointDim: 1,
 		NewPointMapper: func() PointMapper {
 			return columnsMapper(func(ctx *TaskContext, cols *dfs.ColumnarSplit, emit Emitter) error {

@@ -54,7 +54,7 @@ func pointPathJob(fs *dfs.FS, dim int) *Job {
 		Name:           "point-sum",
 		FS:             fs,
 		Cluster:        Cluster{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1},
-		Input:          []string{"/pts"},
+		Input:          "/pts",
 		PointDim:       dim,
 		NewPointMapper: func() PointMapper { return &sumPointMapper{} },
 		NewReducer:     func() Reducer { return sumReducer() },

@@ -15,7 +15,7 @@ import (
 func TestJobTraceSpans(t *testing.T) {
 	fs := dfs.New(16)
 	writeTokens(fs, "/in", []int{1, 2, 3, 1, 2, 1, 7, 7, 7, 7})
-	job := wordCountJob(fs, "/in", true)
+	job := wordCountJob(fs, "/in")
 	tr := obs.NewTrace()
 	job.Trace = tr
 
@@ -72,7 +72,7 @@ func TestJobTraceSpans(t *testing.T) {
 	}
 
 	// The same job without a trace records nothing and still works.
-	job3 := wordCountJob(fs, "/in", true)
+	job3 := wordCountJob(fs, "/in")
 	if _, err := job3.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package mr is an in-process MapReduce engine modeled on Hadoop 1.x, the
 // execution substrate of the reproduced paper. It provides:
 //
-//   - jobs composed of a mapper, an optional combiner, a partitioner and a
-//     reducer, fed by splits of a simulated DFS file (package dfs);
+//   - jobs composed of a mapper, a partitioner and a reducer, fed by the
+//     splits of one simulated DFS file (package dfs);
 //   - a sort-based shuffle with byte accounting, so shuffle volume — a
 //     first-class cost in the paper's analysis — is measurable;
 //   - a simulated cluster: N nodes × map/reduce slots, enforced by bounded
@@ -17,7 +17,7 @@
 //
 // # Contract
 //
-// Input contract. A job's input files are point files in the DFS text
+// Input contract. A job's input file is a point file in the DFS text
 // record format, and every map task reads its split one way:
 // NewPointMapper's mapper receives the split once, whole, as decoded
 // float64 points in dim-major form (dfs.OpenSplitPoints, then Columns,
@@ -32,7 +32,7 @@
 //
 // Determinism. For a fixed input layout and job configuration, output is
 // byte-for-byte deterministic regardless of goroutine scheduling: map
-// runs are combined and key-sorted per task, the reduce merge breaks key
+// runs are stable-sorted by key per task, the reduce merge breaks key
 // ties by map-task id, and reducer output concatenates in partition
 // order. Nothing in the engine may trade this away — the node-scaling
 // experiments and every equivalence pin in the repository rely on it.
@@ -81,8 +81,8 @@ type PointValue struct {
 func (p PointValue) ByteSize() int { return 8 * len(p.Coords) }
 
 // WeightedPointValue carries a partial centroid sum: coordinates plus a
-// count, the classic k-means combiner payload ("coordinates (float[]),
-// 1 (int)" in the paper's Algorithm 2).
+// count, the payload of the paper's Algorithm 2 ("coordinates (float[]),
+// 1 (int)"), here summed over a map task's points before it is emitted.
 type WeightedPointValue struct {
 	vec.WeightedPoint
 }

@@ -70,7 +70,6 @@ func init() {
 		}
 		return mrdist.JobParts{
 			NewPointMapper: func() mr.PointMapper { return &sumMapper{sleepMS: p.sleepMS} },
-			NewCombiner:    func() mr.Reducer { return sumReducer{} },
 			NewReducer:     func() mr.Reducer { return sumReducer{fail: p.failReduce} },
 		}, nil
 	})
@@ -87,11 +86,20 @@ func (m *sumMapper) Setup(*mr.TaskContext) error {
 	return nil
 }
 
+// MapColumns sums the split per residue and emits one partial sum per
+// residue seen, combining in-mapper like the production kinds.
 func (m *sumMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, emit mr.Emitter) error {
 	col := cols.Col(0)
+	var sums, seen [sumKeys]int64
 	for _, x := range col {
 		v := int64(x)
-		emit.Emit(v%sumKeys, mr.Int64Value(v))
+		sums[v%sumKeys] += v
+		seen[v%sumKeys]++
+	}
+	for key := range sums {
+		if seen[key] > 0 {
+			emit.Emit(int64(key), mr.Int64Value(sums[key]))
+		}
 	}
 	ctx.Count("sumtest.records", int64(len(col)))
 	return nil
@@ -142,7 +150,7 @@ func sumJob(fs *dfs.FS, cluster mr.Cluster, runner mr.TaskRunner, p sumPayload) 
 		Name:     "dist-sum",
 		FS:       fs,
 		Cluster:  cluster,
-		Input:    []string{"/nums.txt"},
+		Input:    "/nums.txt",
 		PointDim: 1,
 		Runner:   runner,
 		Spec:     sumSpec(p),

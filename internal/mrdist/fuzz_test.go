@@ -3,6 +3,8 @@ package mrdist
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -92,33 +94,128 @@ func kindMapFrame(spec mr.JobSpec, nodes, reducers uint32) []byte {
 // other dim every one must fail its build. The test kind keeps its
 // parents at dim 2, so only its split vector is off.
 func kindSpecs(dim int) []mr.JobSpec {
-	v := func(x float64) []float64 {
-		c := make([]float64, dim)
-		for i := range c {
-			c[i] = x + float64(i)
-		}
-		return c
-	}
-	payload := func(enc func(e *Encoder)) []byte {
-		e := new(Encoder).Begin()
-		enc(e)
-		return e.Bytes()
-	}
-	sets := payload(func(e *Encoder) { e.U32(1).U32(2).U32(2).Vec(v(1)).Vec(v(3)) }) // k = 2
+	sets := specPayload(func(e *Encoder) { e.U32(1).U32(2).U32(2).Vec(specVec(dim, 1)).Vec(specVec(dim, 3)) }) // k = 2
 	return []mr.JobSpec{
-		{Kind: "kmeans.assign", Payload: payload(func(e *Encoder) { e.U32(2).Vec(v(1)).Vec(v(3)) })},
+		{Kind: "kmeans.assign", Payload: specPayload(func(e *Encoder) { e.U32(2).Vec(specVec(dim, 1)).Vec(specVec(dim, 3)) })},
 		{Kind: "kmeans.multik", Payload: sets},
 		{Kind: "kmeans.eval", Payload: sets},
-		{Kind: "gmeans.test", Payload: payload(func(e *Encoder) {
-			e.F64(.0001).I64(3).U32(1).U32(0) // alpha, seed, round, found count
-			e.U32(1).I64(-1)                  // one sampling threshold: every point
-			e.U32(1).Vec([]float64{1, 2})     // parents
-			e.U32(1).Vec(v(1))                // split vectors
-		})},
-		{Kind: "gmeans.lastpass", Payload: payload(func(e *Encoder) {
-			e.I64(3).U32(1) // power-iteration seed, found count
-			e.U32(2).Vec(v(1)).Vec(v(3))
-		})},
+		testKindSpec(dim, .0001),
+		lastPassKindSpec(dim, 1),
+	}
+}
+
+// hostileSpecs returns dim-2 specs whose payloads decode but carry a
+// parameter no task can run with: a test significance level outside
+// (0, 1) and a last pass with more found centers than centers. Each must
+// fail its build like a mismatched dim does.
+func hostileSpecs() []mr.JobSpec {
+	return []mr.JobSpec{
+		testKindSpec(2, 0),
+		testKindSpec(2, -0.5),
+		testKindSpec(2, math.NaN()),
+		lastPassKindSpec(2, 5),
+	}
+}
+
+// specVec returns the dim-long vector x, x+1, x+2, ...
+func specVec(dim int, x float64) []float64 {
+	c := make([]float64, dim)
+	for i := range c {
+		c[i] = x + float64(i)
+	}
+	return c
+}
+
+func specPayload(enc func(e *Encoder)) []byte {
+	e := new(Encoder).Begin()
+	enc(e)
+	return e.Bytes()
+}
+
+// testKindSpec is a gmeans.test spec at significance level alpha whose
+// one split vector has the given dim.
+func testKindSpec(dim int, alpha float64) mr.JobSpec {
+	return mr.JobSpec{Kind: "gmeans.test", Payload: specPayload(func(e *Encoder) {
+		e.F64(alpha).I64(3).U32(1).U32(0) // alpha, seed, round, found count
+		e.U32(1).I64(-1)                  // one sampling threshold: every point
+		e.U32(1).Vec([]float64{1, 2})     // parents
+		e.U32(1).Vec(specVec(dim, 1))     // split vectors
+	})}
+}
+
+// lastPassKindSpec is a gmeans.lastpass spec over two centers of the
+// given dim, found of which are frozen.
+func lastPassKindSpec(dim int, found uint32) mr.JobSpec {
+	return mr.JobSpec{Kind: "gmeans.lastpass", Payload: specPayload(func(e *Encoder) {
+		e.I64(3).U32(found) // power-iteration seed, found count
+		e.U32(2).Vec(specVec(dim, 1)).Vec(specVec(dim, 3))
+	})}
+}
+
+// TestMapRunsHaveDistinctKeys pins what lets the engine do without a
+// combine stage: every kind's mapper combines in-mapper, so each
+// partition's run of one map task holds each key once. gmeans.test is
+// the exception by design: it emits one projection per sampled point, and
+// that its runs repeat keys on this split shows the split would catch a
+// per-point mapper. A mapper that emits per point and counts on a
+// combiner fails here instead of silently multiplying shuffle bytes.
+func TestMapRunsHaveDistinctKeys(t *testing.T) {
+	var text strings.Builder
+	for i := range 24 { // two groups, around (1, 2) and (3, 4)
+		c, eps := float64(2*(i%2)), 0.01*float64(i)
+		fmt.Fprintf(&text, "%g %g\n", 1+c+eps, 2+c-eps)
+	}
+	fs := dfs.New(0)
+	fs.Create("/pts.txt", []byte(text.String()))
+	splits, err := fs.Splits("/pts.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := fs.OpenSplitPoints(splits[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	specs := kindSpecs(2)
+	covered := make(map[string]bool, len(specs))
+	for _, spec := range specs {
+		covered[spec.Kind] = true
+	}
+	kinds.RLock()
+	for kind := range kinds.byName {
+		// This package's own tests register their kinds as "mrdist.*".
+		if !covered[kind] && !strings.HasPrefix(kind, "mrdist.") {
+			t.Errorf("registered kind %s has no spec in kindSpecs", kind)
+		}
+	}
+	kinds.RUnlock()
+
+	for _, spec := range specs {
+		j, err := Build(&mr.Job{Name: "distinct-keys", Cluster: mr.DefaultCluster(), PointDim: 2, Spec: &spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := j.ExecMapTask(0, ps, 3, mr.DefaultPartitioner, mr.NewCounters())
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Kind, err)
+		}
+		var records, repeats int
+		for _, run := range runs {
+			records += len(run)
+			for i := 1; i < len(run); i++ {
+				if run[i].Key == run[i-1].Key {
+					repeats++
+				}
+			}
+		}
+		switch {
+		case records == 0:
+			t.Errorf("%s: the map task emitted nothing", spec.Kind)
+		case spec.Kind == "gmeans.test" && repeats == 0:
+			t.Errorf("%s: no key repeats; the split no longer shows a per-point mapper", spec.Kind)
+		case spec.Kind != "gmeans.test" && repeats > 0:
+			t.Errorf("%s: %d repeated keys in %d records; its mapper does not combine", spec.Kind, repeats, records)
+		}
 	}
 }
 
@@ -145,9 +242,10 @@ func TestFuzzLastPassFrameRuns(t *testing.T) {
 	}
 }
 
-// TestMismatchedDimFailsTyped checks the one dim check every kind shares.
-// A map frame whose vectors have another dim than its job answers 400
-// through Worker.Handler, where the same frame at the job's dim runs.
+// TestMismatchedDimFailsTyped checks the one dim check every kind shares,
+// and the payload checks of hostileSpecs. A map frame whose vectors have
+// another dim than its job, or whose parameters no task can run with,
+// answers 400 through Worker.Handler, where the kind's good frame runs.
 // Build rejects the spec with a *BuildError on the master, where both
 // backends build their jobs. And a worker handed the frame anyway fails
 // the proc job with a *BuildError carrying the same cause, on the first
@@ -160,15 +258,18 @@ func TestMismatchedDimFailsTyped(t *testing.T) {
 	reg := runner.Registry()
 	newJob := func(spec mr.JobSpec, runner mr.TaskRunner) *mr.Job {
 		return &mr.Job{Name: "dim-" + spec.Kind, FS: fs, Cluster: mr.DefaultCluster().WithNodes(2),
-			Input: []string{"/pts.txt"}, PointDim: 2, Runner: runner, Spec: &spec}
+			Input: "/pts.txt", PointDim: 2, Runner: runner, Spec: &spec}
 	}
-	good := kindSpecs(2)
-	for i, bad := range kindSpecs(3) {
+	good := make(map[string]mr.JobSpec)
+	for _, spec := range kindSpecs(2) {
+		good[spec.Kind] = spec
+	}
+	for _, bad := range append(kindSpecs(3), hostileSpecs()...) {
 		t.Run(bad.Kind, func(t *testing.T) {
 			for _, c := range []struct {
 				spec mr.JobSpec
 				code int
-			}{{good[i], http.StatusOK}, {bad, http.StatusBadRequest}} {
+			}{{good[bad.Kind], http.StatusOK}, {bad, http.StatusBadRequest}} {
 				rr := httptest.NewRecorder()
 				fuzzWorker().Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/task/map", bytes.NewReader(kindMapFrame(c.spec, 2, 2))))
 				if rr.Code != c.code || (c.code == http.StatusOK && NewDecoder(rr.Body.Bytes()).U8() != statusOK) {
@@ -186,7 +287,7 @@ func TestMismatchedDimFailsTyped(t *testing.T) {
 				local = be
 			}
 
-			j, err := Build(newJob(good[i], runner))
+			j, err := Build(newJob(good[bad.Kind], runner))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,6 +348,10 @@ func FuzzWorkerEndpoints(f *testing.F) {
 		for _, spec := range kindSpecs(dim) {
 			addFrame(0, kindMapFrame(spec, 2, 2))
 		}
+	}
+	// And the payloads that decode but must not build.
+	for _, spec := range hostileSpecs() {
+		addFrame(0, kindMapFrame(spec, 2, 2))
 	}
 
 	f.Fuzz(func(t *testing.T, which int, data []byte) {

@@ -12,7 +12,6 @@ import (
 // exactly the factory fields of mr.Job, which Build installs.
 type JobParts struct {
 	NewPointMapper mr.PointMapperFactory
-	NewCombiner    mr.ReducerFactory
 	NewReducer     mr.ReducerFactory
 }
 
@@ -62,7 +61,7 @@ func (e *BuildError) Error() string {
 // Unwrap exposes the underlying cause.
 func (e *BuildError) Unwrap() error { return e.Err }
 
-// Build installs on j the mapper, combiner and reducer factories that
+// Build installs on j the mapper and reducer factories that
 // j.Spec's registered kind builds from its payload against j.PointDim,
 // and returns j. The job constructors and the worker both build their
 // jobs through it, so a remote worker runs the same map and reduce code as
@@ -82,7 +81,6 @@ func Build(j *mr.Job) (*mr.Job, error) {
 	if err != nil {
 		return nil, &BuildError{Job: j.Name, Kind: j.Spec.Kind, Err: err}
 	}
-	j.NewPointMapper = parts.NewPointMapper
-	j.NewCombiner, j.NewReducer = parts.NewCombiner, parts.NewReducer
+	j.NewPointMapper, j.NewReducer = parts.NewPointMapper, parts.NewReducer
 	return j, nil
 }

@@ -78,7 +78,7 @@ func decodeSplitKey(d *Decoder) splitKey {
 }
 
 // jobState holds one job's map outputs on this worker: parts[taskID][p] is
-// the combined, key-sorted run map task taskID produced for partition p.
+// the key-sorted run map task taskID produced for partition p.
 type jobState struct {
 	mu    sync.Mutex
 	parts map[int][][]mr.KV
@@ -275,7 +275,7 @@ func encodeTaskRequest(e *Encoder, jobID string, j *mr.Job, numReducers int) {
 }
 
 // job reconstructs the executable mr.Job for a task request through
-// Build, so the mapper/combiner/reducer behaviour is identical to the
+// Build, so the mapper and reducer behaviour is identical to the
 // driver's. A request whose job does not build answers 400.
 func (tr *taskRequest) job() (*mr.Job, error) {
 	return Build(&mr.Job{

@@ -334,10 +334,10 @@ func dist2Below(a, b Vector, bound float64) (float64, bool) {
 }
 
 // WeightedPoint is a running sum of points together with the number of
-// points accumulated. It is the value type exchanged by the k-means
-// mapper/combiner/reducer chain: combining two WeightedPoints is exact
-// partial aggregation, which is what makes MapReduce combiners sound for
-// k-means.
+// points accumulated. It is the value type the k-means mappers emit and
+// the reducers merge: merging two WeightedPoints is exact partial
+// aggregation, which is what lets a k-means mapper sum its split per
+// center before the shuffle.
 type WeightedPoint struct {
 	Sum   Vector
 	Count int64
