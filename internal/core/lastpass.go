@@ -118,7 +118,7 @@ func (m *kfncMapper) MapColumns(ctx *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 	idx := m.batch.Assign(m.centers, cols)
 	ctx.Count(kmeansmr.CounterDistances, int64(len(m.centers))*int64(n))
 	ctx.Count(kmeansmr.CounterPoints, int64(n))
-	if !m.sums.Fold(cols, idx) {
+	if !m.sums.Fold(cols.Rows(), idx) {
 		return fmt.Errorf("core: point has no nearest center (all distances non-finite)")
 	}
 

@@ -8,6 +8,10 @@
 //   - multi-k-means (the paper's Algorithm 6): one job maintains center
 //     sets for *every* candidate k simultaneously, which is the paper's
 //     "fair" baseline for determining k and the source of its O(n·k²) cost.
+//     That cost is the model the distance counter reports; the mappers
+//     evaluate far fewer distances, with the same answers bit for bit,
+//     by assigning every k inside the groups the largest k's assignment
+//     forms and pruning centers by the groups' bounds (groupassign.go).
 //
 // The paper's baseline is "a classical MapReduce implementation of k-means
 // with combiners". Here every mapper combines in-mapper (Lin & Dyer,
@@ -165,7 +169,7 @@ func (m *assignMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ 
 	idx := m.batch.Assign(m.centers, cols)
 	m.dists += int64(len(m.centers)) * int64(n)
 	m.points += int64(n)
-	if !m.sums.Fold(cols, idx) {
+	if !m.sums.Fold(cols.Rows(), idx) {
 		// Every distance overflowed to +Inf (finite but astronomically
 		// large coordinates): fail the task with a diagnosis instead of
 		// folding into center -1.
@@ -203,16 +207,17 @@ func NewCenterSums(centers []vec.Vector) *CenterSums {
 	return &CenterSums{dim: dim, sums: make([]float64, len(centers)*dim), counts: make([]int64, len(centers))}
 }
 
-// Fold adds every point of the split into the sum of its center idx[j],
-// in input order. It folds nothing and reports false when some point has
-// no nearest center (index -1: every distance was non-finite).
-func (s *CenterSums) Fold(cols *dfs.ColumnarSplit, idx []int32) bool {
+// Fold adds every row-major point of rows (point j at
+// rows[j*dim:(j+1)*dim]) into the sum of its center idx[j], in input
+// order. It folds nothing and reports false when some point has no
+// nearest center (index -1: every distance was non-finite).
+func (s *CenterSums) Fold(rows []float64, idx []int32) bool {
 	for _, c := range idx {
 		if c < 0 {
 			return false
 		}
 	}
-	vec.FoldRows(s.sums, s.counts, cols.Rows(), s.dim, idx)
+	vec.FoldRows(s.sums, s.counts, rows, s.dim, idx)
 	return true
 }
 
@@ -227,6 +232,17 @@ func (s *CenterSums) At(i int) (vec.WeightedPoint, bool) {
 		return vec.WeightedPoint{}, false
 	}
 	return vec.WeightedPoint{Sum: vec.Clone(s.sums[i*s.dim : (i+1)*s.dim]), Count: s.counts[i]}, true
+}
+
+// View is At without the copy: the sum is a view into the flat array, so
+// an emitted value keeps the whole array alive until its reduce runs. It
+// suits a task that leaves few centers empty, where the copies would hold
+// as much memory and add a second allocation per center.
+func (s *CenterSums) View(i int) (vec.WeightedPoint, bool) {
+	if s.counts[i] == 0 {
+		return vec.WeightedPoint{}, false
+	}
+	return vec.WeightedPoint{Sum: s.sums[i*s.dim : (i+1)*s.dim : (i+1)*s.dim], Count: s.counts[i]}, true
 }
 
 // MergeReducer merges WeightedPointValue partial sums into one per key;

@@ -97,42 +97,49 @@ func (r *MultiResult) AvgIterationTime() time.Duration {
 	return total / time.Duration(len(r.IterationTimes))
 }
 
-// multiMapper is the paper's Algorithm 6 with in-mapper combining: for
-// every candidate k, one fused kernel call assigns the split's points
-// under that k's center set, and one vec.FoldRows call adds each point
-// into the (k, centerID) accumulator; Close emits the Σ_k k partial sums.
-// The per-point work is Σ_k k distance computations — the O(n·k²) term
-// of the cost analysis, which the distance counter ticks — but the
-// shuffle and spill sort only ever see Σ_k k records per task instead of
-// n·|ks|. Per (k, center, dimension) the accumulation runs in
-// input-record order.
+// multiMapper is the paper's Algorithm 6 with in-mapper combining: it
+// assigns the split's points under every candidate k's center set
+// (groupAssigner: the largest set with the full kernel, every other set
+// inside the groups that assignment forms, with centers pruned by group
+// bounds, bit for bit), and one vec.FoldRows call per k and chunk adds
+// each point into the (k, centerID) accumulator; Close emits the Σ_k k
+// partial sums. The distance counter ticks the paper's modelled cost of
+// Σ_k k distances per point, the O(n·k²) term of the cost analysis, not
+// the fewer distances the kernel evaluates. The shuffle and spill sort
+// only ever see Σ_k k records per task instead of n·|ks|. Per (k,
+// center, dimension) the accumulation runs in input-record order.
 type multiMapper struct {
-	centerSets map[int][]vec.Vector
-	ks         []int
+	plan *groupPlan
+	ks   []int
 
-	sums   map[int]*CenterSums
-	batch  BatchAssigner
+	sums   []*CenterSums
+	assign groupAssigner
 	dists  int64
 	points int64
 }
 
 func (m *multiMapper) Setup(*mr.TaskContext) error {
-	m.sums = make(map[int]*CenterSums, len(m.ks))
-	for _, k := range m.ks {
-		m.sums[k] = NewCenterSums(m.centerSets[k])
+	m.sums = make([]*CenterSums, len(m.ks))
+	for i, set := range m.plan.sets {
+		m.sums[i] = NewCenterSums(set)
 	}
+	m.assign.plan = m.plan
 	return nil
 }
 
 func (m *multiMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
-	n := cols.Len()
-	for _, k := range m.ks {
-		centers := m.centerSets[k]
-		idx := m.batch.Assign(centers, cols)
-		m.dists += int64(len(centers)) * int64(n)
-		if !m.sums[k].Fold(cols, idx) {
-			return fmt.Errorf("kmeansmr: point has no nearest center for k=%d (all distances non-finite)", k)
+	n, dim, rows := cols.Len(), cols.Dim(), cols.Rows()
+	err := m.assign.assign(cols, func(i, lo int, idx []int32, _ []float64) error {
+		if !m.sums[i].Fold(rows[lo*dim:(lo+len(idx))*dim], idx) {
+			return fmt.Errorf("kmeansmr: point has no nearest center for k=%d (all distances non-finite)", m.ks[i])
 		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, set := range m.plan.sets {
+		m.dists += int64(len(set)) * int64(n)
 	}
 	m.points += int64(n)
 	return nil
@@ -141,10 +148,10 @@ func (m *multiMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ m
 func (m *multiMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	ctx.Count(CounterDistances, m.dists)
 	ctx.Count(CounterPoints, m.points)
-	for _, k := range m.ks {
-		s := m.sums[k]
+	for i, k := range m.ks {
+		s := m.sums[i]
 		for cid := 0; cid < s.Len(); cid++ {
-			if wp, ok := s.At(cid); ok {
+			if wp, ok := s.View(cid); ok {
 				emit.Emit(int64(k)*KeyStride+int64(cid), mr.WeightedPointValue{WeightedPoint: wp})
 			}
 		}
@@ -278,46 +285,48 @@ type evalValue struct {
 func (evalValue) ByteSize() int { return 24 }
 
 // evalMapper scores every candidate k in one pass with in-mapper
-// combining: per k, one fused kernel call returns each point's nearest
-// squared distance (bit-identical to vec.NearestIndex's), and the quality
-// sums fold in input-record order into one accumulator per k, flushed in
-// Close.
+// combining: the grouped assignment multiMapper uses returns each point's
+// nearest squared distance under every k (bit-identical to
+// vec.NearestIndex's), and the quality sums fold in input-record order
+// into one accumulator per k, flushed in Close.
 type evalMapper struct {
-	centerSets map[int][]vec.Vector
-	ks         []int
-	acc        map[int]*evalValue
-	batch      BatchAssigner
-	dists      int64
+	plan   *groupPlan
+	ks     []int
+	acc    []evalValue
+	assign groupAssigner
+	dists  int64
 }
 
 func (m *evalMapper) Setup(*mr.TaskContext) error {
-	m.acc = make(map[int]*evalValue, len(m.ks))
-	for _, k := range m.ks {
-		m.acc[k] = &evalValue{}
-	}
+	m.acc = make([]evalValue, len(m.ks))
+	m.assign.plan = m.plan
 	return nil
 }
 
 func (m *evalMapper) MapColumns(_ *mr.TaskContext, cols *dfs.ColumnarSplit, _ mr.Emitter) error {
 	n := cols.Len()
-	for _, k := range m.ks {
-		centers := m.centerSets[k]
-		_, dist := m.batch.AssignDist(centers, cols)
-		m.dists += int64(len(centers)) * int64(n)
-		a := m.acc[k]
+	err := m.assign.assign(cols, func(i, _ int, _ []int32, dist []float64) error {
+		a := &m.acc[i]
 		for _, d2 := range dist {
 			a.SumD2 += d2
 			a.SumD += math.Sqrt(d2)
 		}
-		a.Count += int64(n)
+		a.Count += int64(len(dist))
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, set := range m.plan.sets {
+		m.dists += int64(len(set)) * int64(n)
 	}
 	return nil
 }
 
 func (m *evalMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	ctx.Count(CounterDistances, m.dists)
-	for _, k := range m.ks {
-		emit.Emit(int64(k), *m.acc[k])
+	for i, k := range m.ks {
+		emit.Emit(int64(k), m.acc[i])
 	}
 	return nil
 }

@@ -131,9 +131,10 @@ func buildMultiK(payload []byte, dim int) (mrdist.JobParts, error) {
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindMultiK, err)
 	}
+	plan := newGroupPlan(sets, ks, dim)
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {
-			return &multiMapper{centerSets: sets, ks: ks}
+			return &multiMapper{plan: plan, ks: ks}
 		},
 		NewReducer: func() mr.Reducer { return MergeReducer{} },
 	}, nil
@@ -152,9 +153,10 @@ func buildEval(payload []byte, dim int) (mrdist.JobParts, error) {
 	if err := d.Err(); err != nil {
 		return mrdist.JobParts{}, fmt.Errorf("kmeansmr: bad %s payload: %w", KindEval, err)
 	}
+	plan := newGroupPlan(sets, ks, dim)
 	return mrdist.JobParts{
 		NewPointMapper: func() mr.PointMapper {
-			return &evalMapper{centerSets: sets, ks: ks}
+			return &evalMapper{plan: plan, ks: ks}
 		},
 		NewReducer: func() mr.Reducer { return evalReducer{} },
 	}, nil

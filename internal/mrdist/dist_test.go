@@ -389,13 +389,15 @@ func TestProcRunnerReusedAcrossFileSystems(t *testing.T) {
 }
 
 // TestProcMultiKMatchesLocal pins the multi-k baseline and its evaluation
-// job (the evalValue codec) across backends.
+// job (the evalValue codec) across backends. At k_max = 12 over 6
+// clusters the mappers assign most k inside the k_max groups, so the
+// per-job distance table a worker builds per task is pinned too.
 func TestProcMultiKMatchesLocal(t *testing.T) {
-	spec := dataset.Spec{K: 3, Dim: 2, N: 1500, MinSeparation: 16, Seed: 4}
+	spec := dataset.Spec{K: 6, Dim: 2, N: 1500, MinSeparation: 16, Seed: 4}
 
 	run := func(runner mr.TaskRunner) *kmeansmr.MultiResult {
 		env, _ := gmeansEnv(t, spec, runner)
-		cfg := kmeansmr.MultiConfig{Env: env, KMin: 1, KMax: 4, Iterations: 3, Seed: 5}
+		cfg := kmeansmr.MultiConfig{Env: env, KMin: 1, KMax: 12, Iterations: 3, Seed: 5}
 		res, err := kmeansmr.RunMulti(cfg)
 		if err != nil {
 			t.Fatal(err)
