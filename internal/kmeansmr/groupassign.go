@@ -9,9 +9,9 @@ import (
 )
 
 // Grouped assignment of one split under every center set of a multi-k
-// job (multiMapper, evalMapper). The reference set, the one with the
-// most centers among those whose distance table (below) fits
-// maxTableEntries, is assigned with the full kernel; its assignment
+// job (multiMapper, evalMapper). The reference set, the last in ks
+// order (the largest, since the jobs' ks ascend; any set would be as
+// exact), is assigned with the full kernel; its assignment
 // partitions the split into groups, one per reference center c_g, with
 // radius r_g, the largest computed distance from a member to c_g. For a
 // member x of group g and any other set, the triangle inequality (Elkan,
@@ -68,8 +68,9 @@ const (
 	// units: above the range where squares underflow.
 	pruneFloor = 1e-150
 	// maxTableEntries bounds a job's distance table (16 MB of float64s).
-	// The table has |ref|·Σ_other k entries, cubic in k_max for a k range,
-	// so the reference is the largest set whose table fits.
+	// The table has |ref|·Σ_other k entries, cubic in k_max for a k range;
+	// a job whose table would not fit builds none, and every set runs the
+	// full kernel.
 	maxTableEntries = 1 << 21
 )
 
@@ -82,8 +83,8 @@ type groupPlan struct {
 	sets [][]vec.Vector
 	ref  int
 	// table[i][g*k+j] = √Dist2(sets[ref][g], sets[i][j]) for k =
-	// len(sets[i]); nil for i == ref. table itself is nil when no set's
-	// table fits maxTableEntries, and every set runs the full kernel.
+	// len(sets[i]); nil for i == ref. table itself is nil when it would
+	// not fit maxTableEntries, and every set runs the full kernel.
 	table [][]float64
 	// near[i][g] = min_j table[i][g*k+j], or NaN when the row holds a
 	// non-finite entry.
@@ -103,15 +104,8 @@ func newGroupPlan(centerSets map[int][]vec.Vector, ks []int, dim int) *groupPlan
 		p.sets[i] = centerSets[k]
 		total += len(p.sets[i])
 	}
-	p.ref = -1
-	for i, set := range p.sets {
-		fits := int64(len(set))*int64(total-len(set)) <= maxTableEntries
-		if fits && (p.ref < 0 || len(set) > len(p.sets[p.ref])) {
-			p.ref = i
-		}
-	}
-	if p.ref < 0 {
-		p.ref = 0
+	p.ref = max(len(ks)-1, 0)
+	if len(ks) == 0 || int64(len(p.sets[p.ref]))*int64(total-len(p.sets[p.ref])) > maxTableEntries {
 		return p
 	}
 	p.table, p.near = make([][]float64, len(ks)), make([][]float64, len(ks))

@@ -236,15 +236,14 @@ func TestGroupedAssignMatchesNearestBatch(t *testing.T) {
 	}
 }
 
-// TestGroupPlanBoundsTable pins the table bound: the distance table grows
-// as k_max·Σk, so a wide k range takes a smaller reference set, and sets
-// too large for any table run the full kernel; the answers stay exact.
+// TestGroupPlanBoundsTable pins the table bound: sets whose distance
+// table would exceed maxTableEntries build none and run the full kernel,
+// and the answers stay exact.
 func TestGroupPlanBoundsTable(t *testing.T) {
 	ds, err := dataset.Generate(dataset.Spec{K: 8, Dim: 2, N: 400, MinSeparation: 10, Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, wks := firstKSets(ds.Points, 200, 72) // Σk = 20,100
 	rng := rand.New(rand.NewSource(73))
 	big := func(k int) []vec.Vector {
 		c := make([]vec.Vector, k)
@@ -253,40 +252,24 @@ func TestGroupPlanBoundsTable(t *testing.T) {
 		}
 		return c
 	}
-	for _, c := range []struct {
-		name    string
-		sets    map[int][]vec.Vector
-		ks      []int
-		ref     int // centers in the reference set; 0: no table
-		grouped bool
-	}{
-		{"wide-range", wide, wks, 104, true},
-		{"no-table", map[int][]vec.Vector{1500: big(1500), 1501: big(1501)}, []int{1500, 1501}, 0, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			p := newGroupPlan(c.sets, c.ks, 2)
-			if c.ref == 0 && p.table != nil {
-				t.Fatalf("built a table for %d-center sets", len(p.sets[p.ref]))
+	sets, ks := map[int][]vec.Vector{1500: big(1500), 1501: big(1501)}, []int{1500, 1501}
+	if p := newGroupPlan(sets, ks, 2); p.table != nil {
+		t.Fatalf("built a table for %d-center sets", len(p.sets[p.ref]))
+	}
+	idx, dist, grouped := groupedOutputs(t, ds.Points, sets, ks)
+	if grouped > 0 {
+		t.Errorf("%d sets took the grouped path", grouped)
+	}
+	cols := splitOf(ds.Points)
+	n := cols.Len()
+	for i, k := range ks {
+		want, wantD := make([]int32, n), make([]float64, n)
+		vec.NearestBatch(sets[k], cols.Flat(), n, want, wantD, nil)
+		for j := range want {
+			if idx[i][j] != want[j] || math.Float64bits(dist[i][j]) != math.Float64bits(wantD[j]) {
+				t.Fatalf("k=%d point %d: grouped (%d, %v), full scan (%d, %v)", k, j, idx[i][j], dist[i][j], want[j], wantD[j])
 			}
-			if c.ref > 0 && len(p.sets[p.ref]) != c.ref {
-				t.Fatalf("reference has %d centers, want %d", len(p.sets[p.ref]), c.ref)
-			}
-			idx, dist, grouped := groupedOutputs(t, ds.Points, c.sets, c.ks)
-			if (grouped > 0) != c.grouped {
-				t.Errorf("%d sets took the grouped path", grouped)
-			}
-			cols := splitOf(ds.Points)
-			n := cols.Len()
-			for i, k := range c.ks {
-				want, wantD := make([]int32, n), make([]float64, n)
-				vec.NearestBatch(c.sets[k], cols.Flat(), n, want, wantD, nil)
-				for j := range want {
-					if idx[i][j] != want[j] || math.Float64bits(dist[i][j]) != math.Float64bits(wantD[j]) {
-						t.Fatalf("k=%d point %d: grouped (%d, %v), full scan (%d, %v)", k, j, idx[i][j], dist[i][j], want[j], wantD[j])
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -237,7 +237,11 @@ func (s *CenterSums) At(i int) (vec.WeightedPoint, bool) {
 // View is At without the copy: the sum is a view into the flat array, so
 // an emitted value keeps the whole array alive until its reduce runs. It
 // suits a task that leaves few centers empty, where the copies would hold
-// as much memory and add a second allocation per center.
+// as much memory and add a second allocation per center. At keeps the copy
+// for assignMapper and kfncMapper only because their jobs' memory has not
+// been measured with views; the reducers merge into fresh accumulators, so
+// views would be as safe there, and one accessor should remain once the
+// G-means workloads are measured with them.
 func (s *CenterSums) View(i int) (vec.WeightedPoint, bool) {
 	if s.counts[i] == 0 {
 		return vec.WeightedPoint{}, false
