@@ -9,7 +9,9 @@ package dfs
 // each point's text record, one chunk of points at a time on up to
 // GOMAXPROCS goroutines while the caller keeps appending, with
 // pointtext.RecordLen, which computes the length of strconv's shortest
-// 'g' formatting without writing a digit. The committed file holds the
+// 'g' formatting without writing a digit for every normal coordinate (a
+// length-only Schubfach) and formats only subnormals, ±0, ±Inf and NaN,
+// with strconv on a stack buffer. The committed file holds the
 // float64 points it was written from, the byte offset at which each
 // record starts and the text's total size, never the text.
 // OpenSplitPoints serves a split of such a file by slicing those points

@@ -225,24 +225,13 @@ func (s *CenterSums) Fold(rows []float64, idx []int32) bool {
 func (s *CenterSums) Len() int { return len(s.counts) }
 
 // At returns center i's partial sum, and false when no point was folded
-// into it. The sum is a copy: an emitted value the engine holds until its
-// reduce runs must not keep the task's whole flat array alive.
+// into it. The sum is a view into the flat array, not a copy: an emitted
+// value keeps the whole array alive until its reduce runs, which costs no
+// more memory than a copy per center when few centers are empty and saves
+// an allocation per center. Every reducer of these sums merges them into
+// a fresh accumulator (vec.WeightedPoint.Merge allocates on a nil sum), so
+// no emitted view is written to.
 func (s *CenterSums) At(i int) (vec.WeightedPoint, bool) {
-	if s.counts[i] == 0 {
-		return vec.WeightedPoint{}, false
-	}
-	return vec.WeightedPoint{Sum: vec.Clone(s.sums[i*s.dim : (i+1)*s.dim]), Count: s.counts[i]}, true
-}
-
-// View is At without the copy: the sum is a view into the flat array, so
-// an emitted value keeps the whole array alive until its reduce runs. It
-// suits a task that leaves few centers empty, where the copies would hold
-// as much memory and add a second allocation per center. At keeps the copy
-// for assignMapper and kfncMapper only because their jobs' memory has not
-// been measured with views; the reducers merge into fresh accumulators, so
-// views would be as safe there, and one accessor should remain once the
-// G-means workloads are measured with them.
-func (s *CenterSums) View(i int) (vec.WeightedPoint, bool) {
 	if s.counts[i] == 0 {
 		return vec.WeightedPoint{}, false
 	}

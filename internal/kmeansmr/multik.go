@@ -151,7 +151,7 @@ func (m *multiMapper) Close(ctx *mr.TaskContext, emit mr.Emitter) error {
 	for i, k := range m.ks {
 		s := m.sums[i]
 		for cid := 0; cid < s.Len(); cid++ {
-			if wp, ok := s.View(cid); ok {
+			if wp, ok := s.At(cid); ok {
 				emit.Emit(int64(k)*KeyStride+int64(cid), mr.WeightedPointValue{WeightedPoint: wp})
 			}
 		}

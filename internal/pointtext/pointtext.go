@@ -6,7 +6,9 @@
 // dfs, so this leaf package is what lets the two share one implementation
 // instead of keeping hand-synchronized copies. AppendRecord defines a
 // record's text; RecordLen returns its length without formatting it,
-// which is all staging needs, and the tests hold the two equal.
+// which is all staging needs, and the tests hold the two equal. RecordLen
+// takes a normal coordinate's length from a length-only Schubfach
+// (recordlen.go) and formats subnormals, ±0, ±Inf and NaN with strconv.
 package pointtext
 
 import (

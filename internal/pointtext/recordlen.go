@@ -5,50 +5,35 @@ package pointtext
 // RecordLen needs, per coordinate, only what strconv's shortest 'g'
 // formatting decides before it writes a character: the number of
 // significant digits nd and the decimal point position dp of the shortest
-// decimal that round-trips (Adams, "Ryū: fast float-to-string
-// conversion", PLDI 2018). shortestDecimal below is a port of the
-// shortest path of Go's strconv/ftoaryu.go (ryuFtoaShortest,
-// computeBounds, mult128bitPow10, ryuDigits, ryuDigits32) with the same
-// exactness and rounding flags, taken at the same points. Where strconv
-// writes the rounded central value's digits into a buffer and then trims
-// its zeros, the port keeps the value and counts: its decimal length and
-// its trailing zeros. floatLen turns (nd, dp) into the length of the %e
-// or %f form the way strconv's formatDigits chooses between them.
+// decimal that parses back to the coordinate. floatLen turns (nd, dp) into
+// the length of the %e or %f form the way strconv's formatDigits chooses
+// between them.
 //
-// The ported code is covered by Go's licence:
+// For a normal coordinate, shortestDecimal finds (nd, dp) with Schubfach
+// (Giulietti, "The Schubfach way to render doubles", 2020), reduced to the
+// length. For v = c·2^q it takes the decimal exponent k that leaves
+// s = ⌊v/10^k⌋ with 16 or 17 digits and computes v and the two ends of
+// its rounding interval, scaled by 4/10^k, as three 64×128-bit products
+// with the table entry g(k) ≈ 10^-k, each rounded to odd. The interval is
+// narrower than 10 units of 10^k, so it holds at most one multiple of
+// ten. If it holds exactly one of 10⌊s/10⌋ and 10⌊s/10⌋+10, that multiple
+// is the shortest decimal, and its trailing zeros come off. Otherwise no
+// decimal shorter than s lies in the interval. Then s or s+1 does, and
+// whichever does is no multiple of ten, so it has s's digit count: the
+// paper's last step, which picks the one nearer to v when both do, cannot
+// change the length and is left out.
 //
-// Copyright 2009 The Go Authors.
-//
-// Redistribution and use in source and binary forms, with or without
-// modification, are permitted provided that the following conditions are
-// met:
-//
-//   - Redistributions of source code must retain the above copyright
-//     notice, this list of conditions and the following disclaimer.
-//   - Redistributions in binary form must reproduce the above
-//     copyright notice, this list of conditions and the following disclaimer
-//     in the documentation and/or other materials provided with the
-//     distribution.
-//   - Neither the name of Google LLC nor the names of its
-//     contributors may be used to endorse or promote products derived from
-//     this software without specific prior written permission.
-//
-// THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-// "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-// LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-// A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-// OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-// SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-// LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-// DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-// THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-// (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-// OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+// Exact integers below 2^53 take strconv's integer path: their digits are
+// the integer's own. Subnormals, ±0, ±Inf and NaN, rare in data, are
+// formatted by strconv on a stack buffer and measured: the digit counts
+// above rest on the 16 or 17 digits of s that a mantissa c ≥ 2^52 gives,
+// and a subnormal's s has fewer.
 
 import (
 	"math"
 	"math/big"
 	"math/bits"
+	"strconv"
 	"sync"
 )
 
@@ -59,36 +44,27 @@ func RecordLen(p []float64) int {
 	if len(p) == 0 {
 		return 0
 	}
-	pow := powersOfTen()
+	g := schubfachTable()
 	n := len(p) - 1 // the separators
 	for _, x := range p {
-		n += floatLen(x, pow)
+		n += floatLen(x, g)
 	}
 	return n
 }
 
 // floatLen is len(strconv.AppendFloat(nil, x, 'g', -1, 64)).
-func floatLen(x float64, pow *pow10Table) int {
+func floatLen(x float64, g *gTable) int {
 	b := math.Float64bits(x)
-	neg := int(b >> 63)
 	exp := int(b>>52) & 0x7ff
-	mant := b & (1<<52 - 1)
-	switch exp {
-	case 0x7ff:
-		if mant != 0 {
-			return 3 // "NaN", whatever its sign and payload
-		}
-		return 4 // "+Inf" or "-Inf"
-	case 0:
-		exp++ // subnormal
-	default:
-		mant |= 1 << 52
+	if exp == 0 || exp == 0x7ff {
+		var buf [32]byte
+		return len(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 	}
-	nd, dp := shortestDecimal(mant, exp-1023-52, pow)
+	neg := int(b >> 63)
+	nd, dp := shortestDecimal(b&(1<<52-1)|1<<52, exp-1075, g)
 
 	// formatDigits' rule for shortest 'g': %e when the decimal exponent
-	// is below -4 or at least 6 (eprec = 6), %f otherwise. Zero is nd = 0,
-	// dp = 0 and takes %f: "0".
+	// is below -4 or at least 6 (eprec = 6), %f otherwise.
 	if e := dp - 1; e < -4 || e >= 6 {
 		// d[.ddd]e±dd or e±ddd
 		n := neg + 1 + 2 + 2
@@ -109,344 +85,149 @@ func floatLen(x float64, pow *pow10Table) int {
 }
 
 // shortestDecimal returns the digit count nd and decimal point position
-// dp of the shortest decimal that parses back to mant×2^exp, as
-// strconv's ryuFtoaShortest leaves them in its decimalSlice: the number
-// is 0.d₁…d_nd × 10^dp, and nd = dp = 0 for zero.
-func shortestDecimal(mant uint64, exp int, pow *pow10Table) (nd, dp int) {
-	if mant == 0 {
-		return 0, 0
+// dp of the shortest decimal that parses back to the normal float64
+// c×2^q (2^52 ≤ c < 2^53): the number is 0.d₁…d_nd × 10^dp, as strconv
+// leaves it before formatting.
+func shortestDecimal(c uint64, q int, g *gTable) (nd, dp int) {
+	if q <= 0 && bits.TrailingZeros64(c) >= -q {
+		// An exact integer below 2^53: strconv writes its digits.
+		m := c >> uint(-q)
+		for m%10 == 0 {
+			m /= 10
+			dp++
+		}
+		for ; m != 0; m /= 10 {
+			nd++
+		}
+		return nd, nd + dp
 	}
-	// If input is an exact integer with fewer bits than the mantissa,
-	// the previous and next integer are not admissible representations.
-	if exp <= 0 && bits.TrailingZeros64(mant) >= -exp {
-		mant >>= uint(-exp)
-		return ryuDigits(mant, mant, mant, true, false)
-	}
-	ml, mc, mu, e2 := computeBounds(mant, exp)
-	if e2 == 0 {
-		return ryuDigits(ml, mc, mu, true, false)
-	}
-	// Find 10^q *larger* than 2^-e2
-	q := mulByLog2Log10(-e2) + 1
 
-	// Multiply by 10^q using 128-bit arithmetic. The exponent is the same
-	// for all 3 numbers.
-	dl, _, dl0 := mult128bitPow10(ml, e2, q, pow)
-	dc, _, dc0 := mult128bitPow10(mc, e2, q, pow)
-	du, e2, du0 := mult128bitPow10(mu, e2, q, pow)
-	if e2 >= 0 {
-		panic("pointtext: not enough significant bits after mult128bitPow10")
-	}
-	// Is it an exact computation?
-	if q > 55 {
-		// Large positive powers of ten are not exact
-		dl0, dc0, du0 = false, false, false
-	}
-	if q < 0 && q >= -24 {
-		// Division by a power of ten may be exact.
-		// (5^25 is a 59-bit number so division by 5^25 is never exact.)
-		if divisibleByPower5(ml, -q) {
-			dl0 = true
-		}
-		if divisibleByPower5(mc, -q) {
-			dc0 = true
-		}
-		if divisibleByPower5(mu, -q) {
-			du0 = true
-		}
-	}
-	// Express the results (dl, dc, du)*2^e2 as integers.
-	// Extra bits must be removed and rounding hints computed.
-	extra := uint(-e2)
-	extraMask := uint64(1<<extra - 1)
-	// Now compute the floored, integral base 10 mantissas.
-	dl, fracl := dl>>extra, dl&extraMask
-	dc, fracc := dc>>extra, dc&extraMask
-	du, fracu := du>>extra, du&extraMask
-	// Is it allowed to use 'du' as a result?
-	// It is always allowed when it is truncated, but also
-	// if it is exact and the original binary mantissa is even.
-	// When disallowed, we can subtract 1.
-	uok := !du0 || fracu > 0
-	if du0 && fracu == 0 {
-		uok = mant&1 == 0
-	}
-	if !uok {
-		du--
-	}
-	// Is 'dc' the correctly rounded base 10 mantissa?
-	// The correct rounding might be dc+1
-	var cup bool
-	if dc0 {
-		// If we computed an exact product, the half integer
-		// should round to next (even) integer if 'dc' is odd.
-		cup = fracc > 1<<(extra-1) ||
-			(fracc == 1<<(extra-1) && dc&1 == 1)
+	// The rounding interval, in quarter units of 2^q: [cbl, cbr] around
+	// cb = 4c, its ends included when c is even (round half to even). At
+	// c = 2^52 the float below is half as far away as the one above,
+	// except at the smallest exponent, where the subnormals continue the
+	// spacing.
+	out := c & 1
+	cb := c << 2
+	cbr := cb + 2
+	var cbl uint64
+	var k int
+	if c != 1<<52 || q == qMin {
+		cbl, k = cb-2, flog10pow2(q)
 	} else {
-		// otherwise, the result is a lower truncation of the ideal
-		// result.
-		cup = fracc>>(extra-1) == 1
+		cbl, k = cb-1, flog10threeQuartersPow2(q)
 	}
-	// Is 'dl' an allowed representation?
-	// Only if it is an exact value, and if the original binary mantissa
-	// was even.
-	lok := dl0 && fracl == 0 && (mant&1 == 0)
-	if !lok {
-		dl++
-	}
-	// We need to remember whether the trimmed digits of 'dc' are zero.
-	c0 := dc0 && fracc == 0
-	nd, dp = ryuDigits(dl, dc, du, c0, cup)
-	return nd, dp - q
-}
+	// (x<<h)·g(k)·2^-127 is x·2^q/10^k up to g(k)'s excess; h lies in
+	// [2, 5], so x<<h stays below 2^61.
+	h := uint(q + flog2pow10(-k) + 2)
+	gk := &g[k-kMin]
+	vb := roundToOdd(gk, cb<<h)
+	vbl := roundToOdd(gk, cbl<<h)
+	vbr := roundToOdd(gk, cbr<<h)
 
-// mulByLog2Log10 returns math.Floor(x * log(2)/log(10)) for an integer x in
-// the range -1600 <= x && x <= +1600.
-func mulByLog2Log10(x int) int {
-	// log(2)/log(10) ≈ 0.30102999566 ≈ 78913 / 2^18
-	return (x * 78913) >> 18
-}
-
-// mulByLog10Log2 returns math.Floor(x * log(10)/log(2)) for an integer x in
-// the range -500 <= x && x <= +500.
-func mulByLog10Log2(x int) int {
-	// log(10)/log(2) ≈ 3.32192809489 ≈ 108853 / 2^15
-	return (x * 108853) >> 15
-}
-
-// computeBounds returns a floating-point vector (l, c, u)×2^e2
-// where the mantissas are 55-bit integers, describing the interval
-// represented by the input float64.
-func computeBounds(mant uint64, exp int) (lower, central, upper uint64, e2 int) {
-	if mant != 1<<52 || exp == -1023+1-52 {
-		// regular case (or denormals)
-		return 2*mant - 1, 2 * mant, 2*mant + 1, exp - 1
-	}
-	// border of an exponent
-	return 4*mant - 1, 4 * mant, 4*mant + 2, exp - 2
-}
-
-// ryuDigits returns (nd, dp) of the shortest decimal in [lower, upper]
-// nearest central, the digits strconv's ryuDigits writes and then trims
-// of their trailing and leading zeros. central = chi×10^9 + clo is split
-// as strconv splits it, and each branch counts the digits its writes
-// would leave.
-func ryuDigits(lower, central, upper uint64, c0, cup bool) (nd, dp int) {
-	lhi, llo := divmod1e9(lower)
-	chi, clo := divmod1e9(central)
-	uhi, ulo := divmod1e9(upper)
-	if uhi == 0 {
-		// only low digits (for denormals): the 9-digit field holds c,
-		// zero-padded, followed by trimmed zeros.
-		c, trimmed := ryuDigits32(llo, clo, ulo, c0, cup)
-		w := decimalLen(c)
-		return w - trailingZeros(c), w + trimmed
-	}
-	if lhi < uhi {
-		// truncate 9 digits at once.
-		if llo != 0 {
-			lhi++
+	s := vb >> 2 // ⌊v/10^k⌋, 16 or 17 digits
+	sp10 := s / 10 * 10
+	tp10 := sp10 + 10
+	upin := vbl+out <= sp10<<2
+	wpin := tp10<<2+out <= vbr
+	if upin != wpin {
+		d := sp10
+		if wpin {
+			d = tp10
 		}
-		c0 = c0 && clo == 0
-		cup = (clo > 5e8) || (clo == 5e8 && cup)
-		c, trimmed := ryuDigits32(lhi, chi, uhi, c0, cup)
-		w := decimalLen(c)
-		return w - trailingZeros(c), w + trimmed + 9
-	}
-	// The high part chi is written whole, then the low part fills a
-	// field of 9 digits less the ones ryuDigits32 trimmed.
-	c, trimmed := ryuDigits32(llo, clo, ulo, c0, cup)
-	w := decimalLen(chi)
-	if c == 0 {
-		return w - trailingZeros(chi), w + 9
-	}
-	return w + 9 - trimmed - trailingZeros(c), w + 9
-}
-
-// ryuDigits32 rounds central, a number less than 1e9, to the fewest
-// digits that stay within [lower, upper]: it returns the rounded value
-// and how many low digits were trimmed. This is strconv's ryuDigits32
-// without the digit writes; its early exit for upper == 0 trims the
-// whole 9-digit field.
-func ryuDigits32(lower, central, upper uint32, c0, cup bool) (uint32, int) {
-	if upper == 0 {
-		return 0, 9
-	}
-	trimmed := 0
-	// Remember last trimmed digit to check for round-up.
-	// c0 will be used to remember zeroness of following digits.
-	cNextDigit := 0
-	for upper > 0 {
-		// Repeatedly compute:
-		// l = Ceil(lower / 10^k)
-		// c = Round(central / 10^k)
-		// u = Floor(upper / 10^k)
-		// and stop when c goes out of the (l, u) interval.
-		l := (lower + 9) / 10
-		c, cdigit := central/10, central%10
-		u := upper / 10
-		if l > u {
-			// don't trim the last digit as it is forbidden to go below l
-			// other, trim and exit now.
-			break
+		nd = digits(d)
+		dp = nd + k
+		for d%10 == 0 {
+			d /= 10
+			nd--
 		}
-		// Check that we didn't cross the lower boundary.
-		// The case where l < u but c == l-1 is essentially impossible,
-		// but may happen if:
-		//    lower   = ..11
-		//    central = ..19
-		//    upper   = ..31
-		// and means that 'central' is very close but less than
-		// an integer ending with many zeros, and usually
-		// the "round-up" logic hides the problem.
-		if l == c+1 && c < u {
-			c++
-			cdigit = 0
-			cup = false
-		}
-		trimmed++
-		// Remember trimmed digits of c
-		c0 = c0 && cNextDigit == 0
-		cNextDigit = int(cdigit)
-		lower, central, upper = l, c, u
+		return nd, dp
 	}
-	// should we round up?
-	if trimmed > 0 {
-		cup = cNextDigit > 5 ||
-			(cNextDigit == 5 && !c0) ||
-			(cNextDigit == 5 && c0 && central&1 == 1)
-	}
-	if central < upper && cup {
-		central++
-	}
-	return central, trimmed
+	nd = digits(s)
+	return nd, nd + k
 }
 
-// mult128bitPow10 takes a floating-point input with a 55-bit
-// mantissa and multiplies it with 10^q. The resulting mantissa
-// is m*P >> 119 where P is a 128-bit element of the power-of-ten table.
-// It is typically 63 or 64-bit wide.
-// The returned boolean is true is all trimmed bits were zero.
-//
-// That is:
-//
-//	m*2^e2 * round(10^q) = resM * 2^resE + ε
-//	exact = ε == 0
-func mult128bitPow10(m uint64, e2, q int, table *pow10Table) (resM uint64, resE int, exact bool) {
-	if q == 0 {
-		// P == 1<<127
-		return m << 8, e2 - 8, true
+// digits returns the digit count of v, a number in [10^15, 10^17).
+func digits(v uint64) int {
+	if v >= 1e16 {
+		return 17
 	}
-	if q < pow10MinExp || pow10MaxExp < q {
-		// This never happens due to the range of the float64 exponent
-		panic("pointtext: mult128bitPow10: power of 10 is out of range")
-	}
-	pow := table[q-pow10MinExp]
-	if q < 0 {
-		// Inverse powers of ten must be rounded up.
-		pow[0] += 1
-	}
-	e2 += mulByLog10Log2(q) - 127 + 119
-
-	// long multiplication
-	l1, l0 := bits.Mul64(m, pow[0])
-	h1, h0 := bits.Mul64(m, pow[1])
-	mid, carry := bits.Add64(l1, h0, 0)
-	h1 += carry
-	return h1<<9 | mid>>55, e2, mid<<9 == 0 && l0 == 0
+	return 16
 }
 
-func divisibleByPower5(m uint64, k int) bool {
-	if m == 0 {
-		return true
+// roundToOdd returns cp·g·2^-127 rounded to odd: the integer part, with
+// its lowest bit set when the fraction is not zero. The fraction is read
+// without the low 64 bits of the product: g's excess of at most one adds
+// less than cp < 2^64 there, and counting it would mark an exact scaled
+// value inexact. The rounding keeps the comparisons of the scaled
+// interval ends exact.
+func roundToOdd(g *[2]uint64, cp uint64) uint64 {
+	x1, _ := bits.Mul64(g[1], cp)  // the low half of g
+	y1, y0 := bits.Mul64(g[0], cp) // the high half
+	mid, carry := bits.Add64(y0, x1, 0)
+	// cp·g = (y1+carry)·2^128 + mid·2^64 + the dropped low bits
+	v := (y1+carry)<<1 | mid>>63
+	if mid<<1 != 0 {
+		v |= 1
 	}
-	for i := 0; i < k; i++ {
-		if m%5 != 0 {
-			return false
-		}
-		m /= 5
-	}
-	return true
+	return v
 }
 
-// divmod1e9 computes quotient and remainder of division by 1e9 with the
-// multiply-and-shift sequence the amd64 compiler emits for x / 1e9, so a
-// 32-bit build needs no runtime uint64 division.
-func divmod1e9(x uint64) (uint32, uint32) {
-	hi, _ := bits.Mul64(x>>1, 0x89705f4136b4a598) // binary digits of 1e-9
-	q := hi >> 28
-	return uint32(q), uint32(x - q*1e9)
+// flog10pow2 returns ⌊q·log₁₀2⌋ for a normal float64's q in [-1074, 971].
+func flog10pow2(q int) int {
+	return int(int64(q) * 661_971_961_083 >> 41)
 }
 
-var uint32pow10 = [...]uint32{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-
-// decimalLen returns the number of decimal digits of v, 0 for v = 0.
-// bits.Len32(v)·1233/4096 is ⌊log₁₀ 2^Len⌋, which is either the digit
-// count or one less; one comparison tells which.
-func decimalLen(v uint32) int {
-	t := bits.Len32(v) * 1233 >> 12
-	if v >= uint32pow10[t] {
-		t++
-	}
-	return t
+// flog10threeQuartersPow2 returns ⌊log₁₀(¾·2^q)⌋ for q in [-1073, 971].
+func flog10threeQuartersPow2(q int) int {
+	return int((int64(q)*661_971_961_083 - 274_743_187_321) >> 41)
 }
 
-// trailingZeros returns the number of trailing decimal zeros of v, 0 for
-// v = 0.
-func trailingZeros(v uint32) int {
-	n := 0
-	for v != 0 && v%10 == 0 {
-		v /= 10
-		n++
-	}
-	return n
+// flog2pow10 returns ⌊e·log₂10⌋ for e in [-kMax, -kMin].
+func flog2pow10(e int) int {
+	return int(int64(e) * 913_124_641_741 >> 38)
 }
 
-// The rows of the power-of-ten table: 10^q for q in [pow10MinExp,
-// pow10MaxExp], the range a float64's shortest conversion can ask for.
+// The smallest q of a normal float64 c×2^q, and the range of the decimal
+// exponent k that shortestDecimal takes for q in [qMin, 971].
 const (
-	pow10MinExp = -348
-	pow10MaxExp = +347
+	qMin = -1074
+	kMin = -324 // flog10pow2(qMin)
+	kMax = 292  // flog10pow2(971)
 )
 
-// pow10Table holds, for each q, the 128-bit mantissa of 10^q rounded
-// down, as {low 64 bits, high 64 bits} with the top bit of the high half
-// set. The binary exponent is implied: mult128bitPow10 derives it from q.
-type pow10Table [pow10MaxExp - pow10MinExp + 1][2]uint64
+// gTable holds g(k) for k in [kMin, kMax] as {high 64 bits, low 64 bits}:
+// g(k) = ⌊10^-k·2^-r⌋ + 1 with r = flog2pow10(-k) - 125, which puts g(k)
+// in (2^125, 2^126], an upper approximation of 10^-k that is at most one
+// unit too large.
+type gTable [kMax - kMin + 1][2]uint64
 
-// powersOfTen builds the table on first use, exactly with math/big: it
-// equals the detailedPowersOfTen table strconv ships. 10^q for q ≥ 0 is
-// shifted to 128 significant bits and truncated; for q < 0 the mantissa
-// is ⌊2^(127+L) / 10^-q⌋, where L is the bit length of 10^-q, which lies
-// strictly between 2^127 and 2^128.
-var powersOfTen = sync.OnceValue(func() *pow10Table {
-	var t pow10Table
+// schubfachTable builds the table on first use, exactly with math/big:
+// with s = 125 - flog2pow10(-k), g(k) is ⌊10^-k·2^s⌋ + 1 for k ≤ 0, where
+// 10^-k is an integer, and ⌊2^s/10^k⌋ + 1 for k > 0.
+var schubfachTable = sync.OnceValue(func() *gTable {
+	var t gTable
 	low := new(big.Int).SetUint64(math.MaxUint64)
-	row := func(m *big.Int) [2]uint64 {
-		lo := new(big.Int).And(m, low).Uint64()
-		return [2]uint64{lo, new(big.Int).Rsh(m, 64).Uint64()}
-	}
-	ten := big.NewInt(10)
-	p := big.NewInt(1) // 10^|q|
-	m := new(big.Int)
-	for q := 0; q <= max(pow10MaxExp, -pow10MinExp); q++ {
-		if q > 0 {
-			p.Mul(p, ten)
+	one := big.NewInt(1)
+	for k := kMin; k <= kMax; k++ {
+		s := 125 - flog2pow10(-k)
+		m := new(big.Int)
+		switch {
+		case k > 0:
+			m.Lsh(one, uint(s))
+			m.Quo(m, pow10(k))
+		case s >= 0:
+			m.Lsh(pow10(-k), uint(s))
+		default:
+			m.Rsh(pow10(-k), uint(-s))
 		}
-		l := p.BitLen()
-		if q <= pow10MaxExp {
-			if l >= 128 {
-				m.Rsh(p, uint(l-128))
-			} else {
-				m.Lsh(p, uint(128-l))
-			}
-			t[q-pow10MinExp] = row(m)
-		}
-		if q > 0 && -q >= pow10MinExp {
-			m.Lsh(big.NewInt(1), uint(127+l))
-			m.Quo(m, p)
-			t[-q-pow10MinExp] = row(m)
-		}
+		m.Add(m, one)
+		t[k-kMin] = [2]uint64{new(big.Int).Rsh(m, 64).Uint64(), new(big.Int).And(m, low).Uint64()}
 	}
 	return &t
 })
+
+// pow10 returns 10^n as a big.Int.
+func pow10(n int) *big.Int {
+	return new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(n)), nil)
+}

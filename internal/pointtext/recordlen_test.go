@@ -2,6 +2,7 @@ package pointtext
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -55,9 +56,9 @@ func hostileFloats() []float64 {
 
 // shortDecimal draws a value with a short decimal form: 1–17 random
 // significant digits at a random exponent, or a neighbour one ulp away.
-// Their digit intervals straddle a multiple of 10^9 and end on rounder
-// numbers than random bit patterns do, which is where the port's bound
-// adjustments decide the length.
+// Their rounding intervals end on rounder numbers than random bit
+// patterns' do, which is where the comparisons with the interval's ends
+// decide the length.
 func shortDecimal(rng *rand.Rand) float64 {
 	digits := make([]byte, 1+rng.Intn(17))
 	for i := range digits {
@@ -79,11 +80,30 @@ func mixtureFloat(rng *rand.Rand) float64 {
 	return float64(rng.Intn(100)-50) + rng.NormFloat64()*(0.5+rng.Float64()*4)
 }
 
+// exponentSweep returns, at each of the 2,046 normal binary exponents,
+// c = 2^52 (where the float below is half as far away as the one above),
+// c = 2^53-1 and 32 random mantissas, both signs.
+func exponentSweep(rng *rand.Rand) []float64 {
+	var xs []float64
+	for e := uint64(1); e <= 2046; e++ {
+		add := func(c uint64) {
+			b := e<<52 | c&(1<<52-1)
+			xs = append(xs, math.Float64frombits(b), math.Float64frombits(b|1<<63))
+		}
+		add(1 << 52)
+		add(1<<53 - 1)
+		for i := 0; i < 32; i++ {
+			add(rng.Uint64())
+		}
+	}
+	return xs
+}
+
 func TestRecordLenMatchesFormatting(t *testing.T) {
-	pow := powersOfTen()
+	g := schubfachTable()
 	check := func(x float64) {
 		t.Helper()
-		if got, want := floatLen(x, pow), shortestLen(x); got != want {
+		if got, want := floatLen(x, g), shortestLen(x); got != want {
 			t.Fatalf("length of %v (bits %#016x) = %d, want %d (%q)",
 				x, math.Float64bits(x), got, want, strconv.FormatFloat(x, 'g', -1, 64))
 		}
@@ -91,11 +111,14 @@ func TestRecordLenMatchesFormatting(t *testing.T) {
 	for _, x := range hostileFloats() {
 		check(x)
 	}
+	rng := rand.New(rand.NewSource(28))
+	for _, x := range exponentSweep(rng) {
+		check(x)
+	}
 	n := 300_000
 	if testing.Short() {
 		n = 50_000
 	}
-	rng := rand.New(rand.NewSource(28))
 	for i := 0; i < n; i++ {
 		check(math.Float64frombits(rng.Uint64()))
 		check(mixtureFloat(rng))
@@ -125,70 +148,52 @@ func TestRecordLenIsAppendRecordLen(t *testing.T) {
 	}
 }
 
-// TestPowersOfTenRows pins rows of the generated table to strconv's
-// detailedPowersOfTen: 10^0, 10^±1 and the two ends.
-func TestPowersOfTenRows(t *testing.T) {
-	tab := powersOfTen()
-	for _, tc := range []struct {
-		q      int
-		lo, hi uint64
-	}{
-		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
-		{-1, 0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC},
-		{0, 0x0000000000000000, 0x8000000000000000},
-		{1, 0x0000000000000000, 0xA000000000000000},
-		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
-	} {
-		if got := tab[tc.q-pow10MinExp]; got != [2]uint64{tc.lo, tc.hi} {
-			t.Errorf("row 1e%d = {%#x, %#x}, want {%#x, %#x}", tc.q, got[0], got[1], tc.lo, tc.hi)
+// TestSchubfachTableRows pins the rows of g at both ends of k's range
+// and around k = 0 against math/big: g(k) must lie in (2^125, 2^126] and
+// exceed 10^-k·2^-r by at most one, r = flog2pow10(-k) - 125.
+func TestSchubfachTableRows(t *testing.T) {
+	g := schubfachTable()
+	lo, hi := new(big.Int).Lsh(big.NewInt(1), 125), new(big.Int).Lsh(big.NewInt(1), 126)
+	for _, k := range []int{kMin, kMin + 1, kMin + 2, -1, 0, 1, kMax - 2, kMax - 1, kMax} {
+		row := g[k-kMin]
+		gk := new(big.Int).Lsh(new(big.Int).SetUint64(row[0]), 64)
+		gk.Or(gk, new(big.Int).SetUint64(row[1]))
+		if gk.Cmp(lo) <= 0 || gk.Cmp(hi) > 0 {
+			t.Errorf("g(%d) = %#x, outside (2^125, 2^126]", k, gk)
+			continue
 		}
-	}
-	for q, row := range tab {
-		if row[1]>>63 != 1 {
-			t.Errorf("row 1e%d is not normalized: %#x", q+pow10MinExp, row[1])
+		// x = 10^-k·2^-r as an exact rational
+		r := flog2pow10(-k) - 125
+		x := new(big.Rat).SetInt(big.NewInt(1))
+		ten := new(big.Rat).SetInt64(10)
+		for i := 0; i < abs(k); i++ {
+			if k < 0 {
+				x.Mul(x, ten)
+			} else {
+				x.Quo(x, ten)
+			}
+		}
+		two := new(big.Rat).SetInt64(2)
+		for i := 0; i < abs(r); i++ {
+			if r < 0 {
+				x.Mul(x, two)
+			} else {
+				x.Quo(x, two)
+			}
+		}
+		gRat := new(big.Rat).SetInt(gk)
+		below := new(big.Rat).Sub(gRat, new(big.Rat).SetInt64(1))
+		if x.Cmp(gRat) >= 0 || x.Cmp(below) < 0 {
+			t.Errorf("g(%d) = %#x is not ⌊10^-k·2^-r⌋ + 1 (r = %d)", k, gk, r)
 		}
 	}
 }
 
-func TestDivmod1e9(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100_000; i++ {
-		x := rng.Uint64() >> uint(rng.Intn(64))
-		for _, v := range []uint64{x, 1e9 * (x >> 30), 1e9*(x>>30) - 1, math.MaxUint64 - x} {
-			q, r := divmod1e9(v)
-			if uint64(q) != uint64(uint32(v/1e9)) || uint64(r) != v%1e9 {
-				t.Fatalf("divmod1e9(%d) = %d, %d", v, q, r)
-			}
-		}
+func abs(x int) int {
+	if x < 0 {
+		return -x
 	}
-}
-
-func TestDecimalLen(t *testing.T) {
-	for v := uint64(0); v <= math.MaxUint32; v = v*3 + 1 {
-		for _, w := range []uint64{v, v + 1, v - 1} {
-			if w > math.MaxUint32 {
-				continue // v-1 below 0, or past uint32
-			}
-			want := len(strconv.FormatUint(w, 10))
-			if w == 0 {
-				want = 0
-			}
-			if got := decimalLen(uint32(w)); got != want {
-				t.Fatalf("decimalLen(%d) = %d, want %d", w, got, want)
-			}
-		}
-	}
-	for _, p := range uint32pow10 {
-		for _, w := range []uint32{p - 1, p, p + 1} {
-			want := len(strconv.FormatUint(uint64(w), 10))
-			if w == 0 {
-				want = 0
-			}
-			if got := decimalLen(w); got != want {
-				t.Fatalf("decimalLen(%d) = %d, want %d", w, got, want)
-			}
-		}
-	}
+	return x
 }
 
 func FuzzRecordLen(f *testing.F) {
@@ -200,6 +205,14 @@ func FuzzRecordLen(f *testing.F) {
 	for i := 0; i < 16; i++ {
 		f.Add(rng.Uint64(), math.Float64bits(mixtureFloat(rng)))
 	}
+	// Where a Schubfach length goes wrong first: the two smallest
+	// subnormals' classes (5e-324, 8e-323), a power of two at c = 2^52
+	// with its neighbours, and decimals whose nearest neighbour decides.
+	pow2 := math.Float64bits(0x1p-900)
+	f.Add(uint64(0x1), uint64(0x10))
+	f.Add(pow2, pow2-1)
+	f.Add(pow2+1, math.Float64bits(1e23))
+	f.Add(math.Float64bits(9007199254740993), math.Float64bits(-1e23))
 	f.Fuzz(func(t *testing.T, a, b uint64) {
 		p := []float64{math.Float64frombits(a), math.Float64frombits(b)}
 		for _, r := range [][]float64{p[:1], p[1:], p} {
